@@ -205,30 +205,6 @@ pub trait SaiScorer {
         self.sai_lists(db, &configs)
     }
 
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// concrete windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::each")]
-    fn sai_sweep(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[DateWindow],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::each(windows))
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// optional (`None` = full-history) windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::spans")]
-    fn sai_sweep_opt(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[Option<DateWindow>],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::spans(windows))
-    }
-
     /// Resolves a full (scenario × configuration × window) cross-product —
     /// the batch plane (see [`MatrixSpec`]).
     ///
@@ -661,7 +637,7 @@ impl EngineCore {
     }
 
     /// Computes one SAI list per window through the sweep plan — see
-    /// [`SaiScorer::sai_sweep`].
+    /// [`SaiScorer::sai_windows`].
     fn sai_sweep(
         &self,
         corpus: &Corpus,
@@ -916,32 +892,6 @@ impl<'c> ScoringEngine<'c> {
         self.core
             .sai_sweep(self.corpus, db, base_config, axis.as_options())
     }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// concrete windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::each")]
-    #[must_use]
-    pub fn sai_sweep(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[DateWindow],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::each(windows))
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// optional (`None` = full-history) windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::spans")]
-    #[must_use]
-    pub fn sai_sweep_opt(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[Option<DateWindow>],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::spans(windows))
-    }
 }
 
 impl SaiScorer for ScoringEngine<'_> {
@@ -1111,32 +1061,6 @@ impl LiveEngine {
     ) -> Vec<SaiList> {
         self.core
             .sai_sweep(&self.corpus, db, base_config, axis.as_options())
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// concrete windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::each")]
-    #[must_use]
-    pub fn sai_sweep(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[DateWindow],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::each(windows))
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// optional (`None` = full-history) windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::spans")]
-    #[must_use]
-    pub fn sai_sweep_opt(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[Option<DateWindow>],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::spans(windows))
     }
 }
 
@@ -1344,36 +1268,6 @@ mod tests {
         assert_eq!(
             engine.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             engine.sai_lists(&db, &configs)
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_sweep_forwarders_match_sai_windows_bit_for_bit() {
-        let corpus = scenario::excavator_europe(7);
-        let db = KeywordDatabase::excavator_seed();
-        let base = PspConfig::excavator_europe();
-        let engine = ScoringEngine::new(&corpus);
-        let windows: Vec<DateWindow> = (2018..2023).map(|y| DateWindow::years(y, y + 1)).collect();
-        let spans = [None, Some(DateWindow::years(2020, 2022))];
-        // Inherent forwarders.
-        assert_eq!(
-            engine.sai_sweep(&db, &base, &windows),
-            engine.sai_windows(&db, &base, &WindowAxis::each(&windows))
-        );
-        assert_eq!(
-            engine.sai_sweep_opt(&db, &base, &spans),
-            engine.sai_windows(&db, &base, &WindowAxis::spans(&spans))
-        );
-        // Trait-level forwarders (dyn dispatch, default bodies).
-        let scorer: &dyn SaiScorer = &engine;
-        assert_eq!(
-            scorer.sai_sweep(&db, &base, &windows),
-            scorer.sai_windows(&db, &base, &WindowAxis::each(&windows))
-        );
-        assert_eq!(
-            scorer.sai_sweep_opt(&db, &base, &spans),
-            scorer.sai_windows(&db, &base, &WindowAxis::spans(&spans))
         );
     }
 

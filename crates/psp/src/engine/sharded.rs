@@ -41,7 +41,6 @@ use rayon::prelude::*;
 use socialsim::corpus::Corpus;
 use socialsim::index::{ShardKey, ShardSpec};
 use socialsim::post::Post;
-use socialsim::time::DateWindow;
 use textmine::pipeline::TextPipeline;
 
 /// One shard: a sub-corpus, its own engine core, and the mapping from
@@ -530,32 +529,6 @@ impl ShardedEngine {
                 SaiList::from_shard_partials(db, base_config, &per_shard_window)
             })
             .collect()
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// concrete windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::each")]
-    #[must_use]
-    pub fn sai_sweep(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[DateWindow],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::each(windows))
-    }
-
-    /// Deprecated spelling of [`sai_windows`](Self::sai_windows) over
-    /// optional (`None` = full-history) windows.
-    #[deprecated(since = "0.2.0", note = "use sai_windows with WindowAxis::spans")]
-    #[must_use]
-    pub fn sai_sweep_opt(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        windows: &[Option<DateWindow>],
-    ) -> Vec<SaiList> {
-        self.sai_windows(db, base_config, &WindowAxis::spans(windows))
     }
 }
 

@@ -6,10 +6,12 @@
 //! serialize behind one borrow.  This module turns that inside out:
 //!
 //! * [`ServiceRequest`] / [`ServiceResponse`] are plain serializable enums —
-//!   the whole service surface, independent of any transport.  The stdin
-//!   line-JSON daemon (`examples/tara_daemon.rs`) is ~a page of glue over
-//!   [`wire`]; an embedded caller skips the wire format entirely and calls
-//!   [`TaraService::handle`] with the same types.
+//!   the whole service surface, independent of any transport.  Line-JSON
+//!   ([`wire`]) is served by one connection loop ([`net`]) on every
+//!   transport: TCP via [`net::SocketServer`], stdin/stdout via
+//!   [`net::serve_stream`], so the daemon (`examples/tara_daemon.rs`) is
+//!   argument parsing around it.  An embedded caller skips the wire format
+//!   entirely and calls [`TaraService::handle`] with the same types.
 //! * [`TaraService`] executes requests against an engine published through a
 //!   [`SnapshotPublisher`]: each request scores
 //!   one immutable generation end to end, while ingest builds the next
@@ -39,14 +41,16 @@
 //!   [`ServiceResponse::Expired`] instead of burning a worker, and
 //!   [`Ticket::wait_timeout`] bounds the client-side wait.  `Status`
 //!   reports queued/in-flight depth.
-//! * **Subscriptions** — [`ServiceRequest::Subscribe`] (or the embedded
-//!   [`TaraService::subscribe`]) registers a [`MonitorSpec`]; after every
+//! * **Subscriptions** — [`TaraService::subscribe`] (or
+//!   [`ServiceRequest::Subscribe`] over a [`net`] connection) registers a
+//!   [`MonitorSpec`] with a dedicated event channel; after every
 //!   successful ingest publication the service pushes a
 //!   [`ServiceEvent::MonitorDelta`] — the re-evaluated
 //!   [`MonitoringSeries`] plus its `sai_alerts` firings, computed on the
 //!   just-published snapshot — replacing poll-by-`Sweep`.
-//! * **Scheduled sweeps** — [`ServiceRequest::Schedule`] (or
-//!   [`TaraService::schedule`]) re-runs a read-only request at a fixed
+//! * **Scheduled sweeps** — [`TaraService::schedule`] (or
+//!   [`ServiceRequest::Schedule`] over a connection) re-runs a read-only
+//!   request at a fixed
 //!   interval against the latest snapshot on a dedicated scheduler thread,
 //!   delivering [`ServiceEvent::ScheduledRun`]s through the same event
 //!   channels.
@@ -234,7 +238,11 @@ pub enum ServiceRequest {
     Status,
     /// Register a monitor subscription: after every successful ingest
     /// publication, the service pushes a [`ServiceEvent::MonitorDelta`] with
-    /// the re-evaluated series and alert firings for this spec.
+    /// the re-evaluated series and alert firings for this spec.  Served by
+    /// the [`net`] connection loop, which delivers the events on the
+    /// requesting connection; [`TaraService::handle`] / `submit` have no
+    /// channel to deliver on and answer `bad-request` naming
+    /// [`TaraService::subscribe`].
     Subscribe {
         /// What to monitor and where to alert.
         spec: MonitorSpec,
@@ -248,7 +256,9 @@ pub enum ServiceRequest {
     /// `every_ms` milliseconds against the latest snapshot, delivering each
     /// result as a [`ServiceEvent::ScheduledRun`].  Mutating or
     /// registration requests (`Ingest`, `Subscribe`, `Schedule`, …) cannot
-    /// be scheduled.
+    /// be scheduled.  Like `Subscribe`, served per connection by [`net`];
+    /// `handle` / `submit` answer `bad-request` naming
+    /// [`TaraService::schedule`].
     Schedule {
         /// Interval between runs, in milliseconds (clamped to ≥ 1).
         every_ms: u64,
@@ -405,8 +415,8 @@ pub enum ServiceResponse {
         last_checkpoint_generation: Option<u64>,
         /// Whether the service restored prior state at startup.
         recovered_at_start: bool,
-        /// Socket-transport counters (all zero when no [`net::SocketServer`]
-        /// is attached).
+        /// Wire-transport counters over every connection served, TCP and
+        /// stdin alike (all zero before the first).
         net: NetStatus,
     },
     /// Answer to [`ServiceRequest::Subscribe`].
@@ -449,9 +459,10 @@ pub enum ServiceResponse {
 
 /// A push event delivered outside the request/response cycle: monitor
 /// deltas after ingest publications, and the results of scheduled runs.
-/// Events from request-registered subscriptions are drained with
-/// [`TaraService::poll_events`]; embedded callers get a dedicated channel
-/// via [`TaraService::subscribe`] / [`TaraService::schedule`].
+/// Every registration owns a dedicated channel: embedded callers hold the
+/// [`Subscription`] from [`TaraService::subscribe`] /
+/// [`TaraService::schedule`], and the [`net`] connection loop forwards a
+/// connection's own registrations to it as `{"event":…}` lines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServiceEvent {
     /// A monitor subscription re-evaluated after an ingest publication.
@@ -476,9 +487,9 @@ pub enum ServiceEvent {
         /// answer (including `Error` responses).
         response: ServiceResponse,
     },
-    /// The final event on a subscribed channel when the serving transport
-    /// drains (graceful shutdown): no further deltas will arrive.  Pushed by
-    /// the socket server to every subscribed connection before it closes.
+    /// The final event on a subscribed connection when it drains (graceful
+    /// shutdown, or end of stream): no further deltas will arrive.  Pushed
+    /// by the [`net`] connection loop before the connection closes.
     Draining {
         /// The generation published when the drain began.
         generation: u64,
@@ -543,10 +554,6 @@ struct ServiceState<E> {
     metrics: Arc<PoolMetrics>,
     /// Monitor subscriptions, notified after every successful ingest.
     subscriptions: Mutex<Vec<Subscriber>>,
-    /// Event receivers owned by request-path registrations (wire clients
-    /// have no process to hand a channel to); drained by
-    /// [`TaraService::poll_events`].
-    retained: Mutex<Vec<(u64, mpsc::Receiver<ServiceEvent>)>>,
     /// One id space for subscriptions and scheduled jobs.
     next_id: AtomicU64,
     /// The scheduler's timetable (the thread itself lives on the service).
@@ -555,8 +562,8 @@ struct ServiceState<E> {
     /// ingests are journaled write-ahead and `Checkpoint` requests persist
     /// atomic snapshots.
     durable: Option<Arc<DurableStore>>,
-    /// Socket-transport counters, shared with an attached
-    /// [`net::SocketServer`] so `Status` reports them; all zero otherwise.
+    /// Wire-transport counters, shared with every [`net`] connection loop
+    /// serving this service so `Status` reports them.
     net: Arc<NetMetrics>,
 }
 
@@ -645,7 +652,6 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
             workers,
             metrics: Arc::clone(&metrics),
             subscriptions: Mutex::new(Vec::new()),
-            retained: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             scheduler: SchedulerQueue::default(),
             durable,
@@ -748,8 +754,8 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         ticket
     }
 
-    /// Registers a monitor subscription with a dedicated event channel (the
-    /// embedded-caller form of [`ServiceRequest::Subscribe`]): after every
+    /// Registers a monitor subscription with a dedicated event channel (what
+    /// a connection's [`ServiceRequest::Subscribe`] runs): after every
     /// successful ingest publication the returned [`Subscription`] receives
     /// a [`ServiceEvent::MonitorDelta`].
     ///
@@ -758,16 +764,25 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
     /// Returns an error when the spec names an unregistered database or
     /// configuration.
     pub fn subscribe(&self, spec: MonitorSpec) -> Result<Subscription, PspError> {
-        let (id, generation, receiver) = self.state.register_monitor(spec)?;
+        let state = &self.state;
+        state.registry.lookup_database(&spec.db)?;
+        state.registry.lookup_config(&spec.config)?;
+        let id = state.next_id.fetch_add(1, Ordering::SeqCst);
+        let (sender, receiver) = mpsc::channel();
+        state
+            .subscriptions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Subscriber { id, spec, sender });
         Ok(Subscription {
             id,
-            generation,
+            generation: state.publisher.snapshot().generation(),
             receiver,
         })
     }
 
-    /// Registers a recurring job with a dedicated event channel (the
-    /// embedded-caller form of [`ServiceRequest::Schedule`]): `request` is
+    /// Registers a recurring job with a dedicated event channel (what a
+    /// connection's [`ServiceRequest::Schedule`] runs): `request` is
     /// re-run every `every` against the latest snapshot, each result
     /// arriving as a [`ServiceEvent::ScheduledRun`].
     ///
@@ -780,34 +795,25 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         request: ServiceRequest,
         every: Duration,
     ) -> Result<Subscription, PspError> {
-        let (id, receiver) = self.state.register_schedule(request, every)?;
+        let state = &self.state;
+        if !request.is_schedulable() {
+            return Err(PspError::NotSchedulable {
+                request: request.kind_name(),
+            });
+        }
+        if matches!(request, ServiceRequest::Checkpoint) && state.durable.is_none() {
+            // A scheduled checkpoint on a non-durable service would tick
+            // `not-durable` errors forever; reject at registration instead.
+            return Err(PspError::NotDurable);
+        }
+        let id = state.next_id.fetch_add(1, Ordering::SeqCst);
+        let (sender, receiver) = mpsc::channel();
+        state.scheduler.add(id, request, every, sender);
         Ok(Subscription {
             id,
-            generation: self.state.publisher.snapshot().generation(),
+            generation: state.publisher.snapshot().generation(),
             receiver,
         })
-    }
-
-    /// Drains every pending event of request-path registrations (wire
-    /// clients' `Subscribe` / `Schedule`, whose channels the service
-    /// retains).  Dedicated [`Subscription`] channels are not drained here.
-    #[must_use]
-    pub fn poll_events(&self) -> Vec<ServiceEvent> {
-        let mut retained = self
-            .state
-            .retained
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut events = Vec::new();
-        retained.retain(|(_, receiver)| loop {
-            match receiver.try_recv() {
-                Ok(event) => events.push(event),
-                Err(mpsc::TryRecvError::Empty) => break true,
-                // Sender gone: the registration was removed; drop the stub.
-                Err(mpsc::TryRecvError::Disconnected) => break false,
-            }
-        });
-        events
     }
 
     /// Queue-depth and panic counters of the worker pool, observed now.
@@ -832,8 +838,8 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         self.state.durable.is_some()
     }
 
-    /// Socket-transport counters (the `Status` response's `net` block),
-    /// observed now; all zero when no [`net::SocketServer`] is attached.
+    /// Wire-transport counters (the `Status` response's `net` block),
+    /// observed now; all zero until a [`net`] connection loop has served.
     #[must_use]
     pub fn net_stats(&self) -> NetStatus {
         self.state.net.status()
@@ -1045,15 +1051,18 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                     net: self.net.status(),
                 })
             }
-            ServiceRequest::Subscribe { spec } => {
-                let (id, generation, receiver) = self.register_monitor(spec)?;
-                // Wire clients have no process to hand a channel to: retain
-                // the receiver, drained by `TaraService::poll_events`.
-                self.retained
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((id, receiver));
-                Ok(ServiceResponse::Subscribed { id, generation })
+            // Push registrations need a channel to deliver on: the `net`
+            // connection loop intercepts them per connection, and embedded
+            // callers hold the `Subscription` the methods return.
+            request @ (ServiceRequest::Subscribe { .. } | ServiceRequest::Schedule { .. }) => {
+                let kind = request.kind_name();
+                Err(PspError::BadRequest {
+                    detail: format!(
+                        "{kind} delivers events on a channel: call TaraService::{}, \
+                         or send it over a net connection",
+                        kind.to_lowercase()
+                    ),
+                })
             }
             ServiceRequest::Unsubscribe { id } => {
                 let mut subscriptions = self
@@ -1067,21 +1076,8 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                         detail: format!("no subscription with id {id}"),
                     });
                 }
-                // Dropping the sender disconnects any retained receiver;
-                // `poll_events` prunes the stub on its next drain.
+                // Dropping the sender disconnects the subscriber's channel.
                 Ok(ServiceResponse::Unsubscribed { id })
-            }
-            ServiceRequest::Schedule { every_ms, request } => {
-                let every = Duration::from_millis(every_ms.max(1));
-                let (id, receiver) = self.register_schedule(*request, every)?;
-                self.retained
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((id, receiver));
-                Ok(ServiceResponse::Scheduled {
-                    id,
-                    every_ms: every_ms.max(1),
-                })
             }
             ServiceRequest::Unschedule { id } => {
                 if !self.scheduler.remove(id) {
@@ -1092,46 +1088,6 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 Ok(ServiceResponse::Unscheduled { id })
             }
         }
-    }
-
-    /// Validates and registers a monitor subscription; returns its id, the
-    /// generation at registration and the receiving half of its channel.
-    fn register_monitor(
-        &self,
-        spec: MonitorSpec,
-    ) -> Result<(u64, u64, mpsc::Receiver<ServiceEvent>), PspError> {
-        self.registry.lookup_database(&spec.db)?;
-        self.registry.lookup_config(&spec.config)?;
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let (sender, receiver) = mpsc::channel();
-        self.subscriptions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Subscriber { id, spec, sender });
-        Ok((id, self.publisher.snapshot().generation(), receiver))
-    }
-
-    /// Validates and registers a recurring job; returns its id and the
-    /// receiving half of its event channel.
-    fn register_schedule(
-        &self,
-        request: ServiceRequest,
-        every: Duration,
-    ) -> Result<(u64, mpsc::Receiver<ServiceEvent>), PspError> {
-        if !request.is_schedulable() {
-            return Err(PspError::NotSchedulable {
-                request: request.kind_name(),
-            });
-        }
-        if matches!(request, ServiceRequest::Checkpoint) && self.durable.is_none() {
-            // A scheduled checkpoint on a non-durable service would tick
-            // `not-durable` errors forever; reject at registration instead.
-            return Err(PspError::NotDurable);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let (sender, receiver) = mpsc::channel();
-        self.scheduler.add(id, request, every, sender);
-        Ok((id, receiver))
     }
 
     /// Durability counters, or the all-zero stats when the service runs
@@ -1387,38 +1343,55 @@ mod tests {
         }
     }
 
+    /// The `subscriptions` / `scheduled` counts a `Status` reports.
+    fn registrations(service: &TaraService) -> (usize, usize) {
+        match service.handle(ServiceRequest::Status) {
+            ServiceResponse::Status {
+                subscriptions,
+                scheduled,
+                ..
+            } => (subscriptions, scheduled),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
     #[test]
-    fn request_path_subscriptions_deliver_deltas_through_poll_events() {
+    fn embedded_subscriptions_deliver_deltas_and_unsubscribe_through_the_request_path() {
         let service = service();
-        let id = match service.handle(ServiceRequest::Subscribe {
+        // The request path has no channel to deliver on: it refuses instead
+        // of registering a subscription nobody drains.
+        match service.handle(ServiceRequest::Subscribe {
             spec: monitor_spec(),
         }) {
-            ServiceResponse::Subscribed { id, generation } => {
-                assert_eq!(generation, 0);
-                id
+            ServiceResponse::Error { error } => {
+                assert_eq!(error.kind, "bad-request");
+                assert!(error.detail.contains("TaraService::subscribe"));
             }
             other => panic!("unexpected response: {other:?}"),
-        };
-        assert!(service.poll_events().is_empty(), "no ingest yet");
+        }
+        assert_eq!(registrations(&service), (0, 0));
 
+        let subscription = service.subscribe(monitor_spec()).expect("names resolve");
+        assert_eq!(subscription.generation(), 0);
+        assert_eq!(subscription.try_recv(), None, "no ingest yet");
         let posts = scenario::excavator_europe(9).posts().to_vec();
         let _ = service.handle(ServiceRequest::Ingest { posts });
-        let events = service.poll_events();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            ServiceEvent::MonitorDelta {
-                subscription,
+        match subscription.try_recv() {
+            Some(ServiceEvent::MonitorDelta {
+                subscription: stamped,
                 generation,
                 series,
                 ..
-            } => {
-                assert_eq!(*subscription, id);
-                assert_eq!(*generation, 1);
+            }) => {
+                assert_eq!(stamped, subscription.id());
+                assert_eq!(generation, 1);
                 assert_eq!(series.scenario, "dpf-tampering");
             }
             other => panic!("unexpected event: {other:?}"),
         }
+        assert_eq!(subscription.try_recv(), None, "one delta per ingest");
 
+        let id = subscription.id();
         match service.handle(ServiceRequest::Unsubscribe { id }) {
             ServiceResponse::Unsubscribed { id: gone } => assert_eq!(gone, id),
             other => panic!("unexpected response: {other:?}"),
@@ -1434,38 +1407,29 @@ mod tests {
         let service = service();
         let mut spec = monitor_spec();
         spec.db = "nope".into();
-        match service.handle(ServiceRequest::Subscribe { spec }) {
-            ServiceResponse::Error { error } => assert_eq!(error.kind, "unknown-database"),
-            other => panic!("unexpected response: {other:?}"),
-        }
+        let error = service.subscribe(spec).unwrap_err();
+        assert_eq!(error.kind(), "unknown-database");
     }
 
     #[test]
     fn mutating_requests_cannot_be_scheduled() {
         let service = service();
-        match service.handle(ServiceRequest::Schedule {
-            every_ms: 10,
-            request: Box::new(ServiceRequest::Ingest { posts: Vec::new() }),
-        }) {
-            ServiceResponse::Error { error } => {
-                assert_eq!(error.kind, "not-schedulable");
-                assert!(error.detail.contains("Ingest"));
-            }
-            other => panic!("unexpected response: {other:?}"),
-        }
+        let every = Duration::from_millis(10);
+        let error = service
+            .schedule(ServiceRequest::Ingest { posts: Vec::new() }, every)
+            .unwrap_err();
+        assert_eq!(error.kind(), "not-schedulable");
+        assert!(error.to_string().contains("Ingest"));
         assert!(!ServiceRequest::Unsubscribe { id: 1 }.is_schedulable());
         assert!(ServiceRequest::Status.is_schedulable());
         assert!(ServiceRequest::Checkpoint.is_schedulable());
 
         // Checkpoint is schedulable in principle, but not on a service
         // without a data directory — that would tick errors forever.
-        match service.handle(ServiceRequest::Schedule {
-            every_ms: 10,
-            request: Box::new(ServiceRequest::Checkpoint),
-        }) {
-            ServiceResponse::Error { error } => assert_eq!(error.kind, "not-durable"),
-            other => panic!("unexpected response: {other:?}"),
-        }
+        let error = service
+            .schedule(ServiceRequest::Checkpoint, every)
+            .unwrap_err();
+        assert_eq!(error.kind(), "not-durable");
     }
 
     #[test]
@@ -1481,18 +1445,32 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_jobs_register_and_unschedule_through_the_request_path() {
+    fn scheduled_jobs_register_embedded_and_unschedule_through_the_request_path() {
         let service = service();
-        let id = match service.handle(ServiceRequest::Schedule {
-            every_ms: 0, // clamped to 1ms
+        match service.handle(ServiceRequest::Schedule {
+            every_ms: 10,
             request: Box::new(ServiceRequest::Status),
         }) {
-            ServiceResponse::Scheduled { id, every_ms } => {
-                assert_eq!(every_ms, 1);
-                id
+            ServiceResponse::Error { error } => {
+                assert_eq!(error.kind, "bad-request");
+                assert!(error.detail.contains("TaraService::schedule"));
             }
             other => panic!("unexpected response: {other:?}"),
-        };
+        }
+        assert_eq!(registrations(&service), (0, 0));
+
+        // A zero interval is clamped to 1ms, not rejected: the job ticks.
+        let job = service
+            .schedule(ServiceRequest::Status, Duration::ZERO)
+            .expect("Status is schedulable");
+        match job.recv_timeout(Duration::from_secs(30)) {
+            Some(ServiceEvent::ScheduledRun { job: stamped, .. }) => {
+                assert_eq!(stamped, job.id());
+            }
+            other => panic!("unexpected event: {other:?}"),
+        }
+        assert_eq!(registrations(&service), (0, 1));
+        let id = job.id();
         match service.handle(ServiceRequest::Unschedule { id }) {
             ServiceResponse::Unscheduled { id: gone } => assert_eq!(gone, id),
             other => panic!("unexpected response: {other:?}"),

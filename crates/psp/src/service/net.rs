@@ -1,41 +1,47 @@
-//! The TCP socket transport: line-JSON over [`std::net::TcpListener`], with
-//! overload protection as a first-class design constraint.
+//! The wire transport: one connection loop serving line-JSON over any
+//! reader/writer pair, with overload protection as a first-class design
+//! constraint.
 //!
-//! A [`SocketServer`] accepts up to [`NetConfig::max_connections`] concurrent
-//! connections and runs one reader/writer pipelining pair per connection over
-//! the transport-agnostic [`wire`] format — the same lines the stdin daemon
-//! speaks.  Everything that can go wrong with a real network peer is bounded:
+//! Every transport runs the same loop — one reader/writer pipelining pair
+//! per connection over the transport-agnostic [`wire`] format.  A
+//! [`SocketServer`] accepts up to [`NetConfig::max_connections`] concurrent
+//! TCP connections and runs the loop on each; [`serve_stream`] runs it on a
+//! single pair (the stdin daemon's stdin/stdout) until end of stream.
+//! Everything that can go wrong with a real peer is bounded:
 //!
 //! * **Admission control.**  A bounded admission window sits in front of
 //!   [`TaraService::submit`]: at most [`NetConfig::admission_capacity`]
-//!   requests may be in flight (admitted but not yet answered on a socket)
+//!   requests may be in flight (admitted but not yet answered to the peer)
 //!   across all connections.  A request arriving beyond that answers a
 //!   structured `overloaded` error — carrying the current depth — immediately,
 //!   instead of queueing unboundedly.
 //! * **Bounded lines.**  A line longer than [`NetConfig::max_line_bytes`] is
-//!   discarded as it streams in ([`LineScanner`] never buffers more than the
-//!   limit) and answered with a `line-too-long` error; the connection
-//!   survives and the next line is served normally.
-//! * **Deadlines and reaping.**  Reads tick on a short timeout so a
-//!   connection idle longer than [`NetConfig::idle_timeout`] — including
-//!   half-open sockets whose peer vanished — is reaped.  Writes carry
+//!   discarded as it streams in (the line scanner never buffers more than
+//!   the limit) and answered with a `line-too-long` error; the connection
+//!   survives and the next line is served normally.  At end of stream a
+//!   trailing unterminated line is still answered.
+//! * **Deadlines and reaping (TCP).**  Socket reads tick on a short timeout
+//!   so a connection idle longer than [`NetConfig::idle_timeout`] — including
+//!   half-open sockets whose peer vanished — is reaped.  Socket writes carry
 //!   [`NetConfig::write_timeout`]: a consumer too slow to drain its responses
 //!   is disconnected rather than ever back-pressuring the worker pool (ticket
 //!   channels are unbounded one-shots, so a stalled socket never blocks a
-//!   worker).
+//!   worker).  A blocking stream pair has no timeouts: it is never reaped,
+//!   and a slow writer back-pressures its own intake through the bounded
+//!   write queue.
 //! * **Connection cap.**  Beyond `max_connections`, a new connection is
 //!   answered with one `connection-limit` error line and closed.
 //! * **Graceful drain.**  [`SocketServer::begin_drain`] (the SIGTERM path)
-//!   stops the acceptor, stops readers from taking new requests, lets every
+//!   or end of stream stops the reader from taking new requests, lets every
 //!   already-admitted request finish and write its response, pushes a final
 //!   [`ServiceEvent::Draining`] line to subscribed connections, and closes.
 //!   [`NetMetrics`] counts admitted vs answered requests so tests (and
 //!   operators) can prove no accepted request was dropped unanswered.
 //!
 //! Subscriptions ([`ServiceRequest::Subscribe`] / `Schedule`) are intercepted
-//! on this transport and bound to the requesting connection via dedicated
-//! event channels ([`TaraService::subscribe`] / [`TaraService::schedule`]),
-//! so push events flow only to the socket that asked for them.
+//! by the loop and bound to the requesting connection via dedicated event
+//! channels ([`TaraService::subscribe`] / [`TaraService::schedule`]), so push
+//! events flow only to the peer that asked for them.
 
 use super::wire::{self, WireRequest, WireResponse};
 use super::{ServiceEvent, ServiceRequest, ServiceResponse, Subscription, TaraService};
@@ -53,9 +59,10 @@ use std::time::{Duration, Instant};
 /// deadline and pending events.
 const TICK: Duration = Duration::from_millis(25);
 
-/// Tuning knobs for a [`SocketServer`].  The defaults are deliberately
-/// conservative; every limit exists so a hostile or broken peer costs a
-/// bounded amount of memory and time.
+/// Tuning knobs for the connection loop, on a [`SocketServer`] or a
+/// [`serve_stream`] pair.  The defaults are deliberately conservative; every
+/// limit exists so a hostile or broken peer costs a bounded amount of memory
+/// and time.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Concurrent connections served; further connects get one
@@ -93,8 +100,8 @@ impl Default for NetConfig {
     }
 }
 
-/// Live socket-transport counters, shared between the server's threads and
-/// the owning service (whose `Status` response reports them).
+/// Live transport counters, shared between the connection loops and the
+/// owning service (whose `Status` response reports them).
 #[derive(Debug, Default)]
 pub struct NetMetrics {
     open: AtomicUsize,
@@ -137,8 +144,9 @@ impl NetMetrics {
     }
 }
 
-/// The socket-transport block of the `Status` response: all zero when no
-/// [`SocketServer`] is attached to the service.
+/// The transport block of the `Status` response, summed over every
+/// connection the service has served — TCP connections and
+/// [`serve_stream`] pairs alike; all zero before the first one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStatus {
     /// Connections currently being served.
@@ -163,7 +171,7 @@ pub struct NetStatus {
 
 /// One scanned unit out of a [`LineScanner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScannedLine {
+pub(crate) enum ScannedLine {
     /// A complete line (without its newline), decoded lossily from UTF-8 —
     /// invalid sequences become U+FFFD and fail request parsing with a
     /// structured error instead of killing the transport.
@@ -179,10 +187,10 @@ pub enum ScannedLine {
 }
 
 /// Splits a byte stream into newline-terminated lines without ever buffering
-/// more than its configured limit: the bounded-intake half of both the
-/// socket reader and the stdin daemon.
+/// more than its configured limit: the bounded-intake half of the connection
+/// reader.
 #[derive(Debug)]
-pub struct LineScanner {
+pub(crate) struct LineScanner {
     limit: usize,
     buffer: Vec<u8>,
     /// Set while discarding the tail of an oversized line (until the next
@@ -193,7 +201,7 @@ pub struct LineScanner {
 impl LineScanner {
     /// A scanner that accepts lines up to `limit` bytes (clamped ≥ 1).
     #[must_use]
-    pub fn new(limit: usize) -> Self {
+    pub(crate) fn new(limit: usize) -> Self {
         Self {
             limit: limit.max(1),
             buffer: Vec::new(),
@@ -203,7 +211,7 @@ impl LineScanner {
 
     /// Feeds a chunk of raw bytes; returns every line completed by it, in
     /// order.
-    pub fn push(&mut self, chunk: &[u8]) -> Vec<ScannedLine> {
+    pub(crate) fn push(&mut self, chunk: &[u8]) -> Vec<ScannedLine> {
         let mut out = Vec::new();
         for &byte in chunk {
             if byte == b'\n' {
@@ -230,7 +238,7 @@ impl LineScanner {
 
     /// Flushes a trailing unterminated line at end of stream, if any.
     #[must_use]
-    pub fn finish(&mut self) -> Option<ScannedLine> {
+    pub(crate) fn finish(&mut self) -> Option<ScannedLine> {
         if self.buffer.is_empty() && !self.skipping {
             return None;
         }
@@ -269,6 +277,19 @@ impl Drop for AdmissionPermit {
 }
 
 impl Shared {
+    /// Fresh transport state reporting into `service`'s `Status` counters.
+    fn new<E>(service: &TaraService<E>, config: NetConfig) -> Arc<Self>
+    where
+        E: StreamingScorer + Clone + Send + Sync + 'static,
+    {
+        Arc::new(Self {
+            config,
+            metrics: Arc::clone(&service.state.net),
+            draining: AtomicBool::new(false),
+            pending: AtomicUsize::new(0),
+        })
+    }
+
     /// Tries to occupy one admission slot; `Err` carries the observed depth
     /// for the `overloaded` answer.
     fn admit(self: &Arc<Self>) -> Result<AdmissionPermit, usize> {
@@ -308,7 +329,7 @@ enum Outbound {
         permit: AdmissionPermit,
     },
     /// A subscription registered by this connection: the writer answers
-    /// `response` and then forwards the channel's events to the socket.
+    /// `response` and then forwards the channel's events to the peer.
     Watch {
         response: String,
         subscription: Subscription,
@@ -344,12 +365,7 @@ impl SocketServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            config,
-            metrics: Arc::clone(&service.state.net),
-            draining: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-        });
+        let shared = Shared::new(&service, config);
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -422,7 +438,7 @@ where
                     std::thread::Builder::new()
                         .name("tara-conn".into())
                         .spawn(move || {
-                            serve_connection(stream, &service, &conn_shared);
+                            serve_socket(stream, &service, &conn_shared);
                             conn_shared.metrics.connection_closed();
                         });
                 match spawned {
@@ -473,7 +489,7 @@ fn reject_connection(mut stream: TcpStream, shared: &Arc<Shared>, open: usize) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn write_line(stream: &mut TcpStream, line: &str, metrics: &NetMetrics) -> io::Result<()> {
+fn write_line(stream: &mut impl Write, line: &str, metrics: &NetMetrics) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     metrics
@@ -482,10 +498,37 @@ fn write_line(stream: &mut TcpStream, line: &str, metrics: &NetMetrics) -> io::R
     Ok(())
 }
 
-/// One connection: this thread reads, a paired thread writes.  The reader
-/// owns admission; the writer owns response ordering, subscriptions and the
-/// drain hand-off.
-fn serve_connection<E>(stream: TcpStream, service: &Arc<TaraService<E>>, shared: &Arc<Shared>)
+/// Serves one reader/writer pair — stdin/stdout, a pipe, an in-memory
+/// buffer — through the same connection loop as every socket, until the
+/// reader reaches end of stream; then drains: a trailing unterminated line
+/// is answered, every admitted request is answered in order, and
+/// subscriptions registered on the pair end with a final
+/// [`ServiceEvent::Draining`] line.
+///
+/// `config` applies as on a socket, except that idle reaping and the write
+/// timeout need a timed transport: a blocking reader is never reaped, and a
+/// stalled writer back-pressures intake through the bounded write queue.
+/// One pair holds at most [`NetConfig::write_queue`] + 2 admission slots, so
+/// with the defaults a pipelined burst waits for the queue instead of being
+/// answered `overloaded`.  Traffic counts into the service's `Status` `net`
+/// block as one connection.
+pub fn serve_stream<E, R, W>(service: &Arc<TaraService<E>>, reader: R, writer: W, config: NetConfig)
+where
+    E: StreamingScorer + Clone + Send + Sync + 'static,
+    R: Read,
+    W: Write + Send + 'static,
+{
+    let shared = Shared::new(service, config);
+    shared.metrics.connection_opened();
+    serve_connection(reader, writer, service, &shared);
+    shared.metrics.connection_closed();
+}
+
+/// The TCP specifics of one accepted connection around the shared loop:
+/// reads tick on [`TICK`] (drain checks and idle reaping), writes carry
+/// [`NetConfig::write_timeout`], and the socket is shut down once both
+/// halves are done.
+fn serve_socket<E>(stream: TcpStream, service: &Arc<TaraService<E>>, shared: &Arc<Shared>)
 where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
@@ -498,9 +541,27 @@ where
         let _ = stream.shutdown(Shutdown::Both);
         return;
     };
+    let _ = write_half.set_write_timeout(Some(shared.config.write_timeout));
+    serve_connection(&stream, write_half, service, shared);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// One connection on any transport: this thread reads, a paired thread
+/// writes.  The reader owns admission; the writer owns response ordering,
+/// subscriptions and the drain hand-off.
+fn serve_connection<E, R, W>(
+    reader: R,
+    writer: W,
+    service: &Arc<TaraService<E>>,
+    shared: &Arc<Shared>,
+) where
+    E: StreamingScorer + Clone + Send + Sync + 'static,
+    R: Read,
+    W: Write + Send + 'static,
+{
     let (outbound, inbox) = mpsc::sync_channel::<Outbound>(shared.config.write_queue.max(1));
     // The writer signals fatal write failures here so the reader stops
-    // feeding a dead socket.
+    // feeding a dead peer.
     let dead = Arc::new(AtomicBool::new(false));
     let writer = {
         let shared = Arc::clone(shared);
@@ -508,23 +569,22 @@ where
         let dead = Arc::clone(&dead);
         std::thread::Builder::new()
             .name("tara-conn-writer".into())
-            .spawn(move || write_loop(write_half, &inbox, &service, &shared, &dead))
+            .spawn(move || write_loop(writer, &inbox, &service, &shared, &dead))
     };
     let Ok(writer) = writer else {
-        let _ = stream.shutdown(Shutdown::Both);
         return;
     };
-    read_loop(stream, service, shared, &outbound, &dead);
+    read_loop(reader, service, shared, &outbound, &dead);
     // Dropping the reader's sender lets the writer finish the queue (every
     // admitted request still gets its response) and then exit.
     drop(outbound);
     let _ = writer.join();
 }
 
-/// The reader half: bounded line intake, idle reaping, admission control,
-/// request dispatch.
+/// The reader half: bounded line intake, idle reaping (on transports whose
+/// reads time out), admission control, request dispatch.
 fn read_loop<E>(
-    mut stream: TcpStream,
+    mut reader: impl Read,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
     outbound: &mpsc::SyncSender<Outbound>,
@@ -539,8 +599,15 @@ fn read_loop<E>(
         if shared.draining.load(Ordering::SeqCst) || dead.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut buffer) {
-            Ok(0) => return, // EOF: peer closed its half, stop reading.
+        match reader.read(&mut buffer) {
+            Ok(0) => {
+                // EOF: the peer closed its half.  A trailing unterminated
+                // line is still a request and gets its answer.
+                if let Some(line) = scanner.finish() {
+                    handle_line(line, service, shared, outbound);
+                }
+                return;
+            }
             Ok(read) => {
                 last_activity = Instant::now();
                 shared
@@ -612,7 +679,7 @@ where
         },
     };
     // A full queue back-pressures this connection's intake only — the
-    // service itself never waits on a socket.  Disconnected means the writer
+    // service itself never waits on a peer.  Disconnected means the writer
     // hit a fatal write error; stop reading.
     outbound.send(message).is_ok()
 }
@@ -634,9 +701,9 @@ where
         .requests_admitted
         .fetch_add(1, Ordering::SeqCst);
     match request {
-        // Request-path Subscribe/Schedule retain their events inside the
-        // service for `poll_events` — useless to a socket peer.  Intercept
-        // them and route the dedicated channel back to this connection.
+        // The service's request path has no channel to hand back for
+        // Subscribe/Schedule; register dedicated ones here and route their
+        // events to this connection.
         ServiceRequest::Subscribe { spec } => match service.subscribe(spec) {
             Ok(subscription) => answer_watch(
                 id,
@@ -712,7 +779,7 @@ fn answer_watch(
 /// The writer half: responses in submission order, event forwarding, slow
 /// consumer disconnection, drain hand-off.
 fn write_loop<E>(
-    mut stream: TcpStream,
+    mut stream: impl Write,
     inbox: &mpsc::Receiver<Outbound>,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
@@ -720,7 +787,6 @@ fn write_loop<E>(
 ) where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let mut watches: Vec<Subscription> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
     loop {
@@ -782,7 +848,6 @@ fn write_loop<E>(
     }
     dead.store(true, Ordering::SeqCst);
     let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Both);
     // Unwritten queue entries (fatal write error paths) drop here; dropping
     // a ticket abandons the answer and dropping a permit frees the admission
     // slot, so a dead connection never leaks capacity.
@@ -820,10 +885,10 @@ fn wait_ticket(
     }
 }
 
-/// Forwards pending subscription events to the socket; prunes
+/// Forwards pending subscription events to the peer; prunes
 /// unsubscribed/closed channels.  Returns `false` on a fatal write error.
 fn pump_events(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     watches: &mut Vec<Subscription>,
     metrics: &NetMetrics,
 ) -> bool {

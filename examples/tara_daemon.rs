@@ -18,16 +18,20 @@
 //! echo '{"id":1,"request":"Status"}' | cargo run --release --example tara_daemon
 //! ```
 //!
-//! `--listen ADDR` serves the same wire format over TCP (`psp::service::net`)
-//! instead of stdin: concurrent connections with admission control,
+//! Both transports run the same connection loop (`psp::service::net`):
+//! stdin/stdout through `net::serve_stream`, and `--listen ADDR` over TCP
+//! through `SocketServer` — concurrent connections with admission control,
 //! per-connection deadlines, slow-consumer disconnection and a connection
-//! cap.  The resolved address is printed to stderr (`listening on …`), so
-//! drivers can pass port 0 and parse the port.  SIGTERM (or SIGINT) starts a
-//! graceful drain: accepting stops, every admitted request is answered, and
-//! a durable daemon writes a final checkpoint before exiting 0.  Both
+//! cap.  Requests pipeline and answer in input order; `Subscribe` /
+//! `Schedule` push `{"event":…}` lines on the stream that asked for them.
+//! The resolved address is printed to stderr (`listening on …`), so drivers
+//! can pass port 0 and parse the port.  SIGTERM (or SIGINT) on the socket,
+//! or EOF on stdin, starts a graceful drain: intake stops, every admitted
+//! request is answered (a trailing unterminated stdin line included), and a
+//! durable daemon writes a final checkpoint before exiting 0.  Both
 //! transports bound input lines to `--max-line-bytes` (default 1 MiB),
 //! answering a structured `line-too-long` error instead of buffering
-//! unboundedly; the stdin transport drains the same way on EOF.
+//! unboundedly.
 //!
 //! With `--data-dir` the daemon is durable: ingests append to a checksummed
 //! write-ahead journal before they publish, `Checkpoint` requests persist the
@@ -44,22 +48,16 @@
 
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{LiveEngine, WindowAxis};
-use psp_suite::psp::error::PspError;
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::service::durability::{DurableStore, RecoveryReport};
 use psp_suite::psp::service::journal::FaultFs;
-use psp_suite::psp::service::net::{LineScanner, NetConfig, ScannedLine, SocketServer};
-use psp_suite::psp::service::wire::{
-    decode_request, encode_event, encode_request, encode_response, error_line, WireRequest,
-    WireResponse,
-};
+use psp_suite::psp::service::net::{self, NetConfig, SocketServer};
+use psp_suite::psp::service::wire::{encode_request, WireRequest};
 use psp_suite::psp::service::{
     MonitorSpec, ServiceEvent, ServiceRegistry, ServiceRequest, ServiceResponse, TaraService,
 };
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::DateWindow;
-use std::collections::VecDeque;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,8 +101,8 @@ fn build_durable_service(dir: &Path) -> Result<(TaraService, RecoveryReport), St
     Ok((service, report))
 }
 
-/// Set by the SIGTERM/SIGINT handler; polled by both serving loops to start
-/// a graceful drain.
+/// Set by the SIGTERM/SIGINT handler; polled by the socket transport to
+/// start a graceful drain.
 static TERM: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_term(_signum: i32) {
@@ -140,25 +138,31 @@ fn main() {
         demo();
         return;
     }
-    let max_line_bytes = match flag_value(&args, "--max-line-bytes") {
-        None => 1 << 20,
-        Some(value) => value.parse().unwrap_or_else(|_| {
+    let mut config = NetConfig::default();
+    if let Some(value) = flag_value(&args, "--max-line-bytes") {
+        config.max_line_bytes = value.parse().unwrap_or_else(|_| {
             eprintln!("tara_daemon: --max-line-bytes wants a byte count, got `{value}`");
             std::process::exit(2);
-        }),
-    };
-    let listen = flag_value(&args, "--listen");
-    let service = match flag_value(&args, "--data-dir") {
+        });
+    }
+    let service = Arc::new(match flag_value(&args, "--data-dir") {
         Some(dir) => recover_durable(
             &PathBuf::from(dir),
             args.iter().any(|arg| arg == "--recover"),
         ),
         None => build_service(),
-    };
-    match listen {
-        Some(addr) => serve_socket(Arc::new(service), &addr, max_line_bytes),
-        None => serve(service, max_line_bytes),
+    });
+    match flag_value(&args, "--listen") {
+        Some(addr) => serve_socket(&service, &addr, config),
+        None => {
+            eprintln!(
+                "tara_daemon: serving line-JSON on stdin ({} workers); send {{\"id\":1,\"request\":\"Status\"}}",
+                service.workers()
+            );
+            net::serve_stream(&service, std::io::stdin().lock(), std::io::stdout(), config);
+        }
     }
+    final_checkpoint(&service);
 }
 
 /// Returns the value following `flag` in `args`, if present.
@@ -235,16 +239,11 @@ fn final_checkpoint(service: &TaraService) {
 
 /// Serves the wire format over TCP until SIGTERM/SIGINT, then drains
 /// gracefully: the listener stops accepting, every admitted request is
-/// answered, subscriptions get a final `Draining` event, and a durable
-/// daemon writes a final checkpoint before exiting 0.
-fn serve_socket(service: Arc<TaraService>, addr: &str, max_line_bytes: usize) {
+/// answered and subscriptions get a final `Draining` event.
+fn serve_socket(service: &Arc<TaraService>, addr: &str, config: NetConfig) {
     install_term_handler();
-    let config = NetConfig {
-        max_line_bytes,
-        ..NetConfig::default()
-    };
     let mut server =
-        SocketServer::bind(Arc::clone(&service), addr, config).unwrap_or_else(|error| {
+        SocketServer::bind(Arc::clone(service), addr, config).unwrap_or_else(|error| {
             eprintln!("tara_daemon: binding {addr} failed: {error}");
             std::process::exit(2);
         });
@@ -264,104 +263,6 @@ fn serve_socket(service: Arc<TaraService>, addr: &str, max_line_bytes: usize) {
         "tara_daemon: drained ({} admitted / {} answered, peak {} connection(s))",
         net.requests_admitted, net.requests_answered, net.peak_connections
     );
-    final_checkpoint(&service);
-}
-
-/// Serves stdin until EOF with bounded pipelining: up to one request per
-/// worker rides the pool at a time, responses flush in input order so the
-/// transcript stays deterministic for piped callers.  Input lines are
-/// bounded (`max_line_bytes`) and decoded lossily, so neither a huge line
-/// nor invalid UTF-8 can break the loop; EOF drains gracefully (in-flight
-/// requests answered, final checkpoint when durable).
-fn serve(service: TaraService, max_line_bytes: usize) {
-    let mut stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut pending: VecDeque<(u64, psp_suite::psp::service::runtime::Ticket)> = VecDeque::new();
-    let mut scanner = LineScanner::new(max_line_bytes);
-    let mut buffer = [0_u8; 8192];
-
-    eprintln!(
-        "tara_daemon: serving line-JSON on stdin ({} workers); send {{\"id\":1,\"request\":\"Status\"}}",
-        service.workers()
-    );
-    'reading: loop {
-        let scanned = match stdin.read(&mut buffer) {
-            Ok(0) => break 'reading,
-            Ok(read) => scanner.push(&buffer[..read]),
-            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break 'reading,
-        };
-        for line in scanned {
-            serve_line(&service, line, max_line_bytes, &mut out, &mut pending);
-        }
-        // Push events (monitor deltas after ingests, scheduled runs) ride
-        // the same stream as extra lines, after the in-order responses.
-        for event in service.poll_events() {
-            writeln!(out, "{}", encode_event(&event)).expect("stdout writable");
-        }
-    }
-    // EOF drain: a trailing unterminated line still gets its answer, then
-    // every in-flight request flushes in order.
-    if let Some(line) = scanner.finish() {
-        serve_line(&service, line, max_line_bytes, &mut out, &mut pending);
-    }
-    flush(&mut out, &mut pending, 0);
-    for event in service.poll_events() {
-        writeln!(out, "{}", encode_event(&event)).expect("stdout writable");
-    }
-    final_checkpoint(&service);
-}
-
-/// Dispatches one scanned stdin line: oversized and unparseable lines answer
-/// structured errors in order; well-formed requests ride the pool with
-/// bounded pipelining.
-fn serve_line(
-    service: &TaraService,
-    line: ScannedLine,
-    max_line_bytes: usize,
-    out: &mut impl Write,
-    pending: &mut VecDeque<(u64, psp_suite::psp::service::runtime::Ticket)>,
-) {
-    match line {
-        ScannedLine::TooLong { prefix } => {
-            flush(out, pending, 0);
-            let error = PspError::LineTooLong {
-                limit: max_line_bytes,
-            };
-            writeln!(out, "{}", error_line(&prefix, error)).expect("stdout writable");
-        }
-        ScannedLine::Line(line) if line.trim().is_empty() => {}
-        ScannedLine::Line(line) => {
-            match decode_request(&line) {
-                Ok(wire) => pending.push_back((wire.id, service.submit(wire.request))),
-                Err(error) => {
-                    // Unparseable line: answer immediately, in order, echoing
-                    // the id when it is still legible in the broken line.
-                    flush(out, pending, 0);
-                    writeln!(out, "{}", error_line(&line, error)).expect("stdout writable");
-                }
-            }
-            flush(out, pending, service.workers());
-        }
-    }
-}
-
-/// Waits out queued tickets until at most `keep` remain, writing their
-/// responses in submission order.
-fn flush(
-    out: &mut impl Write,
-    pending: &mut VecDeque<(u64, psp_suite::psp::service::runtime::Ticket)>,
-    keep: usize,
-) {
-    while pending.len() > keep {
-        let (id, ticket) = pending.pop_front().expect("len checked");
-        let line = encode_response(&WireResponse {
-            id,
-            response: ticket.wait(),
-        });
-        writeln!(out, "{line}").expect("stdout writable");
-    }
 }
 
 /// A deterministic scripted transcript — what the daemon does, without
@@ -431,14 +332,15 @@ fn demo() {
     // A request whose deadline already passed answers Expired instead of
     // burning a worker on it.
     let expired = service
-        .submit_with_deadline(ServiceRequest::Status, std::time::Duration::ZERO)
+        .submit_with_deadline(ServiceRequest::Status, Duration::ZERO)
         .wait();
     println!("  zero deadline            -> {}", describe(&expired));
 
     // Monitor subscription: every ingest publication pushes a re-evaluated
-    // monitoring series (plus alert firings) instead of being polled for.
-    let response = service.handle(ServiceRequest::Subscribe {
-        spec: MonitorSpec {
+    // monitoring series (plus alert firings) down the subscription's own
+    // channel instead of being polled for.
+    let subscription = service
+        .subscribe(MonitorSpec {
             db: "excavator".into(),
             config: "excavator".into(),
             scenario: "dpf-tampering".into(),
@@ -446,46 +348,44 @@ fn demo() {
             to_year: 2023,
             window_years: 2,
             alert_threshold: 0.25,
-        },
-    });
-    println!("  subscribe dpf-tampering  -> {}", describe(&response));
+        })
+        .expect("demo monitor names are registered");
+    println!(
+        "  subscribe dpf-tampering  -> subscription #{} at gen {}",
+        subscription.id(),
+        subscription.generation()
+    );
     let response = service.handle(ServiceRequest::Ingest {
         posts: scenario::excavator_europe(9).posts().to_vec(),
     });
     println!("  ingest third batch       -> {}", describe(&response));
-    for event in service.poll_events() {
+    while let Some(event) = subscription.try_recv() {
         println!("  pushed event             -> {}", describe_event(&event));
     }
 
     // Scheduled sweep: the scheduler thread re-runs the request on its own
-    // clock; each tick arrives through the same event stream.
-    let response = service.handle(ServiceRequest::Schedule {
-        every_ms: 25,
-        request: Box::new(ServiceRequest::Sweep {
-            db: "excavator".into(),
-            config: "excavator".into(),
-            windows: WindowAxis::new()
-                .window(DateWindow::years(2019, 2021))
-                .window(DateWindow::years(2021, 2023)),
-        }),
-    });
-    let job = match &response {
-        ServiceResponse::Scheduled { id, .. } => *id,
-        _ => 0,
-    };
-    println!("  schedule 25ms sweep      -> {}", describe(&response));
-    std::thread::sleep(std::time::Duration::from_millis(90));
-    let ticks = service
-        .poll_events()
-        .into_iter()
-        .filter(|event| matches!(event, ServiceEvent::ScheduledRun { .. }))
-        .collect::<Vec<_>>();
+    // clock; each tick arrives on the job's channel.
+    let job = service
+        .schedule(
+            ServiceRequest::Sweep {
+                db: "excavator".into(),
+                config: "excavator".into(),
+                windows: WindowAxis::new()
+                    .window(DateWindow::years(2019, 2021))
+                    .window(DateWindow::years(2021, 2023)),
+            },
+            Duration::from_millis(25),
+        )
+        .expect("a sweep is schedulable");
+    println!("  schedule 25ms sweep      -> job #{} every 25ms", job.id());
+    std::thread::sleep(Duration::from_millis(90));
+    let ticks: Vec<ServiceEvent> = std::iter::from_fn(|| job.try_recv()).collect();
     println!(
         "  scheduler ticks          -> {} scheduled run(s), first: {}",
         ticks.len(),
         ticks.first().map_or("none".to_string(), describe_event),
     );
-    let response = service.handle(ServiceRequest::Unschedule { id: job });
+    let response = service.handle(ServiceRequest::Unschedule { id: job.id() });
     println!("  unschedule sweep         -> {}", describe(&response));
 
     // A checkpoint needs a data dir; on this in-memory service it answers a

@@ -9,6 +9,10 @@
 //! bounded time when the admission window is full, and a graceful drain that
 //! answers **every** admitted request bit-identically to the in-process
 //! `handle()` path before the last connection closes.
+//!
+//! The same connection loop serves a single reader/writer pair
+//! ([`net::serve_stream`], the stdin daemon's transport); the stream-shape
+//! tests drive it over in-memory buffers and pin it line-for-line to TCP.
 
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{
@@ -16,7 +20,7 @@ use psp_suite::psp::engine::{
 };
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
-use psp_suite::psp::service::net::{NetConfig, SocketServer};
+use psp_suite::psp::service::net::{self, NetConfig, SocketServer};
 use psp_suite::psp::service::wire::{encode_request, encode_response, WireRequest, WireResponse};
 use psp_suite::psp::service::{
     MonitorSpec, ServiceRegistry, ServiceRequest, ServiceResponse, TaraService,
@@ -28,7 +32,7 @@ use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::DateWindow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long any single test-side wait may take before the test fails (the
@@ -53,11 +57,7 @@ fn score_request(id: u64) -> String {
 
 /// Spins up a served `LiveEngine` on an OS-picked port.
 fn serve(config: NetConfig) -> (Arc<TaraService>, SocketServer) {
-    let service = Arc::new(TaraService::with_workers(
-        LiveEngine::new(scenario::excavator_europe(7)),
-        registry(),
-        2,
-    ));
+    let service = fresh_service(2);
     let server = SocketServer::bind(Arc::clone(&service), "127.0.0.1:0", config)
         .expect("bind an OS-picked port");
     (service, server)
@@ -522,4 +522,178 @@ fn subscribed_connections_get_deltas_and_a_final_draining_event() {
         windows: WindowAxis::new().window(DateWindow::years(2019, 2021)),
     });
     assert!(matches!(response, ServiceResponse::Sweep { .. }));
+}
+
+/// The write half of an in-memory stream pair: the connection loop's writer
+/// thread owns one clone, the test reads the lines back from another.
+#[derive(Debug, Clone, Default)]
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedSink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serves `input` through the stdin-shaped transport until EOF and returns
+/// every line written back.
+fn serve_in_memory(service: &Arc<TaraService>, input: &[u8], config: NetConfig) -> Vec<String> {
+    let sink = SharedSink::default();
+    net::serve_stream(service, input, sink.clone(), config);
+    let bytes = sink.0.lock().unwrap().clone();
+    String::from_utf8(bytes)
+        .expect("the loop writes UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// A served `LiveEngine` with `workers` pool threads.  One worker runs
+/// requests strictly in submission order, which makes a transcript that
+/// mixes ingests and reads deterministic.
+fn fresh_service(workers: usize) -> Arc<TaraService> {
+    Arc::new(TaraService::with_workers(
+        LiveEngine::new(scenario::excavator_europe(7)),
+        registry(),
+        workers,
+    ))
+}
+
+/// Splits a transcript into response lines and event lines, each in order.
+/// Events are timed by the writer, so only their order among themselves is
+/// fixed, not their position between responses.
+fn responses_and_events(lines: &[String]) -> (Vec<&String>, Vec<&String>) {
+    lines
+        .iter()
+        .partition(|line| !line.starts_with("{\"event\""))
+}
+
+#[test]
+fn stdin_shape_and_tcp_answer_one_transcript_byte_identically() {
+    const LIMIT: usize = 64 * 1024;
+    let config = NetConfig {
+        max_line_bytes: LIMIT,
+        ..NetConfig::default()
+    };
+    let mut transcript = Vec::new();
+    for line in [
+        score_request(1),
+        encode_request(&WireRequest {
+            id: 2,
+            request: ServiceRequest::Subscribe {
+                spec: MonitorSpec {
+                    db: "excavator".into(),
+                    config: "excavator".into(),
+                    scenario: "dpf-tampering".into(),
+                    from_year: 2019,
+                    to_year: 2023,
+                    window_years: 2,
+                    alert_threshold: 0.25,
+                },
+            },
+        }),
+        encode_request(&WireRequest {
+            id: 3,
+            request: ServiceRequest::Ingest {
+                posts: scenario::excavator_europe(8).posts()[..40].to_vec(),
+            },
+        }),
+        r#"{"id": 4, "request": {"Score": "#.to_string(),
+        format!(r#"{{"id": 5, "pad": "{}"}}"#, "x".repeat(LIMIT)),
+    ] {
+        transcript.extend_from_slice(line.as_bytes());
+        transcript.push(b'\n');
+    }
+    // A trailing unterminated line at EOF is still a request.
+    transcript.extend_from_slice(score_request(6).as_bytes());
+
+    let service = fresh_service(1);
+    let piped = serve_in_memory(&service, &transcript, config.clone());
+    let net = service.net_stats();
+    assert_eq!(net.requests_admitted, net.requests_answered);
+
+    let mut server = SocketServer::bind(fresh_service(1), "127.0.0.1:0", config)
+        .expect("bind an OS-picked port");
+    let mut client = ChaosClient::connect(server.local_addr());
+    client.send_bytes(&transcript);
+    client
+        .stream
+        .shutdown(Shutdown::Write)
+        .expect("half-close the request side");
+    let socket = client.read_to_eof();
+    server.shutdown();
+
+    let (responses, events) = responses_and_events(&piped);
+    assert_eq!(
+        responses_and_events(&socket),
+        (responses.clone(), events.clone())
+    );
+    let kinds = [
+        "\"Score\"",
+        "\"Subscribed\"",
+        "\"Ingested\"",
+        "\"bad-request\"",
+        "\"line-too-long\"",
+        "\"Score\"",
+    ];
+    assert_eq!(responses.len(), kinds.len(), "{piped:?}");
+    for (n, (line, kind)) in responses.iter().zip(kinds).enumerate() {
+        assert!(line.starts_with(&format!("{{\"id\":{}", n + 1)), "{line}");
+        assert!(line.contains(kind), "{line}");
+    }
+    assert_eq!(events.len(), 2, "{events:?}");
+    assert!(events[0].contains("\"MonitorDelta\""), "{}", events[0]);
+    assert!(events[1].contains("\"Draining\""), "{}", events[1]);
+}
+
+#[test]
+fn a_pipelined_stdin_burst_is_answered_in_order_without_overload() {
+    let service = fresh_service(2);
+    let burst: String = (0..500).map(|id| score_request(id) + "\n").collect();
+    let lines = serve_in_memory(&service, burst.as_bytes(), NetConfig::default());
+    assert_eq!(lines.len(), 500);
+    for (id, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"id\":{id},")), "{line}");
+        assert!(line.contains("\"Score\""), "{line}");
+    }
+    let net = service.net_stats();
+    assert_eq!(net.admissions_rejected, 0);
+    assert_eq!(net.requests_admitted, 500);
+    assert_eq!(net.requests_admitted, net.requests_answered);
+    assert_eq!(net.open_connections, 0);
+}
+
+#[test]
+fn a_connection_schedule_clamps_its_interval_and_unschedules() {
+    let service = fresh_service(1);
+    let mut input = String::new();
+    for (id, request) in [
+        ServiceRequest::Schedule {
+            every_ms: 0,
+            request: Box::new(ServiceRequest::Status),
+        },
+        ServiceRequest::Unschedule { id: 1 },
+        ServiceRequest::Unschedule { id: 1 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        input += &encode_request(&WireRequest {
+            id: id as u64,
+            request,
+        });
+        input.push('\n');
+    }
+    let lines = serve_in_memory(&service, input.as_bytes(), NetConfig::default());
+    let (responses, _ticks) = responses_and_events(&lines);
+    assert_eq!(responses.len(), 3, "{lines:?}");
+    assert!(responses[0].contains("\"Scheduled\""), "{}", responses[0]);
+    assert!(responses[0].contains("\"every_ms\":1"), "{}", responses[0]);
+    assert!(responses[1].contains("\"Unscheduled\""), "{}", responses[1]);
+    assert!(responses[2].contains("\"bad-request\""), "{}", responses[2]);
 }
