@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::{PspConfig, SaiWeights};
-use psp::engine::{ScoringEngine, WindowAxis};
+use psp::engine::{SaiScorer, ScoringEngine, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp::weights::{WeightGenerator, WeightMapping};
 use psp::workflow::PspWorkflow;

@@ -33,7 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{LiveEngine, ScoringEngine, ShardedEngine, WindowAxis};
+use psp::engine::{LiveEngine, SaiScorer, ScoringEngine, ShardedEngine, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
 use psp_bench::scaled_excavator_corpus;

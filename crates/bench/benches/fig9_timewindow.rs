@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{ScoringEngine, WindowAxis};
+use psp::engine::{SaiScorer, ScoringEngine, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp::timewindow::compare_windows;
 use psp_bench::{passenger_corpus, recent_window};

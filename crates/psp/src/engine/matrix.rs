@@ -345,19 +345,22 @@ impl MatrixResults {
 /// configurations consecutively, so every (database, scene) pair in the
 /// matrix builds its sweep plan exactly once — structurally, independent of
 /// the plan cache's capacity.  Each (scenario, configuration) row then rides
-/// the engine's own sweep path ([`SaiScorer::sai_windows`]), which brings
-/// the rayon fan-out, the prefix-summed window resolution and (on a sharded
-/// engine) per-window shard pruning.
+/// the engine's own sweep path ([`SaiScorer::sai_windows_until`]), which
+/// brings the rayon fan-out, the prefix-summed window resolution and (on a
+/// sharded engine) per-window shard pruning.
 ///
-/// An empty scenario or configuration axis yields no cells and touches no
-/// plan.
+/// Every row's sweep checks `stop` before it touches a plan and again
+/// inside; a stopped run returns `None` without streaming the stopped
+/// scenario's cells.  An empty scenario or configuration axis yields no
+/// cells and touches no plan.
 pub(super) fn run_matrix<E: SaiScorer + ?Sized>(
     engine: &E,
     spec: &MatrixSpec,
+    stop: &(dyn Fn() -> bool + Sync),
     sink: &mut dyn FnMut(CellId, SaiList),
-) {
+) -> Option<()> {
     if spec.scenarios.is_empty() || spec.configs.is_empty() {
-        return;
+        return Some(());
     }
     for (s, (_, db)) in spec.scenarios.iter().enumerate() {
         // Group configuration indices by plan key, preserving first-appearance
@@ -376,7 +379,7 @@ pub(super) fn run_matrix<E: SaiScorer + ?Sized>(
             for &c in members {
                 let config = &spec.configs[c].1;
                 let axis = spec.effective_windows(config);
-                rows[c] = Some(engine.sai_windows(db, config, &axis));
+                rows[c] = Some(engine.sai_windows_until(db, config, &axis, stop)?);
             }
         }
         // Emit buffered rows in ascending (configuration, window) order.
@@ -394,4 +397,5 @@ pub(super) fn run_matrix<E: SaiScorer + ?Sized>(
             }
         }
     }
+    Some(())
 }

@@ -186,23 +186,42 @@ pub trait SaiScorer {
     /// the implementation with a prefix-summed columnar plan that makes the
     /// per-window cost ~O(log candidates + window matches) instead of
     /// O(candidates) — see the `psp::engine::sweep` module docs.  Always
-    /// returns exactly one list per axis entry.
+    /// returns exactly one list per axis entry.  The never-stopping form of
+    /// [`sai_windows_until`](Self::sai_windows_until).
     fn sai_windows(
         &self,
         db: &KeywordDatabase,
         base_config: &PspConfig,
         axis: &WindowAxis,
     ) -> Vec<SaiList> {
-        let configs: Vec<PspConfig> = axis
-            .as_options()
+        self.sai_windows_until(db, base_config, axis, &|| false)
+            .expect("a sweep that never stops finishes")
+    }
+
+    /// [`sai_windows`](Self::sai_windows) under a stop predicate: `stop` is
+    /// polled inside the engine between units of work (profile jobs on the
+    /// engine shapes, windows in this default), and once it answers `true`
+    /// the sweep abandons the remaining work and returns `None`.  A run that
+    /// is never stopped returns exactly what `sai_windows` returns.  A
+    /// predicate that is true from the start builds no plan.
+    ///
+    /// The default resolves one window at a time through
+    /// [`sai_lists`](Self::sai_lists), checking `stop` before each window.
+    fn sai_windows_until(
+        &self,
+        db: &KeywordDatabase,
+        base_config: &PspConfig,
+        axis: &WindowAxis,
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<SaiList>> {
+        axis.as_options()
             .iter()
             .map(|window| {
                 let mut config = base_config.clone();
                 config.window = *window;
-                config
+                (!stop()).then(|| self.sai_lists(db, &[config]).remove(0))
             })
-            .collect();
-        self.sai_lists(db, &configs)
+            .collect()
     }
 
     /// Resolves a full (scenario × configuration × window) cross-product —
@@ -222,9 +241,26 @@ pub trait SaiScorer {
     /// handed to `sink` in deterministic [`CellId`] order (scenario-major,
     /// then configuration, then window) as their row resolves, so a caller
     /// can render or persist incrementally instead of holding the whole
-    /// cross-product.
+    /// cross-product.  The never-stopping form of
+    /// [`sai_matrix_stream_until`](Self::sai_matrix_stream_until).
     fn sai_matrix_stream(&self, spec: &MatrixSpec, sink: &mut dyn FnMut(CellId, SaiList)) {
-        matrix::run_matrix(self, spec, sink);
+        self.sai_matrix_stream_until(spec, &|| false, sink)
+            .expect("a matrix that never stops finishes");
+    }
+
+    /// [`sai_matrix_stream`](Self::sai_matrix_stream) under a stop
+    /// predicate: every row's sweep polls `stop` before it touches a plan
+    /// and again inside (see [`sai_windows_until`](Self::sai_windows_until)).
+    /// A stopped run returns `None`; the cells of scenarios finished before
+    /// the stop may already have reached `sink`.  A run that is never
+    /// stopped streams exactly what `sai_matrix_stream` streams.
+    fn sai_matrix_stream_until(
+        &self,
+        spec: &MatrixSpec,
+        stop: &(dyn Fn() -> bool + Sync),
+        sink: &mut dyn FnMut(CellId, SaiList),
+    ) -> Option<()> {
+        matrix::run_matrix(self, spec, stop, sink)
     }
 }
 
@@ -637,23 +673,30 @@ impl EngineCore {
     }
 
     /// Computes one SAI list per window through the sweep plan — see
-    /// [`SaiScorer::sai_windows`].
+    /// [`SaiScorer::sai_windows_until`]: `stop` is checked before the plan
+    /// is looked up and before every profile job.
     fn sai_sweep(
         &self,
         corpus: &Corpus,
         db: &KeywordDatabase,
         base_config: &PspConfig,
         windows: &[Option<DateWindow>],
-    ) -> Vec<SaiList> {
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<SaiList>> {
+        if stop() {
+            return None;
+        }
         let profiles: Vec<&KeywordProfile> = db.iter().collect();
         if windows.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         if profiles.is_empty() {
-            return windows
-                .iter()
-                .map(|_| SaiList::from_entries(Vec::new()))
-                .collect();
+            return Some(
+                windows
+                    .iter()
+                    .map(|_| SaiList::from_entries(Vec::new()))
+                    .collect(),
+            );
         }
         let weights = base_config.sai_weights;
         let plan = self.sweep_plan(corpus, db, base_config);
@@ -661,11 +704,16 @@ impl EngineCore {
         // against its prefix-summed columns (scrambled windows share one
         // distribution pass).
         let jobs: Vec<(usize, &KeywordProfile)> = profiles.into_iter().enumerate().collect();
-        let per_profile: Vec<Vec<SaiEntry>> = jobs
+        let per_profile: Vec<Option<Vec<SaiEntry>>> = jobs
             .par_iter()
-            .map(|(p, profile)| plan.profiles[*p].entries_for(profile, weights, windows))
+            .map(|(p, profile)| {
+                (!stop()).then(|| plan.profiles[*p].entries_for(profile, weights, windows))
+            })
             .collect();
-        transpose_to_lists(per_profile, windows.len())
+        Some(transpose_to_lists(
+            per_profile.into_iter().collect::<Option<_>>()?,
+            windows.len(),
+        ))
     }
 }
 
@@ -839,6 +887,13 @@ impl<'c> ScoringEngine<'c> {
         self.core.precompute_signals(self.corpus);
     }
 
+    /// Number of sweep plans this engine has built; a plan-cache hit leaves
+    /// it unchanged.
+    #[must_use]
+    pub fn plan_builds(&self) -> u64 {
+        self.core.plans.build_count()
+    }
+
     /// The corpus the engine is bound to.
     #[must_use]
     pub fn corpus(&self) -> &'c Corpus {
@@ -877,21 +932,6 @@ impl<'c> ScoringEngine<'c> {
     pub fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
         self.core.sai_lists(self.corpus, db, configs)
     }
-
-    /// Computes one SAI list per [`WindowAxis`] entry against one shared
-    /// base configuration, through the prefix-summed sweep plan —
-    /// bit-identical to (and much faster than) per-window
-    /// [`sai_lists`](Self::sai_lists); see [`SaiScorer::sai_windows`].
-    #[must_use]
-    pub fn sai_windows(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        axis: &WindowAxis,
-    ) -> Vec<SaiList> {
-        self.core
-            .sai_sweep(self.corpus, db, base_config, axis.as_options())
-    }
 }
 
 impl SaiScorer for ScoringEngine<'_> {
@@ -903,13 +943,17 @@ impl SaiScorer for ScoringEngine<'_> {
         ScoringEngine::sai_lists(self, db, configs)
     }
 
-    fn sai_windows(
+    /// Sweeps through the prefix-summed plan — bit-identical to (and much
+    /// faster than) per-window [`sai_lists`](ScoringEngine::sai_lists).
+    fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
         base_config: &PspConfig,
         axis: &WindowAxis,
-    ) -> Vec<SaiList> {
-        ScoringEngine::sai_windows(self, db, base_config, axis)
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<SaiList>> {
+        self.core
+            .sai_sweep(self.corpus, db, base_config, axis.as_options(), stop)
     }
 }
 
@@ -1032,6 +1076,13 @@ impl LiveEngine {
         self.core.precompute_signals(&self.corpus);
     }
 
+    /// Number of sweep plans this engine has built; a plan-cache hit leaves
+    /// it unchanged.
+    #[must_use]
+    pub fn plan_builds(&self) -> u64 {
+        self.core.plans.build_count()
+    }
+
     /// Computes the full SAI list for a keyword database and configuration —
     /// see [`ScoringEngine::sai_list`].
     #[must_use]
@@ -1045,23 +1096,6 @@ impl LiveEngine {
     pub fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
         self.core.sai_lists(&self.corpus, db, configs)
     }
-
-    /// Computes one SAI list per [`WindowAxis`] entry through the sweep plan
-    /// — see [`SaiScorer::sai_windows`].  The plan survives across calls on
-    /// this warm engine and is invalidated exactly when
-    /// [`ingest`](Self::ingest) absorbs a non-empty batch (the generation
-    /// counter is the key), so a monitoring loop pays the plan build once per
-    /// ingest, not per re-evaluation.
-    #[must_use]
-    pub fn sai_windows(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        axis: &WindowAxis,
-    ) -> Vec<SaiList> {
-        self.core
-            .sai_sweep(&self.corpus, db, base_config, axis.as_options())
-    }
 }
 
 impl SaiScorer for LiveEngine {
@@ -1073,13 +1107,20 @@ impl SaiScorer for LiveEngine {
         LiveEngine::sai_lists(self, db, configs)
     }
 
-    fn sai_windows(
+    /// Sweeps through the prefix-summed plan.  The plan survives across
+    /// calls on this warm engine and is invalidated exactly when
+    /// [`LiveEngine::ingest`] absorbs a non-empty batch (the generation
+    /// counter is the key), so a monitoring loop pays the plan build once
+    /// per ingest, not per re-evaluation.
+    fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
         base_config: &PspConfig,
         axis: &WindowAxis,
-    ) -> Vec<SaiList> {
-        LiveEngine::sai_windows(self, db, base_config, axis)
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<SaiList>> {
+        self.core
+            .sai_sweep(&self.corpus, db, base_config, axis.as_options(), stop)
     }
 }
 
@@ -1428,7 +1469,7 @@ mod tests {
                 &engine.core.sweep_plan(&corpus, &db, &filtered)
             ));
         }
-        assert_eq!(engine.core.plans.build_count(), 2);
+        assert_eq!(engine.plan_builds(), 2);
     }
 
     #[test]
@@ -1450,7 +1491,7 @@ mod tests {
                 &engine.core.sweep_plan(&corpus, &db_b, &base)
             ));
         }
-        assert_eq!(engine.core.plans.build_count(), 2);
+        assert_eq!(engine.plan_builds(), 2);
     }
 
     #[test]
@@ -1465,13 +1506,13 @@ mod tests {
         for i in 0..overflow {
             engine.core.sweep_plan(&corpus, &db, &scene(i));
         }
-        assert_eq!(engine.core.plans.build_count(), overflow as u64);
+        assert_eq!(engine.plan_builds(), overflow as u64);
         // The most recent scene is still cached...
         engine.core.sweep_plan(&corpus, &db, &scene(overflow - 1));
-        assert_eq!(engine.core.plans.build_count(), overflow as u64);
+        assert_eq!(engine.plan_builds(), overflow as u64);
         // ...while the least recently used one was evicted and rebuilds.
         engine.core.sweep_plan(&corpus, &db, &scene(0));
-        assert_eq!(engine.core.plans.build_count(), overflow as u64 + 1);
+        assert_eq!(engine.plan_builds(), overflow as u64 + 1);
     }
 
     #[test]
@@ -1495,10 +1536,10 @@ mod tests {
         assert_eq!(results.len(), spec.cell_count());
         // 2 databases × 2 scenes (balanced and views-only share a plan key;
         // the poisoning filter is its own scene): 4 plans for 24 cells.
-        assert_eq!(engine.core.plans.build_count(), 4);
+        assert_eq!(engine.plan_builds(), 4);
         // Re-running the whole matrix reuses every plan.
         let again = engine.sai_matrix(&spec);
-        assert_eq!(engine.core.plans.build_count(), 4);
+        assert_eq!(engine.plan_builds(), 4);
         assert_eq!(results, again);
     }
 
@@ -1516,7 +1557,7 @@ mod tests {
         assert!(engine.sai_matrix(&no_configs).is_empty());
         assert_eq!(MatrixSpec::new().cell_count(), 0);
         assert!(engine.sai_matrix(&MatrixSpec::new()).is_empty());
-        assert_eq!(engine.core.plans.build_count(), 0);
+        assert_eq!(engine.plan_builds(), 0);
         assert!(!engine.core.plans.is_populated());
     }
 
@@ -1557,14 +1598,14 @@ mod tests {
             )
             .window(DateWindow::years(2019, 2021));
         live.sai_matrix(&spec);
-        assert_eq!(live.core.plans.build_count(), 2);
+        assert_eq!(live.plan_builds(), 2);
         live.sai_matrix(&spec);
-        assert_eq!(live.core.plans.build_count(), 2);
+        assert_eq!(live.plan_builds(), 2);
         // A real ingest bumps the generation: the whole matrix re-plans, and
         // the result matches a cold engine over the grown corpus.
         live.ingest(scenario::excavator_europe(8).posts().to_vec());
         let after = live.sai_matrix(&spec);
-        assert_eq!(live.core.plans.build_count(), 4);
+        assert_eq!(live.plan_builds(), 4);
         let cold = ScoringEngine::new(live.corpus());
         assert_eq!(after, cold.sai_matrix(&spec));
     }

@@ -242,10 +242,10 @@ impl ShardedEngine {
         sizes
     }
 
-    /// Total sweep plans built across all shard cores since construction
-    /// (test-only introspection for the shard-pruning plan-count tests).
-    #[cfg(test)]
-    pub(super) fn plan_build_count(&self) -> u64 {
+    /// Total sweep plans built across all shard cores since construction;
+    /// a pruned shard or a plan-cache hit leaves it unchanged.
+    #[must_use]
+    pub fn plan_builds(&self) -> u64 {
         self.shards
             .iter()
             .map(|shard| shard.core.plans.build_count())
@@ -466,33 +466,45 @@ impl ShardedEngine {
             })
             .collect()
     }
+}
 
-    /// Computes one SAI list per [`WindowAxis`] entry through **per-shard
-    /// sweep plans** — see [`SaiScorer::sai_windows`].
-    ///
-    /// Each shard core holds its own prefix-summed plan (built on first use,
-    /// invalidated only when *that shard* absorbs an ingest batch) and
-    /// resolves every window against it; a shard whose [`ShardKey`] provably
-    /// cannot match a window contributes an empty partial without touching
-    /// its plan, and a shard no window can match never builds a plan at all.
-    /// The per-window partials then flow through the existing
-    /// pre-normalisation merge (`SaiList::from_shard_partials`), so the
-    /// swept lists are bit-identical to the single-engine sweep and to
-    /// per-window [`sai_lists`](Self::sai_lists).
-    #[must_use]
-    pub fn sai_windows(
+impl SaiScorer for ShardedEngine {
+    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
+        ShardedEngine::sai_list(self, db, config)
+    }
+
+    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
+        ShardedEngine::sai_lists(self, db, configs)
+    }
+
+    /// Sweeps through **per-shard plans**.  Each shard core holds its own
+    /// prefix-summed plan (built on first use, invalidated only when *that
+    /// shard* absorbs an ingest batch) and resolves every window against it;
+    /// a shard whose [`ShardKey`] provably cannot match a window contributes
+    /// an empty partial without touching its plan, and a shard no window can
+    /// match never builds a plan at all.  The per-window partials then flow
+    /// through the pre-normalisation merge (`SaiList::from_shard_partials`),
+    /// so the swept lists are bit-identical to the single-engine sweep and
+    /// to per-window [`sai_lists`](ShardedEngine::sai_lists).  `stop` is
+    /// checked before each live shard looks up its plan and before every
+    /// profile of that shard.
+    fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
         base_config: &PspConfig,
         axis: &WindowAxis,
-    ) -> Vec<SaiList> {
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Vec<SaiList>> {
         let windows = axis.as_options();
+        if stop() {
+            return None;
+        }
         if windows.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         let profiles: Vec<&KeywordProfile> = db.iter().collect();
         // Profile-major per shard: rows[profile][window].
-        let mut per_shard: Vec<Vec<Vec<SaiPartial>>> = self
+        let per_shard: Vec<Option<Vec<Vec<SaiPartial>>>> = self
             .shards
             .par_iter()
             .map(|shard| {
@@ -505,49 +517,42 @@ impl ShardedEngine {
                     })
                     .collect();
                 if !live.contains(&true) {
-                    return vec![vec![SaiPartial::default(); windows.len()]; profiles.len()];
+                    return Some(vec![
+                        vec![SaiPartial::default(); windows.len()];
+                        profiles.len()
+                    ]);
+                }
+                if stop() {
+                    return None;
                 }
                 let plan = shard.core.sweep_plan(&shard.corpus, db, base_config);
                 plan.profiles
                     .iter()
-                    .map(|columns| columns.partials_for(&shard.global_ids, windows, &live))
+                    .map(|columns| {
+                        (!stop()).then(|| columns.partials_for(&shard.global_ids, windows, &live))
+                    })
                     .collect()
             })
             .collect();
+        let mut per_shard: Vec<Vec<Vec<SaiPartial>>> =
+            per_shard.into_iter().collect::<Option<_>>()?;
         // Transpose into one [shard][profile] grid per window and merge —
         // the same pre-normalisation merge as the batch path.
-        (0..windows.len())
-            .map(|w| {
-                let per_shard_window: Vec<Vec<SaiPartial>> = per_shard
-                    .iter_mut()
-                    .map(|rows| {
-                        rows.iter_mut()
-                            .map(|row| std::mem::take(&mut row[w]))
-                            .collect()
-                    })
-                    .collect();
-                SaiList::from_shard_partials(db, base_config, &per_shard_window)
-            })
-            .collect()
-    }
-}
-
-impl SaiScorer for ShardedEngine {
-    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        ShardedEngine::sai_list(self, db, config)
-    }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        ShardedEngine::sai_lists(self, db, configs)
-    }
-
-    fn sai_windows(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        axis: &WindowAxis,
-    ) -> Vec<SaiList> {
-        ShardedEngine::sai_windows(self, db, base_config, axis)
+        Some(
+            (0..windows.len())
+                .map(|w| {
+                    let per_shard_window: Vec<Vec<SaiPartial>> = per_shard
+                        .iter_mut()
+                        .map(|rows| {
+                            rows.iter_mut()
+                                .map(|row| std::mem::take(&mut row[w]))
+                                .collect()
+                        })
+                        .collect();
+                    SaiList::from_shard_partials(db, base_config, &per_shard_window)
+                })
+                .collect(),
+        )
     }
 }
 
@@ -722,7 +727,7 @@ mod tests {
             .filter(|(key, _)| key.may_match(Some(base.region), Some(&window)))
             .count() as u64;
         assert!(expected < sharded.shard_count() as u64);
-        assert_eq!(sharded.plan_build_count(), expected);
+        assert_eq!(sharded.plan_builds(), expected);
         // And the pruned matrix stays bit-identical to the single engine.
         assert_eq!(results, ScoringEngine::new(&corpus).sai_matrix(&spec));
     }

@@ -638,8 +638,7 @@ impl PlanCache {
         plan
     }
 
-    /// Number of plans built through this cache (test-only introspection).
-    #[cfg(test)]
+    /// Number of plans built through this cache.
     pub(super) fn build_count(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }

@@ -36,8 +36,8 @@
 //!   `internal-error` response and the worker thread survives, so the pool
 //!   never silently shrinks (see [`runtime`]).
 //! * **Deadlines & cancellation** — [`TaraService::submit_with_deadline`]
-//!   attaches a [`CancelToken`] that sweeps and
-//!   matrices check cooperatively between windows/cells; an overrun answers
+//!   attaches a [`CancelToken`] that is checked inside the engine between
+//!   profile jobs and plan rows; an overrun answers
 //!   [`ServiceResponse::Expired`] instead of burning a worker, and
 //!   [`Ticket::wait_timeout`] bounds the client-side wait.  `Status`
 //!   reports queued/in-flight depth.
@@ -89,6 +89,14 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         message.clone()
     } else {
         "request panicked with a non-string payload".to_string()
+    }
+}
+
+/// The answer to a request whose token was cancelled or whose deadline
+/// passed.
+fn expired(token: &CancelToken) -> ServiceResponse {
+    ServiceResponse::Expired {
+        waited_ms: token.waited_ms(),
     }
 }
 
@@ -444,8 +452,8 @@ pub enum ServiceResponse {
         id: u64,
     },
     /// The request's deadline passed before it finished: either it sat in
-    /// the queue too long, or a cooperative check point between sweep
-    /// windows / matrix cells observed the expiry.  No result was produced.
+    /// the queue too long, or the engine observed the expiry at a check
+    /// between profile jobs and plan rows.  No result was produced.
     Expired {
         /// Milliseconds between submission and the expiry being observed.
         waited_ms: u64,
@@ -693,8 +701,9 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
     }
 
     /// Executes a request synchronously under a caller-held [`CancelToken`]:
-    /// cancellation (or the token's deadline) is observed between sweep
-    /// windows and matrix cells and answers [`ServiceResponse::Expired`].
+    /// cancellation (or the token's deadline) is checked inside the engine
+    /// between profile jobs and plan rows and answers
+    /// [`ServiceResponse::Expired`].
     #[must_use]
     pub fn handle_with_token(
         &self,
@@ -710,12 +719,12 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
     /// generation (or by wire id, at the transport layer) otherwise.
     #[must_use]
     pub fn submit(&self, request: ServiceRequest) -> Ticket {
-        self.submit_with_token(request, CancelToken::disabled())
+        self.submit_with_token(request, CancelToken::new())
     }
 
     /// Enqueues a request that expires `deadline` after submission: if it is
-    /// still queued when the deadline passes — or a cooperative check point
-    /// between sweep windows / matrix cells observes the expiry — the ticket
+    /// still queued when the deadline passes — or the expiry is checked
+    /// inside the engine between profile jobs and plan rows — the ticket
     /// answers [`ServiceResponse::Expired`] instead of a result.  Pair with
     /// [`Ticket::wait_timeout`] to bound the client-side wait too.
     #[must_use]
@@ -857,16 +866,14 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> Drop for TaraService<E>
 
 impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
     fn respond(&self, request: ServiceRequest) -> ServiceResponse {
-        self.respond_with(request, &CancelToken::disabled())
+        self.respond_with(request, &CancelToken::new())
     }
 
     fn respond_with(&self, request: ServiceRequest, token: &CancelToken) -> ServiceResponse {
         // A request whose deadline passed while it sat in the queue is not
         // worth starting at all.
         if token.is_cancelled() {
-            return ServiceResponse::Expired {
-                waited_ms: token.waited_ms(),
-            };
+            return expired(token);
         }
         self.try_respond(request, token)
             .unwrap_or_else(|error| ServiceResponse::Error {
@@ -878,17 +885,17 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
     /// once, first, and everything — including the stamped generation — is
     /// read from it, so a concurrent ingest can never tear a response.
     ///
-    /// A cooperative `token` switches sweeps and matrices to per-window
-    /// execution with a cancellation check between units; results stay
-    /// bit-identical (each unit is the engine's own single-entry
-    /// `sai_windows`, and the sweep/matrix planes are pinned equal to
-    /// exactly that decomposition) while an expiry observed mid-run answers
-    /// [`ServiceResponse::Expired`] instead of finishing work nobody awaits.
+    /// Sweeps and matrices hand `token` to the engine as its stop predicate,
+    /// checked inside the engine between profile jobs and plan rows; an
+    /// expiry observed mid-run answers [`ServiceResponse::Expired`] instead
+    /// of finishing work nobody awaits, and an unexpired run is the plain
+    /// computation, bit for bit.
     fn try_respond(
         &self,
         request: ServiceRequest,
         token: &CancelToken,
     ) -> Result<ServiceResponse, PspError> {
+        let stop = || token.is_cancelled();
         match request {
             ServiceRequest::Score { db, config } => {
                 let db = self.registry.lookup_database(&db)?;
@@ -908,22 +915,12 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 let config = self.registry.lookup_config(&config)?;
                 let snapshot = self.publisher.snapshot();
                 let generation = snapshot.generation();
-                let lists = if token.is_cooperative() {
-                    let mut lists = Vec::with_capacity(windows.len());
-                    for span in windows.as_options() {
-                        if token.is_cancelled() {
-                            return Ok(ServiceResponse::Expired {
-                                waited_ms: token.waited_ms(),
-                            });
-                        }
-                        let axis = WindowAxis::from(vec![*span]);
-                        lists.extend(snapshot.sai_windows(db, config, &axis));
-                    }
-                    lists
-                } else {
-                    snapshot.sai_windows(db, config, &windows)
-                };
-                Ok(ServiceResponse::Sweep { generation, lists })
+                Ok(
+                    match snapshot.sai_windows_until(db, config, &windows, &stop) {
+                        Some(lists) => ServiceResponse::Sweep { generation, lists },
+                        None => expired(token),
+                    },
+                )
             }
             ServiceRequest::Matrix {
                 scenarios,
@@ -947,48 +944,14 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 spec = spec.window_axis(&windows);
                 let snapshot = self.publisher.snapshot();
                 let generation = snapshot.generation();
-                if token.is_cooperative() {
-                    // Cell-at-a-time execution: scenario-major, then
-                    // configuration, then window — the exact `CellId` stream
-                    // order — with a cancellation check before every cell.
-                    // Each cell is one single-entry `sai_windows` call, which
-                    // the matrix plane is pinned bit-identical to.
-                    let mut cells = Vec::new();
-                    for (s, scenario) in scenarios.iter().enumerate() {
-                        let db = self.registry.lookup_database(scenario)?;
-                        for (c, name) in configs.iter().enumerate() {
-                            let config = self.registry.lookup_config(name)?;
-                            let spans: Vec<Option<_>> = if windows.is_empty() {
-                                vec![config.window]
-                            } else {
-                                windows.as_options().to_vec()
-                            };
-                            for (w, span) in spans.into_iter().enumerate() {
-                                if token.is_cancelled() {
-                                    return Ok(ServiceResponse::Expired {
-                                        waited_ms: token.waited_ms(),
-                                    });
-                                }
-                                let axis = WindowAxis::from(vec![span]);
-                                let mut lists = snapshot.sai_windows(db, config, &axis);
-                                cells.push((
-                                    CellId {
-                                        scenario: s,
-                                        config: c,
-                                        window: w,
-                                    },
-                                    lists.remove(0),
-                                ));
-                            }
-                        }
-                    }
-                    Ok(ServiceResponse::Matrix { generation, cells })
-                } else {
-                    Ok(ServiceResponse::Matrix {
-                        generation,
-                        cells: snapshot.sai_matrix(&spec).into_cells(),
-                    })
-                }
+                let mut cells = Vec::with_capacity(spec.cell_count());
+                let finished = snapshot.sai_matrix_stream_until(&spec, &stop, &mut |id, sai| {
+                    cells.push((id, sai));
+                });
+                Ok(match finished {
+                    Some(()) => ServiceResponse::Matrix { generation, cells },
+                    None => expired(token),
+                })
             }
             ServiceRequest::Ingest { posts } => {
                 // On a durable service the batch is journaled (fsync'd)
@@ -1483,8 +1446,8 @@ mod tests {
 
     #[test]
     fn deadline_results_match_the_plain_path_bit_for_bit() {
-        // The cooperative (per-window) sweep decomposition must not change a
-        // single bit of the answer.
+        // A deadline checked inside the engine between profile jobs and
+        // plan rows must not change a single bit of an unexpired answer.
         let service = service();
         let request = ServiceRequest::Sweep {
             db: "excavator".into(),

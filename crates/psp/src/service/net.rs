@@ -49,7 +49,7 @@ use crate::engine::StreamingScorer;
 use crate::error::PspError;
 use serde::{Deserialize, Serialize};
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -363,14 +363,13 @@ impl SocketServer {
         E: StreamingScorer + Clone + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Shared::new(&service, config);
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("tara-accept".into())
-                .spawn(move || accept_loop(&listener, &service, &shared))
+                .spawn(move || accept_loop(listener, &service, &shared))
                 .map_err(io::Error::other)?
         };
         Ok(Self {
@@ -389,10 +388,28 @@ impl SocketServer {
     /// Starts a graceful drain: stop accepting, stop reading new requests,
     /// finish and answer everything already admitted, push a final
     /// [`ServiceEvent::Draining`] to subscribed connections.  Idempotent and
-    /// non-blocking; [`shutdown`](Self::shutdown) (or drop) waits for it to
-    /// complete.
+    /// does not wait for the drain; [`shutdown`](Self::shutdown) (or drop)
+    /// waits for it to complete.
+    ///
+    /// The acceptor blocks in `accept`, so the first call wakes it with a
+    /// connection to the listener's own address (a local connect, bounded
+    /// at one second); the acceptor drops whatever it accepts once draining
+    /// and exits.
     pub fn begin_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        if self.shared.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A failed wake only means the acceptor is not parked in `accept`
+        // (a full backlog keeps it busy accepting): it sees the flag after
+        // its next connection either way.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Drains and waits until every connection has closed.
@@ -410,19 +427,25 @@ impl Drop for SocketServer {
     }
 }
 
-/// The `tara-accept` thread: polls the non-blocking listener, enforces the
-/// connection cap, spawns connection threads and — once draining — joins
-/// them all before exiting.
-fn accept_loop<E>(listener: &TcpListener, service: &Arc<TaraService<E>>, shared: &Arc<Shared>)
+/// The `tara-accept` thread: blocks in `accept`, enforces the connection
+/// cap and spawns connection threads.  Once draining (woken by
+/// [`SocketServer::begin_drain`]) it drops the connection it just accepted,
+/// closes the listener so later connects are refused, and joins every
+/// connection before exiting.
+fn accept_loop<E>(listener: TcpListener, service: &Arc<TaraService<E>>, shared: &Arc<Shared>)
 where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.draining.load(Ordering::SeqCst) {
+    loop {
         // Short-lived connections would otherwise accumulate finished
         // handles without bound.
         connections = reap_finished(connections);
-        match listener.accept() {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let metrics = &shared.metrics;
                 let open = metrics.open.load(Ordering::SeqCst);
@@ -446,12 +469,12 @@ where
                     Err(_) => shared.metrics.connection_closed(),
                 }
             }
-            Err(error) if error.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
-            // Transient accept errors (peer reset mid-handshake etc.): keep
-            // accepting.
+            // Transient accept errors (peer reset mid-handshake, descriptor
+            // exhaustion etc.): back off, then keep accepting.
             Err(_) => std::thread::sleep(TICK),
         }
     }
+    drop(listener);
     for connection in connections {
         let _ = connection.join();
     }

@@ -24,11 +24,11 @@
 //!   `panic = "abort"` the first bad request would take the whole daemon
 //!   down.
 //! * **Deadlines and cancellation.**  A [`CancelToken`] travels with a
-//!   request submitted via a deadline; long computations check it
-//!   cooperatively between units of work (sweep windows, matrix cells) and
-//!   bail out with an `Expired` response instead of burning a worker on an
-//!   answer nobody is waiting for.  [`Ticket::wait_timeout`] is the
-//!   client-side half: bound the wait without losing the ticket.
+//!   request submitted via a deadline; sweeps and matrices check it inside
+//!   the engine between profile jobs and plan rows and bail out with an
+//!   `Expired` response instead of burning a worker on an answer nobody is
+//!   waiting for.  [`Ticket::wait_timeout`] is the client-side half: bound
+//!   the wait without losing the ticket.
 
 use super::ServiceResponse;
 use crate::error::PspError;
@@ -228,14 +228,11 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A cooperative cancellation token: carried by a request, checked by the
-/// service between units of work (sweep windows, matrix cells).
-///
-/// A token is *cooperative* when someone can actually cancel it — it carries
-/// a deadline, or was handed out so a caller can [`cancel`](Self::cancel) it.
-/// The plain synchronous path uses a disabled token, which lets the service
-/// keep the faster monolithic sweep/matrix execution (cancellation checks
-/// require decomposing the work into per-window units).
+/// A cancellation token carried by a request.  Sweeps and matrices hand it
+/// to the engine as their stop predicate, checked inside the engine between
+/// profile jobs and plan rows; a token nobody cancels and without a deadline
+/// (the plain request path) costs one atomic load per check and never
+/// changes the execution.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -246,17 +243,15 @@ struct TokenInner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
     started: Instant,
-    cooperative: bool,
 }
 
 impl CancelToken {
-    fn build(deadline: Option<Instant>, cooperative: bool) -> Self {
+    fn build(deadline: Option<Instant>) -> Self {
         Self {
             inner: Arc::new(TokenInner {
                 cancelled: AtomicBool::new(false),
                 deadline,
                 started: Instant::now(),
-                cooperative,
             }),
         }
     }
@@ -265,27 +260,16 @@ impl CancelToken {
     /// [`cancel`](Self::cancel) explicitly.
     #[must_use]
     pub fn new() -> Self {
-        Self::build(None, true)
+        Self::build(None)
     }
 
     /// A token that expires `after` the current instant.
     #[must_use]
     pub fn with_deadline(after: Duration) -> Self {
-        Self::build(Instant::now().checked_add(after), true)
+        Self::build(Instant::now().checked_add(after))
     }
 
-    /// The disabled token the plain request path uses: never expires, never
-    /// cancels, and tells the executor it may skip cooperative check points.
-    pub(super) fn disabled() -> Self {
-        Self::build(None, false)
-    }
-
-    /// Whether the executor should run cancellable (per-unit) execution.
-    pub(super) fn is_cooperative(&self) -> bool {
-        self.inner.cooperative
-    }
-
-    /// Requests cancellation; checked at the next cooperative check point.
+    /// Requests cancellation; observed at the engine's next check.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
@@ -582,7 +566,6 @@ mod tests {
     #[test]
     fn cancel_tokens_expire_by_deadline_and_by_hand() {
         let token = CancelToken::with_deadline(Duration::from_millis(5));
-        assert!(token.is_cooperative());
         assert!(!token.is_cancelled());
         std::thread::sleep(Duration::from_millis(10));
         assert!(token.is_cancelled(), "deadline passed");
@@ -592,9 +575,5 @@ mod tests {
         assert!(!manual.is_cancelled());
         manual.clone().cancel();
         assert!(manual.is_cancelled(), "cancel is shared across clones");
-
-        let disabled = CancelToken::disabled();
-        assert!(!disabled.is_cooperative());
-        assert!(!disabled.is_cancelled());
     }
 }

@@ -6,7 +6,7 @@
 //! are more likely to opt for a local attack via OBD."
 
 use crate::config::PspConfig;
-use crate::engine::{ScoringEngine, WindowAxis};
+use crate::engine::{SaiScorer, ScoringEngine, WindowAxis};
 use crate::keyword_db::KeywordDatabase;
 use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;

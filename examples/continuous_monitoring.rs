@@ -18,7 +18,7 @@
 use psp_suite::iso21434::controls::{anti_tampering_catalogue, ControlPlan};
 use psp_suite::market::datasets;
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::WindowAxis;
+use psp_suite::psp::engine::{SaiScorer, WindowAxis};
 use psp_suite::psp::financial::{FinancialAssessment, FinancialInputs};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::monitoring::{LiveMonitor, MonitoringSeries};

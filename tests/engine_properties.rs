@@ -5,10 +5,15 @@
 //! exists.  The streaming path is pinned the same way: appending posts to an
 //! index (or ingesting them into a `LiveEngine`) in arbitrary chunks is
 //! bit-identical to rebuilding from scratch and to the naive oracle.
+//! Cancellation is pinned per engine shape: a sweep or matrix under a stop
+//! predicate that never fires is the plain computation, and one that fires
+//! answers `None` after a deterministic number of checks.
 
 use proptest::prelude::*;
-use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{LiveEngine, ScoringEngine, ShardedEngine};
+use psp_suite::psp::config::{PspConfig, SaiWeights};
+use psp_suite::psp::engine::{
+    CellId, LiveEngine, MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine, WindowAxis,
+};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
@@ -16,8 +21,10 @@ use psp_suite::socialsim::engagement::Engagement;
 use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::query::Query;
+use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::{DateWindow, SimDate};
 use psp_suite::socialsim::user::User;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Word pool for synthetic post text: attack tags, their fragments, and noise.
 const WORDS: [&str; 14] = [
@@ -163,6 +170,109 @@ fn arb_spec() -> impl Strategy<Value = ShardSpec> {
         (1i32..5).prop_map(ShardSpec::ByTimeYears),
         Just(ShardSpec::ByRegion),
     ]
+}
+
+/// An engine shape plus its plan-build counter, so the cancellation tests
+/// can run every shape through one loop.
+trait Planned: SaiScorer {
+    fn plans(&self) -> u64;
+}
+
+impl Planned for ScoringEngine<'_> {
+    fn plans(&self) -> u64 {
+        self.plan_builds()
+    }
+}
+
+impl Planned for LiveEngine {
+    fn plans(&self) -> u64 {
+        self.plan_builds()
+    }
+}
+
+impl Planned for ShardedEngine {
+    fn plans(&self) -> u64 {
+        self.plan_builds()
+    }
+}
+
+/// Every engine shape over `corpus`, freshly built (no plan yet): the
+/// borrowing and owning single engines, one shard (a century-wide time
+/// bucket) and yearly shards.
+fn shapes(corpus: &Corpus) -> Vec<(&'static str, Box<dyn Planned + '_>)> {
+    let one_shard = ShardedEngine::new(corpus.clone(), ShardSpec::ByTimeYears(100));
+    assert!(one_shard.shard_count() <= 1);
+    vec![
+        ("scoring", Box::new(ScoringEngine::new(corpus))),
+        ("live", Box::new(LiveEngine::new(corpus.clone()))),
+        ("sharded/1", Box::new(one_shard)),
+        (
+            "sharded/yearly",
+            Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
+        ),
+    ]
+}
+
+/// A stop predicate that answers `false` to its first `after` checks and
+/// `true` from then on, counting every check — deterministic, no clock.
+struct Trip {
+    after: usize,
+    checks: AtomicUsize,
+}
+
+impl Trip {
+    fn after(after: usize) -> Self {
+        Self {
+            after,
+            checks: AtomicUsize::new(0),
+        }
+    }
+
+    fn check(&self) -> bool {
+        self.checks.fetch_add(1, Ordering::SeqCst) >= self.after
+    }
+
+    fn checks(&self) -> usize {
+        self.checks.load(Ordering::SeqCst)
+    }
+}
+
+/// A three-entry window axis starting at `from`, with a full-history entry.
+fn stop_axis(from: i32) -> WindowAxis {
+    WindowAxis::new()
+        .window(DateWindow::years(from, from + 1))
+        .full_history()
+        .window(DateWindow::years(from + 1, from + 3))
+}
+
+/// Two scenarios × three configurations (two sharing a scene), with the
+/// given window grid; an empty grid leaves each configuration its own
+/// window.
+fn stop_matrix(windows: &WindowAxis, from: i32) -> MatrixSpec {
+    MatrixSpec::new()
+        .scenario("excavator", KeywordDatabase::excavator_seed())
+        .scenario("passenger-car", KeywordDatabase::passenger_car_seed())
+        .config(
+            "excavator",
+            PspConfig::excavator_europe().with_window(DateWindow::years(from, from + 2)),
+        )
+        .config(
+            "views-only",
+            PspConfig::excavator_europe().with_weights(SaiWeights::views_only()),
+        )
+        .config("passenger-car", PspConfig::passenger_car_europe())
+        .window_axis(windows)
+}
+
+/// The cells a stop-aware matrix run streams, or `None` when it stopped.
+fn matrix_until(
+    engine: &dyn Planned,
+    spec: &MatrixSpec,
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Option<Vec<(CellId, SaiList)>> {
+    let mut cells = Vec::new();
+    engine.sai_matrix_stream_until(spec, stop, &mut |id, sai| cells.push((id, sai)))?;
+    Some(cells)
 }
 
 fn naive_ids(corpus: &Corpus, query: &Query) -> Vec<u64> {
@@ -356,6 +466,36 @@ proptest! {
         );
     }
 
+    /// On every engine shape, a sweep and a matrix under a stop predicate
+    /// that never fires are bit-identical to the plain planes and to
+    /// per-window `sai_list` — including a matrix with an empty window grid.
+    #[test]
+    fn never_stopped_runs_equal_the_plain_planes(corpus in arb_corpus(), from in 2015i32..2022) {
+        let db = KeywordDatabase::excavator_seed();
+        let config = PspConfig::excavator_europe();
+        let axis = stop_axis(from);
+        let reference: Vec<SaiList> = axis
+            .as_options()
+            .iter()
+            .map(|window| {
+                let mut windowed = config.clone();
+                windowed.window = *window;
+                ScoringEngine::new(&corpus).sai_list(&db, &windowed)
+            })
+            .collect();
+        for (_, engine) in shapes(&corpus) {
+            let swept = engine.sai_windows_until(&db, &config, &axis, &|| false);
+            prop_assert_eq!(swept.as_ref(), Some(&reference));
+            prop_assert_eq!(swept, Some(engine.sai_windows(&db, &config, &axis)));
+            for grid in [axis.clone(), WindowAxis::new()] {
+                let spec = stop_matrix(&grid, from);
+                let cells = matrix_until(&*engine, &spec, &|| false);
+                prop_assert_eq!(cells.as_ref().map(Vec::len), Some(spec.cell_count()));
+                prop_assert_eq!(cells, Some(engine.sai_matrix(&spec).into_cells()));
+            }
+        }
+    }
+
     /// Windowed batch scoring through a live, incrementally fed engine matches
     /// the cold snapshot engine — the monitoring re-evaluation path stays
     /// bit-exact under streaming ingestion with out-of-order dates.
@@ -374,5 +514,78 @@ proptest! {
             live.sai_lists(&db, &configs),
             ScoringEngine::new(&corpus).sai_lists(&db, &configs)
         );
+    }
+}
+
+/// A counting predicate stops every shape deterministically: a run allowed
+/// fewer checks than a full run makes answers `None`, one allowed all of
+/// them answers the plain result — for the sweep and the matrix alike.
+#[test]
+fn a_counting_stop_predicate_stops_every_shape_without_a_clock() {
+    let corpus = scenario::excavator_europe(7);
+    let db = KeywordDatabase::excavator_seed();
+    let config = PspConfig::excavator_europe();
+    let axis = stop_axis(2019);
+    let spec = stop_matrix(&axis, 2019);
+    for (name, engine) in shapes(&corpus) {
+        let counter = Trip::after(usize::MAX);
+        let plain = engine.sai_windows_until(&db, &config, &axis, &|| counter.check());
+        let total = counter.checks();
+        assert!(
+            total >= 2,
+            "{name}: a sweep checks before planning and per job"
+        );
+        for k in [0, 1, total / 2, total - 1] {
+            let trip = Trip::after(k);
+            let stopped = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
+            assert_eq!(stopped, None, "{name}: sweep allowed {k} of {total} checks");
+        }
+        let trip = Trip::after(total);
+        let finished = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
+        assert_eq!(finished, plain, "{name}: sweep allowed every check");
+        assert_eq!(finished, Some(engine.sai_windows(&db, &config, &axis)));
+
+        let counter = Trip::after(usize::MAX);
+        let plain = matrix_until(&*engine, &spec, &|| counter.check());
+        let total = counter.checks();
+        assert!(
+            total >= spec.scenario_count() * spec.config_count(),
+            "{name}: one per row"
+        );
+        for k in [0, 1, total / 2, total - 1] {
+            let trip = Trip::after(k);
+            let stopped = matrix_until(&*engine, &spec, &|| trip.check());
+            assert_eq!(
+                stopped, None,
+                "{name}: matrix allowed {k} of {total} checks"
+            );
+        }
+        let trip = Trip::after(total);
+        let finished = matrix_until(&*engine, &spec, &|| trip.check());
+        assert_eq!(finished, plain, "{name}: matrix allowed every check");
+        assert_eq!(finished, Some(engine.sai_matrix(&spec).into_cells()));
+    }
+}
+
+/// A predicate that is true from the start stops before any plan is looked
+/// up: the plan-build counter does not move and no matrix cell streams.
+#[test]
+fn a_stop_predicate_true_from_the_start_touches_no_plan() {
+    let corpus = scenario::excavator_europe(7);
+    let db = KeywordDatabase::excavator_seed();
+    let config = PspConfig::excavator_europe();
+    let axis = stop_axis(2019);
+    let spec = stop_matrix(&axis, 2019);
+    for (name, engine) in shapes(&corpus) {
+        assert_eq!(engine.plans(), 0, "{name}: a fresh engine has no plan");
+        assert_eq!(
+            engine.sai_windows_until(&db, &config, &axis, &|| true),
+            None
+        );
+        assert_eq!(matrix_until(&*engine, &spec, &|| true), None);
+        assert_eq!(engine.plans(), 0, "{name}: a stopped run built a plan");
+        // The counter is live: the same sweep, unstopped, plans.
+        let _ = engine.sai_windows(&db, &config, &axis);
+        assert!(engine.plans() > 0, "{name}: an unstopped sweep plans");
     }
 }

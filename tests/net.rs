@@ -226,6 +226,50 @@ fn a_socket_score_is_bit_identical_to_in_process_handle() {
     assert_eq!(line, expected);
 }
 
+/// The acceptor blocks in `accept`: a shutdown with no client ever connected
+/// still returns (the drain wakes the acceptor), and the listener is closed
+/// afterwards, so a later connect is refused.
+#[test]
+fn shutdown_with_no_client_returns_and_closes_the_listener() {
+    let (service, mut server) = serve(NetConfig::default());
+    let addr = server.local_addr();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(DEADLINE)
+        .expect("shutdown returns without any client");
+    let refused = TcpStream::connect(addr).expect_err("the listener is closed");
+    assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
+    let net = service.net_stats();
+    assert_eq!((net.requests_admitted, net.open_connections), (0, 0));
+}
+
+/// A connect-per-request client: every one of 200 sequential
+/// connect/Score/close cycles is answered bit-identically, and every
+/// admitted request is answered.
+#[test]
+fn sequential_connect_score_close_cycles_all_answer() {
+    let (service, mut server) = serve(NetConfig::default());
+    let expected = service.handle(ServiceRequest::Score {
+        db: "excavator".into(),
+        config: "excavator".into(),
+    });
+    for id in 0..200 {
+        let mut client = ChaosClient::connect(server.local_addr());
+        client.send_line(&score_request(id));
+        let line = client.read_line().expect("answered before close");
+        let response = expected.clone();
+        assert_eq!(line, encode_response(&WireResponse { id, response }));
+    }
+    server.shutdown();
+    let net = service.net_stats();
+    assert_eq!(net.requests_admitted, 200);
+    assert_eq!(net.requests_admitted, net.requests_answered);
+}
+
 #[test]
 fn torn_frames_and_garbage_answer_structured_errors_and_the_connection_survives() {
     let (_service, server) = serve(NetConfig::default());

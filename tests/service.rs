@@ -404,7 +404,9 @@ impl StreamingScorer for ChaosEngine {
 }
 
 /// An engine that sleeps on every scoring call, so a short per-request
-/// deadline reliably expires at a cooperative check point mid-sweep.
+/// deadline reliably expires at the engine's check between windows
+/// mid-sweep (it implements only `sai_lists`, so it sweeps through the
+/// trait's per-window default).
 #[derive(Debug, Clone)]
 struct SlowEngine {
     inner: LiveEngine,
@@ -536,9 +538,9 @@ fn a_panic_storm_leaves_the_pool_fully_alive() {
     }
 }
 
-/// A slow request under a short deadline answers `Expired` (observed at a
-/// cooperative check point between sweep windows) instead of hanging, and
-/// the service keeps serving afterwards.
+/// A slow request under a short deadline answers `Expired` (checked inside
+/// the engine, here between sweep windows) instead of hanging, and the
+/// service keeps serving afterwards.
 #[test]
 fn deadline_expiry_answers_expired_without_hanging() {
     let registry = ServiceRegistry::new()
@@ -576,10 +578,10 @@ fn deadline_expiry_answers_expired_without_hanging() {
     }
 }
 
-/// The cooperative (per-window / per-cell) execution a deadline switches on
-/// must not change a single bit of the answer relative to the monolithic
-/// plain path — including a matrix with an empty window grid, where each
-/// configuration's own window applies.
+/// A deadline is checked inside the engine between profile jobs and plan
+/// rows; an unexpired run must not change a single bit of the answer
+/// relative to the plain path — including a matrix with an empty window
+/// grid, where each configuration's own window applies.
 #[test]
 fn deadline_path_results_are_bit_identical_to_the_plain_path() {
     let registry = ServiceRegistry::new()
