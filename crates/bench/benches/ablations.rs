@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::{PspConfig, SaiWeights};
-use psp::engine::{SaiScorer, ScoringEngine, WindowAxis};
+use psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp::weights::{WeightGenerator, WeightMapping};
 use psp::workflow::PspWorkflow;
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     // through the sweep entry point.  Weights are applied at sweep time, so
     // all three presets resolve against one cached plan on the warm engine —
     // the ablation isolates the weight formula, not plan rebuilds.
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     let windows: Vec<DateWindow> = (2015..=2023).map(|y| DateWindow::years(y, y)).collect();
     for (label, weights) in [
         ("sai_sweep_default_weights", SaiWeights::default()),

@@ -2,7 +2,7 @@
 //!
 //! The continuous-monitoring loop ingests a batch of new posts into a corpus
 //! that is already being served, then re-evaluates SAI.  Before incremental
-//! indexing, that meant rebuilding the whole `ScoringEngine` (full index build
+//! indexing, that meant rebuilding the whole engine (full index build
 //! plus a cold text-pipeline pass over every matching post).  With
 //! `LiveEngine::ingest`, only the batch is indexed and only the batch's posts
 //! ever pay the text pipeline.
@@ -10,8 +10,8 @@
 //! Per base-corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES`
 //! overrides), a 1k-post batch arrives and three paths are measured:
 //!
-//! * `rebuild_then_score` — clone the base corpus, append the batch, build a
-//!   fresh `ScoringEngine`, score.  The pre-ingestion state of the art.
+//! * `rebuild_then_score` — clone the base corpus, append the batch, move it
+//!   into a fresh `LiveEngine`, score.  The pre-ingestion state of the art.
 //! * `append_then_score` — clone a *warm* `LiveEngine` (signals memoised),
 //!   ingest the batch in place, score.  The clone is an artefact of repeatable
 //!   measurement (a real serving loop mutates one engine); its cost is
@@ -29,7 +29,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{LiveEngine, ScoringEngine};
+use psp::engine::LiveEngine;
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
 use psp_bench::scaled_excavator_corpus;
@@ -105,7 +105,7 @@ fn bench(c: &mut Criterion) {
             grown.extend(batch.iter().cloned());
             assert_eq!(
                 appended.sai_list(&db, &config),
-                ScoringEngine::new(&grown).sai_list(&db, &config),
+                LiveEngine::new(grown).sai_list(&db, &config),
                 "append path diverged from rebuild path at {size} posts"
             );
         }
@@ -118,7 +118,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut grown = base.clone();
                 grown.extend(batch.iter().cloned());
-                let engine = ScoringEngine::new(&grown);
+                let engine = LiveEngine::new(grown);
                 black_box(engine.sai_list(&db, &config))
             })
         });

@@ -38,7 +38,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::{PspConfig, SaiWeights};
-use psp::engine::{MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine};
+use psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine};
 use psp::keyword_db::KeywordDatabase;
 use psp::sai::SaiList;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
@@ -117,7 +117,7 @@ fn matrix_spec(windows: &[DateWindow]) -> MatrixSpec {
 
 /// The hand-nested reference: per (database, configuration), one per-window
 /// batch call — cells in the same order the matrix streams them.
-fn nested_cells(engine: &ScoringEngine<'_>, windows: &[DateWindow]) -> Vec<SaiList> {
+fn nested_cells(engine: &LiveEngine, windows: &[DateWindow]) -> Vec<SaiList> {
     let mut cells = Vec::new();
     for (_, db) in scenario_axis() {
         for (_, config) in config_axis() {
@@ -169,7 +169,7 @@ fn bench(c: &mut Criterion) {
         let corpus = scaled_excavator_corpus(size, 42);
 
         // The warm serving state: indexed, every text signal memoised.
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         single.precompute_signals();
         let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
         sharded.precompute_signals();

@@ -13,16 +13,16 @@
 //! Per corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES` overrides),
 //! four paths are measured:
 //!
-//! * `window_sweep_single/<size>` — one warm `ScoringEngine`, batch-scoring
+//! * `window_sweep_single/<size>` — one warm `LiveEngine`, batch-scoring
 //!   one config per year (6 windows over 2018-2023);
 //! * `window_sweep_sharded/<size>` — a warm `ShardedEngine` on yearly shards,
 //!   same configs, shard pruning active;
 //! * `cold_build_single/<size>` / `cold_build_sharded/<size>` — constructing
 //!   the engines from scratch and scoring once (context: sharding must not
-//!   make cold starts materially worse).  `ShardedEngine::new` takes the
-//!   corpus by value, so *both* paths clone the corpus inside the timed loop —
-//!   the comparison is clone+build+score vs clone+build+score, never
-//!   penalising one side with the clone.
+//!   make cold starts materially worse).  Both engines take the corpus by
+//!   value, so *both* paths clone the corpus inside the timed loop — the
+//!   comparison is clone+build+score vs clone+build+score, never penalising
+//!   one side with the clone.
 //!
 //! The headline ratio `speedup_window_sweep/<size>` is single/sharded.  The
 //! report lands in `target/perf/engine_sharding.json`; the blessed baseline in
@@ -33,7 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{ScoringEngine, ShardedEngine};
+use psp::engine::{LiveEngine, SaiScorer, ShardedEngine};
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
 use psp_bench::scaled_excavator_corpus;
@@ -87,7 +87,7 @@ fn bench(c: &mut Criterion) {
         let corpus = scaled_excavator_corpus(size, 42);
 
         // The warm serving state for both shapes: indexed, signals memoised.
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         single.precompute_signals();
         let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
         sharded.precompute_signals();
@@ -110,11 +110,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(sharded.sai_lists(&db, &configs)))
         });
         group.bench_function(&format!("cold_build_single/{size}"), |b| {
-            b.iter(|| {
-                // Clone to mirror the sharded path's by-value corpus intake.
-                let snapshot = corpus.clone();
-                black_box(ScoringEngine::new(&snapshot).sai_list(&db, &configs[0]))
-            })
+            b.iter(|| black_box(LiveEngine::new(corpus.clone()).sai_list(&db, &configs[0])))
         });
         group.bench_function(&format!("cold_build_sharded/{size}"), |b| {
             b.iter(|| {

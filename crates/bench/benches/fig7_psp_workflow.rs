@@ -39,8 +39,8 @@ fn bench(c: &mut Criterion) {
         })
     });
     // The amortised serving shape: the corpus is indexed once in a
-    // ScoringEngine and each workflow run only pays the indexed scoring pass.
-    let engine = psp::engine::ScoringEngine::new(&corpus);
+    // LiveEngine and each workflow run only pays the indexed scoring pass.
+    let engine = psp::engine::LiveEngine::new(corpus.clone());
     group.bench_function("full_workflow_prebuilt_engine", |b| {
         b.iter(|| {
             black_box(

@@ -1,8 +1,9 @@
 //! E9 / Figure 9 — the windowed analysis behind the trend-inversion
 //! experiment, on the sweep entry point.
 //!
-//! `compare_windows` measures the full cold-start artefact cost (engine
-//! build + a two-entry sweep: full history vs the recent window);
+//! `compare_windows` measures the full cold-start artefact cost (a corpus
+//! copy into the engine, the engine build, and a two-entry sweep: full
+//! history vs the recent window);
 //! `warm_yearly_sweep` measures the steady-state monitoring shape the sweep
 //! plane exists for — one warm engine resolving every yearly window of the
 //! scene through `sai_windows` — and `warm_yearly_lists` keeps the per-window
@@ -10,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{SaiScorer, ScoringEngine, WindowAxis};
+use psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp::timewindow::compare_windows;
 use psp_bench::{passenger_corpus, recent_window};
@@ -28,7 +29,7 @@ fn bench(c: &mut Criterion) {
         .map(|w| config.clone().with_window(*w))
         .collect();
 
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     // Sanity before timing: the sweep must match the per-window batch path.
     assert_eq!(
         engine.sai_windows(&db, &config, &WindowAxis::each(&windows)),

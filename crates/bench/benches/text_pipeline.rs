@@ -30,10 +30,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{ScoringEngine, SignalCacheFile};
+use psp::engine::{LiveEngine, SignalCacheFile};
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
-use psp_bench::scaled_excavator_corpus;
+use psp_bench::{scaled_excavator_corpus, score_cold};
 use std::hint::black_box;
 use std::time::Duration;
 use textmine::pipeline::TextPipeline;
@@ -96,16 +96,16 @@ fn bench(c: &mut Criterion) {
                 "single-pass diverged from reference on {text:?}"
             );
         }
-        let fresh_scores = ScoringEngine::new(&corpus).sai_list(&db, &config);
+        let fresh_scores = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
         let cache: SignalCacheFile = {
-            let exported = ScoringEngine::new(&corpus).export_signal_cache();
+            let exported = LiveEngine::new(corpus.clone()).export_signal_cache();
             let json = serde_json::to_string(&exported).expect("serialise cache");
             let round_tripped = serde_json::from_str(&json).expect("parse cache");
             assert_eq!(exported, round_tripped, "cache JSON round trip drifted");
             round_tripped
         };
         {
-            let warmed = ScoringEngine::new(&corpus);
+            let warmed = LiveEngine::new(corpus.clone());
             assert_eq!(
                 warmed.load_signal_cache(&cache).expect("cache validates"),
                 corpus.len(),
@@ -118,6 +118,9 @@ fn bench(c: &mut Criterion) {
             );
         }
 
+        // The cold rows move this copy into each engine and back, so no timed
+        // iteration copies the corpus (`texts` borrows the original).
+        let mut cold = corpus.clone();
         let mut group = c.benchmark_group("text_pipeline");
         group
             .sample_size(3)
@@ -154,23 +157,28 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("cold_sai/reference/{size}"), |b| {
             b.iter(|| {
-                let engine = ScoringEngine::with_pipeline(&corpus, TextPipeline::reference());
-                black_box(engine.sai_list(&db, &config))
+                score_cold(
+                    &mut cold,
+                    |corpus| LiveEngine::with_pipeline(corpus, TextPipeline::reference()),
+                    |engine| engine.sai_list(&db, &config),
+                )
             })
         });
         group.bench_function(&format!("cold_sai/fresh/{size}"), |b| {
             b.iter(|| {
-                let engine = ScoringEngine::new(&corpus);
-                black_box(engine.sai_list(&db, &config))
+                score_cold(&mut cold, LiveEngine::new, |engine| {
+                    engine.sai_list(&db, &config)
+                })
             })
         });
         group.bench_function(&format!("cold_sai/cached/{size}"), |b| {
             b.iter(|| {
-                let engine = ScoringEngine::new(&corpus);
-                engine
-                    .load_signal_cache(&cache)
-                    .expect("cache validates against its own corpus");
-                black_box(engine.sai_list(&db, &config))
+                score_cold(&mut cold, LiveEngine::new, |engine| {
+                    engine
+                        .load_signal_cache(&cache)
+                        .expect("cache validates against its own corpus");
+                    engine.sai_list(&db, &config)
+                })
             })
         });
         group.finish();

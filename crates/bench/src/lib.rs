@@ -16,6 +16,7 @@
 pub mod perf;
 
 use psp::config::PspConfig;
+use psp::engine::LiveEngine;
 use psp::keyword_db::KeywordDatabase;
 use psp::sai::SaiList;
 use psp::workflow::{PspOutcome, PspWorkflow};
@@ -137,6 +138,22 @@ pub fn scaled_excavator_corpus(total_posts: usize, seed: u64) -> Corpus {
     socialsim::generator::CorpusGenerator::new(seed).generate(&model)
 }
 
+/// A cold build-and-score that moves the corpus instead of copying it:
+/// `build` takes `corpus` by value, `score` runs on the fresh engine, and
+/// [`LiveEngine::into_corpus`] hands the corpus back.  Benches that rebuild an
+/// engine inside a timed closure use it, so the timing pays for the index and
+/// the scoring but never for a corpus copy.
+pub fn score_cold<R>(
+    corpus: &mut Corpus,
+    build: impl FnOnce(Corpus) -> LiveEngine,
+    score: impl FnOnce(&LiveEngine) -> R,
+) -> R {
+    let engine = build(std::mem::take(corpus));
+    let result = score(&engine);
+    *corpus = engine.into_corpus();
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +162,16 @@ mod tests {
     fn corpora_are_pinned_to_the_experiment_seed() {
         assert_eq!(passenger_corpus(), scenario::passenger_car_europe(42));
         assert_eq!(excavator_corpus(), scenario::excavator_europe(42));
+    }
+
+    #[test]
+    fn a_cold_score_hands_the_corpus_back_unchanged() {
+        let mut corpus = excavator_corpus();
+        let db = KeywordDatabase::excavator_seed();
+        let config = PspConfig::excavator_europe();
+        let sai = score_cold(&mut corpus, LiveEngine::new, |e| e.sai_list(&db, &config));
+        assert_eq!(corpus, excavator_corpus());
+        assert_eq!(sai, SaiList::compute(&corpus, &db, &config));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   perfectly portable: a ratio whose fast side parallelises (rayon) scales
 //!   with core count while the naive side does not, so baselines are blessed
 //!   on a low-core machine — more cores only raise such ratios above the
-//!   enforced floor, never below it.
+//!   enforced floor.  The exception is a sub-millisecond fast side, where
+//!   starting the fan-out's threads costs more than the work; such rows are
+//!   measured as work ratios on one worker ([`work_speedup`]).
 //!
 //! Only rows present in *both* the baseline and the fresh report are compared,
 //! which is what lets CI run the benches at reduced sizes against a baseline
@@ -38,7 +40,9 @@
 use criterion::Criterion;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The mean nanoseconds the criterion shim measured for one bench id
 /// (`group/name/size`), `NaN` when the row was not measured this run — the
@@ -51,6 +55,63 @@ pub fn mean_ns(c: &Criterion, name: &str) -> f64 {
         .find(|r| r.name == name)
         .map(|r| r.mean_ns)
         .unwrap_or(f64::NAN)
+}
+
+/// How long a [`work_speedup`] measurement keeps adding rounds.
+const WORK_BUDGET: Duration = Duration::from_secs(2);
+
+/// The fewest rounds a [`work_speedup`] measurement takes, however slow.
+const MIN_WORK_ROUNDS: usize = 11;
+
+/// The speedup of `fast` over `slow` as a ratio of *work*: the two closures
+/// run in alternating timed batches of at least 5 ms, and the result is the
+/// slow side's fastest batch over the fast side's fastest batch (time per
+/// call).  Rounds continue until two seconds have passed and at least 11 are
+/// done, so small sizes take over a hundred rounds and the slowest sizes the
+/// minimum.
+///
+/// This is how the gated ratio rows whose fast side is a sub-millisecond
+/// parallel fan-out are measured, and the benches call it on one rayon
+/// worker (`rayon::with_thread_count(1, …)` in the shim; with real rayon, a
+/// one-thread `ThreadPool::install`).  On a multi-core host such a call is
+/// dominated by starting its worker threads, whose cost swings with host load,
+/// so three independent samples of each side divided noise, not work.  One
+/// worker removes the start-up cost.  Host interference only ever adds time,
+/// and on a shared host it comes in spells that slow a memory-bound side more
+/// than a compute-bound one, so a ratio of typical (mean or median) batches
+/// moves with the spell a run lands in; the fastest of many alternating
+/// batches is each side's undisturbed work.
+pub fn work_speedup<A, B>(mut slow: impl FnMut() -> A, mut fast: impl FnMut() -> B) -> f64 {
+    let slow_iters = batch_iters(&mut slow);
+    let fast_iters = batch_iters(&mut fast);
+    let start = Instant::now();
+    let (mut slow_best, mut fast_best) = (f64::INFINITY, f64::INFINITY);
+    let mut rounds = 0;
+    while rounds < MIN_WORK_ROUNDS || start.elapsed() < WORK_BUDGET {
+        slow_best = slow_best.min(batch_ns(&mut slow, slow_iters));
+        fast_best = fast_best.min(batch_ns(&mut fast, fast_iters));
+        rounds += 1;
+    }
+    slow_best / fast_best
+}
+
+/// Calls of `routine` per timed batch: the smallest power of two whose batch
+/// takes at least 5 ms (the warm-up of a [`work_speedup`] side).
+fn batch_iters<R>(routine: &mut impl FnMut() -> R) -> u64 {
+    let mut iters = 1_u64;
+    while batch_ns(routine, iters) * (iters as f64) < 5e6 && iters < 1 << 20 {
+        iters *= 2;
+    }
+    iters
+}
+
+/// Nanoseconds per call of `routine` over one batch of `iters` calls.
+fn batch_ns<R>(routine: &mut impl FnMut() -> R, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(routine());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// One bench run's machine-readable results.

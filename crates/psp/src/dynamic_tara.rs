@@ -5,7 +5,7 @@
 //! (the static model the paper criticises) and once with the PSP insider table for
 //! the relevant threat scenario — and the differences are reported per threat.
 
-use crate::engine::ScoringEngine;
+use crate::engine::LiveEngine;
 use crate::workflow::{PspOutcome, PspWorkflow};
 use iso21434::feasibility::attack_vector::AttackVectorModel;
 use iso21434::feasibility::AttackFeasibilityRating;
@@ -106,7 +106,7 @@ impl DynamicTaraComparison {
         })
     }
 
-    /// Runs the PSP workflow against a prebuilt [`ScoringEngine`] and evaluates
+    /// Runs the PSP workflow against a prebuilt [`LiveEngine`] and evaluates
     /// the TARA with the freshly tuned tables — the continuous-re-evaluation
     /// entry point: the corpus is indexed once in the engine and each
     /// re-evaluation only pays for the indexed scoring pass.
@@ -116,7 +116,7 @@ impl DynamicTaraComparison {
     /// Forwards [`Iso21434Error`] from the TARA engine.
     pub fn evaluate_with_engine(
         tara: &Tara,
-        engine: &ScoringEngine<'_>,
+        engine: &LiveEngine,
         workflow: &PspWorkflow,
         scenario: &str,
     ) -> Result<Self, Iso21434Error> {

@@ -3,9 +3,9 @@
 //!
 //! A warm engine has paid the text-mining pipeline once per post (intent
 //! score, mined prices).  [`SignalCacheFile`] makes that investment survive a
-//! process restart: export it from any engine shape
-//! ([`ScoringEngine::export_signal_cache`](super::ScoringEngine::export_signal_cache),
-//! [`LiveEngine`](super::LiveEngine), [`ShardedEngine`](super::ShardedEngine)),
+//! process restart: export it from either engine shape
+//! ([`LiveEngine::export_signal_cache`](super::LiveEngine::export_signal_cache),
+//! [`ShardedEngine`](super::ShardedEngine)),
 //! save it as JSON next to the serialised corpus
 //! ([`socialsim::corpus::Corpus::save_json`]), and load it into a freshly
 //! built engine on the next cold start — the pipeline then never runs,

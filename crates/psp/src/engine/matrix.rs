@@ -72,13 +72,12 @@ pub struct CellId {
 ///
 /// ```
 /// use psp::config::{PspConfig, SaiWeights};
-/// use psp::engine::{MatrixSpec, SaiScorer, ScoringEngine};
+/// use psp::engine::{LiveEngine, MatrixSpec, SaiScorer};
 /// use psp::keyword_db::KeywordDatabase;
 /// use socialsim::scenario;
 /// use socialsim::time::DateWindow;
 ///
-/// let corpus = scenario::excavator_europe(7);
-/// let engine = ScoringEngine::new(&corpus);
+/// let engine = LiveEngine::new(scenario::excavator_europe(7));
 /// let spec = MatrixSpec::new()
 ///     .scenario("excavator", KeywordDatabase::excavator_seed())
 ///     .config("balanced", PspConfig::excavator_europe())

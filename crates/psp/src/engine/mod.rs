@@ -8,16 +8,14 @@
 //!
 //! Two engine shapes amortise all of that over one shared core:
 //!
-//! * [`ScoringEngine`] borrows a corpus snapshot — the right shape for one-off
-//!   workflows and sweeps over a corpus someone else owns;
-//! * [`LiveEngine`] owns its corpus and stays warm under **streaming
-//!   ingestion**: [`LiveEngine::ingest`] appends a batch of posts, extends the
-//!   inverted index in place ([`CorpusIndex::append`]), and grows the signal
-//!   cache by exactly the batch — memoised signals of already-scored posts are
-//!   never recomputed or wiped, because posts are immutable and ids are
-//!   append-only.  This is the corpus-side prerequisite of the paper's
-//!   continuous-monitoring loop (Fig. 9/12): ingest while serving, on one warm
-//!   engine;
+//! * [`LiveEngine`] owns its corpus behind one inverted index and stays warm
+//!   under **streaming ingestion**: [`LiveEngine::ingest`] appends a batch of
+//!   posts, extends the inverted index in place ([`CorpusIndex::append`]), and
+//!   grows the signal cache by exactly the batch — memoised signals of
+//!   already-scored posts are never recomputed or wiped, because posts are
+//!   immutable and ids are append-only.  This is the corpus-side prerequisite
+//!   of the paper's continuous-monitoring loop (Fig. 9/12): ingest while
+//!   serving, on one warm engine;
 //! * [`ShardedEngine`] partitions the corpus into shards by time range or
 //!   region (`socialsim::index::ShardSpec`), runs one engine core per shard in
 //!   parallel, prunes shards whose key cannot match a query's window/region
@@ -35,7 +33,7 @@
 //!   subsequent query and window;
 //! * SAI lists for many keyword profiles — and many configurations over the
 //!   same corpus — fan out over worker threads with `rayon`
-//!   ([`ScoringEngine::precompute_signals`] warms the whole cache in parallel
+//!   ([`LiveEngine::precompute_signals`] warms the whole cache in parallel
 //!   for throughput-critical serving).
 //!
 //! The engines are *exactly* equivalent to the naive path: candidate ids come
@@ -45,10 +43,11 @@
 //! by the `psp-suite` property tests).
 //!
 //! All former callers of `SaiList::compute` route through here:
-//! [`crate::sai::SaiList::compute`] delegates to a one-shot engine, while
-//! [`crate::workflow::PspWorkflow`], [`crate::monitoring::MonitoringSeries`]
-//! and [`crate::timewindow::compare_windows`] build one engine per corpus and
-//! reuse it across keywords and windows; [`crate::monitoring::LiveMonitor`]
+//! [`crate::sai::SaiList::compute`] and [`crate::workflow::PspWorkflow::run`]
+//! score a borrowed corpus once through a throwaway core (no corpus copy),
+//! while [`crate::monitoring::MonitoringSeries`] and
+//! [`crate::timewindow::compare_windows`] build one [`LiveEngine`] per corpus
+//! and reuse it across keywords and windows; [`crate::monitoring::LiveMonitor`]
 //! holds a [`LiveEngine`] and interleaves ingestion with re-evaluation.
 
 use crate::config::PspConfig;
@@ -159,8 +158,8 @@ pub struct IngestReceipt {
     pub generation: u64,
 }
 
-/// Anything that can answer SAI computations — implemented by every engine
-/// shape ([`ScoringEngine`], [`LiveEngine`], [`ShardedEngine`]) so the
+/// Anything that can answer SAI computations — implemented by both engine
+/// shapes ([`LiveEngine`], [`ShardedEngine`]) so the
 /// windowed entry points ([`crate::timewindow::compare_windows_live`],
 /// [`crate::monitoring::LiveMonitor`]) are generic over how the corpus is
 /// held rather than hard-wired to one engine.
@@ -301,9 +300,9 @@ pub trait StreamingScorer: SaiScorer {
 
 /// The query the SAI computation issues for one keyword profile under one
 /// configuration (hashtag OR keyword content, conjunctive scene filters) —
-/// shared by [`EngineCore`] and the public
-/// [`ScoringEngine::profile_query`] entry point.
-fn profile_query(profile: &KeywordProfile, config: &PspConfig) -> Query {
+/// shared by [`EngineCore`] and the naive oracle
+/// ([`SaiList::compute_naive`]), so both paths select the same posts.
+pub(crate) fn profile_query(profile: &KeywordProfile, config: &PspConfig) -> Query {
     let mut query = Query::new()
         .with_hashtag(profile.keyword.as_str())
         .with_keyword(profile.keyword.as_str())
@@ -349,10 +348,11 @@ impl PostSignals {
     }
 }
 
-/// The corpus-agnostic scoring core shared by [`ScoringEngine`] (borrowed
-/// corpus) and [`LiveEngine`] (owned corpus): the inverted index, the text
-/// pipeline and the memoised per-post signal cache.  Every method takes the
-/// corpus explicitly so the two ownership shapes stay thin wrappers.
+/// The corpus-agnostic scoring core behind [`LiveEngine`] (one owned corpus),
+/// every [`ShardedEngine`] shard and the one-shot [`sai_list_once`]: the
+/// inverted index, the text pipeline and the memoised per-post signal cache.
+/// Every method takes the corpus explicitly, so a core can score a borrowed
+/// corpus as well as an owned one.
 #[derive(Debug, Clone)]
 struct EngineCore {
     index: CorpusIndex,
@@ -360,8 +360,8 @@ struct EngineCore {
     /// Lazily initialised per-post signals: a post pays for the text-mining
     /// pipeline at most once, and only if some query actually reaches it.
     signals: Vec<OnceLock<PostSignals>>,
-    /// Number of ingest batches absorbed since construction (0 for snapshot
-    /// engines).  Observers use this to detect that re-evaluation is due.
+    /// Number of ingest batches absorbed since construction (0 for one-shot
+    /// cores).  Observers use this to detect that re-evaluation is due.
     generation: u64,
     /// The cached window-sweep plan (see [`sweep`]), keyed by `generation`
     /// plus the (database, scene) pair — an ingest bumps the generation and
@@ -824,150 +824,33 @@ fn transpose_to_lists(per_profile: Vec<Vec<SaiEntry>>, lists: usize) -> Vec<SaiL
     per_config.into_iter().map(SaiList::from_entries).collect()
 }
 
-/// An indexed, parallel SAI scoring engine bound to one corpus snapshot.
+/// Scores a borrowed corpus once: builds a throwaway core over `corpus` (no
+/// corpus copy), runs one indexed pass and drops the core — the engine behind
+/// the one-shot conveniences [`SaiList::compute`] and
+/// [`crate::workflow::PspWorkflow::run`].  Bit-identical to
+/// [`LiveEngine::sai_list`] over the same corpus.
+pub(crate) fn sai_list_once(corpus: &Corpus, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
+    EngineCore::with_pipeline(corpus, TextPipeline::new()).sai_list(corpus, db, config)
+}
+
+/// The indexed, parallel SAI scoring engine: it **owns** one corpus behind one
+/// inverted index and stays warm under streaming ingestion.
 ///
-/// Build it once per corpus ([`ScoringEngine::new`]), then compute as many SAI
+/// Build it once per corpus ([`LiveEngine::new`]), then compute as many SAI
 /// lists as needed — per keyword database, per configuration, per analysis
-/// window — without ever rescanning posts or re-running the text pipeline.
-/// For a corpus that keeps growing while being served, use [`LiveEngine`]
-/// instead.
-#[derive(Debug)]
-pub struct ScoringEngine<'c> {
-    corpus: &'c Corpus,
-    core: EngineCore,
-}
-
-impl<'c> ScoringEngine<'c> {
-    /// Builds the inverted index; per-post text signals are computed lazily on
-    /// first use (see [`precompute_signals`](Self::precompute_signals)).
-    #[must_use]
-    pub fn new(corpus: &'c Corpus) -> Self {
-        Self::with_pipeline(corpus, TextPipeline::new())
-    }
-
-    /// Builds an engine whose text mining runs through a custom pipeline —
-    /// a custom [`textmine::IntentLexicon`] via
-    /// [`TextPipeline::with_lexicon`], or the frozen multi-pass baseline via
-    /// [`TextPipeline::reference`] (used by the `text_pipeline` bench).
-    #[must_use]
-    pub fn with_pipeline(corpus: &'c Corpus, pipeline: TextPipeline) -> Self {
-        Self {
-            corpus,
-            core: EngineCore::with_pipeline(corpus, pipeline),
-        }
-    }
-
-    /// Exports the memoised per-post text signals as a persistable
-    /// [`SignalCacheFile`], materialising any signal not yet paid for.  Save
-    /// it alongside the serialised corpus
-    /// ([`socialsim::corpus::Corpus::save_json`]) and feed it to
-    /// [`load_signal_cache`](Self::load_signal_cache) after a restart to skip
-    /// text mining entirely.
-    #[must_use]
-    pub fn export_signal_cache(&self) -> SignalCacheFile {
-        self.core.export_cache(self.corpus)
-    }
-
-    /// Installs a previously exported signal cache after validating its
-    /// version, lexicon, length and every post id against this engine's
-    /// corpus.  Returns the number of posts warmed from the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SignalCacheError`] (and installs nothing) when the cache
-    /// does not exactly describe this corpus.
-    pub fn load_signal_cache(&self, cache: &SignalCacheFile) -> Result<usize, SignalCacheError> {
-        self.core.load_cache(self.corpus, cache)
-    }
-
-    /// Eagerly materialises the signals of every post, fanning out over worker
-    /// threads.  Useful before a throughput-critical serving phase; otherwise
-    /// signals fill in lazily as queries touch posts.
-    pub fn precompute_signals(&self) {
-        self.core.precompute_signals(self.corpus);
-    }
-
-    /// Number of sweep plans this engine has built; a plan-cache hit leaves
-    /// it unchanged.
-    #[must_use]
-    pub fn plan_builds(&self) -> u64 {
-        self.core.plans.build_count()
-    }
-
-    /// The corpus the engine is bound to.
-    #[must_use]
-    pub fn corpus(&self) -> &'c Corpus {
-        self.corpus
-    }
-
-    /// The underlying inverted index.
-    #[must_use]
-    pub fn index(&self) -> &CorpusIndex {
-        &self.core.index
-    }
-
-    /// The query the SAI computation issues for one keyword profile under one
-    /// configuration (hashtag OR keyword content, conjunctive scene filters).
-    #[must_use]
-    pub fn profile_query(profile: &KeywordProfile, config: &PspConfig) -> Query {
-        profile_query(profile, config)
-    }
-
-    /// Computes the full SAI list for a keyword database and configuration in
-    /// one indexed pass, fanning out over keyword profiles with `rayon`.
-    #[must_use]
-    pub fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        self.core.sai_list(self.corpus, db, config)
-    }
-
-    /// Computes one SAI list per configuration against the same corpus — the
-    /// batch entry point for window sweeps (monitoring, Figure 9 comparisons).
-    ///
-    /// A keyword's content candidates do not depend on the configuration, so
-    /// they are resolved once per profile and only the cheap metadata filter
-    /// (region / application / window) and aggregation re-run per
-    /// configuration.  Always returns exactly one list per configuration
-    /// (empty lists for an empty database).
-    #[must_use]
-    pub fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        self.core.sai_lists(self.corpus, db, configs)
-    }
-}
-
-impl SaiScorer for ScoringEngine<'_> {
-    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        ScoringEngine::sai_list(self, db, config)
-    }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        ScoringEngine::sai_lists(self, db, configs)
-    }
-
-    /// Sweeps through the prefix-summed plan — bit-identical to (and much
-    /// faster than) per-window [`sai_lists`](ScoringEngine::sai_lists).
-    fn sai_windows_until(
-        &self,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        axis: &WindowAxis,
-        stop: &(dyn Fn() -> bool + Sync),
-    ) -> Option<Vec<SaiList>> {
-        self.core
-            .sai_sweep(self.corpus, db, base_config, axis.as_options(), stop)
-    }
-}
-
-/// An indexed SAI scoring engine that **owns** its corpus and stays warm under
-/// streaming ingestion.
+/// window, through [`SaiScorer`] — without ever rescanning posts or re-running
+/// the text pipeline.  [`ingest`](Self::ingest) interleaves with scoring: each
+/// batch of posts is appended to the corpus, the inverted index is extended in
+/// place ([`CorpusIndex::append`], amortised O(batch)), and the memoised
+/// signal cache grows by exactly the batch — signals already paid for are
+/// never recomputed, rebuilt or wiped.  Scoring after an append is
+/// bit-identical to rebuilding a fresh engine over the grown corpus
+/// (property-tested), at a fraction of the cost (see the `engine_ingest`
+/// bench).
 ///
-/// Where [`ScoringEngine`] is bound to a frozen snapshot, a `LiveEngine`
-/// interleaves [`ingest`](Self::ingest) with scoring: each batch of posts is
-/// appended to the corpus, the inverted index is extended in place
-/// ([`CorpusIndex::append`], amortised O(batch)), and the memoised signal
-/// cache grows by exactly the batch — signals already paid for are never
-/// recomputed, rebuilt or wiped.  Scoring after an append is bit-identical to
-/// rebuilding a fresh engine over the grown corpus (property-tested), at a
-/// fraction of the cost (see the `engine_ingest` bench).
+/// The engine takes its corpus by value.  A caller that needs the corpus back
+/// — a bench that rebuilds an engine per iteration, say — moves it in and takes
+/// it back with [`into_corpus`](Self::into_corpus) instead of copying it.
 ///
 /// ```
 /// use psp::config::PspConfig;
@@ -991,14 +874,18 @@ pub struct LiveEngine {
 }
 
 impl LiveEngine {
-    /// Builds a live engine over an initial corpus (which may be empty).
+    /// Builds the inverted index over an initial corpus (which may be empty);
+    /// per-post text signals are computed lazily on first use (see
+    /// [`precompute_signals`](Self::precompute_signals)).
     #[must_use]
     pub fn new(corpus: Corpus) -> Self {
         Self::with_pipeline(corpus, TextPipeline::new())
     }
 
-    /// Builds a live engine with a custom text pipeline — see
-    /// [`ScoringEngine::with_pipeline`].
+    /// Builds an engine whose text mining runs through a custom pipeline —
+    /// a custom [`textmine::IntentLexicon`] via
+    /// [`TextPipeline::with_lexicon`], or the frozen multi-pass baseline via
+    /// [`TextPipeline::reference`] (used by the `text_pipeline` bench).
     #[must_use]
     pub fn with_pipeline(corpus: Corpus, pipeline: TextPipeline) -> Self {
         let core = EngineCore::with_pipeline(&corpus, pipeline);
@@ -1006,14 +893,19 @@ impl LiveEngine {
     }
 
     /// Exports the memoised per-post text signals as a persistable
-    /// [`SignalCacheFile`] — see [`ScoringEngine::export_signal_cache`].
+    /// [`SignalCacheFile`], materialising any signal not yet paid for.  Save
+    /// it alongside the serialised corpus
+    /// ([`socialsim::corpus::Corpus::save_json`]) and feed it to
+    /// [`load_signal_cache`](Self::load_signal_cache) after a restart to skip
+    /// text mining entirely.
     #[must_use]
     pub fn export_signal_cache(&self) -> SignalCacheFile {
         self.core.export_cache(&self.corpus)
     }
 
-    /// Installs a previously exported signal cache — see
-    /// [`ScoringEngine::load_signal_cache`].
+    /// Installs a previously exported signal cache after validating its
+    /// version, lexicon, length and every post id against this engine's
+    /// current corpus.  Returns the number of posts warmed from the cache.
     ///
     /// # Errors
     ///
@@ -1057,6 +949,12 @@ impl LiveEngine {
         &self.corpus
     }
 
+    /// Consumes the engine and hands its corpus back, without a copy.
+    #[must_use]
+    pub fn into_corpus(self) -> Corpus {
+        self.corpus
+    }
+
     /// The underlying inverted index.
     #[must_use]
     pub fn index(&self) -> &CorpusIndex {
@@ -1070,8 +968,10 @@ impl LiveEngine {
     }
 
     /// Eagerly materialises the signals of every post, fanning out over worker
-    /// threads.  Already-memoised posts are skipped (their `OnceLock` is
-    /// filled), so calling this after each ingest warms only the new batch.
+    /// threads.  Useful before a throughput-critical serving phase; otherwise
+    /// signals fill in lazily as queries touch posts.  Already-memoised posts
+    /// are skipped (their `OnceLock` is filled), so calling this after each
+    /// ingest warms only the new batch.
     pub fn precompute_signals(&self) {
         self.core.precompute_signals(&self.corpus);
     }
@@ -1083,18 +983,15 @@ impl LiveEngine {
         self.core.plans.build_count()
     }
 
-    /// Computes the full SAI list for a keyword database and configuration —
-    /// see [`ScoringEngine::sai_list`].
+    /// Computes the full SAI list for a keyword database and configuration in
+    /// one indexed pass, fanning out over keyword profiles with `rayon`.
+    ///
+    /// The same as [`SaiScorer::sai_list`].  This inherent copy stays because
+    /// the daemon benchmark (`perfbench`) calls it without importing the
+    /// trait.
     #[must_use]
     pub fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
         self.core.sai_list(&self.corpus, db, config)
-    }
-
-    /// Computes one SAI list per configuration — see
-    /// [`ScoringEngine::sai_lists`].
-    #[must_use]
-    pub fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        self.core.sai_lists(&self.corpus, db, configs)
     }
 }
 
@@ -1103,15 +1000,20 @@ impl SaiScorer for LiveEngine {
         LiveEngine::sai_list(self, db, config)
     }
 
+    /// A keyword's content candidates do not depend on the configuration, so
+    /// they are resolved once per profile and only the cheap metadata filter
+    /// (region / application / window) and aggregation re-run per
+    /// configuration.  Returns empty lists for an empty database.
     fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        LiveEngine::sai_lists(self, db, configs)
+        self.core.sai_lists(&self.corpus, db, configs)
     }
 
-    /// Sweeps through the prefix-summed plan.  The plan survives across
-    /// calls on this warm engine and is invalidated exactly when
-    /// [`LiveEngine::ingest`] absorbs a non-empty batch (the generation
-    /// counter is the key), so a monitoring loop pays the plan build once
-    /// per ingest, not per re-evaluation.
+    /// Sweeps through the prefix-summed plan — bit-identical to (and much
+    /// faster than) per-window [`sai_lists`](SaiScorer::sai_lists).  The
+    /// plan survives across calls on this warm engine and is invalidated
+    /// exactly when [`LiveEngine::ingest`] absorbs a non-empty batch (the
+    /// generation counter is the key), so a monitoring loop pays the plan
+    /// build once per ingest, not per re-evaluation.
     fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
@@ -1161,7 +1063,7 @@ mod tests {
         let corpus = scenario::passenger_car_europe(42);
         let db = KeywordDatabase::passenger_car_seed();
         let config = PspConfig::passenger_car_europe();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         assert_eq!(
             engine.sai_list(&db, &config),
             SaiList::compute_naive(&corpus, &db, &config)
@@ -1175,7 +1077,7 @@ mod tests {
         let config = PspConfig::excavator_europe()
             .with_window(DateWindow::years(2020, 2022))
             .with_poisoning_filter(0.25);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         assert_eq!(
             engine.sai_list(&db, &config),
             SaiList::compute_naive(&corpus, &db, &config)
@@ -1186,7 +1088,7 @@ mod tests {
     fn batch_lists_match_individual_lists() {
         let corpus = scenario::passenger_car_europe(42);
         let db = KeywordDatabase::passenger_car_seed();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let configs: Vec<PspConfig> = (2018..2023)
             .map(|y| PspConfig::passenger_car_europe().with_window(DateWindow::years(y, y + 1)))
             .collect();
@@ -1200,7 +1102,7 @@ mod tests {
     #[test]
     fn empty_corpus_and_empty_db_degrade_gracefully() {
         let corpus = Corpus::new();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let sai = engine.sai_list(
             &KeywordDatabase::excavator_seed(),
             &PspConfig::excavator_europe(),
@@ -1217,7 +1119,7 @@ mod tests {
     #[test]
     fn batch_returns_one_list_per_config_even_for_an_empty_database() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let configs = [
             PspConfig::excavator_europe(),
             PspConfig::excavator_europe().with_window(DateWindow::years(2020, 2021)),
@@ -1243,7 +1145,7 @@ mod tests {
         // naive oracle (same corpus order, same fold order).
         assert_eq!(
             live.sai_list(&db, &config),
-            ScoringEngine::new(&full).sai_list(&db, &config)
+            LiveEngine::new(full.clone()).sai_list(&db, &config)
         );
         assert_eq!(
             live.sai_list(&db, &config),
@@ -1264,7 +1166,7 @@ mod tests {
         let warm_before = live.sai_list(&db, &config);
         assert_eq!(
             warm_before,
-            ScoringEngine::new(&seed).sai_list(&db, &config)
+            LiveEngine::new(seed.clone()).sai_list(&db, &config)
         );
         live.ingest(extra.clone());
 
@@ -1272,7 +1174,7 @@ mod tests {
         grown.extend(extra);
         assert_eq!(
             live.sai_list(&db, &config),
-            ScoringEngine::new(&grown).sai_list(&db, &config)
+            LiveEngine::new(grown).sai_list(&db, &config)
         );
     }
 
@@ -1300,7 +1202,7 @@ mod tests {
         let corpus = scenario::passenger_car_europe(42);
         let db = KeywordDatabase::passenger_car_seed();
         let base = PspConfig::passenger_car_europe();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let windows: Vec<DateWindow> = (2015..2023).map(|y| DateWindow::years(y, y + 1)).collect();
         let configs: Vec<PspConfig> = windows
             .iter()
@@ -1334,7 +1236,7 @@ mod tests {
         let corpus = scenario::excavator_europe(7);
         let db = KeywordDatabase::excavator_seed();
         let base = PspConfig::excavator_europe();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let recent = DateWindow::years(2021, 2023);
         let axis = WindowAxis::new().full_history().window(recent);
         let swept = engine.sai_windows(&db, &base, &axis);
@@ -1354,7 +1256,7 @@ mod tests {
     #[test]
     fn sweep_edge_cases_degrade_like_the_batch_path() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let base = PspConfig::excavator_europe();
         // No windows -> no lists.
         assert!(engine
@@ -1389,9 +1291,9 @@ mod tests {
         let corpus = scenario::excavator_europe(7);
         let db = KeywordDatabase::excavator_seed();
         let base = PspConfig::excavator_europe();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         assert!(!engine.core.plans.is_populated());
-        let first = engine.core.sweep_plan(&corpus, &db, &base);
+        let first = engine.core.sweep_plan(engine.corpus(), &db, &base);
         assert!(engine.core.plans.is_populated());
         // Same key — the identical plan object is reused, even when the base
         // config differs in its window or SAI weights (both are resolved at
@@ -1411,10 +1313,11 @@ mod tests {
         );
         assert!(std::sync::Arc::ptr_eq(&first, &reweighted));
         // A different scene (here: a poisoning filter) rebuilds.
-        let filtered =
-            engine
-                .core
-                .sweep_plan(&corpus, &db, &base.clone().with_poisoning_filter(0.25));
+        let filtered = engine.core.sweep_plan(
+            engine.corpus(),
+            &db,
+            &base.clone().with_poisoning_filter(0.25),
+        );
         assert!(!std::sync::Arc::ptr_eq(&first, &filtered));
         // The filtered plan admits at most as many candidate rows.
         assert!(filtered.candidate_rows() <= first.candidate_rows());
@@ -1440,7 +1343,7 @@ mod tests {
         live.ingest(scenario::excavator_europe(8).posts().to_vec());
         let after = live.core.sweep_plan(live.corpus(), &db, &base);
         assert!(!std::sync::Arc::ptr_eq(&before, &after));
-        let cold = ScoringEngine::new(live.corpus());
+        let cold = LiveEngine::new(live.corpus().clone());
         let axis = WindowAxis::each(&windows);
         assert_eq!(
             live.sai_windows(&db, &base, &axis),
@@ -1454,19 +1357,19 @@ mod tests {
         let db = KeywordDatabase::excavator_seed();
         let base = PspConfig::excavator_europe();
         let filtered = base.clone().with_poisoning_filter(0.25);
-        let engine = ScoringEngine::new(&corpus);
-        let plan_a = engine.core.sweep_plan(&corpus, &db, &base);
-        let plan_b = engine.core.sweep_plan(&corpus, &db, &filtered);
+        let engine = LiveEngine::new(corpus.clone());
+        let plan_a = engine.core.sweep_plan(engine.corpus(), &db, &base);
+        let plan_b = engine.core.sweep_plan(engine.corpus(), &db, &filtered);
         // Alternate several times: both plans stay cached.  The single-slot
         // cache this replaced re-planned on every call here.
         for _ in 0..3 {
             assert!(std::sync::Arc::ptr_eq(
                 &plan_a,
-                &engine.core.sweep_plan(&corpus, &db, &base)
+                &engine.core.sweep_plan(engine.corpus(), &db, &base)
             ));
             assert!(std::sync::Arc::ptr_eq(
                 &plan_b,
-                &engine.core.sweep_plan(&corpus, &db, &filtered)
+                &engine.core.sweep_plan(engine.corpus(), &db, &filtered)
             ));
         }
         assert_eq!(engine.plan_builds(), 2);
@@ -1478,17 +1381,17 @@ mod tests {
         let base = PspConfig::excavator_europe();
         let db_a = KeywordDatabase::excavator_seed();
         let db_b = KeywordDatabase::passenger_car_seed();
-        let engine = ScoringEngine::new(&corpus);
-        let plan_a = engine.core.sweep_plan(&corpus, &db_a, &base);
-        let plan_b = engine.core.sweep_plan(&corpus, &db_b, &base);
+        let engine = LiveEngine::new(corpus.clone());
+        let plan_a = engine.core.sweep_plan(engine.corpus(), &db_a, &base);
+        let plan_b = engine.core.sweep_plan(engine.corpus(), &db_b, &base);
         for _ in 0..3 {
             assert!(std::sync::Arc::ptr_eq(
                 &plan_a,
-                &engine.core.sweep_plan(&corpus, &db_a, &base)
+                &engine.core.sweep_plan(engine.corpus(), &db_a, &base)
             ));
             assert!(std::sync::Arc::ptr_eq(
                 &plan_b,
-                &engine.core.sweep_plan(&corpus, &db_b, &base)
+                &engine.core.sweep_plan(engine.corpus(), &db_b, &base)
             ));
         }
         assert_eq!(engine.plan_builds(), 2);
@@ -1498,27 +1401,29 @@ mod tests {
     fn the_plan_cache_is_bounded_with_lru_eviction() {
         let corpus = scenario::excavator_europe(7);
         let db = KeywordDatabase::excavator_seed();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         // Distinct credibility thresholds give distinct plan keys.
         let scene =
             |i: usize| PspConfig::excavator_europe().with_poisoning_filter(0.01 * (i + 1) as f64);
         let overflow = sweep::PLAN_CACHE_CAPACITY + 1;
         for i in 0..overflow {
-            engine.core.sweep_plan(&corpus, &db, &scene(i));
+            engine.core.sweep_plan(engine.corpus(), &db, &scene(i));
         }
         assert_eq!(engine.plan_builds(), overflow as u64);
         // The most recent scene is still cached...
-        engine.core.sweep_plan(&corpus, &db, &scene(overflow - 1));
+        engine
+            .core
+            .sweep_plan(engine.corpus(), &db, &scene(overflow - 1));
         assert_eq!(engine.plan_builds(), overflow as u64);
         // ...while the least recently used one was evicted and rebuilds.
-        engine.core.sweep_plan(&corpus, &db, &scene(0));
+        engine.core.sweep_plan(engine.corpus(), &db, &scene(0));
         assert_eq!(engine.plan_builds(), overflow as u64 + 1);
     }
 
     #[test]
     fn a_matrix_builds_one_plan_per_database_and_scene() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let base = PspConfig::excavator_europe();
         let windows: Vec<DateWindow> = (2018..2022).map(|y| DateWindow::years(y, y + 1)).collect();
         let spec = MatrixSpec::new()
@@ -1546,7 +1451,7 @@ mod tests {
     #[test]
     fn an_empty_matrix_returns_no_cells_without_planning() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let no_scenarios = MatrixSpec::new()
             .config("base", PspConfig::excavator_europe())
             .window(DateWindow::years(2019, 2021));
@@ -1564,7 +1469,7 @@ mod tests {
     #[test]
     fn matrix_cells_match_the_naive_reference() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let db = KeywordDatabase::excavator_seed();
         let configs = [
             PspConfig::excavator_europe(),
@@ -1606,14 +1511,14 @@ mod tests {
         live.ingest(scenario::excavator_europe(8).posts().to_vec());
         let after = live.sai_matrix(&spec);
         assert_eq!(live.plan_builds(), 4);
-        let cold = ScoringEngine::new(live.corpus());
+        let cold = LiveEngine::new(live.corpus().clone());
         assert_eq!(after, cold.sai_matrix(&spec));
     }
 
     #[test]
     fn matrix_results_are_addressable_and_stream_in_cell_order() {
         let corpus = scenario::excavator_europe(7);
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let spec = MatrixSpec::new()
             .scenario("excavator", KeywordDatabase::excavator_seed())
             .config("base", PspConfig::excavator_europe())
@@ -1650,7 +1555,7 @@ mod tests {
 
         let mut live = LiveEngine::new(Corpus::from_posts(old.to_vec()));
         live.ingest(new.to_vec());
-        let snapshot = ScoringEngine::new(live.corpus());
+        let snapshot = LiveEngine::new(live.corpus().clone());
         assert_eq!(
             live.sai_lists(&db, &configs),
             snapshot.sai_lists(&db, &configs)

@@ -78,7 +78,7 @@ impl Shard {
 ///
 /// ```
 /// use psp::config::PspConfig;
-/// use psp::engine::{ScoringEngine, ShardedEngine};
+/// use psp::engine::{LiveEngine, SaiScorer, ShardedEngine};
 /// use psp::keyword_db::KeywordDatabase;
 /// use socialsim::index::ShardSpec;
 /// use socialsim::scenario;
@@ -90,7 +90,7 @@ impl Shard {
 /// // Bit-identical to the unsharded pass.
 /// assert_eq!(
 ///     sharded.sai_list(&db, &config),
-///     ScoringEngine::new(&corpus).sai_list(&db, &config)
+///     LiveEngine::new(corpus).sai_list(&db, &config)
 /// );
 /// ```
 #[derive(Debug, Clone)]
@@ -115,7 +115,7 @@ impl ShardedEngine {
     }
 
     /// Builds a sharded engine with a custom text pipeline (cloned into every
-    /// shard) — see [`super::ScoringEngine::with_pipeline`].
+    /// shard) — see [`super::LiveEngine::with_pipeline`].
     #[must_use]
     pub fn with_pipeline(corpus: Corpus, spec: ShardSpec, pipeline: TextPipeline) -> Self {
         let total_posts = corpus.len();
@@ -369,12 +369,13 @@ impl ShardedEngine {
             })
             .collect()
     }
+}
 
+impl SaiScorer for ShardedEngine {
     /// Computes the full SAI list in one sharded pass: every shard scores its
     /// partials in parallel, then the merge re-assembles the exact
     /// single-engine result (see `SaiList::from_shard_partials`).
-    #[must_use]
-    pub fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
+    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
         let profiles: Vec<&KeywordProfile> = db.iter().collect();
         let per_shard: Vec<Vec<SaiPartial>> = self
             .shards
@@ -394,8 +395,7 @@ impl ShardedEngine {
     /// path the sharding exists for: each window only filters the candidates
     /// of the shards it overlaps, instead of the whole corpus' candidates
     /// once per window.
-    #[must_use]
-    pub fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
+    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
         if configs.is_empty() {
             return Vec::new();
         }
@@ -466,16 +466,6 @@ impl ShardedEngine {
             })
             .collect()
     }
-}
-
-impl SaiScorer for ShardedEngine {
-    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        ShardedEngine::sai_list(self, db, config)
-    }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        ShardedEngine::sai_lists(self, db, configs)
-    }
 
     /// Sweeps through **per-shard plans**.  Each shard core holds its own
     /// prefix-summed plan (built on first use, invalidated only when *that
@@ -485,7 +475,7 @@ impl SaiScorer for ShardedEngine {
     /// match never builds a plan at all.  The per-window partials then flow
     /// through the pre-normalisation merge (`SaiList::from_shard_partials`),
     /// so the swept lists are bit-identical to the single-engine sweep and
-    /// to per-window [`sai_lists`](ShardedEngine::sai_lists).  `stop` is
+    /// to per-window [`sai_lists`](SaiScorer::sai_lists).  `stop` is
     /// checked before each live shard looks up its plan and before every
     /// profile of that shard.
     fn sai_windows_until(
@@ -585,7 +575,7 @@ impl StreamingScorer for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ScoringEngine;
+    use crate::engine::LiveEngine;
     use crate::sai::SaiList as Oracle;
     use socialsim::scenario;
     use socialsim::time::DateWindow;
@@ -607,7 +597,7 @@ mod tests {
             ShardSpec::ByRegion,
         ] {
             let sharded = ShardedEngine::new(corpus.clone(), spec);
-            let single = ScoringEngine::new(&corpus).sai_list(&db, &config);
+            let single = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
             assert_eq!(sharded.sai_list(&db, &config), single, "spec {spec:?}");
             assert_eq!(
                 sharded.sai_list(&db, &config),
@@ -625,7 +615,7 @@ mod tests {
             .map(|y| PspConfig::passenger_car_europe().with_window(DateWindow::years(y, y)))
             .collect();
         let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         assert_eq!(
             sharded.sai_lists(&db, &configs),
             single.sai_lists(&db, &configs)
@@ -665,7 +655,7 @@ mod tests {
         assert_eq!(sharded.post_count(), grown.len());
         assert_eq!(
             sharded.sai_list(&db, &config),
-            ScoringEngine::new(&grown).sai_list(&db, &config)
+            LiveEngine::new(grown.clone()).sai_list(&db, &config)
         );
         assert_eq!(sharded.snapshot_corpus(), grown);
     }
@@ -684,7 +674,7 @@ mod tests {
         assert!(sharded.shard_count() > 0);
         assert_eq!(
             sharded.sai_list(&db, &config),
-            ScoringEngine::new(&full).sai_list(&db, &config)
+            LiveEngine::new(full.clone()).sai_list(&db, &config)
         );
     }
 
@@ -729,7 +719,7 @@ mod tests {
         assert!(expected < sharded.shard_count() as u64);
         assert_eq!(sharded.plan_builds(), expected);
         // And the pruned matrix stays bit-identical to the single engine.
-        assert_eq!(results, ScoringEngine::new(&corpus).sai_matrix(&spec));
+        assert_eq!(results, LiveEngine::new(corpus.clone()).sai_matrix(&spec));
     }
 
     #[test]

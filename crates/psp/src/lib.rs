@@ -22,12 +22,12 @@
 //! engine so a whole item analysis can be re-run "statically vs dynamically", and
 //! [`report`] bundles everything into one serialisable artefact.
 //!
-//! All corpus scoring flows through [`engine::ScoringEngine`], which indexes
-//! the corpus once, precomputes per-post text signals in parallel, and answers
-//! every keyword/window query from the index instead of rescanning posts.  For
-//! corpora that keep growing while being served, [`engine::LiveEngine`] adds a
-//! streaming ingestion path — appends extend the index and signal cache in
-//! place — and [`monitoring::LiveMonitor`] interleaves ingestion with
+//! All corpus scoring flows through [`engine::LiveEngine`], which indexes the
+//! corpus once, memoises per-post text signals, and answers every
+//! keyword/window query from the index instead of rescanning posts.  For
+//! corpora that keep growing while being served, its streaming ingestion path
+//! extends the index and signal cache in place, and
+//! [`monitoring::LiveMonitor`] interleaves ingestion with
 //! sliding-window re-evaluation on that one warm engine.  At fleet scale,
 //! [`engine::ShardedEngine`] partitions the corpus by time range or region
 //! (`socialsim::index::ShardSpec`), scores one engine core per shard in
@@ -80,8 +80,8 @@ pub mod workflow;
 pub use classify::AttackOrigin;
 pub use config::{PspConfig, SaiWeights};
 pub use engine::{
-    CellId, IngestReceipt, LiveEngine, MatrixResults, MatrixSpec, SaiScorer, ScoringEngine,
-    ShardedEngine, StreamingScorer, WindowAxis,
+    CellId, IngestReceipt, LiveEngine, MatrixResults, MatrixSpec, SaiScorer, ShardedEngine,
+    StreamingScorer, WindowAxis,
 };
 pub use error::PspError;
 pub use financial::{FinancialAssessment, FinancialInputs};

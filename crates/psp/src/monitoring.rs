@@ -20,8 +20,7 @@
 
 use crate::config::PspConfig;
 use crate::engine::{
-    IngestReceipt, LiveEngine, MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine,
-    StreamingScorer, WindowAxis,
+    IngestReceipt, LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, StreamingScorer, WindowAxis,
 };
 use crate::keyword_db::KeywordDatabase;
 use crate::sai::SaiList;
@@ -155,9 +154,11 @@ impl MonitoringSeries {
     ) -> Self {
         // One engine for the whole series: the corpus is indexed and the
         // text-mining signals are computed once, then every window is
-        // answered through the prefix-summed sweep plan (`sai_windows`).
+        // answered through the prefix-summed sweep plan (`sai_windows`).  The
+        // engine owns a copy of the corpus, which costs a few percent of the
+        // index build.
         Self::run_on(
-            &ScoringEngine::new(corpus),
+            &LiveEngine::new(corpus.clone()),
             db,
             base_config,
             scenario,
@@ -211,7 +212,7 @@ impl MonitoringSeries {
         to_year: i32,
         window_years: i32,
     ) -> Vec<Self> {
-        let engine = ScoringEngine::new(corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let (bounds, axis) = window_plan(from_year, to_year, window_years);
         let spec = MatrixSpec::new()
             .scenario("monitor", db.clone())

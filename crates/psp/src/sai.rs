@@ -183,15 +183,15 @@ pub struct SaiList {
 impl SaiList {
     /// Computes the SAI list for a corpus, keyword database and configuration.
     ///
-    /// This is the one-shot convenience entry point: it builds a throwaway
-    /// [`ScoringEngine`](crate::engine::ScoringEngine) for the corpus and runs
-    /// one indexed pass.  Callers issuing repeated computations against the
-    /// same corpus (workflows, window sweeps, monitoring) should build the
-    /// engine once and call [`ScoringEngine::sai_list`](crate::engine::ScoringEngine::sai_list)
-    /// directly.
+    /// This is the one-shot convenience entry point: it indexes the borrowed
+    /// corpus in a throwaway engine core (no corpus copy) and runs one
+    /// indexed pass.  Callers issuing repeated computations against the same
+    /// corpus (workflows, window sweeps, monitoring) should build a
+    /// [`LiveEngine`](crate::engine::LiveEngine) once and call
+    /// [`LiveEngine::sai_list`](crate::engine::LiveEngine::sai_list) directly.
     #[must_use]
     pub fn compute(corpus: &Corpus, db: &KeywordDatabase, config: &PspConfig) -> Self {
-        crate::engine::ScoringEngine::new(corpus).sai_list(db, config)
+        crate::engine::sai_list_once(corpus, db, config)
     }
 
     /// The naive O(keywords × posts) reference implementation: a linear corpus
@@ -207,7 +207,7 @@ impl SaiList {
 
         for profile in db.iter() {
             // Same query construction as the indexed path, by construction.
-            let query = crate::engine::ScoringEngine::profile_query(profile, config);
+            let query = crate::engine::profile_query(profile, config);
             let hits: Vec<&Post> = corpus
                 .search(&query)
                 .into_iter()

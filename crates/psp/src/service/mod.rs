@@ -534,8 +534,9 @@ impl Subscription {
         self.receiver.try_recv().ok()
     }
 
-    /// Waits up to `timeout` for the next event; `None` on timeout or when
-    /// the service has shut down.
+    /// Waits up to `timeout` for the next event; `None` on timeout, when
+    /// the registration was removed (`Unsubscribe` / `Unschedule`) and its
+    /// queued events are drained, or when the service has shut down.
     #[must_use]
     pub fn recv_timeout(&self, timeout: Duration) -> Option<ServiceEvent> {
         self.receiver.recv_timeout(timeout).ok()

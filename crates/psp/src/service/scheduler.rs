@@ -10,10 +10,13 @@
 //! removed or the service shuts down), executes due requests through the
 //! same snapshot-isolated `respond` path every other request uses, and
 //! sends each result as a [`ServiceEvent::ScheduledRun`] on the job's event
-//! channel.  A job whose receiver is gone unschedules itself; a job whose
-//! request panics answers with the structured `internal-error` response and
-//! stays scheduled (the scheduler thread survives, same contract as the
-//! worker pool).
+//! channel.  Removing a job is a fence: a run is delivered under the
+//! timetable lock and only while its job is still scheduled, and the job
+//! holds the only sender, so once the removal returns no later run arrives
+//! and the channel is disconnected.  A job whose receiver is gone unschedules
+//! itself; a job whose request panics answers with the structured
+//! `internal-error` response and stays scheduled (the scheduler thread
+//! survives, same contract as the worker pool).
 
 use super::{ServiceEvent, ServiceRequest, ServiceResponse};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,7 +71,10 @@ impl SchedulerQueue {
         self.wake.notify_all();
     }
 
-    /// Removes a job by id; returns whether it existed.
+    /// Removes a job by id; returns whether it existed.  This is a fence:
+    /// no run of the job is delivered after it returns (see
+    /// [`deliver`](Self::deliver)), and dropping the job's sender
+    /// disconnects its channel.
     pub(super) fn remove(&self, id: u64) -> bool {
         let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let before = jobs.len();
@@ -103,18 +109,12 @@ impl SchedulerQueue {
     /// whole intervals past `now`, so a stalled scheduler (one slow tick)
     /// coalesces missed runs instead of bursting to catch up — and returns
     /// how long to sleep until the next one.
-    fn take_due(
-        &self,
-        now: Instant,
-    ) -> (
-        Vec<(u64, ServiceRequest, mpsc::Sender<ServiceEvent>)>,
-        Duration,
-    ) {
+    fn take_due(&self, now: Instant) -> (Vec<(u64, ServiceRequest)>, Duration) {
         let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let mut due = Vec::new();
         for job in jobs.iter_mut() {
             if job.next_due <= now {
-                due.push((job.id, job.request.clone(), job.sender.clone()));
+                due.push((job.id, job.request.clone()));
                 while job.next_due <= now {
                     job.next_due += job.every;
                 }
@@ -126,6 +126,19 @@ impl SchedulerQueue {
             .min()
             .unwrap_or(IDLE_WAIT);
         (due, wait)
+    }
+
+    /// Sends one run's event to job `id`, under the timetable lock and only
+    /// while the job is still scheduled — a run taken before
+    /// [`remove`](Self::remove) is dropped, not delivered after it.  A send
+    /// error (the receiver is gone) unschedules the job.
+    fn deliver(&self, id: u64, event: ServiceEvent) {
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(index) = jobs.iter().position(|job| job.id == id) {
+            if jobs[index].sender.send(event).is_err() {
+                jobs.remove(index);
+            }
+        }
     }
 
     /// Sleeps until `wait` elapses or the timetable changes.
@@ -147,7 +160,7 @@ pub(super) fn run(queue: &SchedulerQueue, respond: impl Fn(ServiceRequest) -> Se
             break;
         }
         let (due, wait) = queue.take_due(Instant::now());
-        for (id, request, sender) in due {
+        for (id, request) in due {
             // The scheduler thread survives a panicking request exactly like
             // a pool worker: catch, answer structured, carry on.
             let response =
@@ -158,13 +171,7 @@ pub(super) fn run(queue: &SchedulerQueue, respond: impl Fn(ServiceRequest) -> Se
                         }
                         .into(),
                     });
-            if sender
-                .send(ServiceEvent::ScheduledRun { job: id, response })
-                .is_err()
-            {
-                // Receiver gone: nobody is listening, unschedule.
-                queue.remove(id);
-            }
+            queue.deliver(id, ServiceEvent::ScheduledRun { job: id, response });
         }
         if queue.is_shut_down() {
             break;
@@ -202,6 +209,31 @@ mod tests {
         queue.add(7, ServiceRequest::Status, Duration::from_millis(5), tx);
         assert!(queue.remove(7));
         assert!(!queue.remove(7), "already gone");
+        assert_eq!(queue.len(), 0);
+    }
+
+    #[test]
+    fn a_run_taken_before_remove_is_never_delivered() {
+        let queue = SchedulerQueue::default();
+        let (tx, rx) = mpsc::channel();
+        queue.add(3, ServiceRequest::Status, Duration::from_millis(1), tx);
+        let (due, _) = queue.take_due(Instant::now() + Duration::from_millis(5));
+        assert_eq!(due.len(), 1, "the run is in flight");
+        assert!(queue.remove(3));
+        let response = ServiceResponse::Unscheduled { id: 3 };
+        queue.deliver(3, ServiceEvent::ScheduledRun { job: 3, response });
+        // Nothing arrives, and the job's only sender went with it.
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_run_for_a_vanished_receiver_unschedules_the_job() {
+        let queue = SchedulerQueue::default();
+        let (tx, rx) = mpsc::channel();
+        queue.add(4, ServiceRequest::Status, Duration::from_millis(1), tx);
+        drop(rx);
+        let response = ServiceResponse::Unscheduled { id: 4 };
+        queue.deliver(4, ServiceEvent::ScheduledRun { job: 4, response });
         assert_eq!(queue.len(), 0);
     }
 

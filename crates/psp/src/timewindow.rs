@@ -6,7 +6,7 @@
 //! are more likely to opt for a local attack via OBD."
 
 use crate::config::PspConfig;
-use crate::engine::{SaiScorer, ScoringEngine, WindowAxis};
+use crate::engine::{LiveEngine, SaiScorer, WindowAxis};
 use crate::keyword_db::KeywordDatabase;
 use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
@@ -74,8 +74,9 @@ pub fn compare_windows(
 ) -> WindowComparison {
     // Both windows are answered by one engine through one sweep plan: the
     // corpus is indexed once and the (window-invariant) candidate columns are
-    // projected once, then each window resolves against them.
-    let engine = ScoringEngine::new(corpus);
+    // projected once, then each window resolves against them.  The engine
+    // owns a copy of the corpus, which costs a few percent of the index build.
+    let engine = LiveEngine::new(corpus.clone());
     comparison_from(
         scenario,
         base_config.window,
@@ -94,7 +95,7 @@ pub fn compare_windows(
 /// exactly what [`compare_windows`] over the engine's corpus would.
 ///
 /// Generic over the engine shape: pass a
-/// [`LiveEngine`](crate::engine::LiveEngine) for the single warm index, or a
+/// [`LiveEngine`] for the single warm index, or a
 /// [`ShardedEngine`](crate::engine::ShardedEngine) to answer both windows from
 /// per-shard indexes (time shards outside either window are pruned) with a
 /// bit-identical result.
@@ -221,7 +222,7 @@ mod tests {
     fn live_comparison_matches_the_snapshot_comparison() {
         let corpus = scenario::passenger_car_europe(42);
         let posts = corpus.posts().to_vec();
-        let mut engine = crate::engine::LiveEngine::new(socialsim::corpus::Corpus::new());
+        let mut engine = LiveEngine::new(socialsim::corpus::Corpus::new());
         for chunk in posts.chunks(113) {
             engine.ingest(chunk.to_vec());
         }

@@ -15,7 +15,7 @@
 
 use crate::classify::AttackOrigin;
 use crate::config::PspConfig;
-use crate::engine::ScoringEngine;
+use crate::engine::LiveEngine;
 use crate::keyword_db::KeywordDatabase;
 use crate::learning::{learn_keywords, LearningOutcome};
 use crate::sai::SaiList;
@@ -96,19 +96,32 @@ impl PspWorkflow {
 
     /// Runs the workflow on a corpus.
     ///
-    /// Builds a [`ScoringEngine`] for the corpus and delegates to
-    /// [`run_with_engine`](Self::run_with_engine); callers that run several
-    /// workflows against the same corpus should build the engine once
-    /// themselves.
+    /// Scores the corpus once through a throwaway engine core (the corpus is
+    /// borrowed, not copied); callers that run several workflows against the
+    /// same corpus should build a [`LiveEngine`] once and call
+    /// [`run_with_engine`](Self::run_with_engine).
     #[must_use]
     pub fn run(&self, corpus: &Corpus) -> PspOutcome {
-        self.run_with_engine(&ScoringEngine::new(corpus))
+        self.run_scored(corpus, |database| {
+            crate::engine::sai_list_once(corpus, database, &self.config)
+        })
     }
 
     /// Runs the workflow against a prebuilt scoring engine (and its corpus).
     #[must_use]
-    pub fn run_with_engine(&self, engine: &ScoringEngine<'_>) -> PspOutcome {
-        let corpus = engine.corpus();
+    pub fn run_with_engine(&self, engine: &LiveEngine) -> PspOutcome {
+        self.run_scored(engine.corpus(), |database| {
+            engine.sai_list(database, &self.config)
+        })
+    }
+
+    /// The workflow over `corpus`, with `score` computing the SAI list of the
+    /// (possibly auto-learned) keyword database under this configuration.
+    fn run_scored(
+        &self,
+        corpus: &Corpus,
+        score: impl FnOnce(&KeywordDatabase) -> SaiList,
+    ) -> PspOutcome {
         let mut database = self.database.clone();
 
         // Block 5: keyword auto-learning (before scoring, so newly learned tags
@@ -123,7 +136,7 @@ impl PspWorkflow {
 
         // Blocks 2, 6, 7: SAI computation with probability estimation, one
         // indexed pass fanned out over keyword profiles.
-        let sai = engine.sai_list(&database, &self.config);
+        let sai = score(&database);
 
         // Blocks 8–12: insider/outsider split and weight-table generation.
         let generator = WeightGenerator::with_mapping(self.mapping);

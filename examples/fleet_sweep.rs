@@ -19,7 +19,7 @@
 use psp_suite::market::datasets;
 use psp_suite::market::share::MarketStructure;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine, WindowAxis};
+use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, WindowAxis};
 use psp_suite::psp::financial::{rate_financial_feasibility, FinancialAssessment, FinancialInputs};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::learning::learn_keywords;
@@ -75,7 +75,7 @@ fn main() {
             None => spec.full_history(),
         };
     }
-    let car_engine = ScoringEngine::new(&car_corpus);
+    let car_engine = LiveEngine::new(car_corpus.clone());
     let cells = car_engine.sai_matrix(&spec);
     let generator = WeightGenerator::new();
     for (w, (label, window)) in window_axis.iter().enumerate() {
@@ -104,7 +104,7 @@ fn main() {
     let corpus = scenario::excavator_europe(42);
     let excavator_db = KeywordDatabase::excavator_seed();
     let excavator_config = PspConfig::excavator_europe();
-    let excavator_cells = ScoringEngine::new(&corpus).sai_matrix(
+    let excavator_cells = LiveEngine::new(corpus.clone()).sai_matrix(
         &MatrixSpec::new()
             .scenario("dpf", excavator_db.clone())
             .config("base", excavator_config.clone())
@@ -212,7 +212,7 @@ fn main() {
         sharded.sai_windows(&car_db, base, &WindowAxis::each(&windows)),
         "matrix row diverged from the sharded sweep"
     );
-    let single = ScoringEngine::new(&fleet);
+    let single = LiveEngine::new(fleet);
     for (id, sai) in fleet_cells.iter() {
         let config = fleet_configs[id.config]
             .clone()

@@ -1,6 +1,6 @@
 //! Property-based tests for the indexed scoring path: on randomized corpora,
 //! the `CorpusIndex` answers every query exactly like the naive
-//! `Query::matches` scan, and the `ScoringEngine` produces SAI lists identical
+//! `Query::matches` scan, and the `LiveEngine` produces SAI lists identical
 //! to the naive reference — probabilities summing to 1 whenever any evidence
 //! exists.  The streaming path is pinned the same way: appending posts to an
 //! index (or ingesting them into a `LiveEngine`) in arbitrary chunks is
@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
 use psp_suite::psp::engine::{
-    CellId, LiveEngine, MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine, WindowAxis,
+    CellId, LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, WindowAxis,
 };
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
@@ -178,12 +178,6 @@ trait Planned: SaiScorer {
     fn plans(&self) -> u64;
 }
 
-impl Planned for ScoringEngine<'_> {
-    fn plans(&self) -> u64 {
-        self.plan_builds()
-    }
-}
-
 impl Planned for LiveEngine {
     fn plans(&self) -> u64 {
         self.plan_builds()
@@ -197,13 +191,12 @@ impl Planned for ShardedEngine {
 }
 
 /// Every engine shape over `corpus`, freshly built (no plan yet): the
-/// borrowing and owning single engines, one shard (a century-wide time
-/// bucket) and yearly shards.
-fn shapes(corpus: &Corpus) -> Vec<(&'static str, Box<dyn Planned + '_>)> {
+/// single-index engine, one shard (a century-wide time bucket) and yearly
+/// shards.
+fn shapes(corpus: &Corpus) -> Vec<(&'static str, Box<dyn Planned>)> {
     let one_shard = ShardedEngine::new(corpus.clone(), ShardSpec::ByTimeYears(100));
     assert!(one_shard.shard_count() <= 1);
     vec![
-        ("scoring", Box::new(ScoringEngine::new(corpus))),
         ("live", Box::new(LiveEngine::new(corpus.clone()))),
         ("sharded/1", Box::new(one_shard)),
         (
@@ -307,7 +300,7 @@ proptest! {
     fn engine_sai_equals_naive_reference(corpus in arb_corpus()) {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         prop_assert_eq!(
             engine.sai_list(&db, &config),
             SaiList::compute_naive(&corpus, &db, &config)
@@ -320,7 +313,7 @@ proptest! {
     fn engine_probabilities_sum_to_one(corpus in arb_corpus()) {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
-        let sai = ScoringEngine::new(&corpus).sai_list(&db, &config);
+        let sai = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
         let mass: f64 = sai.entries().iter().map(|e| e.sai).sum();
         let total: f64 = sai.entries().iter().map(|e| e.probability).sum();
         if mass > 0.0 {
@@ -338,7 +331,7 @@ proptest! {
         let configs: Vec<PspConfig> = (from..from + 3)
             .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y + 1)))
             .collect();
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let batch = engine.sai_lists(&db, &configs);
         prop_assert_eq!(batch.len(), configs.len());
         for (config, list) in configs.iter().zip(&batch) {
@@ -391,7 +384,7 @@ proptest! {
         }
         prop_assert_eq!(live.post_count(), posts.len());
         let warm = live.sai_list(&db, &config);
-        prop_assert_eq!(&warm, &ScoringEngine::new(&corpus).sai_list(&db, &config));
+        prop_assert_eq!(&warm, &LiveEngine::new(corpus.clone()).sai_list(&db, &config));
         prop_assert_eq!(&warm, &SaiList::compute_naive(&corpus, &db, &config));
     }
 
@@ -412,7 +405,7 @@ proptest! {
         ];
         for config in &configs {
             let merged = sharded.sai_list(&db, config);
-            prop_assert_eq!(&merged, &ScoringEngine::new(&corpus).sai_list(&db, config));
+            prop_assert_eq!(&merged, &LiveEngine::new(corpus.clone()).sai_list(&db, config));
             prop_assert_eq!(&merged, &SaiList::compute_naive(&corpus, &db, config));
         }
     }
@@ -448,7 +441,7 @@ proptest! {
     }
 
     /// Sharded windowed batch scoring — where shard pruning kicks in — stays
-    /// bit-identical to the snapshot engine's batch path for every window.
+    /// bit-identical to the single-index engine's batch path for every window.
     #[test]
     fn sharded_windows_equal_snapshot_windows(
         corpus in arb_corpus(),
@@ -462,7 +455,7 @@ proptest! {
         let sharded = ShardedEngine::new(corpus.clone(), spec);
         prop_assert_eq!(
             sharded.sai_lists(&db, &configs),
-            ScoringEngine::new(&corpus).sai_lists(&db, &configs)
+            LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
         );
     }
 
@@ -474,13 +467,14 @@ proptest! {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
         let axis = stop_axis(from);
+        let single = LiveEngine::new(corpus.clone());
         let reference: Vec<SaiList> = axis
             .as_options()
             .iter()
             .map(|window| {
                 let mut windowed = config.clone();
                 windowed.window = *window;
-                ScoringEngine::new(&corpus).sai_list(&db, &windowed)
+                single.sai_list(&db, &windowed)
             })
             .collect();
         for (_, engine) in shapes(&corpus) {
@@ -497,7 +491,7 @@ proptest! {
     }
 
     /// Windowed batch scoring through a live, incrementally fed engine matches
-    /// the cold snapshot engine — the monitoring re-evaluation path stays
+    /// a cold engine built over the whole corpus — the monitoring re-evaluation path stays
     /// bit-exact under streaming ingestion with out-of-order dates.
     #[test]
     fn live_windows_equal_snapshot_windows(corpus in arb_corpus(), from in 2015i32..2022) {
@@ -512,7 +506,7 @@ proptest! {
         }
         prop_assert_eq!(
             live.sai_lists(&db, &configs),
-            ScoringEngine::new(&corpus).sai_lists(&db, &configs)
+            LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
         );
     }
 }

@@ -3,7 +3,7 @@
 //! cold, full-rebuild counterparts across every deterministic scene.
 
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{LiveEngine, ScoringEngine};
+use psp_suite::psp::engine::LiveEngine;
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::monitoring::{LiveMonitor, MonitoringSeries};
 use psp_suite::psp::timewindow::{compare_windows, compare_windows_live};
@@ -116,7 +116,7 @@ fn a_batch_with_unseen_vocabulary_reaches_the_scores() {
     assert_eq!(egr_after, 2);
     assert_eq!(
         after,
-        ScoringEngine::new(live.corpus()).sai_list(&db, &config)
+        LiveEngine::new(live.corpus().clone()).sai_list(&db, &config)
     );
 }
 
@@ -141,7 +141,7 @@ fn a_batch_from_a_new_region_is_filtered_like_a_rebuild() {
     // ...and both filtered and unfiltered paths equal a cold rebuild.
     let mut anywhere = europe.clone();
     anywhere.region = Region::SouthAmerica;
-    let cold = ScoringEngine::new(live.corpus());
+    let cold = LiveEngine::new(live.corpus().clone());
     assert_eq!(live.sai_list(&db, &anywhere), cold.sai_list(&db, &anywhere));
 }
 
@@ -175,7 +175,7 @@ fn out_of_order_dates_across_the_append_boundary_window_correctly() {
     };
     assert_eq!(egr_posts(&early), 1);
     assert_eq!(egr_posts(&late), 1);
-    let cold = ScoringEngine::new(live.corpus());
+    let cold = LiveEngine::new(live.corpus().clone());
     assert_eq!(live.sai_list(&db, &early), cold.sai_list(&db, &early));
     assert_eq!(live.sai_list(&db, &late), cold.sai_list(&db, &late));
 }

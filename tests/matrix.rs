@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ScoringEngine, ShardedEngine};
+use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
@@ -116,7 +116,7 @@ fn matrix_is_exact_on_the_reference_scenes_for_all_three_shapes() {
         Some(DateWindow::years(2015, 2023)),
     ];
 
-    let single = ScoringEngine::new(&corpus);
+    let single = LiveEngine::new(corpus.clone());
     assert_matrix_exact(&single, &dbs, &configs, &grid);
     // Against the naive oracle, too: every cell equals a from-scratch scan.
     let spec = spec_of(&dbs, &configs, &grid);
@@ -151,7 +151,7 @@ fn single_cell_matrix_equals_a_direct_sai_list_call() {
     let corpus = scenario::excavator_europe(7);
     let db = KeywordDatabase::excavator_seed();
     let base = PspConfig::excavator_europe();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     // Empty grid: the one cell is scored under the configuration's own
     // window.
     let windowed = base.clone().with_window(DateWindow::years(2020, 2022));
@@ -184,7 +184,7 @@ fn empty_window_grid_uses_each_configs_own_window() {
         base.clone().with_window(DateWindow::years(2021, 2023)),
         base.clone().with_window(DateWindow::years(2015, 2019)),
     ];
-    assert_matrix_exact(&ScoringEngine::new(&corpus), &[db], &configs, &[]);
+    assert_matrix_exact(&LiveEngine::new(corpus.clone()), &[db], &configs, &[]);
 }
 
 #[test]
@@ -200,7 +200,7 @@ fn duplicate_windows_in_one_grid_yield_identical_cells() {
         .window(window)
         .full_history()
         .full_history();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     let results = engine.sai_matrix(&spec);
     assert_eq!(results.len(), 4);
     assert_eq!(results.get(0, 0, 0), results.get(0, 0, 1));
@@ -222,8 +222,7 @@ fn empty_matrices_return_no_cells_on_every_shape() {
         .scenario("excavator", KeywordDatabase::excavator_seed())
         .window(DateWindow::years(2019, 2021));
     for engine in [
-        Box::new(ScoringEngine::new(&corpus)) as Box<dyn SaiScorer + '_>,
-        Box::new(LiveEngine::new(corpus.clone())),
+        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
         Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
     ] {
         for spec in [&no_scenarios, &no_configs, &MatrixSpec::new()] {
@@ -248,14 +247,14 @@ fn matrix_works_through_trait_objects() {
         .config("base", base.clone())
         .full_history()
         .window(DateWindow::years(2020, 2022));
-    let reference = ScoringEngine::new(&corpus).sai_matrix(&spec);
-    let dynamic: Box<dyn SaiScorer + '_> = Box::new(ScoringEngine::new(&corpus));
+    let reference = LiveEngine::new(corpus.clone()).sai_matrix(&spec);
+    let dynamic: Box<dyn SaiScorer + '_> = Box::new(LiveEngine::new(corpus.clone()));
     assert_eq!(dynamic.sai_matrix(&spec), reference);
 }
 
 proptest! {
     /// On random corpora, weight sets, scene filters and window grids, the
-    /// matrix over the single and live engines is bit-identical to the
+    /// matrix over the single-index engine is bit-identical to the
     /// hand-nested per-cell loops.
     #[test]
     fn matrix_equals_nested_loops_on_random_corpora(
@@ -279,10 +278,8 @@ proptest! {
                 }
             })
             .collect();
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus);
         assert_matrix_exact(&single, &dbs, &configs, &grid);
-        let live = LiveEngine::new(corpus.clone());
-        assert_matrix_exact(&live, &dbs, &configs, &grid);
     }
 
     /// The sharded matrix — any shard axis, any granularity — matches the
@@ -304,7 +301,7 @@ proptest! {
             .collect();
         let spec = spec_of(&[db], &configs, &grid);
         let sharded = ShardedEngine::new(corpus.clone(), shard_axis);
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         prop_assert_eq!(sharded.sai_matrix(&spec), single.sai_matrix(&spec));
     }
 
@@ -333,7 +330,7 @@ proptest! {
         }
         prop_assert_eq!(
             live.sai_matrix(&spec),
-            ScoringEngine::new(&corpus).sai_matrix(&spec)
+            LiveEngine::new(corpus.clone()).sai_matrix(&spec)
         );
     }
 }
@@ -469,17 +466,15 @@ mod thread_count_independence {
             .windows(&windows);
 
         let reference =
-            rayon::with_thread_count(1, || ScoringEngine::new(&corpus).sai_matrix(&spec));
+            rayon::with_thread_count(1, || LiveEngine::new(corpus.clone()).sai_matrix(&spec));
         for threads in [1, 2, 3, 8] {
-            let (single, live, sharded) = rayon::with_thread_count(threads, || {
+            let (single, sharded) = rayon::with_thread_count(threads, || {
                 (
-                    ScoringEngine::new(&corpus).sai_matrix(&spec),
                     LiveEngine::new(corpus.clone()).sai_matrix(&spec),
                     ShardedEngine::new(corpus.clone(), ShardSpec::yearly()).sai_matrix(&spec),
                 )
             });
             assert_eq!(single, reference, "single matrix at {threads} threads");
-            assert_eq!(live, reference, "live matrix at {threads} threads");
             assert_eq!(sharded, reference, "sharded matrix at {threads} threads");
         }
     }

@@ -4,11 +4,11 @@
 //! `shim-rayon` feature — thread-count independence of the fan-out paths.
 //!
 //! The bar everywhere is bit-exactness: `ShardedEngine` must agree with the
-//! unsharded `ScoringEngine` *and* the naive `SaiList::compute_naive` oracle
+//! unsharded `LiveEngine` *and* the naive `SaiList::compute_naive` oracle
 //! to the last bit, never merely approximately.
 
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{ScoringEngine, ShardedEngine};
+use psp_suite::psp::engine::{LiveEngine, SaiScorer, ShardedEngine};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
@@ -43,7 +43,10 @@ fn excavator_setup() -> (KeywordDatabase, PspConfig) {
 fn assert_bit_identical(sharded: &ShardedEngine, corpus: &Corpus, config: &PspConfig) {
     let db = KeywordDatabase::excavator_seed();
     let merged = sharded.sai_list(&db, config);
-    assert_eq!(merged, ScoringEngine::new(corpus).sai_list(&db, config));
+    assert_eq!(
+        merged,
+        LiveEngine::new(corpus.clone()).sai_list(&db, config)
+    );
     assert_eq!(merged, SaiList::compute_naive(corpus, &db, config));
 }
 
@@ -249,7 +252,7 @@ fn windowed_sweeps_prune_shards_without_changing_results() {
         .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y)))
         .collect();
     let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-    let single = ScoringEngine::new(&corpus);
+    let single = LiveEngine::new(corpus.clone());
     assert_eq!(
         sharded.sai_lists(&db, &configs),
         single.sai_lists(&db, &configs)
@@ -272,7 +275,7 @@ mod thread_count_independence {
         let windowed = config.clone().with_window(DateWindow::years(2019, 2022));
 
         let reference_single =
-            rayon::with_thread_count(1, || ScoringEngine::new(&corpus).sai_list(&db, &config));
+            rayon::with_thread_count(1, || LiveEngine::new(corpus.clone()).sai_list(&db, &config));
         let reference_sharded = rayon::with_thread_count(1, || {
             ShardedEngine::new(corpus.clone(), ShardSpec::yearly()).sai_list(&db, &windowed)
         });
@@ -280,7 +283,7 @@ mod thread_count_independence {
         for threads in [1, 2, 3, 8] {
             let (single, sharded_full, sharded_windowed) =
                 rayon::with_thread_count(threads, || {
-                    let single = ScoringEngine::new(&corpus).sai_list(&db, &config);
+                    let single = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
                     let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
                     (
                         single,

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{
-    LiveEngine, ScoringEngine, ShardedEngine, SignalCacheError, SignalCacheFile,
-    SIGNAL_CACHE_VERSION,
+    LiveEngine, SaiScorer, ShardedEngine, SignalCacheError, SignalCacheFile, SIGNAL_CACHE_VERSION,
 };
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
@@ -36,7 +35,7 @@ fn temp_path(name: &str) -> PathBuf {
 fn cache_round_trip_through_json_restores_warm_scoring() {
     let corpus = scenario::excavator_europe(7);
     let (db, config) = db_and_config();
-    let warm = ScoringEngine::new(&corpus);
+    let warm = LiveEngine::new(corpus.clone());
     let fresh_scores = warm.sai_list(&db, &config);
 
     // Export after scoring: every signal the queries touched is memoised, the
@@ -52,7 +51,7 @@ fn cache_round_trip_through_json_restores_warm_scoring() {
 
     // A cold engine warmed from the cache scores identically and reports
     // every post as installed — i.e. the text pipeline never needs to run.
-    let cold = ScoringEngine::new(&corpus);
+    let cold = LiveEngine::new(corpus.clone());
     assert_eq!(cold.load_signal_cache(&reloaded).unwrap(), corpus.len());
     assert_eq!(cold.sai_list(&db, &config), fresh_scores);
     assert_eq!(
@@ -65,13 +64,13 @@ fn cache_round_trip_through_json_restores_warm_scoring() {
 fn cold_restart_from_disk_skips_text_mining() {
     let corpus = scenario::excavator_europe(9);
     let (db, config) = db_and_config();
-    let expected = ScoringEngine::new(&corpus).sai_list(&db, &config);
+    let expected = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
 
     // Persist the corpus and the signal cache side by side.
     let corpus_path = temp_path("corpus.json");
     let cache_path = temp_path("signals.json");
     corpus.save_json(&corpus_path).unwrap();
-    ScoringEngine::new(&corpus)
+    LiveEngine::new(corpus.clone())
         .export_signal_cache()
         .save(&cache_path)
         .unwrap();
@@ -83,7 +82,7 @@ fn cold_restart_from_disk_skips_text_mining() {
     std::fs::remove_file(&cache_path).ok();
 
     assert_eq!(restored, corpus);
-    let engine = ScoringEngine::new(&restored);
+    let engine = LiveEngine::new(restored.clone());
     assert_eq!(engine.load_signal_cache(&cache).unwrap(), restored.len());
     assert_eq!(engine.sai_list(&db, &config), expected);
 }
@@ -93,10 +92,10 @@ fn cache_is_interchangeable_across_engine_shapes() {
     let corpus = scenario::passenger_car_europe(42);
     let db = KeywordDatabase::passenger_car_seed();
     let config = PspConfig::passenger_car_europe();
-    let expected = ScoringEngine::new(&corpus).sai_list(&db, &config);
+    let expected = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
 
-    // Snapshot engine → sharded engine.
-    let cache = ScoringEngine::new(&corpus).export_signal_cache();
+    // Single-index engine → sharded engine.
+    let cache = LiveEngine::new(corpus.clone()).export_signal_cache();
     for spec in [ShardSpec::yearly(), ShardSpec::ByRegion] {
         let sharded = ShardedEngine::new(corpus.clone(), spec);
         assert_eq!(sharded.load_signal_cache(&cache).unwrap(), corpus.len());
@@ -144,7 +143,7 @@ fn live_engine_cache_survives_ingest_cycles() {
 #[test]
 fn stale_and_mismatched_caches_are_rejected() {
     let corpus = scenario::excavator_europe(7);
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     let cache = engine.export_signal_cache();
 
     // Wrong layout version.
@@ -161,7 +160,7 @@ fn stale_and_mismatched_caches_are_rejected() {
         deterrent_weight: 10.0,
         ..IntentLexicon::default()
     });
-    let strict_engine = ScoringEngine::with_pipeline(&corpus, harsh);
+    let strict_engine = LiveEngine::with_pipeline(corpus.clone(), harsh);
     assert!(matches!(
         strict_engine.load_signal_cache(&cache),
         Err(SignalCacheError::LexiconMismatch)
@@ -169,7 +168,7 @@ fn stale_and_mismatched_caches_are_rejected() {
 
     // Wrong corpus length (a truncated copy of the same corpus).
     let truncated_corpus = Corpus::from_posts(corpus.posts()[..corpus.len() - 1].to_vec());
-    let truncated_engine = ScoringEngine::new(&truncated_corpus);
+    let truncated_engine = LiveEngine::new(truncated_corpus.clone());
     assert!(matches!(
         truncated_engine.load_signal_cache(&cache),
         Err(SignalCacheError::LengthMismatch { .. })
@@ -199,7 +198,7 @@ fn stale_and_mismatched_caches_are_rejected() {
     // None of the rejected loads may have warmed anything partially: a cold
     // engine still installs every post from the intact cache (already-warm
     // engines install 0 — their memoised signals are identical and kept).
-    let cold = ScoringEngine::new(&corpus);
+    let cold = LiveEngine::new(corpus.clone());
     assert_eq!(cold.load_signal_cache(&cache).unwrap(), corpus.len());
     assert_eq!(engine.load_signal_cache(&cache).unwrap(), 0);
 }
@@ -208,7 +207,7 @@ fn stale_and_mismatched_caches_are_rejected() {
 fn sharded_engine_validates_ids_against_its_shard_layout() {
     let corpus = scenario::excavator_europe(7);
     let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-    let mut forged = ScoringEngine::new(&corpus).export_signal_cache();
+    let mut forged = LiveEngine::new(corpus.clone()).export_signal_cache();
     let index = forged.post_ids.len() / 2;
     forged.post_ids[index] += 77;
     match sharded.load_signal_cache(&forged) {
@@ -275,12 +274,12 @@ proptest! {
     #[test]
     fn cache_round_trip_is_bit_exact_on_random_corpora(corpus in arb_corpus()) {
         let (db, config) = db_and_config();
-        let cache = ScoringEngine::new(&corpus).export_signal_cache();
+        let cache = LiveEngine::new(corpus.clone()).export_signal_cache();
         let json = serde_json::to_string(&cache).unwrap();
         let reloaded: SignalCacheFile = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(&reloaded, &cache);
 
-        let cold = ScoringEngine::new(&corpus);
+        let cold = LiveEngine::new(corpus.clone());
         prop_assert_eq!(cold.load_signal_cache(&reloaded).unwrap(), corpus.len());
         prop_assert_eq!(
             cold.sai_list(&db, &config),

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{LiveEngine, SaiScorer, ScoringEngine, ShardedEngine, WindowAxis};
+use psp_suite::psp::engine::{LiveEngine, SaiScorer, ShardedEngine, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
@@ -80,7 +80,7 @@ fn sweep_is_exact_on_the_reference_scenes_for_all_three_shapes() {
         DateWindow::years(1999, 2000),
         DateWindow::years(2015, 2023),
     ];
-    let single = ScoringEngine::new(&corpus);
+    let single = LiveEngine::new(corpus.clone());
     assert_sweep_exact(&single, &corpus, &db, &base, &windows);
 
     let mut live = LiveEngine::new(Corpus::new());
@@ -107,7 +107,7 @@ fn weight_presets_share_one_plan_without_changing_results() {
     let corpus = scenario::passenger_car_europe(42);
     let db = KeywordDatabase::passenger_car_seed();
     let windows: Vec<DateWindow> = (2016..2023).map(|y| DateWindow::years(y, y)).collect();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     for weights in [
         psp_suite::psp::config::SaiWeights::default(),
         psp_suite::psp::config::SaiWeights::views_only(),
@@ -128,7 +128,7 @@ fn sweep_honours_the_poisoning_filter() {
     let (db, base) = excavator_setup();
     let filtered = base.with_poisoning_filter(0.25);
     let windows: Vec<DateWindow> = (2017..2023).map(|y| DateWindow::years(y, y + 1)).collect();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     assert_sweep_exact(&engine, &corpus, &db, &filtered, &windows);
     let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::ByTimeYears(2));
     assert_sweep_exact(&sharded, &corpus, &db, &filtered, &windows);
@@ -166,7 +166,7 @@ fn backdated_posts_keep_the_fold_in_post_id_order() {
     let corpus = Corpus::from_posts(posts);
     let (db, base) = excavator_setup();
     let windows: Vec<DateWindow> = (2018..2023).map(|y| DateWindow::years(y, y + 1)).collect();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     assert_sweep_exact(&engine, &corpus, &db, &base, &windows);
 
     // The full-history window returns the prices in ascending post-id order,
@@ -195,7 +195,7 @@ fn posts_sharing_one_date_stay_in_id_order_across_window_bounds() {
         .collect();
     let corpus = Corpus::from_posts(posts);
     let (db, base) = excavator_setup();
-    let engine = ScoringEngine::new(&corpus);
+    let engine = LiveEngine::new(corpus.clone());
     let windows = [
         DateWindow::years(2020, 2020),
         DateWindow::years(2021, 2021),
@@ -222,7 +222,7 @@ fn inverted_windows_report_zero_evidence_like_the_batch_path() {
     };
     let windows = [inverted, DateWindow::years(2020, 2021)];
     for engine in [
-        Box::new(ScoringEngine::new(&corpus)) as Box<dyn SaiScorer + '_>,
+        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
         Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
     ] {
         let swept = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
@@ -244,7 +244,7 @@ fn full_history_entries_ride_the_same_plan_as_windows() {
     let base = PspConfig::passenger_car_europe();
     let recent = DateWindow::years(2021, 2023);
     for engine in [
-        Box::new(ScoringEngine::new(&corpus)) as Box<dyn SaiScorer + '_>,
+        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
         Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
     ] {
         let swept = engine.sai_windows(&db, &base, &WindowAxis::spans(&[None, Some(recent), None]));
@@ -270,7 +270,7 @@ fn sharded_sweep_prunes_without_changing_results_after_ingest() {
     for chunk in posts.chunks(151) {
         sharded.ingest(chunk.to_vec());
         grown.extend(chunk.to_vec());
-        let cold = ScoringEngine::new(&grown);
+        let cold = LiveEngine::new(grown.clone());
         assert_eq!(
             sharded.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             cold.sai_windows(&db, &base, &WindowAxis::each(&windows)),
@@ -295,7 +295,7 @@ proptest! {
             .collect();
         let configs = windowed_configs(&base, &windows);
 
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         let swept = single.sai_windows(&db, &base, &WindowAxis::each(&windows));
         prop_assert_eq!(&swept, &single.sai_lists(&db, &configs));
         for (config, list) in configs.iter().zip(&swept) {
@@ -316,7 +316,7 @@ proptest! {
             .map(|y| DateWindow::years(y, y + 1))
             .collect();
         let sharded = ShardedEngine::new(corpus.clone(), spec);
-        let single = ScoringEngine::new(&corpus);
+        let single = LiveEngine::new(corpus.clone());
         prop_assert_eq!(
             sharded.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             single.sai_windows(&db, &base, &WindowAxis::each(&windows))
@@ -345,7 +345,7 @@ proptest! {
         }
         prop_assert_eq!(
             live.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            ScoringEngine::new(&corpus).sai_windows(&db, &base, &WindowAxis::each(&windows))
+            LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
         );
     }
 
@@ -356,7 +356,7 @@ proptest! {
         let (db, base) = excavator_setup();
         let filtered = base.with_poisoning_filter(0.25);
         let windows = [DateWindow::years(2016, 2018), DateWindow::years(2019, 2023)];
-        let engine = ScoringEngine::new(&corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let swept = engine.sai_windows(&db, &filtered, &WindowAxis::each(&windows));
         for (config, list) in windowed_configs(&filtered, &windows).iter().zip(&swept) {
             prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, config));
@@ -467,27 +467,21 @@ mod thread_count_independence {
         let windows: Vec<DateWindow> = (2016..2024).map(|y| DateWindow::years(y, y)).collect();
 
         let reference = rayon::with_thread_count(1, || {
-            ScoringEngine::new(&corpus).sai_windows(&db, &base, &WindowAxis::each(&windows))
+            LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
         });
         for threads in [1, 2, 3, 8] {
-            let (single, live, sharded) =
+            let (single, sharded) =
                 rayon::with_thread_count(threads, || {
-                    let single = ScoringEngine::new(&corpus).sai_windows(
-                        &db,
-                        &base,
-                        &WindowAxis::each(&windows),
-                    );
-                    let live = LiveEngine::new(corpus.clone()).sai_windows(
+                    let single = LiveEngine::new(corpus.clone()).sai_windows(
                         &db,
                         &base,
                         &WindowAxis::each(&windows),
                     );
                     let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly())
                         .sai_windows(&db, &base, &WindowAxis::each(&windows));
-                    (single, live, sharded)
+                    (single, sharded)
                 });
             assert_eq!(single, reference, "single sweep at {threads} threads");
-            assert_eq!(live, reference, "live sweep at {threads} threads");
             assert_eq!(sharded, reference, "sharded sweep at {threads} threads");
         }
     }
