@@ -18,32 +18,27 @@
 //! plans exactly like a first request would.
 //!
 //! Per corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES` overrides),
-//! three paths are measured:
+//! two paths are measured:
 //!
 //! * `nested_lists/<size>` — the warm single engine through hand-nested
 //!   loops: per (database, configuration), one `sai_lists` call over the
 //!   windowed configs — the pre-matrix hot path;
-//! * `matrix_cells/<size>` — the same cells through one `sai_matrix` request;
-//! * `matrix_sharded/<size>` — the same request on a warm `ShardedEngine`
-//!   over yearly shards (per-shard plans, window-pruned, pre-normalisation
-//!   merge).
+//! * `matrix_cells/<size>` — the same cells through one `sai_matrix` request.
 //!
 //! The headline ratio `speedup_matrix/<size>` is nested/matrix (the
-//! acceptance target: >= 3x at 100k posts); `speedup_matrix_sharded/<size>`
-//! is nested/sharded-matrix.  All paths are asserted bit-identical cell by
-//! cell before anything is timed.  The report lands in
+//! acceptance target: >= 3x at 100k posts).  Both paths are asserted
+//! bit-identical cell by cell before anything is timed.  The report lands in
 //! `target/perf/engine_matrix.json`; the blessed baseline in
 //! `crates/bench/baselines/engine_matrix.json` is enforced by the CI
 //! perf-smoke job via `perf_check --ratios-only`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::{PspConfig, SaiWeights};
-use psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine};
+use psp::engine::{LiveEngine, MatrixSpec, SaiScorer};
 use psp::keyword_db::KeywordDatabase;
 use psp::sai::SaiList;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
 use psp_bench::scaled_excavator_corpus;
-use socialsim::index::ShardSpec;
 use socialsim::time::{DateWindow, SimDate};
 use std::hint::black_box;
 use std::time::Duration;
@@ -136,22 +131,14 @@ fn write_report(c: &Criterion, sizes: &[usize]) {
     for size in sizes {
         let nested = mean_ns(c, &format!("engine_matrix/nested_lists/{size}"));
         let matrix = mean_ns(c, &format!("engine_matrix/matrix_cells/{size}"));
-        let sharded = mean_ns(c, &format!("engine_matrix/matrix_sharded/{size}"));
         let speedup = nested / matrix;
-        let speedup_sharded = nested / sharded;
         println!(
             "{size:>7} posts, 160 cells: nested {nested:>13.0} ns | matrix {matrix:>12.0} ns \
-             ({speedup:.1}x) | sharded matrix {sharded:>12.0} ns ({speedup_sharded:.1}x)"
+             ({speedup:.1}x)"
         );
         report.push_metric(format!("nested_lists/{size}"), nested);
         report.push_metric(format!("matrix_cells/{size}"), matrix);
-        report.push_metric(format!("matrix_sharded/{size}"), sharded);
         report.push_ratio(format!("speedup_matrix/{size}"), speedup);
-        // The sharded matrix is merge-dominated at small sizes (same as the
-        // sharded sweep): only enforce its ratio at full scale.
-        if *size >= 100_000 {
-            report.push_ratio(format!("speedup_matrix_sharded/{size}"), speedup_sharded);
-        }
     }
     let path = fresh_report_path("engine_matrix");
     match report.save(&path) {
@@ -169,15 +156,12 @@ fn bench(c: &mut Criterion) {
         let corpus = scaled_excavator_corpus(size, 42);
 
         // The warm serving state: indexed, every text signal memoised.
-        let single = LiveEngine::new(corpus.clone());
+        let single = LiveEngine::new(corpus);
         single.precompute_signals();
-        let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-        sharded.precompute_signals();
 
-        // Sanity: the matrix must be bit-identical to the nested loops on
-        // both engine shapes before being timed.  (These first calls also
-        // build and cache the sweep plans — the warm steady state the bench
-        // measures.)
+        // Sanity: the matrix must be bit-identical to the nested loops before
+        // being timed.  (These first calls also build and cache the sweep
+        // plans — the warm steady state the bench measures.)
         let reference = nested_cells(&single, &windows);
         let cells: Vec<SaiList> = single
             .sai_matrix(&spec)
@@ -189,16 +173,6 @@ fn bench(c: &mut Criterion) {
             cells, reference,
             "matrix diverged from nested loops at {size} posts"
         );
-        let sharded_cells: Vec<SaiList> = sharded
-            .sai_matrix(&spec)
-            .into_cells()
-            .into_iter()
-            .map(|(_, sai)| sai)
-            .collect();
-        assert_eq!(
-            sharded_cells, reference,
-            "sharded matrix diverged from nested loops at {size} posts"
-        );
 
         let mut group = c.benchmark_group("engine_matrix");
         group
@@ -209,9 +183,6 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("matrix_cells/{size}"), |b| {
             b.iter(|| black_box(single.sai_matrix(&spec)))
-        });
-        group.bench_function(&format!("matrix_sharded/{size}"), |b| {
-            b.iter(|| black_box(sharded.sai_matrix(&spec)))
         });
         group.finish();
     }

@@ -14,33 +14,29 @@
 //! exactly like the first monitoring pass would.
 //!
 //! Per corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES` overrides),
-//! three paths are measured:
+//! two paths are measured:
 //!
 //! * `window_sweep_lists/<size>` — the warm single engine through per-window
 //!   batch scoring (`sai_lists`, one config per window) — the pre-sweep hot
 //!   path;
 //! * `window_sweep_plan/<size>` — the same engine and windows through
-//!   `sai_windows`;
-//! * `window_sweep_sharded_plan/<size>` — a warm `ShardedEngine` on yearly
-//!   shards through `sai_windows` (per-shard plans + pre-normalisation merge).
+//!   `sai_windows`.
 //!
 //! The headline ratio `speedup_sweep/<size>` is lists/plan (the acceptance
 //! target: >= 5x at 100k posts), measured as a work ratio on one worker
 //! thread (`psp_bench::perf::work_speedup`): at 10k posts the sweep is a
 //! ~165 µs fan-out, and three samples of its thread start-up divided noise.
-//! `speedup_sweep_sharded/<size>` is lists/sharded-plan from the parallel
-//! metric rows.  All three paths are asserted bit-identical before
-//! anything is timed.  The report lands in `target/perf/engine_sweep.json`;
-//! the blessed baseline in `crates/bench/baselines/engine_sweep.json` is
-//! enforced by the CI perf-smoke job via `perf_check --ratios-only`.
+//! Both paths are asserted bit-identical before anything is timed.  The
+//! report lands in `target/perf/engine_sweep.json`; the blessed baseline in
+//! `crates/bench/baselines/engine_sweep.json` is enforced by the CI
+//! perf-smoke job via `perf_check --ratios-only`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{LiveEngine, SaiScorer, ShardedEngine, WindowAxis};
+use psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, work_speedup, PerfReport};
 use psp_bench::scaled_excavator_corpus;
-use socialsim::index::ShardSpec;
 use socialsim::time::{DateWindow, SimDate};
 use std::hint::black_box;
 use std::time::Duration;
@@ -81,23 +77,13 @@ fn write_report(c: &Criterion, sizes: &[usize], work: &[f64]) {
     for (size, &speedup) in sizes.iter().zip(work) {
         let lists = mean_ns(c, &format!("engine_sweep/window_sweep_lists/{size}"));
         let plan = mean_ns(c, &format!("engine_sweep/window_sweep_plan/{size}"));
-        let sharded = mean_ns(c, &format!("engine_sweep/window_sweep_sharded_plan/{size}"));
-        let speedup_sharded = lists / sharded;
         println!(
             "{size:>7} posts, {WINDOWS} windows: lists {lists:>13.0} ns | sweep {plan:>12.0} ns \
-             ({speedup:.1}x work on one worker) | sharded sweep {sharded:>12.0} ns \
-             ({speedup_sharded:.1}x)"
+             ({speedup:.1}x work on one worker)"
         );
         report.push_metric(format!("window_sweep_lists/{size}"), lists);
         report.push_metric(format!("window_sweep_plan/{size}"), plan);
-        report.push_metric(format!("window_sweep_sharded_plan/{size}"), sharded);
         report.push_ratio(format!("speedup_sweep/{size}"), speedup);
-        // The sharded sweep is merge-dominated at small sizes and hovers near
-        // parity there — too noisy to enforce as a CI ratio floor, so the
-        // speedup row is only recorded at full scale, where it has headroom.
-        if *size >= 100_000 {
-            report.push_ratio(format!("speedup_sweep_sharded/{size}"), speedup_sharded);
-        }
     }
     let path = fresh_report_path("engine_sweep");
     match report.save(&path) {
@@ -121,24 +107,17 @@ fn bench(c: &mut Criterion) {
         let corpus = scaled_excavator_corpus(size, 42);
 
         // The warm serving state: indexed, every text signal memoised.
-        let single = LiveEngine::new(corpus.clone());
+        let single = LiveEngine::new(corpus);
         single.precompute_signals();
-        let sharded = ShardedEngine::new(corpus, ShardSpec::yearly());
-        sharded.precompute_signals();
 
-        // Sanity: every sweep path must be bit-identical to per-window batch
-        // scoring before being timed.  (These first calls also build and
-        // cache the sweep plans — the warm steady state the bench measures.)
+        // Sanity: the sweep must be bit-identical to per-window batch
+        // scoring before being timed.  (This first call also builds and
+        // caches the sweep plan — the warm steady state the bench measures.)
         let reference = single.sai_lists(&db, &configs);
         assert_eq!(
             single.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             reference,
             "sweep diverged from per-window lists at {size} posts"
-        );
-        assert_eq!(
-            sharded.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            reference,
-            "sharded sweep diverged from per-window lists at {size} posts"
         );
 
         let mut group = c.benchmark_group("engine_sweep");
@@ -150,9 +129,6 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("window_sweep_plan/{size}"), |b| {
             b.iter(|| black_box(single.sai_windows(&db, &base, &WindowAxis::each(&windows))))
-        });
-        group.bench_function(&format!("window_sweep_sharded_plan/{size}"), |b| {
-            b.iter(|| black_box(sharded.sai_windows(&db, &base, &WindowAxis::each(&windows))))
         });
         group.finish();
         work.push(rayon::with_thread_count(1, || {

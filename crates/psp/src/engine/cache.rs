@@ -3,9 +3,8 @@
 //!
 //! A warm engine has paid the text-mining pipeline once per post (intent
 //! score, mined prices).  [`SignalCacheFile`] makes that investment survive a
-//! process restart: export it from either engine shape
-//! ([`LiveEngine::export_signal_cache`](super::LiveEngine::export_signal_cache),
-//! [`ShardedEngine`](super::ShardedEngine)),
+//! process restart: export it from the engine
+//! ([`LiveEngine::export_signal_cache`](super::LiveEngine::export_signal_cache)),
 //! save it as JSON next to the serialised corpus
 //! ([`socialsim::corpus::Corpus::save_json`]), and load it into a freshly
 //! built engine on the next cold start — the pipeline then never runs,
@@ -140,7 +139,7 @@ impl SignalCacheFile {
 
     /// Validates version, lexicon and column shapes against a corpus of
     /// `corpus_len` posts scored with `lexicon`; post ids are checked
-    /// separately by the engines (they know their shard layout).
+    /// separately by the engine, against its corpus.
     pub(crate) fn check_shape(
         &self,
         corpus_len: usize,

@@ -17,17 +17,15 @@
 //!   plan (see [`super::sweep`]); the bounded keyed `PlanCache` keeps the
 //!   plans of a scenario rotation warm on top of that;
 //! * within each (scenario, configuration) row the window axis rides the
-//!   prefix-summed sweep plane, and on a
-//!   [`ShardedEngine`](super::ShardedEngine) shard pruning applies per
-//!   window — shard-pruned cells never plan;
-//! * keyword profiles (and shards) fan out over worker threads via `rayon`,
+//!   prefix-summed sweep plane;
+//! * keyword profiles fan out over worker threads via `rayon`,
 //!   exactly as in the underlying sweep path.
 //!
 //! Results stream to the caller in deterministic [`CellId`] order
 //! (scenario-major, then configuration, then window), and every cell is
 //! **bit-identical** to the nested `sai_windows` / `sai_lists` /
 //! `compute_naive` equivalents — float folds keep their ascending-post-id
-//! order all the way through the shard-partial merge.
+//! order all the way through the sweep plan.
 
 use crate::config::PspConfig;
 use crate::keyword_db::KeywordDatabase;
@@ -345,8 +343,7 @@ impl MatrixResults {
 /// matrix builds its sweep plan exactly once — structurally, independent of
 /// the plan cache's capacity.  Each (scenario, configuration) row then rides
 /// the engine's own sweep path ([`SaiScorer::sai_windows_until`]), which
-/// brings the rayon fan-out, the prefix-summed window resolution and (on a
-/// sharded engine) per-window shard pruning.
+/// brings the rayon fan-out and the prefix-summed window resolution.
 ///
 /// Every row's sweep checks `stop` before it touches a plan and again
 /// inside; a stopped run returns `None` without streaming the stopped

@@ -6,24 +6,14 @@
 //! every keyword — O(keywords × posts) pipeline invocations, which also repeats
 //! per analysis window in monitoring and time-window runs.
 //!
-//! Two engine shapes amortise all of that over one shared core:
-//!
-//! * [`LiveEngine`] owns its corpus behind one inverted index and stays warm
-//!   under **streaming ingestion**: [`LiveEngine::ingest`] appends a batch of
-//!   posts, extends the inverted index in place ([`CorpusIndex::append`]), and
-//!   grows the signal cache by exactly the batch — memoised signals of
-//!   already-scored posts are never recomputed or wiped, because posts are
-//!   immutable and ids are append-only.  This is the corpus-side prerequisite
-//!   of the paper's continuous-monitoring loop (Fig. 9/12): ingest while
-//!   serving, on one warm engine;
-//! * [`ShardedEngine`] partitions the corpus into shards by time range or
-//!   region (`socialsim::index::ShardSpec`), runs one engine core per shard in
-//!   parallel, prunes shards whose key cannot match a query's window/region
-//!   filters, and merges the per-shard partial evidence into a `SaiList`
-//!   **bit-identical** to the single-engine result — the fleet-scale shape for
-//!   very large or multi-market corpora.
-//!
-//! Both shapes share the same amortisations:
+//! [`LiveEngine`] amortises all of that.  It owns its corpus behind one
+//! inverted index and stays warm under **streaming ingestion**:
+//! [`LiveEngine::ingest`] appends a batch of posts, extends the inverted index
+//! in place ([`CorpusIndex::append`]), and grows the signal cache by exactly
+//! the batch — memoised signals of already-scored posts are never recomputed
+//! or wiped, because posts are immutable and ids are append-only.  This is the
+//! corpus-side prerequisite of the paper's continuous-monitoring loop
+//! (Fig. 9/12): ingest while serving, on one warm engine.  Its amortisations:
 //!
 //! * a [`CorpusIndex`] answers each keyword query from inverted structures
 //!   instead of a scan;
@@ -52,7 +42,7 @@
 
 use crate::config::PspConfig;
 use crate::keyword_db::{KeywordDatabase, KeywordProfile};
-use crate::sai::{SaiEntry, SaiList, SaiPartial};
+use crate::sai::{SaiEntry, SaiList};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use socialsim::corpus::Corpus;
@@ -65,18 +55,16 @@ use textmine::pipeline::TextPipeline;
 
 mod cache;
 mod matrix;
-mod sharded;
 mod sweep;
 
 pub use cache::{SignalCacheError, SignalCacheFile, SIGNAL_CACHE_VERSION};
 pub use matrix::{CellId, MatrixResults, MatrixSpec};
-pub use sharded::ShardedEngine;
 
 use sweep::PlanCache;
 
 /// The window axis of a sweep: an ordered list of analysis windows, each
 /// either a concrete [`DateWindow`] or `None` for the full history — the one
-/// canonical way to say "evaluate these windows" to every engine shape (see
+/// canonical way to say "evaluate these windows" to any scorer (see
 /// [`SaiScorer::sai_windows`]).
 ///
 /// Build it from concrete windows ([`WindowAxis::each`]), from optional spans
@@ -158,11 +146,11 @@ pub struct IngestReceipt {
     pub generation: u64,
 }
 
-/// Anything that can answer SAI computations — implemented by both engine
-/// shapes ([`LiveEngine`], [`ShardedEngine`]) so the
-/// windowed entry points ([`crate::timewindow::compare_windows_live`],
-/// [`crate::monitoring::LiveMonitor`]) are generic over how the corpus is
-/// held rather than hard-wired to one engine.
+/// Anything that can answer SAI computations — implemented by [`LiveEngine`]
+/// (and by wrappers around it), so the windowed entry points
+/// ([`crate::timewindow::compare_windows_live`],
+/// [`crate::monitoring::MonitoringSeries::run_on`]) and the service are not
+/// hard-wired to one engine type.
 pub trait SaiScorer {
     /// Computes the full SAI list for a keyword database and configuration.
     fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList;
@@ -181,7 +169,7 @@ pub trait SaiScorer {
     ///
     /// Semantically identical to [`sai_lists`](Self::sai_lists) over
     /// `base_config.clone().with_window(w)` for every axis entry, and
-    /// **bit-identical** to it on every engine shape; the engines override
+    /// **bit-identical** to it; [`LiveEngine`] overrides
     /// the implementation with a prefix-summed columnar plan that makes the
     /// per-window cost ~O(log candidates + window matches) instead of
     /// O(candidates) — see the `psp::engine::sweep` module docs.  Always
@@ -198,8 +186,8 @@ pub trait SaiScorer {
     }
 
     /// [`sai_windows`](Self::sai_windows) under a stop predicate: `stop` is
-    /// polled inside the engine between units of work (profile jobs on the
-    /// engine shapes, windows in this default), and once it answers `true`
+    /// polled inside the engine between units of work (profile jobs on
+    /// [`LiveEngine`], windows in this default), and once it answers `true`
     /// the sweep abandons the remaining work and returns `None`.  A run that
     /// is never stopped returns exactly what `sai_windows` returns.  A
     /// predicate that is true from the start builds no plan.
@@ -264,9 +252,8 @@ pub trait SaiScorer {
 }
 
 /// A scorer that owns its corpus and absorbs streaming ingestion — the
-/// contract [`crate::monitoring::LiveMonitor`] needs from its engine, met by
-/// both [`LiveEngine`] (one warm index) and [`ShardedEngine`] (shard-aware
-/// routing).
+/// contract [`crate::service::TaraService`] needs from the engine it
+/// publishes, met by [`LiveEngine`].
 pub trait StreamingScorer: SaiScorer {
     /// Ingests a batch of posts, returning a receipt with the number of
     /// posts appended and the generation they are published under — both
@@ -348,8 +335,8 @@ impl PostSignals {
     }
 }
 
-/// The corpus-agnostic scoring core behind [`LiveEngine`] (one owned corpus),
-/// every [`ShardedEngine`] shard and the one-shot [`sai_list_once`]: the
+/// The corpus-agnostic scoring core behind [`LiveEngine`] (one owned corpus)
+/// and the one-shot [`sai_list_once`]: the
 /// inverted index, the text pipeline and the memoised per-post signal cache.
 /// Every method takes the corpus explicitly, so a core can score a borrowed
 /// corpus as well as an owned one.
@@ -410,37 +397,14 @@ impl EngineCore {
         })
     }
 
-    /// Installs one post's cached text signals (the cheap engagement /
-    /// credibility fields are recomputed from the post, the mined evidence
-    /// comes from the cache).  Returns whether the slot was actually empty.
-    fn install_cached(&self, corpus: &Corpus, id: u32, intent: f64, prices: &[f64]) -> bool {
-        let post = &corpus.posts()[id as usize];
-        self.signals[id as usize]
-            .set(PostSignals::from_post(post, intent, prices.to_vec()))
-            .is_ok()
-    }
-
-    /// One post's exportable cache row (id, intent, prices).  The signals
-    /// must already be materialised (run `precompute_signals` first).
-    fn cached_row(&self, corpus: &Corpus, id: u32) -> (u64, f64, &[f64]) {
-        let signal = self.signals[id as usize]
-            .get()
-            .expect("signals precomputed before export");
-        (
-            corpus.posts()[id as usize].id(),
-            signal.intent,
-            &signal.prices,
-        )
-    }
-
     /// Exports the full signal cache in corpus order, materialising any
     /// signal not yet paid for.
     fn export_cache(&self, corpus: &Corpus) -> SignalCacheFile {
         self.precompute_signals(corpus);
         let mut file = SignalCacheFile::empty(*self.pipeline.lexicon(), corpus.len());
-        for id in 0..corpus.len() as u32 {
-            let (post_id, intent, prices) = self.cached_row(corpus, id);
-            file.push_row(post_id, intent, prices);
+        for (post, signal) in corpus.posts().iter().zip(&self.signals) {
+            let signal = signal.get().expect("signals precomputed before export");
+            file.push_row(post.id(), signal.intent, &signal.prices);
         }
         file
     }
@@ -464,11 +428,14 @@ impl EngineCore {
                 });
             }
         }
+        // The cheap engagement / credibility fields are recomputed from the
+        // post; the mined evidence comes from the cache.
         let offsets = cache.price_offsets();
         let mut installed = 0_usize;
-        for id in 0..corpus.len() {
-            let prices = &cache.prices[offsets[id]..offsets[id + 1]];
-            if self.install_cached(corpus, id as u32, cache.intents[id], prices) {
+        for (id, post) in corpus.posts().iter().enumerate() {
+            let prices = cache.prices[offsets[id]..offsets[id + 1]].to_vec();
+            let signals = PostSignals::from_post(post, cache.intents[id], prices);
+            if self.signals[id].set(signals).is_ok() {
                 installed += 1;
             }
         }
@@ -546,54 +513,6 @@ impl EngineCore {
             sai,
             probability: 0.0,
         }
-    }
-
-    /// Scores one keyword profile into a mergeable shard partial: candidate
-    /// ids come from this core's own (shard-local) index, and the
-    /// order-sensitive per-post evidence is recorded against *global* post ids
-    /// (via `global_ids`, the shard's local→global mapping) so the merge step
-    /// can re-fold it in corpus order.
-    fn score_profile_partial(
-        &self,
-        corpus: &Corpus,
-        profile: &KeywordProfile,
-        config: &PspConfig,
-        global_ids: &[u32],
-    ) -> SaiPartial {
-        let query = profile_query(profile, config);
-        let ids = self.index.query(corpus, &query);
-        self.aggregate_partial(corpus, config, ids.into_iter(), global_ids)
-    }
-
-    /// Folds a set of candidate local ids (ascending) into a shard partial —
-    /// the partial-scoring counterpart of [`aggregate`](Self::aggregate),
-    /// applying the same credibility filter and visiting posts in the same
-    /// (local == global) relative order.
-    fn aggregate_partial(
-        &self,
-        corpus: &Corpus,
-        config: &PspConfig,
-        ids: impl Iterator<Item = u32>,
-        global_ids: &[u32],
-    ) -> SaiPartial {
-        let mut partial = SaiPartial::default();
-        for id in ids {
-            let signal = self.signal(corpus, id);
-            if let Some(threshold) = config.min_author_credibility {
-                // Same rule as the full aggregation path.
-                if signal.credibility < threshold && signal.interaction_rate <= 0.01 {
-                    continue;
-                }
-            }
-            partial.push_post(
-                global_ids[id as usize],
-                signal.views,
-                signal.interactions,
-                signal.intent,
-                &signal.prices,
-            );
-        }
-        partial
     }
 
     /// A profile's *content* candidates (keyword/hashtag matches), ascending.
@@ -723,10 +642,6 @@ impl EngineCore {
 /// each resolved once per profile.  Every configuration sharing that scene
 /// then pays only the window predicate per candidate; a configuration with a
 /// different scene falls back to the full metadata filter.
-///
-/// Both batch entry points — the single-engine `EngineCore::sai_lists` and
-/// the sharded `ShardedEngine::sai_lists` — route through this one type, so
-/// the hoist decision cannot drift between the two bit-identical paths.
 struct BatchCandidates<'a> {
     index: &'a CorpusIndex,
     /// All content candidates, ascending.

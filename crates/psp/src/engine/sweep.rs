@@ -28,7 +28,7 @@
 //! `SaiList::compute_naive` oracle: integer subtraction of integer prefix
 //! sums is exact, and the float evidence is added in the same order as the
 //! unswept fold.  The `psp-suite` property tests (`tests/sweep.rs`) pin this
-//! down over random corpora × window grids × shard axes × thread counts.
+//! down over random corpora × window grids × ingest splits × thread counts.
 //!
 //! Plans are cached per engine core behind a [`PlanCache`] — a small bounded
 //! keyed cache (most-recently-used, [`PLAN_CACHE_CAPACITY`] slots) — keyed by
@@ -39,14 +39,12 @@
 //! one warm engine, or two alternating monitoring scenes — each keep their
 //! plan instead of thrashing one slot; a
 //! [`LiveEngine`](super::LiveEngine) invalidates its plans exactly when an
-//! ingest batch lands (generation bump), and a
-//! [`ShardedEngine`](super::ShardedEngine) keeps per-shard caches,
-//! invalidated only when *that shard* absorbs posts.
+//! ingest batch lands (generation bump).
 
 use super::{profile_query, EngineCore};
 use crate::config::{PspConfig, SaiWeights};
 use crate::keyword_db::{KeywordDatabase, KeywordProfile};
-use crate::sai::{SaiEntry, SaiPartial};
+use crate::sai::SaiEntry;
 use rayon::prelude::*;
 use socialsim::corpus::Corpus;
 use socialsim::post::{Region, TargetApplication};
@@ -91,12 +89,10 @@ impl PlanKey {
 /// [`window_rows`](Self::window_rows)).
 #[derive(Debug, Clone, Default)]
 pub(super) struct ProfileColumns {
-    /// Local post ids of the surviving candidates, strictly ascending
-    /// (id-order row axis).
-    ids: Vec<u32>,
-    /// Per-row intent scores, id order.  Order-sensitive: folded per window
-    /// in ascending post-id order, never prefix-summed (float addition is
-    /// not associative, and bit-exactness is the contract).
+    /// Per-row intent scores, id order (one row per surviving candidate).
+    /// Order-sensitive: folded per window in ascending post-id order, never
+    /// prefix-summed (float addition is not associative, and bit-exactness
+    /// is the contract).
     intents: Vec<f64>,
     /// Row → range into `prices` (`len + 1` offsets), id order.
     price_offsets: Vec<u32>,
@@ -153,7 +149,6 @@ impl ProfileColumns {
         let query = profile_query(profile, base_config);
         let candidates = core.index.content_candidates(corpus, &query);
         let mut columns = Self::default();
-        columns.ids.reserve(candidates.len());
         columns.intents.reserve(candidates.len());
         columns.price_offsets.reserve(candidates.len() + 1);
         columns.price_offsets.push(0);
@@ -174,7 +169,6 @@ impl ProfileColumns {
                     continue;
                 }
             }
-            columns.ids.push(id);
             columns.intents.push(signal.intent);
             columns.prices.extend_from_slice(&signal.prices);
             columns.price_offsets.push(columns.prices.len() as u32);
@@ -182,7 +176,7 @@ impl ProfileColumns {
             views.push(signal.views);
             interactions.push(signal.interactions);
         }
-        let rows = columns.ids.len();
+        let rows = columns.intents.len();
 
         // The date-sorted view: a stable sort keeps equal dates in ascending
         // id order, making `perm` the (date, id) order the windows slice.
@@ -415,95 +409,10 @@ impl ProfileColumns {
             .collect()
     }
 
-    /// Resolves a whole sweep into one mergeable [`SaiPartial`] per window,
-    /// keyed by global post ids (`global_ids` = the shard's local→global
-    /// mapping) — the sharded counterpart of
-    /// [`entries_for`](Self::entries_for), feeding the existing
-    /// pre-normalisation k-way merge.  A `false` entry in `live` (a window
-    /// this shard provably cannot match) yields an empty partial without
-    /// touching the columns.
-    pub(super) fn partials_for(
-        &self,
-        global_ids: &[u32],
-        windows: &[Option<DateWindow>],
-        live: &[bool],
-    ) -> Vec<SaiPartial> {
-        let bounds: Vec<(usize, usize)> = windows
-            .iter()
-            .zip(live)
-            .map(|(window, live)| {
-                if *live {
-                    self.window_bounds(window.as_ref())
-                } else {
-                    (0, 0)
-                }
-            })
-            .collect();
-        let mut partials: Vec<SaiPartial> = bounds
-            .iter()
-            .map(|&(lo, hi)| SaiPartial {
-                posts: hi - lo,
-                views: self.prefix_views[hi] - self.prefix_views[lo],
-                interactions: self.prefix_interactions[hi] - self.prefix_interactions[lo],
-                ids: Vec::with_capacity(hi - lo),
-                intents: Vec::with_capacity(hi - lo),
-                price_counts: Vec::with_capacity(hi - lo),
-                prices: Vec::with_capacity(
-                    (self.prefix_price_counts[hi] - self.prefix_price_counts[lo]) as usize,
-                ),
-            })
-            .collect();
-        // global_ids is strictly ascending, so ascending local id order is
-        // ascending global id order — the order the merge requires.
-        let mut scrambled: Vec<(usize, (usize, usize))> = Vec::new();
-        for (w, &(lo, hi)) in bounds.iter().enumerate() {
-            match self.in_order_rows(lo, hi) {
-                Some(RowSet::Run(from, to)) => {
-                    let partial = &mut partials[w];
-                    partial
-                        .ids
-                        .extend(self.ids[from..to].iter().map(|id| global_ids[*id as usize]));
-                    partial.intents.extend_from_slice(&self.intents[from..to]);
-                    partial.price_counts.extend(
-                        self.price_offsets[from..=to]
-                            .windows(2)
-                            .map(|pair| pair[1] - pair[0]),
-                    );
-                    partial.prices.extend_from_slice(
-                        &self.prices
-                            [self.price_offsets[from] as usize..self.price_offsets[to] as usize],
-                    );
-                }
-                Some(RowSet::Rows(rows)) => {
-                    for row in rows {
-                        self.push_partial_row(&mut partials[w], global_ids, *row as usize);
-                    }
-                }
-                None => scrambled.push((w, (lo, hi))),
-            }
-        }
-        if !scrambled.is_empty() {
-            self.distribute(&scrambled, |w, row| {
-                self.push_partial_row(&mut partials[w], global_ids, row);
-            });
-        }
-        partials
-    }
-
-    /// Appends one id-order row to a partial being assembled.
-    fn push_partial_row(&self, partial: &mut SaiPartial, global_ids: &[u32], row: usize) {
-        let from = self.price_offsets[row] as usize;
-        let to = self.price_offsets[row + 1] as usize;
-        partial.ids.push(global_ids[self.ids[row] as usize]);
-        partial.intents.push(self.intents[row]);
-        partial.price_counts.push((to - from) as u32);
-        partial.prices.extend_from_slice(&self.prices[from..to]);
-    }
-
     /// Number of candidate rows in the plan (test-only introspection).
     #[cfg(test)]
     pub(super) fn len(&self) -> usize {
-        self.ids.len()
+        self.intents.len()
     }
 }
 

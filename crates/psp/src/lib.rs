@@ -28,13 +28,10 @@
 //! corpora that keep growing while being served, its streaming ingestion path
 //! extends the index and signal cache in place, and
 //! [`monitoring::LiveMonitor`] interleaves ingestion with
-//! sliding-window re-evaluation on that one warm engine.  At fleet scale,
-//! [`engine::ShardedEngine`] partitions the corpus by time range or region
-//! (`socialsim::index::ShardSpec`), scores one engine core per shard in
-//! parallel with window/region pruning, and merges per-shard partial evidence
-//! into SAI lists bit-identical to the single-engine path;
-//! [`monitoring::ShardedMonitor`] runs the monitoring loop on that sharded
-//! engine.  [`service::TaraService`] puts any of these engine shapes behind a
+//! sliding-window re-evaluation on that one warm engine.  Many analysis
+//! windows over one corpus are answered from a prefix-summed sweep plan, so a
+//! monitoring sweep costs about one window's filter rather than one per
+//! window.  [`service::TaraService`] puts the engine behind a
 //! protocol-agnostic request/response surface with snapshot isolation —
 //! concurrent score/sweep/matrix requests each run against one immutable,
 //! generation-stamped engine snapshot while ingest publishes the next
@@ -80,8 +77,8 @@ pub mod workflow;
 pub use classify::AttackOrigin;
 pub use config::{PspConfig, SaiWeights};
 pub use engine::{
-    CellId, IngestReceipt, LiveEngine, MatrixResults, MatrixSpec, SaiScorer, ShardedEngine,
-    StreamingScorer, WindowAxis,
+    CellId, IngestReceipt, LiveEngine, MatrixResults, MatrixSpec, SaiScorer, StreamingScorer,
+    WindowAxis,
 };
 pub use error::PspError;
 pub use financial::{FinancialAssessment, FinancialInputs};

@@ -19,16 +19,13 @@
 //!   grown corpus.
 
 use crate::config::PspConfig;
-use crate::engine::{
-    IngestReceipt, LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, StreamingScorer, WindowAxis,
-};
+use crate::engine::{IngestReceipt, LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
 use crate::keyword_db::KeywordDatabase;
 use crate::sai::SaiList;
 use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
 use serde::{Deserialize, Serialize};
 use socialsim::corpus::Corpus;
-use socialsim::index::ShardSpec;
 use socialsim::post::Post;
 use socialsim::time::DateWindow;
 use vehicle::attack_surface::AttackVector;
@@ -168,7 +165,7 @@ impl MonitoringSeries {
         )
     }
 
-    /// Runs the windowed analysis on an already-built engine of any shape —
+    /// Runs the windowed analysis on an already-built engine —
     /// the entry point warm callers share: [`LiveMonitor::series`] runs it
     /// on its streaming engine, and the service's monitor subscriptions run
     /// it on the snapshot published by each ingest, so a subscription delta
@@ -309,23 +306,14 @@ impl MonitoringSeries {
 /// The produced series is bit-identical to a cold [`MonitoringSeries::run`]
 /// over the same grown corpus (property-tested), without the full-rebuild
 /// cost.
-///
-/// The monitor is generic over the engine shape: the default is a single
-/// [`LiveEngine`] ([`LiveMonitor::new`]); [`LiveMonitor::sharded`] builds the
-/// fleet-scale variant over a [`ShardedEngine`] (alias [`ShardedMonitor`]),
-/// whose shard-aware ingest and window-pruned sweeps produce the exact same
-/// series bit for bit.
 #[derive(Debug, Clone)]
-pub struct LiveMonitor<E: StreamingScorer = LiveEngine> {
-    engine: E,
+pub struct LiveMonitor {
+    engine: LiveEngine,
     db: KeywordDatabase,
     base_config: PspConfig,
     scenario: String,
     window_years: i32,
 }
-
-/// A [`LiveMonitor`] running one engine per corpus shard.
-pub type ShardedMonitor = LiveMonitor<ShardedEngine>;
 
 impl LiveMonitor {
     /// Creates a monitor over an initial corpus (which may be empty).
@@ -337,50 +325,8 @@ impl LiveMonitor {
         scenario: &str,
         window_years: i32,
     ) -> Self {
-        Self::with_engine(
-            LiveEngine::new(corpus),
-            db,
-            base_config,
-            scenario,
-            window_years,
-        )
-    }
-}
-
-impl ShardedMonitor {
-    /// Creates a monitor whose corpus is partitioned into shards by `spec` —
-    /// one engine core per shard, window-pruned sweeps, bit-identical series.
-    #[must_use]
-    pub fn sharded(
-        corpus: Corpus,
-        spec: ShardSpec,
-        db: KeywordDatabase,
-        base_config: PspConfig,
-        scenario: &str,
-        window_years: i32,
-    ) -> Self {
-        Self::with_engine(
-            ShardedEngine::new(corpus, spec),
-            db,
-            base_config,
-            scenario,
-            window_years,
-        )
-    }
-}
-
-impl<E: StreamingScorer> LiveMonitor<E> {
-    /// Wraps an already-built engine into a monitor.
-    #[must_use]
-    pub fn with_engine(
-        engine: E,
-        db: KeywordDatabase,
-        base_config: PspConfig,
-        scenario: &str,
-        window_years: i32,
-    ) -> Self {
         Self {
-            engine,
+            engine: LiveEngine::new(corpus),
             db,
             base_config,
             scenario: scenario.to_string(),
@@ -389,11 +335,10 @@ impl<E: StreamingScorer> LiveMonitor<E> {
     }
 
     /// Ingests a batch of posts into the engine (amortised O(batch); see
-    /// [`LiveEngine::ingest`] / [`ShardedEngine::ingest`]).  Returns an
-    /// [`IngestReceipt`] stamping the appended count with the engine
-    /// generation that publishes the batch.
+    /// [`LiveEngine::ingest`]).  Returns an [`IngestReceipt`] stamping the
+    /// appended count with the engine generation that publishes the batch.
     pub fn ingest(&mut self, batch: impl IntoIterator<Item = Post>) -> IngestReceipt {
-        self.engine.ingest_batch(batch.into_iter().collect())
+        self.engine.ingest(batch)
     }
 
     /// Re-evaluates the sliding-window series over everything ingested so far,
@@ -427,7 +372,7 @@ impl<E: StreamingScorer> LiveMonitor<E> {
 
     /// The underlying engine (corpus, index, generation counter).
     #[must_use]
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &LiveEngine {
         &self.engine
     }
 
@@ -788,40 +733,6 @@ mod tests {
         );
         assert_eq!(monitor.alerts(2018, 2020, 0.5), cold.sai_alerts(0.5));
         assert_eq!(monitor.series(2018, 2020), cold);
-    }
-
-    #[test]
-    fn sharded_monitor_series_is_bit_identical_to_the_live_monitor() {
-        let corpus = scenario::passenger_car_europe(42);
-        let posts = corpus.posts().to_vec();
-        let db = KeywordDatabase::passenger_car_seed();
-        let config = PspConfig::passenger_car_europe();
-        let mut live = LiveMonitor::new(
-            Corpus::new(),
-            db.clone(),
-            config.clone(),
-            "ecm-reprogramming",
-            2,
-        );
-        let mut sharded = LiveMonitor::sharded(
-            Corpus::new(),
-            ShardSpec::yearly(),
-            db,
-            config,
-            "ecm-reprogramming",
-            2,
-        );
-        for chunk in posts.chunks(97) {
-            live.ingest(chunk.to_vec());
-            sharded.ingest(chunk.to_vec());
-        }
-        assert_eq!(live.post_count(), sharded.post_count());
-        assert!(sharded.engine().shard_count() > 1);
-        assert_eq!(sharded.series(2015, 2023), live.series(2015, 2023));
-        assert_eq!(
-            sharded.alerts(2015, 2023, 0.3),
-            live.alerts(2015, 2023, 0.3)
-        );
     }
 
     #[test]

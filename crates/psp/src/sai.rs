@@ -7,144 +7,13 @@
 //! probability estimation: its share of the total SAI mass.
 
 use crate::classify::AttackOrigin;
-use crate::config::{PspConfig, SaiWeights};
-use crate::keyword_db::{KeywordDatabase, KeywordProfile};
+use crate::config::PspConfig;
+use crate::keyword_db::KeywordDatabase;
 use serde::{Deserialize, Serialize};
 use socialsim::corpus::Corpus;
 use socialsim::Post;
 use textmine::pipeline::TextPipeline;
 use vehicle::attack_surface::AttackVector;
-
-/// The mergeable partial evidence one corpus shard contributes to one keyword
-/// profile — the shard-side half of the sharded scoring engine
-/// ([`crate::engine::ShardedEngine`]).
-///
-/// Two kinds of evidence travel differently:
-///
-/// * **exact integer evidence** (post / view / interaction counts) is carried
-///   as plain sums — integer addition is associative, so per-shard sums merge
-///   losslessly in any order;
-/// * **order-sensitive evidence** (the intent score fold, the mined price
-///   stream) is carried at *per-post* granularity keyed by global post id,
-///   because float addition is not associative (`(a + b) + c != a + (b + c)`
-///   in general) and price lists are order-dependent.  The merge re-folds the
-///   per-post values in ascending global id order — exactly the order the
-///   single-engine fold uses — which is what makes the merged list
-///   bit-identical to the unsharded result rather than merely close.
-///
-/// Within one partial the ids are strictly ascending, and partials from
-/// different shards of the same corpus never share an id (the partition is
-/// disjoint), so the merge is a k-way merge of disjoint sorted streams.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct SaiPartial {
-    /// Number of matching (credibility-passing) posts.
-    pub(crate) posts: usize,
-    /// Summed views over the matching posts.
-    pub(crate) views: u64,
-    /// Summed interactions over the matching posts.
-    pub(crate) interactions: u64,
-    /// Global ids of the matching posts, strictly ascending.
-    pub(crate) ids: Vec<u32>,
-    /// Per-post intent scores, aligned with `ids`.
-    pub(crate) intents: Vec<f64>,
-    /// Number of mined prices per post, aligned with `ids`.
-    pub(crate) price_counts: Vec<u32>,
-    /// Mined prices, flattened in id order.
-    pub(crate) prices: Vec<f64>,
-}
-
-impl SaiPartial {
-    /// Folds one matching post's evidence into the partial.  Posts must be
-    /// pushed in ascending global-id order (the engine feeds them straight
-    /// from an ascending index query).
-    pub(crate) fn push_post(
-        &mut self,
-        global_id: u32,
-        views: u64,
-        interactions: u64,
-        intent: f64,
-        prices: &[f64],
-    ) {
-        debug_assert!(
-            self.ids.last().is_none_or(|last| *last < global_id),
-            "shard partial fed out of order: {global_id} after {:?}",
-            self.ids.last()
-        );
-        self.posts += 1;
-        self.views += views;
-        self.interactions += interactions;
-        self.ids.push(global_id);
-        self.intents.push(intent);
-        self.price_counts.push(prices.len() as u32);
-        self.prices.extend_from_slice(prices);
-    }
-}
-
-/// Merges one profile's partials from every shard into a raw (unnormalised)
-/// [`SaiEntry`]: integer sums are added, while the intent fold and the price
-/// stream are re-folded in ascending global post id order via a k-way merge of
-/// the disjoint per-shard id streams — reproducing the exact fold order (and
-/// therefore the exact bits) of the single-engine aggregation.
-fn merge_profile(
-    profile: &KeywordProfile,
-    shards: &[&SaiPartial],
-    weights: SaiWeights,
-) -> SaiEntry {
-    let posts: usize = shards.iter().map(|p| p.posts).sum();
-    let views: u64 = shards.iter().map(|p| p.views).sum();
-    let interactions: u64 = shards.iter().map(|p| p.interactions).sum();
-
-    // Only shards that matched anything take part in the k-way merge.
-    let active: Vec<&SaiPartial> = shards
-        .iter()
-        .copied()
-        .filter(|p| !p.ids.is_empty())
-        .collect();
-    let matched: usize = active.iter().map(|p| p.ids.len()).sum();
-    let mut intent = 0.0_f64;
-    let mut prices = Vec::with_capacity(active.iter().map(|p| p.prices.len()).sum());
-    let mut next = vec![0_usize; active.len()];
-    let mut price_offset = vec![0_usize; active.len()];
-    for _ in 0..matched {
-        // Pick the stream whose current head has the smallest global id; the
-        // streams are disjoint, so the minimum is unique.
-        let mut best: Option<usize> = None;
-        for (shard, partial) in active.iter().enumerate() {
-            if next[shard] < partial.ids.len()
-                && best.is_none_or(|b: usize| partial.ids[next[shard]] < active[b].ids[next[b]])
-            {
-                best = Some(shard);
-            }
-        }
-        let shard = best.expect("k-way merge exhausted early");
-        let at = next[shard];
-        intent += active[shard].intents[at];
-        let count = active[shard].price_counts[at] as usize;
-        let from = price_offset[shard];
-        prices.extend_from_slice(&active[shard].prices[from..from + count]);
-        next[shard] = at + 1;
-        price_offset[shard] = from + count;
-    }
-
-    let sai = weights.view_weight * views as f64
-        + weights.interaction_weight * interactions as f64
-        + weights.post_weight * posts as f64
-        + weights.intent_weight * intent;
-
-    SaiEntry {
-        keyword: profile.keyword.clone(),
-        scenario: profile.scenario.clone(),
-        vector: profile.vector,
-        origin: profile.origin,
-        posts,
-        views,
-        interactions,
-        intent,
-        prices,
-        sai,
-        probability: 0.0,
-    }
-}
 
 /// One entry of the SAI list: the social evidence attached to one attack keyword.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -250,35 +119,6 @@ impl SaiList {
             });
         }
 
-        Self::from_entries(entries)
-    }
-
-    /// Merges per-shard partial evidence into the finished SAI list — the
-    /// merge step of the sharded engine.
-    ///
-    /// `per_shard[s][p]` is shard `s`'s [`SaiPartial`] for the `p`-th profile
-    /// of `db` (every inner vector must cover all profiles, in database
-    /// order).  Counts and integer sums are added across shards, the
-    /// order-sensitive evidence is re-folded in ascending global post id order
-    /// ([`merge_profile`]), and only then does the usual normalisation
-    /// (probability shares, sorting) run — once, over the merged raw entries,
-    /// never per shard.  Merging *before* normalisation is what keeps the
-    /// result bit-identical to the single-engine path: probabilities are
-    /// ratios of the merged totals, not averages of per-shard ratios.
-    pub(crate) fn from_shard_partials(
-        db: &KeywordDatabase,
-        config: &PspConfig,
-        per_shard: &[Vec<SaiPartial>],
-    ) -> Self {
-        let weights = config.sai_weights;
-        let entries: Vec<SaiEntry> = db
-            .iter()
-            .enumerate()
-            .map(|(p, profile)| {
-                let shards: Vec<&SaiPartial> = per_shard.iter().map(|row| &row[p]).collect();
-                merge_profile(profile, &shards, weights)
-            })
-            .collect();
         Self::from_entries(entries)
     }
 

@@ -30,8 +30,7 @@
 //!   valid prefix and the torn tail is physically truncated.
 //! * *Bit-identical reconstruction*: rebuild-over-snapshot-corpus plus
 //!   [`StreamingScorer::restore_generation`] reproduces the pre-crash
-//!   engine's responses exactly, on both engine shapes (property-tested in
-//!   `tests/durability.rs`).
+//!   engine's responses exactly (property-tested in `tests/durability.rs`).
 
 use super::journal::{crc32, scan_wal, FaultFs, WalRecord, WalWriter};
 use crate::engine::{SignalCacheFile, StreamingScorer};

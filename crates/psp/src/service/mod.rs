@@ -578,10 +578,8 @@ struct ServiceState<E> {
 
 /// The TARA service: request execution over a snapshot-published engine.
 ///
-/// Generic over the engine shape — anything [`StreamingScorer`] `+ Clone`
-/// serves, with [`LiveEngine`] as the default; pass a
-/// [`ShardedEngine`](crate::engine::ShardedEngine) to serve from per-shard
-/// indexes with bit-identical responses.
+/// Generic over the engine — anything [`StreamingScorer`] `+ Clone` serves,
+/// with [`LiveEngine`] as the default.
 ///
 /// ```
 /// use psp::config::PspConfig;

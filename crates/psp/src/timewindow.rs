@@ -94,11 +94,8 @@ pub fn compare_windows(
 /// without rebuilding any index or recomputing memoised signals.  Produces
 /// exactly what [`compare_windows`] over the engine's corpus would.
 ///
-/// Generic over the engine shape: pass a
-/// [`LiveEngine`] for the single warm index, or a
-/// [`ShardedEngine`](crate::engine::ShardedEngine) to answer both windows from
-/// per-shard indexes (time shards outside either window are pruned) with a
-/// bit-identical result.
+/// Generic over the scorer: any [`SaiScorer`] — a warm [`LiveEngine`] or a
+/// wrapper around one — can answer both windows.
 #[must_use]
 pub fn compare_windows_live<E: crate::engine::SaiScorer>(
     engine: &E,
@@ -235,20 +232,5 @@ mod tests {
         );
         assert_eq!(live, comparison());
         assert!(live.trend_inverted());
-    }
-
-    #[test]
-    fn sharded_comparison_matches_the_snapshot_comparison() {
-        let corpus = scenario::passenger_car_europe(42);
-        let sharded =
-            crate::engine::ShardedEngine::new(corpus, socialsim::index::ShardSpec::ByTimeYears(2));
-        let live = compare_windows_live(
-            &sharded,
-            &KeywordDatabase::passenger_car_seed(),
-            &PspConfig::passenger_car_europe(),
-            "ecm-reprogramming",
-            DateWindow::years(2021, 2023),
-        );
-        assert_eq!(live, comparison());
     }
 }

@@ -68,8 +68,8 @@ impl Corpus {
         &self.posts
     }
 
-    /// Consumes the corpus, returning the posts in insertion order — the
-    /// no-clone path for repartitioning posts into shard corpora.
+    /// Consumes the corpus, returning the posts in insertion order without
+    /// cloning them.
     #[must_use]
     pub fn into_posts(self) -> Vec<Post> {
         self.posts

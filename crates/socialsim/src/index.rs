@@ -32,130 +32,7 @@ use crate::hashtag::Hashtag;
 use crate::post::{Post, Region, TargetApplication};
 use crate::query::Query;
 use crate::time::{DateWindow, SimDate};
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-
-/// How a corpus is partitioned into independently indexed shards.
-///
-/// A sharded engine holds one [`CorpusIndex`] per shard and scores shards in
-/// parallel; the spec decides which shard every post belongs to.  The routing
-/// is a pure function of the post alone — never of arrival order or of which
-/// shards already exist — so partitioning a finished corpus in one pass and
-/// routing the same posts one batch at a time produce identical shard layouts
-/// (the shard-then-ingest == ingest-then-shard property the `psp-suite` tests
-/// pin down).
-///
-/// Choosing an axis:
-///
-/// * **time** ([`ShardSpec::ByTimeYears`]) when the workload sweeps analysis
-///   windows (monitoring, Figure-9 comparisons): a windowed query can only
-///   match shards whose year span overlaps the window, so every other shard is
-///   pruned without touching its index;
-/// * **region** ([`ShardSpec::ByRegion`]) when corpora arrive per market and
-///   queries filter on one region: only the matching region's shard is scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShardSpec {
-    /// One shard per span of `n` consecutive calendar years (clamped to at
-    /// least 1).  Buckets are aligned to year 0 (`year.div_euclid(n)`), so the
-    /// layout does not depend on which posts have been seen: a 2024 post lands
-    /// in the same shard whether it arrives first, last, or alone.
-    ByTimeYears(i32),
-    /// One shard per [`Region`] present in the corpus.
-    ByRegion,
-}
-
-impl ShardSpec {
-    /// Sharding by single calendar years.
-    #[must_use]
-    pub fn yearly() -> Self {
-        ShardSpec::ByTimeYears(1)
-    }
-
-    /// The years-per-shard span (clamped to at least 1); 1 for region shards.
-    fn span(self) -> i32 {
-        match self {
-            ShardSpec::ByTimeYears(n) => n.max(1),
-            ShardSpec::ByRegion => 1,
-        }
-    }
-
-    /// The shard key a post routes to — deterministic from the post alone.
-    #[must_use]
-    pub fn key_for(&self, post: &Post) -> ShardKey {
-        match self {
-            ShardSpec::ByTimeYears(_) => {
-                let span = self.span();
-                let from = post.date().year().div_euclid(span) * span;
-                ShardKey::Years {
-                    from,
-                    to: from + span - 1,
-                }
-            }
-            ShardSpec::ByRegion => ShardKey::Region(post.region()),
-        }
-    }
-
-    /// Partitions a corpus into shards: keys in ascending order with, per
-    /// shard, the ids of the posts routed to it, ascending.  Every post lands
-    /// in exactly one shard (the partition is lossless); buckets with no posts
-    /// do not appear.
-    #[must_use]
-    pub fn partition(&self, corpus: &Corpus) -> Vec<(ShardKey, Vec<u32>)> {
-        let mut by_key: BTreeMap<ShardKey, Vec<u32>> = BTreeMap::new();
-        for (id, post) in corpus.posts().iter().enumerate() {
-            by_key
-                .entry(self.key_for(post))
-                .or_default()
-                .push(id as u32);
-        }
-        by_key.into_iter().collect()
-    }
-}
-
-/// The identity of one shard under a [`ShardSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ShardKey {
-    /// All posts dated within the inclusive calendar-year span `from..=to`.
-    Years {
-        /// First year of the span (inclusive).
-        from: i32,
-        /// Last year of the span (inclusive).
-        to: i32,
-    },
-    /// All posts from one region.
-    Region(Region),
-}
-
-impl ShardKey {
-    /// Whether any post carrying this key can satisfy the given metadata
-    /// filters.  `false` is a proof that *no* post in the shard matches — the
-    /// scoring fan-out prunes the shard without touching its index; `true` is
-    /// merely conservative (the shard is scored normally).
-    ///
-    /// A time key prunes on the window (a shard of 2018-2019 posts cannot
-    /// satisfy a 2021+ window); a region key prunes on the region filter.
-    /// Each axis ignores the other filter — that one is applied post-by-post
-    /// inside the shard, exactly as the unsharded path does.
-    #[must_use]
-    pub fn may_match(&self, region: Option<Region>, window: Option<&DateWindow>) -> bool {
-        match self {
-            ShardKey::Years { from, to } => {
-                window.is_none_or(|w| w.from.year() <= *to && w.to.year() >= *from)
-            }
-            ShardKey::Region(shard_region) => region.is_none_or(|filter| filter == *shard_region),
-        }
-    }
-}
-
-impl fmt::Display for ShardKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardKey::Years { from, to } if from == to => write!(f, "{from}"),
-            ShardKey::Years { from, to } => write!(f, "{from}-{to}"),
-            ShardKey::Region(region) => write!(f, "{region}"),
-        }
-    }
-}
+use std::collections::HashMap;
 
 /// A fixed-capacity bitset over post ids.
 #[derive(Debug, Clone, Default)]
@@ -814,156 +691,6 @@ mod tests {
         }
         assert_eq!(index.post_count(), full.posts().len());
         assert_answers_like_rebuild(&index, &corpus);
-    }
-
-    #[test]
-    fn shard_partition_is_lossless_and_ordered() {
-        let corpus = sample();
-        for spec in [
-            ShardSpec::yearly(),
-            ShardSpec::ByTimeYears(2),
-            ShardSpec::ByTimeYears(100),
-            ShardSpec::ByRegion,
-        ] {
-            let shards = spec.partition(&corpus);
-            let mut seen: Vec<u32> = shards.iter().flat_map(|(_, ids)| ids.clone()).collect();
-            seen.sort_unstable();
-            assert_eq!(
-                seen,
-                vec![0, 1, 2, 3],
-                "spec {spec:?} loses or duplicates posts"
-            );
-            for (key, ids) in &shards {
-                assert!(
-                    ids.windows(2).all(|w| w[0] < w[1]),
-                    "ids not ascending in {key}"
-                );
-                for id in ids {
-                    assert_eq!(spec.key_for(&corpus.posts()[*id as usize]), *key);
-                }
-            }
-            let keys: Vec<ShardKey> = shards.iter().map(|(k, _)| *k).collect();
-            let mut sorted = keys.clone();
-            sorted.sort();
-            assert_eq!(keys, sorted, "spec {spec:?} keys not ascending");
-        }
-    }
-
-    #[test]
-    fn yearly_shards_bucket_by_calendar_year() {
-        let corpus = sample();
-        let shards = ShardSpec::yearly().partition(&corpus);
-        // sample() years: 2019, 2021, 2020, 2022 — four single-year shards.
-        assert_eq!(shards.len(), 4);
-        assert_eq!(
-            shards[0].0,
-            ShardKey::Years {
-                from: 2019,
-                to: 2019
-            }
-        );
-        assert_eq!(shards[0].1, vec![0]);
-        assert_eq!(shards[2].1, vec![1]);
-    }
-
-    #[test]
-    fn multi_year_buckets_are_aligned_to_year_zero() {
-        let spec = ShardSpec::ByTimeYears(2);
-        let p = post(1, "x", 2019, Region::Europe, TargetApplication::Excavator);
-        // 2019.div_euclid(2) * 2 == 2018.
-        assert_eq!(
-            spec.key_for(&p),
-            ShardKey::Years {
-                from: 2018,
-                to: 2019
-            }
-        );
-        let p = post(2, "x", 2020, Region::Europe, TargetApplication::Excavator);
-        assert_eq!(
-            spec.key_for(&p),
-            ShardKey::Years {
-                from: 2020,
-                to: 2021
-            }
-        );
-    }
-
-    #[test]
-    fn zero_and_negative_spans_clamp_to_one_year() {
-        let p = post(1, "x", 2020, Region::Europe, TargetApplication::Excavator);
-        for span in [0, -3] {
-            assert_eq!(
-                ShardSpec::ByTimeYears(span).key_for(&p),
-                ShardKey::Years {
-                    from: 2020,
-                    to: 2020
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn region_shards_group_by_region() {
-        let corpus = sample();
-        let shards = ShardSpec::ByRegion.partition(&corpus);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].0, ShardKey::Region(Region::Europe));
-        assert_eq!(shards[0].1, vec![0, 1, 3]);
-        assert_eq!(shards[1].0, ShardKey::Region(Region::NorthAmerica));
-        assert_eq!(shards[1].1, vec![2]);
-    }
-
-    #[test]
-    fn time_keys_prune_on_windows_only() {
-        let key = ShardKey::Years {
-            from: 2018,
-            to: 2019,
-        };
-        assert!(key.may_match(None, None));
-        // Region filters never prune a time shard (mixed regions inside).
-        assert!(key.may_match(Some(Region::AsiaPacific), None));
-        assert!(key.may_match(None, Some(&DateWindow::years(2019, 2021))));
-        // Boundary overlap: a window ending in the shard's first year matches.
-        assert!(key.may_match(None, Some(&DateWindow::years(2016, 2018))));
-        assert!(!key.may_match(None, Some(&DateWindow::years(2020, 2023))));
-        assert!(!key.may_match(None, Some(&DateWindow::years(2015, 2017))));
-    }
-
-    #[test]
-    fn region_keys_prune_on_regions_only() {
-        let key = ShardKey::Region(Region::Europe);
-        assert!(key.may_match(None, None));
-        assert!(key.may_match(Some(Region::Europe), None));
-        assert!(!key.may_match(Some(Region::AsiaPacific), None));
-        // Windows never prune a region shard (mixed dates inside).
-        assert!(key.may_match(None, Some(&DateWindow::years(1990, 1991))));
-    }
-
-    #[test]
-    fn shard_keys_display_compactly() {
-        assert_eq!(
-            ShardKey::Years {
-                from: 2020,
-                to: 2020
-            }
-            .to_string(),
-            "2020"
-        );
-        assert_eq!(
-            ShardKey::Years {
-                from: 2018,
-                to: 2019
-            }
-            .to_string(),
-            "2018-2019"
-        );
-        assert_eq!(ShardKey::Region(Region::Europe).to_string(), "Europe");
-    }
-
-    #[test]
-    fn partition_of_an_empty_corpus_has_no_shards() {
-        assert!(ShardSpec::yearly().partition(&Corpus::new()).is_empty());
-        assert!(ShardSpec::ByRegion.partition(&Corpus::new()).is_empty());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! 1. **Scoring posts** — tokenisation ([`token`], [`normalize`], [`stopwords`]) and
 //!    lexicon-based intent/sentiment scoring ([`sentiment`]) to decide how strongly a
 //!    post signals a real tampering intent rather than news reporting.
-//! 2. **Learning new attack keywords** — TF-IDF ([`tfidf`]), keyword extraction
-//!    ([`keywords`]) and hashtag co-occurrence mining ([`cooccurrence`]) so the
-//!    keyword-attack database grows between runs (paper Figure 7, block 5).
+//! 2. **Learning new attack keywords** — hashtag co-occurrence mining
+//!    ([`cooccurrence`]) so the keyword-attack database grows between runs
+//!    (paper Figure 7, block 5).
 //! 3. **Price mining** — extracting advertised prices from post text ([`price`]) and
 //!    clustering them ([`cluster`]) to estimate the purchase price per insider
 //!    attack (PPIA) used by the financial model (paper Figure 10, block 2).
@@ -28,20 +28,16 @@
 
 pub mod cluster;
 pub mod cooccurrence;
-pub mod keywords;
 pub mod normalize;
 pub mod pipeline;
 pub mod price;
 pub mod reference;
 pub mod sentiment;
 pub mod stopwords;
-pub mod tfidf;
 pub mod token;
 
 pub use cluster::{kmeans_1d, Cluster};
 pub use cooccurrence::CooccurrenceMatrix;
-pub use keywords::extract_keywords;
 pub use pipeline::{DocumentAnalysis, TextPipeline, TextSignals};
 pub use sentiment::{IntentLexicon, IntentScore};
-pub use tfidf::TfIdf;
 pub use token::tokenize;

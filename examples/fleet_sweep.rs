@@ -19,14 +19,13 @@
 use psp_suite::market::datasets;
 use psp_suite::market::share::MarketStructure;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, WindowAxis};
+use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
 use psp_suite::psp::financial::{rate_financial_feasibility, FinancialAssessment, FinancialInputs};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::learning::learn_keywords;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::psp::weights::WeightGenerator;
 use psp_suite::psp::workflow::PspWorkflow;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::DateWindow;
 use psp_suite::vehicle::attack_surface::AttackRange;
@@ -154,25 +153,13 @@ fn main() {
         println!("  demand = {ratio:>4.1} x BEP -> {rating}");
     }
 
-    // Part 5: the sharded fleet engine — one engine core per time shard over
-    // the merged multi-corpus fleet, resolving a full (scenario × weights ×
-    // windows) matrix in one request.  Each window only touches the shards it
-    // overlaps (the rest are pruned), and every cell is bit-identical to a
-    // single engine over the whole fleet corpus.
+    // Part 5: the merged multi-corpus fleet on one warm engine, resolving a
+    // full (scenario × weights × windows) matrix in one request through
+    // prefix-summed sweep plans.
     let mut fleet = scenario::passenger_car_europe(42);
     fleet.merge(scenario::excavator_europe(42));
-    let sharded = ShardedEngine::new(fleet.clone(), ShardSpec::yearly());
-    let layout: Vec<String> = sharded
-        .shard_sizes()
-        .iter()
-        .map(|(key, posts)| format!("{key}:{posts}"))
-        .collect();
-    println!(
-        "\nSharded fleet matrix over {} posts in {} yearly shards [{}]:",
-        sharded.post_count(),
-        sharded.shard_count(),
-        layout.join(" ")
-    );
+    let engine = LiveEngine::new(fleet);
+    println!("\nFleet matrix over {} posts:", engine.post_count());
     let windows: Vec<DateWindow> = (2018..=2023).map(|y| DateWindow::years(y, y)).collect();
     let car_db = KeywordDatabase::passenger_car_seed();
     let fleet_dbs = [car_db.clone(), excavator_db.clone()];
@@ -181,14 +168,14 @@ fn main() {
         PspConfig::passenger_car_europe().with_weights(SaiWeights::views_only()),
     ];
     // The batch plane entry point: 2 scenarios × 2 weight sets × 6 windows in
-    // one request, per-shard prefix-summed plans, one plan per (db, scene).
+    // one request, one plan per (db, scene).
     let fleet_spec = MatrixSpec::new()
         .scenario("passenger-car", fleet_dbs[0].clone())
         .scenario("excavator", fleet_dbs[1].clone())
         .config("balanced", fleet_configs[0].clone())
         .config("views-only", fleet_configs[1].clone())
         .windows(&windows);
-    let fleet_cells = sharded.sai_matrix(&fleet_spec);
+    let fleet_cells = engine.sai_matrix(&fleet_spec);
     println!(
         "  resolved {} cells (2 scenarios x 2 weight sets x {} windows)",
         fleet_cells.len(),
@@ -201,35 +188,28 @@ fn main() {
         });
         println!("  window {} -> top keyword {top}", window.from.year());
     }
-    // The old nested loops — the per-window sharded sweep, one single-engine
-    // `sai_list` per cell, and the whole matrix on an unsharded engine — must
-    // all agree with the matrix to the bit.
+    // The old nested loops — the per-window sweep and one `sai_list` per
+    // cell — must agree with the matrix to the bit.
     let base = &fleet_configs[0];
     assert_eq!(
         (0..windows.len())
             .map(|w| fleet_cells.get(0, 0, w).expect("cell resolved").clone())
             .collect::<Vec<_>>(),
-        sharded.sai_windows(&car_db, base, &WindowAxis::each(&windows)),
-        "matrix row diverged from the sharded sweep"
+        engine.sai_windows(&car_db, base, &WindowAxis::each(&windows)),
+        "matrix row diverged from the sweep"
     );
-    let single = LiveEngine::new(fleet);
     for (id, sai) in fleet_cells.iter() {
         let config = fleet_configs[id.config]
             .clone()
             .with_window(windows[id.window]);
         assert_eq!(
             *sai,
-            single.sai_list(&fleet_dbs[id.scenario], &config),
-            "cell {id:?} diverged from the single-engine list"
+            engine.sai_list(&fleet_dbs[id.scenario], &config),
+            "cell {id:?} diverged from the per-cell list"
         );
     }
-    assert_eq!(
-        fleet_cells,
-        single.sai_matrix(&fleet_spec),
-        "sharded matrix diverged from the single-engine matrix"
-    );
     println!(
-        "  sharded matrix == single-engine matrix == nested per-cell lists over {} cells: bit-exact",
+        "  matrix == sweep == nested per-cell lists over {} cells: bit-exact",
         fleet_cells.len()
     );
 }

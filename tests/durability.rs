@@ -3,17 +3,16 @@
 //! The property being pinned: kill the process at an arbitrary byte of the
 //! write-ahead journal and recovery reconstructs exactly the engine whose
 //! batches survived on disk — same SAI lists, same window sweeps, same
-//! matrix cells as a never-crashed engine fed the surviving prefix.  On both
-//! engine shapes, across random corpora, batch splits, crash points and
-//! forced shim thread counts.  Torn or bit-flipped journal tails are
-//! detected by checksum and truncated, never panicked on; injected
-//! checkpoint/fsync faults answer structured errors and leave the previous
-//! on-disk state authoritative.
+//! matrix cells as a never-crashed engine fed the surviving prefix — across
+//! random corpora, batch splits, crash points and forced shim thread counts.
+//! Torn or bit-flipped journal tails are detected by checksum and truncated,
+//! never panicked on; injected checkpoint/fsync faults answer structured
+//! errors and leave the previous on-disk state authoritative.
 
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{
-    LiveEngine, MatrixSpec, ShardedEngine, SignalCacheFile, StreamingScorer, WindowAxis,
+    LiveEngine, MatrixSpec, SaiScorer, SignalCacheFile, StreamingScorer, WindowAxis,
 };
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::service::durability::{DurableStore, RecoveryReport};
@@ -21,7 +20,6 @@ use psp_suite::psp::service::journal::FaultFs;
 use psp_suite::psp::service::{ServiceRegistry, ServiceRequest, ServiceResponse, TaraService};
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::{DateWindow, SimDate};
@@ -113,18 +111,20 @@ fn score_request() -> ServiceRequest {
     }
 }
 
-/// The core crash property, shared by both engine shapes: journal `batches`
-/// one record at a time, cut the file at an arbitrary byte (`cut_permille`
-/// of the journal body — a kill -9 mid-append lands anywhere), recover, and
-/// demand the result is bit-identical to a never-crashed engine fed exactly
-/// the batches whose records survived the cut.
-fn assert_crash_recovery_bit_identical<E: StreamingScorer>(
-    dir: &Path,
-    seed: &dyn Fn() -> E,
-    build: &dyn Fn(Corpus, Option<SignalCacheFile>) -> E,
-    batches: &[Vec<Post>],
-    cut_permille: u64,
-) {
+/// The core crash property: journal `batches` one record at a time, cut the
+/// file at an arbitrary byte (`cut_permille` of the journal body — a kill -9
+/// mid-append lands anywhere), recover, and demand the result is
+/// bit-identical to a never-crashed engine fed exactly the batches whose
+/// records survived the cut.
+fn assert_crash_recovery_bit_identical(dir: &Path, batches: &[Vec<Post>], cut_permille: u64) {
+    let seed = || LiveEngine::new(Corpus::default());
+    let build = |corpus, signals: Option<SignalCacheFile>| {
+        let engine = LiveEngine::new(corpus);
+        if let Some(cache) = signals {
+            let _ = engine.load_signal_cache(&cache);
+        }
+        engine
+    };
     let (db, config) = db_and_config();
     let (store, mut engine, report) =
         DurableStore::recover(dir, FaultFs::none(), seed, build).expect("first recovery");
@@ -137,7 +137,7 @@ fn assert_crash_recovery_bit_identical<E: StreamingScorer>(
         store
             .log_ingest(posts, generation)
             .expect("append journals");
-        engine.ingest_batch(posts.clone());
+        engine.ingest(posts.clone());
         bytes_after.push(store.stats().wal_bytes);
     }
     drop(store);
@@ -171,7 +171,7 @@ fn assert_crash_recovery_bit_identical<E: StreamingScorer>(
 
     let mut expected = seed();
     for posts in &batches[..survivors] {
-        expected.ingest_batch(posts.clone());
+        expected.ingest(posts.clone());
     }
     assert_eq!(recovered.snapshot_corpus(), expected.snapshot_corpus());
     assert_eq!(
@@ -245,47 +245,7 @@ proptest! {
         let batches: Vec<Vec<Post>> =
             corpus.posts().chunks(chunk).map(<[Post]>::to_vec).collect();
         with_threads(threads, || {
-            assert_crash_recovery_bit_identical(
-                &temp_dir("live_prop"),
-                &|| LiveEngine::new(Corpus::default()),
-                &|corpus, signals| {
-                    let engine = LiveEngine::new(corpus);
-                    if let Some(cache) = signals {
-                        let _ = engine.load_signal_cache(&cache);
-                    }
-                    engine
-                },
-                &batches,
-                cut_permille,
-            );
-        });
-    }
-
-    /// The same property on the sharded shape: recovery rebuilds the shard
-    /// layout from the checkpointed corpus plus the journal tail.
-    #[test]
-    fn sharded_engine_recovery_is_bit_identical_at_random_crash_points(
-        corpus in arb_corpus(),
-        chunk in 1usize..7,
-        cut_permille in 0u64..1001,
-        threads in 1usize..4,
-    ) {
-        let batches: Vec<Vec<Post>> =
-            corpus.posts().chunks(chunk).map(<[Post]>::to_vec).collect();
-        with_threads(threads, || {
-            assert_crash_recovery_bit_identical(
-                &temp_dir("sharded_prop"),
-                &|| ShardedEngine::new(Corpus::default(), ShardSpec::yearly()),
-                &|corpus, signals| {
-                    let engine = ShardedEngine::new(corpus, ShardSpec::yearly());
-                    if let Some(cache) = signals {
-                        let _ = engine.load_signal_cache(&cache);
-                    }
-                    engine
-                },
-                &batches,
-                cut_permille,
-            );
+            assert_crash_recovery_bit_identical(&temp_dir("live_prop"), &batches, cut_permille);
         });
     }
 }

@@ -5,20 +5,17 @@
 //! exists.  The streaming path is pinned the same way: appending posts to an
 //! index (or ingesting them into a `LiveEngine`) in arbitrary chunks is
 //! bit-identical to rebuilding from scratch and to the naive oracle.
-//! Cancellation is pinned per engine shape: a sweep or matrix under a stop
+//! Cancellation is pinned the same way: a sweep or matrix under a stop
 //! predicate that never fires is the plain computation, and one that fires
 //! answers `None` after a deterministic number of checks.
 
 use proptest::prelude::*;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{
-    CellId, LiveEngine, MatrixSpec, SaiScorer, ShardedEngine, WindowAxis,
-};
+use psp_suite::psp::engine::{CellId, LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::query::Query;
 use psp_suite::socialsim::scenario;
@@ -164,48 +161,6 @@ fn arb_query() -> impl Strategy<Value = Query> {
         })
 }
 
-/// Random shard axes and granularities: 1-4-year time buckets or regions.
-fn arb_spec() -> impl Strategy<Value = ShardSpec> {
-    prop_oneof![
-        (1i32..5).prop_map(ShardSpec::ByTimeYears),
-        Just(ShardSpec::ByRegion),
-    ]
-}
-
-/// An engine shape plus its plan-build counter, so the cancellation tests
-/// can run every shape through one loop.
-trait Planned: SaiScorer {
-    fn plans(&self) -> u64;
-}
-
-impl Planned for LiveEngine {
-    fn plans(&self) -> u64 {
-        self.plan_builds()
-    }
-}
-
-impl Planned for ShardedEngine {
-    fn plans(&self) -> u64 {
-        self.plan_builds()
-    }
-}
-
-/// Every engine shape over `corpus`, freshly built (no plan yet): the
-/// single-index engine, one shard (a century-wide time bucket) and yearly
-/// shards.
-fn shapes(corpus: &Corpus) -> Vec<(&'static str, Box<dyn Planned>)> {
-    let one_shard = ShardedEngine::new(corpus.clone(), ShardSpec::ByTimeYears(100));
-    assert!(one_shard.shard_count() <= 1);
-    vec![
-        ("live", Box::new(LiveEngine::new(corpus.clone()))),
-        ("sharded/1", Box::new(one_shard)),
-        (
-            "sharded/yearly",
-            Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
-        ),
-    ]
-}
-
 /// A stop predicate that answers `false` to its first `after` checks and
 /// `true` from then on, counting every check — deterministic, no clock.
 struct Trip {
@@ -259,7 +214,7 @@ fn stop_matrix(windows: &WindowAxis, from: i32) -> MatrixSpec {
 
 /// The cells a stop-aware matrix run streams, or `None` when it stopped.
 fn matrix_until(
-    engine: &dyn Planned,
+    engine: &LiveEngine,
     spec: &MatrixSpec,
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Option<Vec<(CellId, SaiList)>> {
@@ -388,105 +343,65 @@ proptest! {
         prop_assert_eq!(&warm, &SaiList::compute_naive(&corpus, &db, &config));
     }
 
-    /// The sharded engine — any shard axis, any granularity — produces SAI
-    /// lists bit-identical to the unsharded engine *and* to the naive oracle,
-    /// with and without the poisoning filter and a window: counts merge as
-    /// sums, while the order-sensitive float evidence is re-folded in global
-    /// post order, so not a single bit may drift.
+    /// The plan path cuts the index into time shards — one per window of a
+    /// sweep — and folds each shard's evidence on its own.  For any shard
+    /// width, with and without the poisoning filter, every shard's list is
+    /// bit-identical to the unsharded `sai_list` over the same window and to
+    /// the naive oracle, and so is the full-history list: counts come from
+    /// prefix sums, while the order-sensitive float evidence is re-folded in
+    /// global post order, so not a single bit may drift.
     #[test]
-    fn sharded_sai_equals_unsharded_and_naive(corpus in arb_corpus(), spec in arb_spec()) {
+    fn sharded_sai_equals_unsharded_and_naive(corpus in arb_corpus(), years in 1i32..5) {
         let db = KeywordDatabase::excavator_seed();
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        let configs = [
-            PspConfig::excavator_europe(),
-            PspConfig::excavator_europe()
-                .with_window(DateWindow::years(2017, 2021))
-                .with_poisoning_filter(0.25),
-        ];
-        for config in &configs {
-            let merged = sharded.sai_list(&db, config);
-            prop_assert_eq!(&merged, &LiveEngine::new(corpus.clone()).sai_list(&db, config));
-            prop_assert_eq!(&merged, &SaiList::compute_naive(&corpus, &db, config));
-        }
-    }
-
-    /// Sharding a finished corpus and ingesting the same posts batch by batch
-    /// into a sharded engine converge to the same state: same shard layout,
-    /// same global order, bit-identical scores.
-    #[test]
-    fn shard_then_ingest_equals_ingest_then_shard(
-        corpus in arb_corpus(),
-        split_percent in 0usize..=100,
-        chunk in 1usize..7,
-        spec in arb_spec(),
-    ) {
-        let db = KeywordDatabase::excavator_seed();
-        let config = PspConfig::excavator_europe();
-        let posts = corpus.posts().to_vec();
-        let split = posts.len() * split_percent / 100;
-
-        let mut ingested = ShardedEngine::new(Corpus::from_posts(posts[..split].to_vec()), spec);
-        for batch in posts[split..].chunks(chunk) {
-            ingested.ingest(batch.to_vec());
-        }
-        let resharded = ShardedEngine::new(corpus.clone(), spec);
-
-        prop_assert_eq!(ingested.post_count(), resharded.post_count());
-        prop_assert_eq!(ingested.shard_sizes(), resharded.shard_sizes());
-        prop_assert_eq!(ingested.snapshot_corpus(), corpus);
-        prop_assert_eq!(
-            ingested.sai_list(&db, &config),
-            resharded.sai_list(&db, &config)
-        );
-    }
-
-    /// Sharded windowed batch scoring — where shard pruning kicks in — stays
-    /// bit-identical to the single-index engine's batch path for every window.
-    #[test]
-    fn sharded_windows_equal_snapshot_windows(
-        corpus in arb_corpus(),
-        from in 2015i32..2022,
-        spec in arb_spec(),
-    ) {
-        let db = KeywordDatabase::excavator_seed();
-        let configs: Vec<PspConfig> = (from..from + 3)
-            .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y + 1)))
+        let engine = LiveEngine::new(corpus.clone());
+        let shards: Vec<DateWindow> = (2014..2025)
+            .step_by(years as usize)
+            .map(|y| DateWindow::years(y, y + years - 1))
             .collect();
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        prop_assert_eq!(
-            sharded.sai_lists(&db, &configs),
-            LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
-        );
+        for config in [
+            PspConfig::excavator_europe(),
+            PspConfig::excavator_europe().with_poisoning_filter(0.25),
+        ] {
+            prop_assert_eq!(
+                engine.sai_list(&db, &config),
+                SaiList::compute_naive(&corpus, &db, &config)
+            );
+            let sharded = engine.sai_windows(&db, &config, &WindowAxis::each(&shards));
+            prop_assert_eq!(sharded.len(), shards.len());
+            for (window, list) in shards.iter().zip(&sharded) {
+                let unsharded = config.clone().with_window(*window);
+                prop_assert_eq!(list, &engine.sai_list(&db, &unsharded));
+                prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, &unsharded));
+            }
+        }
     }
 
-    /// On every engine shape, a sweep and a matrix under a stop predicate
-    /// that never fires are bit-identical to the plain planes and to
-    /// per-window `sai_list` — including a matrix with an empty window grid.
+    /// A sweep and a matrix under a stop predicate that never fires are
+    /// bit-identical to the plain planes and to per-window `sai_list` —
+    /// including a matrix with an empty window grid.
     #[test]
     fn never_stopped_runs_equal_the_plain_planes(corpus in arb_corpus(), from in 2015i32..2022) {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
         let axis = stop_axis(from);
-        let single = LiveEngine::new(corpus.clone());
+        let engine = LiveEngine::new(corpus);
         let reference: Vec<SaiList> = axis
             .as_options()
             .iter()
             .map(|window| {
                 let mut windowed = config.clone();
                 windowed.window = *window;
-                single.sai_list(&db, &windowed)
+                engine.sai_list(&db, &windowed)
             })
             .collect();
-        for (_, engine) in shapes(&corpus) {
-            let swept = engine.sai_windows_until(&db, &config, &axis, &|| false);
-            prop_assert_eq!(swept.as_ref(), Some(&reference));
-            prop_assert_eq!(swept, Some(engine.sai_windows(&db, &config, &axis)));
-            for grid in [axis.clone(), WindowAxis::new()] {
-                let spec = stop_matrix(&grid, from);
-                let cells = matrix_until(&*engine, &spec, &|| false);
-                prop_assert_eq!(cells.as_ref().map(Vec::len), Some(spec.cell_count()));
-                prop_assert_eq!(cells, Some(engine.sai_matrix(&spec).into_cells()));
-            }
+        let swept = engine.sai_windows_until(&db, &config, &axis, &|| false);
+        prop_assert_eq!(swept.as_ref(), Some(&reference));
+        prop_assert_eq!(swept, Some(engine.sai_windows(&db, &config, &axis)));
+        for grid in [axis.clone(), WindowAxis::new()] {
+            let spec = stop_matrix(&grid, from);
+            let cells = matrix_until(&engine, &spec, &|| false);
+            prop_assert_eq!(cells.as_ref().map(Vec::len), Some(spec.cell_count()));
+            prop_assert_eq!(cells, Some(engine.sai_matrix(&spec).into_cells()));
         }
     }
 
@@ -511,54 +426,48 @@ proptest! {
     }
 }
 
-/// A counting predicate stops every shape deterministically: a run allowed
-/// fewer checks than a full run makes answers `None`, one allowed all of
-/// them answers the plain result — for the sweep and the matrix alike.
+/// A counting predicate stops deterministically: a run allowed fewer checks
+/// than a full run makes answers `None`, one allowed all of them answers the
+/// plain result — for the sweep and the matrix alike.
 #[test]
-fn a_counting_stop_predicate_stops_every_shape_without_a_clock() {
+fn a_counting_stop_predicate_stops_sweeps_and_matrices_without_a_clock() {
     let corpus = scenario::excavator_europe(7);
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
     let axis = stop_axis(2019);
     let spec = stop_matrix(&axis, 2019);
-    for (name, engine) in shapes(&corpus) {
-        let counter = Trip::after(usize::MAX);
-        let plain = engine.sai_windows_until(&db, &config, &axis, &|| counter.check());
-        let total = counter.checks();
-        assert!(
-            total >= 2,
-            "{name}: a sweep checks before planning and per job"
-        );
-        for k in [0, 1, total / 2, total - 1] {
-            let trip = Trip::after(k);
-            let stopped = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
-            assert_eq!(stopped, None, "{name}: sweep allowed {k} of {total} checks");
-        }
-        let trip = Trip::after(total);
-        let finished = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
-        assert_eq!(finished, plain, "{name}: sweep allowed every check");
-        assert_eq!(finished, Some(engine.sai_windows(&db, &config, &axis)));
+    let engine = LiveEngine::new(corpus);
 
-        let counter = Trip::after(usize::MAX);
-        let plain = matrix_until(&*engine, &spec, &|| counter.check());
-        let total = counter.checks();
-        assert!(
-            total >= spec.scenario_count() * spec.config_count(),
-            "{name}: one per row"
-        );
-        for k in [0, 1, total / 2, total - 1] {
-            let trip = Trip::after(k);
-            let stopped = matrix_until(&*engine, &spec, &|| trip.check());
-            assert_eq!(
-                stopped, None,
-                "{name}: matrix allowed {k} of {total} checks"
-            );
-        }
-        let trip = Trip::after(total);
-        let finished = matrix_until(&*engine, &spec, &|| trip.check());
-        assert_eq!(finished, plain, "{name}: matrix allowed every check");
-        assert_eq!(finished, Some(engine.sai_matrix(&spec).into_cells()));
+    let counter = Trip::after(usize::MAX);
+    let plain = engine.sai_windows_until(&db, &config, &axis, &|| counter.check());
+    let total = counter.checks();
+    assert!(total >= 2, "a sweep checks before planning and per job");
+    for k in [0, 1, total / 2, total - 1] {
+        let trip = Trip::after(k);
+        let stopped = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
+        assert_eq!(stopped, None, "sweep allowed {k} of {total} checks");
     }
+    let trip = Trip::after(total);
+    let finished = engine.sai_windows_until(&db, &config, &axis, &|| trip.check());
+    assert_eq!(finished, plain, "sweep allowed every check");
+    assert_eq!(finished, Some(engine.sai_windows(&db, &config, &axis)));
+
+    let counter = Trip::after(usize::MAX);
+    let plain = matrix_until(&engine, &spec, &|| counter.check());
+    let total = counter.checks();
+    assert!(
+        total >= spec.scenario_count() * spec.config_count(),
+        "one per row"
+    );
+    for k in [0, 1, total / 2, total - 1] {
+        let trip = Trip::after(k);
+        let stopped = matrix_until(&engine, &spec, &|| trip.check());
+        assert_eq!(stopped, None, "matrix allowed {k} of {total} checks");
+    }
+    let trip = Trip::after(total);
+    let finished = matrix_until(&engine, &spec, &|| trip.check());
+    assert_eq!(finished, plain, "matrix allowed every check");
+    assert_eq!(finished, Some(engine.sai_matrix(&spec).into_cells()));
 }
 
 /// A predicate that is true from the start stops before any plan is looked
@@ -570,16 +479,15 @@ fn a_stop_predicate_true_from_the_start_touches_no_plan() {
     let config = PspConfig::excavator_europe();
     let axis = stop_axis(2019);
     let spec = stop_matrix(&axis, 2019);
-    for (name, engine) in shapes(&corpus) {
-        assert_eq!(engine.plans(), 0, "{name}: a fresh engine has no plan");
-        assert_eq!(
-            engine.sai_windows_until(&db, &config, &axis, &|| true),
-            None
-        );
-        assert_eq!(matrix_until(&*engine, &spec, &|| true), None);
-        assert_eq!(engine.plans(), 0, "{name}: a stopped run built a plan");
-        // The counter is live: the same sweep, unstopped, plans.
-        let _ = engine.sai_windows(&db, &config, &axis);
-        assert!(engine.plans() > 0, "{name}: an unstopped sweep plans");
-    }
+    let engine = LiveEngine::new(corpus);
+    assert_eq!(engine.plan_builds(), 0, "a fresh engine has no plan");
+    assert_eq!(
+        engine.sai_windows_until(&db, &config, &axis, &|| true),
+        None
+    );
+    assert_eq!(matrix_until(&engine, &spec, &|| true), None);
+    assert_eq!(engine.plan_builds(), 0, "a stopped run built a plan");
+    // The counter is live: the same sweep, unstopped, plans.
+    let _ = engine.sai_windows(&db, &config, &axis);
+    assert!(engine.plan_builds() > 0, "an unstopped sweep plans");
 }

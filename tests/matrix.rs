@@ -1,22 +1,21 @@
 //! Integration and property suite for the batch plane (`sai_matrix`): a
 //! (scenario × configuration × window) cross-product resolved through the
 //! `SweepMatrix` scheduler must be **bit-identical** to hand-nested loops of
-//! one `sai_list` call per cell — on all three engine shapes, over random
-//! corpora, shard axes, weight sets and window grids, and (behind the
-//! `shim-rayon` feature) forced thread counts.
+//! one `sai_list` call per cell — on built and incrementally ingested
+//! engines, over random corpora, weight sets and window grids, and (behind
+//! the `shim-rayon` feature) forced thread counts.
 //!
 //! The scheduler's whole point is to amortise shared work (one sweep plan per
-//! (database, scene), shard pruning per window, one engine for everything)
+//! (database, scene), one engine for everything)
 //! without changing a single bit of any cell; these tests keep that honest.
 
 use proptest::prelude::*;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, ShardedEngine};
+use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::{DateWindow, SimDate};
@@ -93,7 +92,7 @@ fn assert_matrix_exact<E: SaiScorer>(
 }
 
 #[test]
-fn matrix_is_exact_on_the_reference_scenes_for_all_three_shapes() {
+fn matrix_is_exact_on_the_reference_scenes_built_and_ingested() {
     let corpus = scenario::passenger_car_europe(42);
     let dbs = [
         KeywordDatabase::passenger_car_seed(),
@@ -135,15 +134,6 @@ fn matrix_is_exact_on_the_reference_scenes_for_all_three_shapes() {
         live.ingest(chunk.to_vec());
     }
     assert_matrix_exact(&live, &dbs, &configs, &grid);
-
-    for spec in [
-        ShardSpec::yearly(),
-        ShardSpec::ByTimeYears(3),
-        ShardSpec::ByRegion,
-    ] {
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        assert_matrix_exact(&sharded, &dbs, &configs, &grid);
-    }
 }
 
 #[test]
@@ -221,17 +211,13 @@ fn empty_matrices_return_no_cells_on_every_shape() {
     let no_configs = MatrixSpec::new()
         .scenario("excavator", KeywordDatabase::excavator_seed())
         .window(DateWindow::years(2019, 2021));
-    for engine in [
-        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
-        Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
-    ] {
-        for spec in [&no_scenarios, &no_configs, &MatrixSpec::new()] {
-            assert_eq!(spec.cell_count(), 0);
-            assert!(spec.cell_ids().is_empty());
-            let results = engine.sai_matrix(spec);
-            assert!(results.is_empty());
-            assert_eq!(results.len(), 0);
-        }
+    let engine = LiveEngine::new(corpus);
+    for spec in [&no_scenarios, &no_configs, &MatrixSpec::new()] {
+        assert_eq!(spec.cell_count(), 0);
+        assert!(spec.cell_ids().is_empty());
+        let results = engine.sai_matrix(spec);
+        assert!(results.is_empty());
+        assert_eq!(results.len(), 0);
     }
 }
 
@@ -280,29 +266,6 @@ proptest! {
             .collect();
         let single = LiveEngine::new(corpus);
         assert_matrix_exact(&single, &dbs, &configs, &grid);
-    }
-
-    /// The sharded matrix — any shard axis, any granularity — matches the
-    /// single-engine matrix bit for bit.
-    #[test]
-    fn sharded_matrix_equals_single_matrix(
-        corpus in arb_corpus(),
-        shard_axis in arb_spec(),
-        from in 2014i32..2021,
-    ) {
-        let db = KeywordDatabase::excavator_seed();
-        let base = PspConfig::excavator_europe();
-        let configs = [
-            base.clone(),
-            base.clone().with_weights(SaiWeights::views_only()),
-        ];
-        let grid: Vec<Option<DateWindow>> = std::iter::once(None)
-            .chain((from..from + 3).map(|y| Some(DateWindow::years(y, y + 1))))
-            .collect();
-        let spec = spec_of(&[db], &configs, &grid);
-        let sharded = ShardedEngine::new(corpus.clone(), shard_axis);
-        let single = LiveEngine::new(corpus.clone());
-        prop_assert_eq!(sharded.sai_matrix(&spec), single.sai_matrix(&spec));
     }
 
     /// A live engine fed in arbitrary chunks — evaluating the matrix between
@@ -417,15 +380,6 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
     })
 }
 
-/// Random shard axes and granularities: 1-4-year time buckets or regions.
-fn arb_spec() -> impl Strategy<Value = ShardSpec> {
-    prop_oneof![
-        (1i32..5).prop_map(ShardSpec::ByTimeYears),
-        Just(ShardSpec::ByRegion),
-    ]
-}
-
-/// Random SAI weight presets — the weight-ablation axis.
 fn arb_weights() -> impl Strategy<Value = SaiWeights> {
     prop_oneof![
         Just(SaiWeights::default()),
@@ -443,8 +397,8 @@ fn arb_window() -> impl Strategy<Value = Option<DateWindow>> {
     ]
 }
 
-/// Thread-count independence of the matrix fan-out on every engine shape —
-/// shim-only determinism hook, see `tests/sharding.rs`.
+/// Thread-count independence of the matrix fan-out — shim-only determinism
+/// hook, see `thread_count_independence` in `tests/sweep.rs`.
 #[cfg(feature = "shim-rayon")]
 mod thread_count_independence {
     use super::*;
@@ -467,15 +421,11 @@ mod thread_count_independence {
 
         let reference =
             rayon::with_thread_count(1, || LiveEngine::new(corpus.clone()).sai_matrix(&spec));
-        for threads in [1, 2, 3, 8] {
-            let (single, sharded) = rayon::with_thread_count(threads, || {
-                (
-                    LiveEngine::new(corpus.clone()).sai_matrix(&spec),
-                    ShardedEngine::new(corpus.clone(), ShardSpec::yearly()).sai_matrix(&spec),
-                )
+        for threads in [2, 3, 8] {
+            let single = rayon::with_thread_count(threads, || {
+                LiveEngine::new(corpus.clone()).sai_matrix(&spec)
             });
-            assert_eq!(single, reference, "single matrix at {threads} threads");
-            assert_eq!(sharded, reference, "sharded matrix at {threads} threads");
+            assert_eq!(single, reference, "matrix at {threads} threads");
         }
     }
 }

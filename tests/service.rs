@@ -4,14 +4,13 @@
 //! **bit-identical** to what a standalone engine that stopped at the
 //! response's stamped generation would produce.  No torn reads, no partially
 //! visible batches, no drift between the snapshot path and a cold engine —
-//! on both engine shapes, across forced shim thread counts, through both the
-//! synchronous `handle` path and the worker-pool `submit` path.
+//! across forced shim thread counts, through both the synchronous `handle`
+//! path and the worker-pool `submit` path.
 
 use psp_suite::psp::classify::AttackOrigin;
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{
-    CellId, IngestReceipt, MatrixSpec, SaiScorer, ShardedEngine, SignalCacheFile, StreamingScorer,
-    WindowAxis,
+    CellId, IngestReceipt, MatrixSpec, SaiScorer, SignalCacheFile, StreamingScorer, WindowAxis,
 };
 use psp_suite::psp::keyword_db::{KeywordDatabase, KeywordProfile};
 use psp_suite::psp::monitoring::MonitoringSeries;
@@ -50,8 +49,7 @@ fn axis() -> WindowAxis {
         .window(DateWindow::years(2021, 2023))
 }
 
-/// Per-generation reference answers, computed on standalone engines of the
-/// same shape the service serves.
+/// Per-generation reference answers, computed on standalone engines.
 struct References {
     score: Vec<SaiList>,
     sweep: Vec<Vec<SaiList>>,
@@ -65,12 +63,7 @@ fn matrix_spec(db: &KeywordDatabase, config: &PspConfig) -> MatrixSpec {
         .window_axis(&axis())
 }
 
-fn references<E: StreamingScorer>(
-    make: impl Fn() -> E,
-    chunks: &[Vec<Post>],
-    db: &KeywordDatabase,
-    config: &PspConfig,
-) -> References {
+fn references(chunks: &[Vec<Post>], db: &KeywordDatabase, config: &PspConfig) -> References {
     let spec = matrix_spec(db, config);
     let mut refs = References {
         score: Vec::new(),
@@ -78,7 +71,7 @@ fn references<E: StreamingScorer>(
         matrix: Vec::new(),
     };
     for generation in 0..=chunks.len() {
-        let mut engine = make();
+        let mut engine = LiveEngine::new(Corpus::new());
         for chunk in &chunks[..generation] {
             engine.ingest_batch(chunk.clone());
         }
@@ -92,22 +85,20 @@ fn references<E: StreamingScorer>(
 
 /// The stress harness: `readers` reader threads hammer Score/Sweep/Matrix
 /// through the synchronous path while the main thread ingests one batch at a
-/// time.  Every response must equal the same-shape standalone reference at
-/// its stamped generation.
-fn stress_snapshot_isolation<E>(make: impl Fn() -> E + Sync)
-where
-    E: StreamingScorer + Clone + Send + Sync + 'static,
-{
+/// time.  Every response must equal the standalone reference at its stamped
+/// generation.
+#[test]
+fn concurrent_responses_are_bit_exact_on_the_live_engine() {
     let posts = scenario::excavator_europe(42).posts().to_vec();
     let chunks: Vec<Vec<Post>> = posts.chunks(520).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
-    let refs = references(&make, &chunks, &db, &config);
+    let refs = references(&chunks, &db, &config);
 
     let registry = ServiceRegistry::new()
         .database("excavator", db.clone())
         .config("excavator", config.clone());
-    let service = TaraService::with_workers(make(), registry, 2);
+    let service = TaraService::with_workers(LiveEngine::new(Corpus::new()), registry, 2);
 
     let done = AtomicBool::new(false);
     let checked = AtomicUsize::new(0);
@@ -226,21 +217,6 @@ where
             other => panic!("unexpected response: {other:?}"),
         }
     }
-}
-
-#[test]
-fn concurrent_responses_are_bit_exact_on_the_live_engine() {
-    stress_snapshot_isolation(|| LiveEngine::new(Corpus::new()));
-}
-
-#[test]
-fn concurrent_responses_are_bit_exact_on_the_sharded_engine() {
-    stress_snapshot_isolation(|| {
-        ShardedEngine::new(
-            Corpus::new(),
-            psp_suite::socialsim::index::ShardSpec::yearly(),
-        )
-    });
 }
 
 #[test]
@@ -632,12 +608,9 @@ fn dpf_spec() -> MonitorSpec {
 }
 
 /// Subscription deltas must be bit-identical to a cold monitoring run on a
-/// standalone engine of the same shape, stopped at the delta's stamped
-/// generation — on both engine shapes.
-fn subscription_deltas_match_cold_runs<E>(make: impl Fn() -> E)
-where
-    E: StreamingScorer + Clone + Send + Sync + 'static,
-{
+/// standalone engine stopped at the delta's stamped generation.
+#[test]
+fn subscription_deltas_are_bit_exact_on_the_live_engine() {
     let posts = scenario::excavator_europe(42).posts().to_vec();
     let chunks: Vec<Vec<Post>> = posts.chunks(700).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
@@ -647,10 +620,10 @@ where
     let registry = ServiceRegistry::new()
         .database("excavator", db.clone())
         .config("excavator", config.clone());
-    let service = TaraService::with_workers(make(), registry, 1);
+    let service = TaraService::with_workers(LiveEngine::new(Corpus::new()), registry, 1);
     let subscription = service.subscribe(spec.clone()).expect("valid spec");
 
-    let mut reference = make();
+    let mut reference = LiveEngine::new(Corpus::new());
     for (n, chunk) in chunks.iter().enumerate() {
         match service.handle(ServiceRequest::Ingest {
             posts: chunk.clone(),
@@ -674,8 +647,8 @@ where
         assert_eq!(id, subscription.id());
         assert_eq!(generation, n as u64 + 1);
 
-        // Cold reference at the stamped generation, same engine shape.
-        reference.ingest_batch(chunk.clone());
+        // Cold reference at the stamped generation.
+        reference.ingest(chunk.clone());
         let cold = MonitoringSeries::run_on(
             &reference,
             &db,
@@ -688,21 +661,6 @@ where
         assert_eq!(series, cold, "delta != cold run at generation {generation}");
         assert_eq!(alerts, cold.sai_alerts(spec.alert_threshold));
     }
-}
-
-#[test]
-fn subscription_deltas_are_bit_exact_on_the_live_engine() {
-    subscription_deltas_match_cold_runs(|| LiveEngine::new(Corpus::new()));
-}
-
-#[test]
-fn subscription_deltas_are_bit_exact_on_the_sharded_engine() {
-    subscription_deltas_match_cold_runs(|| {
-        ShardedEngine::new(
-            Corpus::new(),
-            psp_suite::socialsim::index::ShardSpec::yearly(),
-        )
-    });
 }
 
 /// An empty ingest publishes nothing and must push no delta.
@@ -735,7 +693,7 @@ fn scheduler_ticks_stay_bit_exact_under_concurrent_ingest() {
     let chunks: Vec<Vec<Post>> = posts.chunks(700).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
-    let refs = references(|| LiveEngine::new(Corpus::new()), &chunks, &db, &config);
+    let refs = references(&chunks, &db, &config);
 
     let registry = ServiceRegistry::new()
         .database("excavator", db.clone())

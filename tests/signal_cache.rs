@@ -1,17 +1,14 @@
 //! The persistable signal cache end to end: export → serialise → load into a
-//! cold engine → score, bit-identical to a fresh compute, across all three
-//! engine shapes — and hard rejection of every stale/mismatched cache.
+//! cold engine → score, bit-identical to a fresh compute, also across ingest
+//! cycles — and hard rejection of every stale/mismatched cache.
 
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{
-    LiveEngine, SaiScorer, ShardedEngine, SignalCacheError, SignalCacheFile, SIGNAL_CACHE_VERSION,
-};
+use psp_suite::psp::engine::{LiveEngine, SignalCacheError, SignalCacheFile, SIGNAL_CACHE_VERSION};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::SimDate;
@@ -85,34 +82,6 @@ fn cold_restart_from_disk_skips_text_mining() {
     let engine = LiveEngine::new(restored.clone());
     assert_eq!(engine.load_signal_cache(&cache).unwrap(), restored.len());
     assert_eq!(engine.sai_list(&db, &config), expected);
-}
-
-#[test]
-fn cache_is_interchangeable_across_engine_shapes() {
-    let corpus = scenario::passenger_car_europe(42);
-    let db = KeywordDatabase::passenger_car_seed();
-    let config = PspConfig::passenger_car_europe();
-    let expected = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
-
-    // Single-index engine → sharded engine.
-    let cache = LiveEngine::new(corpus.clone()).export_signal_cache();
-    for spec in [ShardSpec::yearly(), ShardSpec::ByRegion] {
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        assert_eq!(sharded.load_signal_cache(&cache).unwrap(), corpus.len());
-        assert_eq!(sharded.sai_list(&db, &config), expected, "{spec:?}");
-    }
-
-    // Sharded engine → live engine: the sharded export reassembles global
-    // corpus order, so it must be identical to the snapshot export.
-    let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-    let sharded_cache = sharded.export_signal_cache();
-    assert_eq!(sharded_cache, cache);
-    let live = LiveEngine::new(corpus.clone());
-    assert_eq!(
-        live.load_signal_cache(&sharded_cache).unwrap(),
-        corpus.len()
-    );
-    assert_eq!(live.sai_list(&db, &config), expected);
 }
 
 #[test]
@@ -201,21 +170,6 @@ fn stale_and_mismatched_caches_are_rejected() {
     let cold = LiveEngine::new(corpus.clone());
     assert_eq!(cold.load_signal_cache(&cache).unwrap(), corpus.len());
     assert_eq!(engine.load_signal_cache(&cache).unwrap(), 0);
-}
-
-#[test]
-fn sharded_engine_validates_ids_against_its_shard_layout() {
-    let corpus = scenario::excavator_europe(7);
-    let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly());
-    let mut forged = LiveEngine::new(corpus.clone()).export_signal_cache();
-    let index = forged.post_ids.len() / 2;
-    forged.post_ids[index] += 77;
-    match sharded.load_signal_cache(&forged) {
-        Err(SignalCacheError::PostIdMismatch {
-            index: found_index, ..
-        }) => assert_eq!(found_index, index),
-        other => panic!("expected PostIdMismatch, got {other:?}"),
-    }
 }
 
 #[test]

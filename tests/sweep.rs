@@ -1,9 +1,11 @@
 //! Integration and property suite for the sweep plane (`sai_windows`): the
 //! prefix-summed columnar window sweep must be **bit-identical** to scoring
 //! each window through the batch `sai_lists` path, to one `sai_list` call per
-//! window, and to the naive `SaiList::compute_naive` oracle — on all three
-//! engine shapes, over random corpora, window grids, shard axes and (behind
-//! the `shim-rayon` feature) forced thread counts.
+//! window, and to the naive `SaiList::compute_naive` oracle — on built and
+//! incrementally ingested engines, over the reference scenes, random corpora,
+//! window grids and (behind the `shim-rayon` feature) forced thread counts.
+//! The hand-built edge corpora run through the same checks in
+//! `tests/sharding.rs`.
 //!
 //! The sweep answers the integer evidence by prefix-sum subtraction and
 //! re-folds the order-sensitive float evidence per window; these tests are
@@ -11,12 +13,11 @@
 
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{LiveEngine, SaiScorer, ShardedEngine, WindowAxis};
+use psp_suite::psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
-use psp_suite::socialsim::index::ShardSpec;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::{DateWindow, SimDate};
@@ -65,7 +66,7 @@ fn assert_sweep_exact<E: SaiScorer>(
 }
 
 #[test]
-fn sweep_is_exact_on_the_reference_scenes_for_all_three_shapes() {
+fn sweep_is_exact_on_the_reference_scenes_built_and_ingested() {
     let corpus = scenario::passenger_car_europe(42);
     let db = KeywordDatabase::passenger_car_seed();
     let base = PspConfig::passenger_car_europe();
@@ -88,15 +89,6 @@ fn sweep_is_exact_on_the_reference_scenes_for_all_three_shapes() {
         live.ingest(chunk.to_vec());
     }
     assert_sweep_exact(&live, &corpus, &db, &base, &windows);
-
-    for spec in [
-        ShardSpec::yearly(),
-        ShardSpec::ByTimeYears(3),
-        ShardSpec::ByRegion,
-    ] {
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        assert_sweep_exact(&sharded, &corpus, &db, &base, &windows);
-    }
 }
 
 #[test]
@@ -130,8 +122,6 @@ fn sweep_honours_the_poisoning_filter() {
     let windows: Vec<DateWindow> = (2017..2023).map(|y| DateWindow::years(y, y + 1)).collect();
     let engine = LiveEngine::new(corpus.clone());
     assert_sweep_exact(&engine, &corpus, &db, &filtered, &windows);
-    let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::ByTimeYears(2));
-    assert_sweep_exact(&sharded, &corpus, &db, &filtered, &windows);
 }
 
 /// A Europe/excavator post at an explicit date, with a mined price so the
@@ -221,20 +211,16 @@ fn inverted_windows_report_zero_evidence_like_the_batch_path() {
         to: SimDate::new(2019, 1, 1),
     };
     let windows = [inverted, DateWindow::years(2020, 2021)];
-    for engine in [
-        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
-        Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
-    ] {
-        let swept = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
-        assert_eq!(
-            swept,
-            engine.sai_lists(&db, &windowed_configs(&base, &windows))
-        );
-        assert!(swept[0]
-            .entries()
-            .iter()
-            .all(|e| e.posts == 0 && e.sai == 0.0));
-    }
+    let engine = LiveEngine::new(corpus);
+    let swept = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
+    assert_eq!(
+        swept,
+        engine.sai_lists(&db, &windowed_configs(&base, &windows))
+    );
+    assert!(swept[0]
+        .entries()
+        .iter()
+        .all(|e| e.posts == 0 && e.sai == 0.0));
 }
 
 #[test]
@@ -243,46 +229,19 @@ fn full_history_entries_ride_the_same_plan_as_windows() {
     let db = KeywordDatabase::passenger_car_seed();
     let base = PspConfig::passenger_car_europe();
     let recent = DateWindow::years(2021, 2023);
-    for engine in [
-        Box::new(LiveEngine::new(corpus.clone())) as Box<dyn SaiScorer + '_>,
-        Box::new(ShardedEngine::new(corpus.clone(), ShardSpec::yearly())),
-    ] {
-        let swept = engine.sai_windows(&db, &base, &WindowAxis::spans(&[None, Some(recent), None]));
-        assert_eq!(swept[0], engine.sai_list(&db, &base));
-        assert_eq!(swept[2], swept[0]);
-        assert_eq!(
-            swept[1],
-            engine.sai_list(&db, &base.clone().with_window(recent))
-        );
-    }
-}
-
-#[test]
-fn sharded_sweep_prunes_without_changing_results_after_ingest() {
-    // Grow a sharded engine batch by batch (invalidating per-shard plans as
-    // batches land in their shards), sweeping between ingests: every sweep
-    // must match a cold single engine over the same grown corpus.
-    let posts = scenario::excavator_europe(42).posts().to_vec();
-    let (db, base) = excavator_setup();
-    let windows: Vec<DateWindow> = (2015..2024).map(|y| DateWindow::years(y, y)).collect();
-    let mut sharded = ShardedEngine::new(Corpus::new(), ShardSpec::yearly());
-    let mut grown = Corpus::new();
-    for chunk in posts.chunks(151) {
-        sharded.ingest(chunk.to_vec());
-        grown.extend(chunk.to_vec());
-        let cold = LiveEngine::new(grown.clone());
-        assert_eq!(
-            sharded.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            cold.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            "sweep diverged after ingesting {} posts",
-            grown.len()
-        );
-    }
+    let engine = LiveEngine::new(corpus);
+    let swept = engine.sai_windows(&db, &base, &WindowAxis::spans(&[None, Some(recent), None]));
+    assert_eq!(swept[0], engine.sai_list(&db, &base));
+    assert_eq!(swept[2], swept[0]);
+    assert_eq!(
+        swept[1],
+        engine.sai_list(&db, &base.clone().with_window(recent))
+    );
 }
 
 proptest! {
-    /// On random corpora and window grids, the sweep over every engine shape
-    /// is bit-identical to per-window batch scoring and the naive oracle.
+    /// On random corpora and window grids, the sweep is bit-identical to
+    /// per-window batch scoring and the naive oracle.
     #[test]
     fn sweep_equals_per_window_scoring_on_random_corpora(
         corpus in arb_corpus(),
@@ -301,26 +260,6 @@ proptest! {
         for (config, list) in configs.iter().zip(&swept) {
             prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, config));
         }
-    }
-
-    /// The sharded sweep — any axis, any granularity — matches the single
-    /// engine's sweep bit for bit.
-    #[test]
-    fn sharded_sweep_equals_single_sweep(
-        corpus in arb_corpus(),
-        spec in arb_spec(),
-        from in 2014i32..2021,
-    ) {
-        let (db, base) = excavator_setup();
-        let windows: Vec<DateWindow> = (from..from + 4)
-            .map(|y| DateWindow::years(y, y + 1))
-            .collect();
-        let sharded = ShardedEngine::new(corpus.clone(), spec);
-        let single = LiveEngine::new(corpus.clone());
-        prop_assert_eq!(
-            sharded.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            single.sai_windows(&db, &base, &WindowAxis::each(&windows))
-        );
     }
 
     /// A live engine fed in arbitrary chunks — sweeping between ingests so
@@ -446,16 +385,11 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
     })
 }
 
-/// Random shard axes and granularities: 1-4-year time buckets or regions.
-fn arb_spec() -> impl Strategy<Value = ShardSpec> {
-    prop_oneof![
-        (1i32..5).prop_map(ShardSpec::ByTimeYears),
-        Just(ShardSpec::ByRegion),
-    ]
-}
-
-/// Thread-count independence of the sweep fan-out on every engine shape —
-/// shim-only determinism hook, see `tests/sharding.rs`.
+/// Thread-count independence of the scoring fan-out (guards against
+/// order-dependent folds).  Uses the rayon shim's scoped `with_thread_count`
+/// override, which real rayon does not expose — hence the `shim-rayon`
+/// feature gate (see the workspace `Cargo.toml`); with real rayon, size the
+/// global pool via `RAYON_NUM_THREADS` instead.
 #[cfg(feature = "shim-rayon")]
 mod thread_count_independence {
     use super::*;
@@ -465,24 +399,16 @@ mod thread_count_independence {
         let corpus = scenario::excavator_europe(42);
         let (db, base) = excavator_setup();
         let windows: Vec<DateWindow> = (2016..2024).map(|y| DateWindow::years(y, y)).collect();
+        let sweep =
+            || LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows));
 
-        let reference = rayon::with_thread_count(1, || {
-            LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
-        });
-        for threads in [1, 2, 3, 8] {
-            let (single, sharded) =
-                rayon::with_thread_count(threads, || {
-                    let single = LiveEngine::new(corpus.clone()).sai_windows(
-                        &db,
-                        &base,
-                        &WindowAxis::each(&windows),
-                    );
-                    let sharded = ShardedEngine::new(corpus.clone(), ShardSpec::yearly())
-                        .sai_windows(&db, &base, &WindowAxis::each(&windows));
-                    (single, sharded)
-                });
-            assert_eq!(single, reference, "single sweep at {threads} threads");
-            assert_eq!(sharded, reference, "sharded sweep at {threads} threads");
+        let reference = rayon::with_thread_count(1, sweep);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                rayon::with_thread_count(threads, sweep),
+                reference,
+                "sweep at {threads} threads"
+            );
         }
     }
 }
