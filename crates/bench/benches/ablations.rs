@@ -40,13 +40,13 @@ fn bench(c: &mut Criterion) {
     ] {
         let config = PspConfig::passenger_car_europe().with_weights(weights);
         // Sanity before timing: the swept preset matches per-window scoring.
-        let per_window: Vec<PspConfig> = windows
+        let per_window: Vec<_> = windows
             .iter()
-            .map(|w| config.clone().with_window(*w))
+            .map(|w| engine.sai_list(&db, &config.clone().with_window(*w)))
             .collect();
         assert_eq!(
             engine.sai_windows(&db, &config, &WindowAxis::each(&windows)),
-            engine.sai_lists(&db, &per_window),
+            per_window,
             "{label} sweep diverged from per-window lists"
         );
         group.bench_function(label, |b| {

@@ -11,6 +11,10 @@
 //! * `indexed_pass` — `LiveEngine::sai_list` on a prebuilt engine, the
 //!   amortised serving cost once a corpus is indexed.
 //!
+//! At 100k posts it also times a monitoring-style sweep of six three-year
+//! windows: `window_sweep_naive` (the naive path per window) against
+//! `window_sweep_engine` (a cold engine build plus one `sai_windows` call).
+//!
 //! The gated `speedup_one_shot/<size>` and `speedup_indexed_pass/<size>` rows
 //! are work ratios, naive over the engine path on one worker thread
 //! (`psp_bench::perf::work_speedup`): at 1k posts an indexed pass is a ~55 µs
@@ -25,11 +29,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
-use psp::engine::{LiveEngine, SaiScorer};
+use psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
 use psp::sai::SaiList;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, work_speedup, PerfReport};
 use psp_bench::{scaled_excavator_corpus, score_cold};
+use socialsim::time::DateWindow;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -42,12 +47,9 @@ const SWEEP_SIZE: usize = 100_000;
 /// Window start years of the monitoring-style sweep (three-year windows).
 const SWEEP_YEARS: std::ops::RangeInclusive<i32> = 2018..=2023;
 
-fn sweep_configs() -> Vec<PspConfig> {
+fn sweep_windows() -> Vec<DateWindow> {
     SWEEP_YEARS
-        .map(|year| {
-            PspConfig::excavator_europe()
-                .with_window(socialsim::time::DateWindow::years(year, year + 2))
-        })
+        .map(|year| DateWindow::years(year, year + 2))
         .collect()
 }
 
@@ -83,7 +85,7 @@ fn write_report(c: &Criterion, sizes: &[usize], work: &[(f64, f64)]) {
         println!(
             "window sweep ({SWEEP_SIZE} posts, {} windows incl. engine build): naive \
              {sweep_naive:.0} ns | engine {sweep_engine:.0} ns ({sweep_speedup:.1}x)",
-            sweep_configs().len()
+            sweep_windows().len()
         );
         report.push_metric(format!("window_sweep_naive/{SWEEP_SIZE}"), sweep_naive);
         report.push_metric(format!("window_sweep_engine/{SWEEP_SIZE}"), sweep_engine);
@@ -128,7 +130,12 @@ fn bench(c: &mut Criterion) {
         // The monitoring-style sweep at the largest size: many windows over one
         // corpus is where indexing amortises even including engine build.
         if size == SWEEP_SIZE {
-            let configs = sweep_configs();
+            let windows = sweep_windows();
+            let configs: Vec<PspConfig> = windows
+                .iter()
+                .map(|w| config.clone().with_window(*w))
+                .collect();
+            let axis = WindowAxis::each(&windows);
             group.bench_function(&format!("window_sweep_naive/{size}"), |b| {
                 b.iter(|| {
                     for cfg in &configs {
@@ -139,7 +146,7 @@ fn bench(c: &mut Criterion) {
             group.bench_function(&format!("window_sweep_engine/{size}"), |b| {
                 b.iter(|| {
                     black_box(score_cold(&mut corpus, LiveEngine::new, |engine| {
-                        engine.sai_lists(&db, &configs)
+                        engine.sai_windows(&db, &config, &axis)
                     }))
                 })
             });

@@ -1,12 +1,11 @@
-//! The sweep plane vs per-window batch scoring — the N-window monitoring
-//! hot path.
+//! The sweep plane vs per-window scoring — the N-window monitoring hot path.
 //!
 //! The workload is a monitoring sweep: one warm engine (index built, signals
 //! memoised) answers 20 overlapping one-year analysis windows (quarterly
-//! starts over 2018-2022) of the scaled excavator corpus.  The batch
-//! `sai_lists` path resolves each keyword's candidates once but still walks
-//! the whole candidate set per window (a date filter plus a signal fold);
-//! `sai_windows` projects the candidates once into date-sorted, prefix-summed
+//! starts over 2018-2022) of the scaled excavator corpus.  Scoring one window
+//! at a time (`sai_list` per windowed config) queries the index and walks
+//! every keyword's whole candidate set per window (a metadata filter plus a
+//! signal fold); `sai_windows` projects the candidates once into date-sorted, prefix-summed
 //! columns and resolves each window with two binary searches plus a fold over
 //! only the window's own rows.  The sweep plan is cached on the engine, so
 //! the steady-state cost — what a `LiveMonitor` pays per re-evaluation — is
@@ -16,9 +15,8 @@
 //! Per corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES` overrides),
 //! two paths are measured:
 //!
-//! * `window_sweep_lists/<size>` — the warm single engine through per-window
-//!   batch scoring (`sai_lists`, one config per window) — the pre-sweep hot
-//!   path;
+//! * `window_sweep_lists/<size>` — the warm single engine through one
+//!   `sai_list` call per windowed config — the pre-sweep hot path;
 //! * `window_sweep_plan/<size>` — the same engine and windows through
 //!   `sai_windows`.
 //!
@@ -35,6 +33,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
 use psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp::keyword_db::KeywordDatabase;
+use psp::sai::SaiList;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, work_speedup, PerfReport};
 use psp_bench::scaled_excavator_corpus;
 use socialsim::time::{DateWindow, SimDate};
@@ -100,6 +99,9 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|w| base.clone().with_window(*w))
         .collect();
+    let per_window = |engine: &LiveEngine| -> Vec<SaiList> {
+        configs.iter().map(|c| engine.sai_list(&db, c)).collect()
+    };
     let sizes = sizes_from_env(&DEFAULT_SIZES);
     let mut work = Vec::with_capacity(sizes.len());
 
@@ -110,10 +112,10 @@ fn bench(c: &mut Criterion) {
         let single = LiveEngine::new(corpus);
         single.precompute_signals();
 
-        // Sanity: the sweep must be bit-identical to per-window batch
-        // scoring before being timed.  (This first call also builds and
-        // caches the sweep plan — the warm steady state the bench measures.)
-        let reference = single.sai_lists(&db, &configs);
+        // Sanity: the sweep must be bit-identical to per-window scoring
+        // before being timed.  (The sweep call also builds and caches the
+        // sweep plan — the warm steady state the bench measures.)
+        let reference = per_window(&single);
         assert_eq!(
             single.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             reference,
@@ -125,7 +127,7 @@ fn bench(c: &mut Criterion) {
             .sample_size(3)
             .measurement_time(Duration::from_secs(10));
         group.bench_function(&format!("window_sweep_lists/{size}"), |b| {
-            b.iter(|| black_box(single.sai_lists(&db, &configs)))
+            b.iter(|| black_box(per_window(&single)))
         });
         group.bench_function(&format!("window_sweep_plan/{size}"), |b| {
             b.iter(|| black_box(single.sai_windows(&db, &base, &WindowAxis::each(&windows))))
@@ -133,7 +135,7 @@ fn bench(c: &mut Criterion) {
         group.finish();
         work.push(rayon::with_thread_count(1, || {
             work_speedup(
-                || single.sai_lists(&db, &configs),
+                || per_window(&single),
                 || single.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             )
         }));

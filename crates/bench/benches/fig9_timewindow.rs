@@ -6,8 +6,8 @@
 //! history vs the recent window);
 //! `warm_yearly_sweep` measures the steady-state monitoring shape the sweep
 //! plane exists for — one warm engine resolving every yearly window of the
-//! scene through `sai_windows` — and `warm_yearly_lists` keeps the per-window
-//! batch path alongside it as the honest reference.
+//! scene through `sai_windows` — and `warm_yearly_lists` keeps per-window
+//! `sai_list` calls alongside it as the honest reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psp::config::PspConfig;
@@ -28,12 +28,15 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|w| config.clone().with_window(*w))
         .collect();
+    let per_window = |engine: &LiveEngine| -> Vec<_> {
+        configs.iter().map(|c| engine.sai_list(&db, c)).collect()
+    };
 
     let engine = LiveEngine::new(corpus.clone());
-    // Sanity before timing: the sweep must match the per-window batch path.
+    // Sanity before timing: the sweep must match per-window scoring.
     assert_eq!(
         engine.sai_windows(&db, &config, &WindowAxis::each(&windows)),
-        engine.sai_lists(&db, &configs),
+        per_window(&engine),
         "fig9 sweep diverged from per-window lists"
     );
 
@@ -56,7 +59,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(engine.sai_windows(&db, &config, &WindowAxis::each(&windows))))
     });
     group.bench_function("warm_yearly_lists", |b| {
-        b.iter(|| black_box(engine.sai_lists(&db, &configs)))
+        b.iter(|| black_box(per_window(&engine)))
     });
     group.finish();
 }

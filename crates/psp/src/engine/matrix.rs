@@ -23,7 +23,7 @@
 //!
 //! Results stream to the caller in deterministic [`CellId`] order
 //! (scenario-major, then configuration, then window), and every cell is
-//! **bit-identical** to the nested `sai_windows` / `sai_lists` /
+//! **bit-identical** to the nested `sai_windows` / per-window `sai_list` /
 //! `compute_naive` equivalents — float folds keep their ascending-post-id
 //! order all the way through the sweep plan.
 
@@ -41,7 +41,7 @@ use super::{SaiScorer, WindowAxis};
 ///
 /// The derived ordering (scenario-major, then configuration, then window) is
 /// exactly the order cells stream out of
-/// [`SaiScorer::sai_matrix_stream`](super::SaiScorer::sai_matrix_stream).
+/// [`SaiScorer::sai_matrix_stream_until`](super::SaiScorer::sai_matrix_stream_until).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CellId {
     /// Index into the spec's scenarios (keyword databases).
@@ -61,7 +61,8 @@ pub struct CellId {
 /// * **Configurations** carry the scene filters (region, application,
 ///   credibility rule) and SAI weight sets — a weight-ablation study is one
 ///   scenario × many configurations.
-/// * **Windows** optionally fix a shared analysis-window grid.  A non-empty
+/// * **Windows** optionally fix a shared analysis-window grid, given as a
+///   [`WindowAxis`] ([`window_axis`](MatrixSpec::window_axis)).  A non-empty
 ///   grid *replaces* each configuration's own window (mirroring
 ///   [`SaiScorer::sai_windows`](super::SaiScorer::sai_windows));
 ///   an empty grid means one cell per (scenario, configuration), evaluated
@@ -70,7 +71,7 @@ pub struct CellId {
 ///
 /// ```
 /// use psp::config::{PspConfig, SaiWeights};
-/// use psp::engine::{LiveEngine, MatrixSpec, SaiScorer};
+/// use psp::engine::{LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
 /// use psp::keyword_db::KeywordDatabase;
 /// use socialsim::scenario;
 /// use socialsim::time::DateWindow;
@@ -83,8 +84,7 @@ pub struct CellId {
 ///         "views-only",
 ///         PspConfig::excavator_europe().with_weights(SaiWeights::views_only()),
 ///     )
-///     .full_history()
-///     .window(DateWindow::years(2021, 2023));
+///     .window_axis(&WindowAxis::new().full_history().window(DateWindow::years(2021, 2023)));
 /// let results = engine.sai_matrix(&spec);
 /// assert_eq!(results.len(), 4); // 1 scenario × 2 configs × 2 windows
 /// ```
@@ -113,27 +113,6 @@ impl MatrixSpec {
     #[must_use]
     pub fn config(mut self, label: impl Into<String>, config: PspConfig) -> Self {
         self.configs.push((label.into(), config));
-        self
-    }
-
-    /// Adds one analysis window to the shared grid.
-    #[must_use]
-    pub fn window(mut self, window: DateWindow) -> Self {
-        self.windows.push(Some(window));
-        self
-    }
-
-    /// Adds a full-history (unwindowed) entry to the shared grid.
-    #[must_use]
-    pub fn full_history(mut self) -> Self {
-        self.windows.push(None);
-        self
-    }
-
-    /// Adds a batch of analysis windows to the shared grid.
-    #[must_use]
-    pub fn windows(mut self, windows: &[DateWindow]) -> Self {
-        self.windows.extend(windows.iter().copied().map(Some));
         self
     }
 

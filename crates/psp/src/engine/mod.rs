@@ -21,10 +21,13 @@
 //!   credibility are memoised **at most once per post** — lazily, so posts no
 //!   query ever reaches never pay for the text pipeline — and shared by every
 //!   subsequent query and window;
-//! * SAI lists for many keyword profiles — and many configurations over the
-//!   same corpus — fan out over worker threads with `rayon`
-//!   ([`LiveEngine::precompute_signals`] warms the whole cache in parallel
-//!   for throughput-critical serving).
+//! * SAI lists for many keyword profiles fan out over worker threads with
+//!   `rayon` ([`LiveEngine::precompute_signals`] warms the whole cache in
+//!   parallel for throughput-critical serving);
+//! * many windows of one (database, scene) — monitoring series, Figure-9
+//!   comparisons, matrix rows — resolve against one cached prefix-summed
+//!   sweep plan ([`SaiScorer::sai_windows`]; see the `sweep` module), while
+//!   a single configuration takes the direct fold ([`LiveEngine::sai_list`]).
 //!
 //! The engines are *exactly* equivalent to the naive path: candidate ids come
 //! back in ascending post order, so every sum is folded in the same order the
@@ -155,11 +158,6 @@ pub trait SaiScorer {
     /// Computes the full SAI list for a keyword database and configuration.
     fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList;
 
-    /// Computes one SAI list per configuration against the same corpus (the
-    /// batch entry point for heterogeneous configuration sets).  Always
-    /// returns exactly one list per configuration.
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList>;
-
     /// Computes one SAI list per entry on a [`WindowAxis`] against one shared
     /// base configuration — the canonical sweep entry point for monitoring
     /// series, Figure-9 comparisons and fleet sweeps, where only the window
@@ -167,7 +165,7 @@ pub trait SaiScorer {
     /// (`None`) spans the full history; `base_config`'s own window is
     /// replaced per entry.
     ///
-    /// Semantically identical to [`sai_lists`](Self::sai_lists) over
+    /// Semantically identical to [`sai_list`](Self::sai_list) over
     /// `base_config.clone().with_window(w)` for every axis entry, and
     /// **bit-identical** to it; [`LiveEngine`] overrides
     /// the implementation with a prefix-summed columnar plan that makes the
@@ -193,7 +191,7 @@ pub trait SaiScorer {
     /// predicate that is true from the start builds no plan.
     ///
     /// The default resolves one window at a time through
-    /// [`sai_lists`](Self::sai_lists), checking `stop` before each window.
+    /// [`sai_list`](Self::sai_list), checking `stop` before each window.
     fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
@@ -206,7 +204,7 @@ pub trait SaiScorer {
             .map(|window| {
                 let mut config = base_config.clone();
                 config.window = *window;
-                (!stop()).then(|| self.sai_lists(db, &[config]).remove(0))
+                (!stop()).then(|| self.sai_list(db, &config))
             })
             .collect()
     }
@@ -220,27 +218,19 @@ pub trait SaiScorer {
     /// pair in the matrix builds its sweep plan exactly once.
     fn sai_matrix(&self, spec: &MatrixSpec) -> MatrixResults {
         let mut results = MatrixResults::empty_for(spec);
-        self.sai_matrix_stream(spec, &mut |id, sai| results.push(id, sai));
+        self.sai_matrix_stream_until(spec, &|| false, &mut |id, sai| results.push(id, sai))
+            .expect("a matrix that never stops finishes");
         results
     }
 
-    /// The streaming form of [`sai_matrix`](Self::sai_matrix): cells are
-    /// handed to `sink` in deterministic [`CellId`] order (scenario-major,
-    /// then configuration, then window) as their row resolves, so a caller
-    /// can render or persist incrementally instead of holding the whole
-    /// cross-product.  The never-stopping form of
-    /// [`sai_matrix_stream_until`](Self::sai_matrix_stream_until).
-    fn sai_matrix_stream(&self, spec: &MatrixSpec, sink: &mut dyn FnMut(CellId, SaiList)) {
-        self.sai_matrix_stream_until(spec, &|| false, sink)
-            .expect("a matrix that never stops finishes");
-    }
-
-    /// [`sai_matrix_stream`](Self::sai_matrix_stream) under a stop
-    /// predicate: every row's sweep polls `stop` before it touches a plan
+    /// The streaming, stoppable form of [`sai_matrix`](Self::sai_matrix):
+    /// cells are handed to `sink` in deterministic [`CellId`] order
+    /// (scenario-major, then configuration, then window) as their row
+    /// resolves, and every row's sweep polls `stop` before it touches a plan
     /// and again inside (see [`sai_windows_until`](Self::sai_windows_until)).
     /// A stopped run returns `None`; the cells of scenarios finished before
     /// the stop may already have reached `sink`.  A run that is never
-    /// stopped streams exactly what `sai_matrix_stream` streams.
+    /// stopped streams exactly the cells `sai_matrix` collects.
     fn sai_matrix_stream_until(
         &self,
         spec: &MatrixSpec,
@@ -322,7 +312,7 @@ impl PostSignals {
     /// Combines a post's cheap engagement/credibility fields with its mined
     /// text evidence — the single construction site shared by fresh mining
     /// ([`EngineCore::signal`]) and cache install
-    /// ([`EngineCore::install_cached`]), so the two can never drift apart.
+    /// ([`EngineCore::load_cache`]), so the two can never drift apart.
     fn from_post(post: &Post, intent: f64, prices: Vec<f64>) -> Self {
         Self {
             views: post.engagement().views,
@@ -454,26 +444,15 @@ impl EngineCore {
             .collect();
     }
 
-    /// Scores one keyword profile into an (unnormalised) SAI entry.
+    /// Scores one keyword profile into an (unnormalised) SAI entry, folding
+    /// its matching post ids in ascending order.
     fn score_profile(
         &self,
         corpus: &Corpus,
         profile: &KeywordProfile,
         config: &PspConfig,
     ) -> SaiEntry {
-        let query = profile_query(profile, config);
-        let ids = self.index.query(corpus, &query);
-        self.aggregate(corpus, profile, config, ids.into_iter())
-    }
-
-    /// Folds a set of candidate post ids (ascending) into an SAI entry.
-    fn aggregate(
-        &self,
-        corpus: &Corpus,
-        profile: &KeywordProfile,
-        config: &PspConfig,
-        ids: impl Iterator<Item = u32>,
-    ) -> SaiEntry {
+        let ids = self.index.query(corpus, &profile_query(profile, config));
         let weights = config.sai_weights;
         let mut posts = 0_usize;
         let mut views = 0_u64;
@@ -515,23 +494,6 @@ impl EngineCore {
         }
     }
 
-    /// A profile's *content* candidates (keyword/hashtag matches), ascending.
-    ///
-    /// The content condition does not depend on a configuration's
-    /// region/application/window filters, so batch callers resolve the
-    /// candidates once per profile — against any representative config — and
-    /// re-apply only the cheap metadata predicates per configuration (see
-    /// [`BatchCandidates`]).
-    fn content_candidates_for(
-        &self,
-        corpus: &Corpus,
-        profile: &KeywordProfile,
-        any_config: &PspConfig,
-    ) -> Vec<u32> {
-        let content_query = profile_query(profile, any_config);
-        self.index.content_candidates(corpus, &content_query)
-    }
-
     /// Computes the full SAI list for a keyword database and configuration in
     /// one indexed pass, fanning out over keyword profiles with `rayon`.
     fn sai_list(&self, corpus: &Corpus, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
@@ -541,42 +503,6 @@ impl EngineCore {
             .map(|profile| self.score_profile(corpus, profile, config))
             .collect();
         SaiList::from_entries(entries)
-    }
-
-    /// Computes one SAI list per configuration against the same corpus.
-    fn sai_lists(
-        &self,
-        corpus: &Corpus,
-        db: &KeywordDatabase,
-        configs: &[PspConfig],
-    ) -> Vec<SaiList> {
-        let profiles: Vec<&KeywordProfile> = db.iter().collect();
-        if configs.is_empty() {
-            return Vec::new();
-        }
-        if profiles.is_empty() {
-            return configs
-                .iter()
-                .map(|_| SaiList::from_entries(Vec::new()))
-                .collect();
-        }
-        // One parallel job per profile: resolve the (config-independent)
-        // content candidates once — scene filter hoisted — then score every
-        // configuration against them.
-        let per_profile: Vec<Vec<SaiEntry>> = profiles
-            .par_iter()
-            .map(|profile| {
-                let batch = BatchCandidates::hoist(self, corpus, profile, &configs[0]);
-                configs
-                    .iter()
-                    .map(|config| {
-                        let query = profile_query(profile, config);
-                        self.aggregate(corpus, profile, config, batch.for_config(config, &query))
-                    })
-                    .collect()
-            })
-            .collect();
-        transpose_to_lists(per_profile, configs.len())
     }
 
     /// The (cached) sweep plan for a database and base configuration — built
@@ -636,97 +562,9 @@ impl EngineCore {
     }
 }
 
-/// The hoisted per-profile filter state of the batch (`sai_lists`) paths:
-/// a profile's content candidates plus the subset passing the base
-/// configuration's window-invariant *scene* filter (region / application),
-/// each resolved once per profile.  Every configuration sharing that scene
-/// then pays only the window predicate per candidate; a configuration with a
-/// different scene falls back to the full metadata filter.
-struct BatchCandidates<'a> {
-    index: &'a CorpusIndex,
-    /// All content candidates, ascending.
-    candidates: Vec<u32>,
-    /// The candidates passing the base configuration's scene, ascending.
-    scene_candidates: Vec<u32>,
-    /// The scene the hoisted subset was filtered with.
-    region: socialsim::post::Region,
-    application: socialsim::post::TargetApplication,
-}
-
-impl<'a> BatchCandidates<'a> {
-    /// Resolves one profile's content candidates and hoists the scene filter
-    /// of `base_config` (by convention the batch's first configuration).
-    fn hoist(
-        core: &'a EngineCore,
-        corpus: &Corpus,
-        profile: &KeywordProfile,
-        base_config: &PspConfig,
-    ) -> Self {
-        let candidates = core.content_candidates_for(corpus, profile, base_config);
-        let base_query = profile_query(profile, base_config);
-        let scene_candidates = candidates
-            .iter()
-            .copied()
-            .filter(|id| core.index.matches_scene(*id, &base_query))
-            .collect();
-        Self {
-            index: &core.index,
-            candidates,
-            scene_candidates,
-            region: base_config.region,
-            application: base_config.application,
-        }
-    }
-
-    /// The candidate ids passing `config`'s metadata constraints, ascending:
-    /// the hoisted scene subset under a window-only check when `config`
-    /// shares the base scene, the full per-candidate metadata filter
-    /// otherwise.  `query` must be `profile_query(profile, config)`.
-    fn for_config<'q>(
-        &'q self,
-        config: &PspConfig,
-        query: &'q Query,
-    ) -> impl Iterator<Item = u32> + 'q {
-        if config.region == self.region && config.application == self.application {
-            let window = config.window;
-            EitherIter::Scene(
-                self.scene_candidates
-                    .iter()
-                    .copied()
-                    .filter(move |id| self.index.in_window(*id, window)),
-            )
-        } else {
-            EitherIter::Full(
-                self.candidates
-                    .iter()
-                    .copied()
-                    .filter(move |id| self.index.matches_metadata(*id, query)),
-            )
-        }
-    }
-}
-
-/// A two-armed iterator so [`BatchCandidates::for_config`] can return either
-/// filter shape as one `impl Iterator`.
-enum EitherIter<A, B> {
-    Scene(A),
-    Full(B),
-}
-
-impl<A: Iterator<Item = u32>, B: Iterator<Item = u32>> Iterator for EitherIter<A, B> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            EitherIter::Scene(iter) => iter.next(),
-            EitherIter::Full(iter) => iter.next(),
-        }
-    }
-}
-
-/// Transposes a profile-major entry grid into one finished list per
-/// configuration/window, preserving keyword-database order within each list —
-/// the shared tail of the batch and sweep paths.
+/// Transposes a profile-major entry grid into one finished list per window,
+/// preserving keyword-database order within each list — the tail of the
+/// sweep path.
 fn transpose_to_lists(per_profile: Vec<Vec<SaiEntry>>, lists: usize) -> Vec<SaiList> {
     let mut per_config: Vec<Vec<SaiEntry>> = (0..lists)
         .map(|_| Vec::with_capacity(per_profile.len()))
@@ -915,16 +753,8 @@ impl SaiScorer for LiveEngine {
         LiveEngine::sai_list(self, db, config)
     }
 
-    /// A keyword's content candidates do not depend on the configuration, so
-    /// they are resolved once per profile and only the cheap metadata filter
-    /// (region / application / window) and aggregation re-run per
-    /// configuration.  Returns empty lists for an empty database.
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        self.core.sai_lists(&self.corpus, db, configs)
-    }
-
     /// Sweeps through the prefix-summed plan — bit-identical to (and much
-    /// faster than) per-window [`sai_lists`](SaiScorer::sai_lists).  The
+    /// faster than) per-window [`sai_list`](SaiScorer::sai_list).  The
     /// plan survives across calls on this warm engine and is invalidated
     /// exactly when [`LiveEngine::ingest`] absorbs a non-empty batch (the
     /// generation counter is the key), so a monitoring loop pays the plan
@@ -1000,21 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_lists_match_individual_lists() {
-        let corpus = scenario::passenger_car_europe(42);
-        let db = KeywordDatabase::passenger_car_seed();
-        let engine = LiveEngine::new(corpus.clone());
-        let configs: Vec<PspConfig> = (2018..2023)
-            .map(|y| PspConfig::passenger_car_europe().with_window(DateWindow::years(y, y + 1)))
-            .collect();
-        let batch = engine.sai_lists(&db, &configs);
-        assert_eq!(batch.len(), configs.len());
-        for (config, list) in configs.iter().zip(&batch) {
-            assert_eq!(*list, engine.sai_list(&db, config));
-        }
-    }
-
-    #[test]
     fn empty_corpus_and_empty_db_degrade_gracefully() {
         let corpus = Corpus::new();
         let engine = LiveEngine::new(corpus.clone());
@@ -1028,20 +843,13 @@ mod tests {
             .all(|e| e.sai == 0.0 && e.probability == 0.0));
         let none = engine.sai_list(&KeywordDatabase::new(), &PspConfig::excavator_europe());
         assert!(none.is_empty());
-        assert!(engine.sai_lists(&KeywordDatabase::new(), &[]).is_empty());
-    }
-
-    #[test]
-    fn batch_returns_one_list_per_config_even_for_an_empty_database() {
-        let corpus = scenario::excavator_europe(7);
-        let engine = LiveEngine::new(corpus.clone());
-        let configs = [
-            PspConfig::excavator_europe(),
-            PspConfig::excavator_europe().with_window(DateWindow::years(2020, 2021)),
-        ];
-        let lists = engine.sai_lists(&KeywordDatabase::new(), &configs);
-        assert_eq!(lists.len(), configs.len());
-        assert!(lists.iter().all(SaiList::is_empty));
+        assert!(engine
+            .sai_windows(
+                &KeywordDatabase::new(),
+                &PspConfig::excavator_europe(),
+                &WindowAxis::new()
+            )
+            .is_empty());
     }
 
     #[test]
@@ -1119,14 +927,13 @@ mod tests {
         let base = PspConfig::passenger_car_europe();
         let engine = LiveEngine::new(corpus.clone());
         let windows: Vec<DateWindow> = (2015..2023).map(|y| DateWindow::years(y, y + 1)).collect();
-        let configs: Vec<PspConfig> = windows
-            .iter()
-            .map(|w| base.clone().with_window(*w))
-            .collect();
-        assert_eq!(
-            engine.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            engine.sai_lists(&db, &configs)
-        );
+        let swept = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
+        assert_eq!(swept.len(), windows.len());
+        for (window, sai) in windows.iter().zip(&swept) {
+            let config = base.clone().with_window(*window);
+            assert_eq!(*sai, engine.sai_list(&db, &config));
+            assert_eq!(*sai, SaiList::compute_naive(&corpus, &db, &config));
+        }
     }
 
     #[test]
@@ -1351,7 +1158,7 @@ mod tests {
                     .with_weights(crate::config::SaiWeights::views_only()),
             )
             .config("filtered", base.clone().with_poisoning_filter(0.25))
-            .windows(&windows);
+            .window_axis(&WindowAxis::each(&windows));
         let results = engine.sai_matrix(&spec);
         assert_eq!(results.len(), spec.cell_count());
         // 2 databases × 2 scenes (balanced and views-only share a plan key;
@@ -1367,13 +1174,14 @@ mod tests {
     fn an_empty_matrix_returns_no_cells_without_planning() {
         let corpus = scenario::excavator_europe(7);
         let engine = LiveEngine::new(corpus.clone());
+        let grid = WindowAxis::each(&[DateWindow::years(2019, 2021)]);
         let no_scenarios = MatrixSpec::new()
             .config("base", PspConfig::excavator_europe())
-            .window(DateWindow::years(2019, 2021));
+            .window_axis(&grid);
         assert!(engine.sai_matrix(&no_scenarios).is_empty());
         let no_configs = MatrixSpec::new()
             .scenario("excavator", KeywordDatabase::excavator_seed())
-            .window(DateWindow::years(2019, 2021));
+            .window_axis(&grid);
         assert!(engine.sai_matrix(&no_configs).is_empty());
         assert_eq!(MatrixSpec::new().cell_count(), 0);
         assert!(engine.sai_matrix(&MatrixSpec::new()).is_empty());
@@ -1395,8 +1203,7 @@ mod tests {
             .scenario("excavator", db.clone())
             .config("balanced", configs[0].clone())
             .config("filtered", configs[1].clone())
-            .full_history()
-            .window(window);
+            .window_axis(&WindowAxis::new().full_history().window(window));
         let results = engine.sai_matrix(&spec);
         assert_eq!(results.len(), 4);
         for (id, sai) in results.iter() {
@@ -1416,7 +1223,7 @@ mod tests {
                 "filtered",
                 PspConfig::excavator_europe().with_poisoning_filter(0.25),
             )
-            .window(DateWindow::years(2019, 2021));
+            .window_axis(&WindowAxis::each(&[DateWindow::years(2019, 2021)]));
         live.sai_matrix(&spec);
         assert_eq!(live.plan_builds(), 2);
         live.sai_matrix(&spec);
@@ -1437,10 +1244,15 @@ mod tests {
         let spec = MatrixSpec::new()
             .scenario("excavator", KeywordDatabase::excavator_seed())
             .config("base", PspConfig::excavator_europe())
-            .full_history()
-            .window(DateWindow::years(2021, 2023));
+            .window_axis(
+                &WindowAxis::new()
+                    .full_history()
+                    .window(DateWindow::years(2021, 2023)),
+            );
         let mut streamed = Vec::new();
-        engine.sai_matrix_stream(&spec, &mut |id, sai| streamed.push((id, sai)));
+        engine
+            .sai_matrix_stream_until(&spec, &|| false, &mut |id, sai| streamed.push((id, sai)))
+            .expect("a matrix that never stops finishes");
         let ids: Vec<CellId> = streamed.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, spec.cell_ids());
         let results = engine.sai_matrix(&spec);
@@ -1464,16 +1276,22 @@ mod tests {
         let posts = seed.posts().to_vec();
         let (old, new) = posts.split_at(posts.len() / 2);
         let db = KeywordDatabase::passenger_car_seed();
-        let configs: Vec<PspConfig> = (2016..2023)
-            .map(|y| PspConfig::passenger_car_europe().with_window(DateWindow::years(y, y + 1)))
-            .collect();
+        let base = PspConfig::passenger_car_europe();
+        let windows: Vec<DateWindow> = (2016..2023).map(|y| DateWindow::years(y, y + 1)).collect();
 
         let mut live = LiveEngine::new(Corpus::from_posts(old.to_vec()));
         live.ingest(new.to_vec());
         let snapshot = LiveEngine::new(live.corpus().clone());
+        let swept = live.sai_windows(&db, &base, &WindowAxis::each(&windows));
         assert_eq!(
-            live.sai_lists(&db, &configs),
-            snapshot.sai_lists(&db, &configs)
+            swept,
+            snapshot.sai_windows(&db, &base, &WindowAxis::each(&windows))
         );
+        for (window, sai) in windows.iter().zip(&swept) {
+            assert_eq!(
+                *sai,
+                snapshot.sai_list(&db, &base.clone().with_window(*window))
+            );
+        }
     }
 }

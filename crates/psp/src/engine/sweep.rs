@@ -3,10 +3,10 @@
 //! everything that merges associatively.
 //!
 //! A windowed sweep (`MonitoringSeries`, Figure-9 comparisons, fleet sweeps)
-//! scores the *same* scenario over many windows of one corpus.  The batch
-//! `sai_lists` path already resolves each keyword's content candidates once,
-//! but every window still re-walks the whole candidate set: an O(candidates)
-//! date filter plus an O(matches) signal fold, per window.  The sweep plan
+//! scores the *same* scenario over many windows of one corpus.  Scored one
+//! window at a time, every window re-queries the index and re-walks the
+//! whole candidate set: an O(candidates) metadata filter plus an O(matches)
+//! signal fold, per window.  The sweep plan
 //! moves all window-invariant work into a build step and leaves per-window
 //! work proportional to the window's *own* evidence:
 //!
@@ -21,10 +21,10 @@
 //!   contiguous row range `[lo, hi)`; counts and integer sums fall out of
 //!   prefix-sum subtractions in O(log n), and only the window's own rows are
 //!   re-folded — in ascending post-id order, the exact order the per-window
-//!   `sai_lists` fold uses — for the intent sum and the price stream.
+//!   `sai_list` fold uses — for the intent sum and the price stream.
 //!
 //! The result is **bit-identical** to scoring each window through
-//! [`SaiScorer::sai_lists`](super::SaiScorer::sai_lists) and to the
+//! [`SaiScorer::sai_list`](super::SaiScorer::sai_list) and to the
 //! `SaiList::compute_naive` oracle: integer subtraction of integer prefix
 //! sums is exact, and the float evidence is added in the same order as the
 //! unswept fold.  The `psp-suite` property tests (`tests/sweep.rs`) pin this
@@ -35,7 +35,7 @@
 //! the keyword database, the scene half of the configuration ([`PlanKey`]:
 //! region, application, credibility rule — windows and SAI weights are
 //! resolved per sweep) and the core's ingest generation.  Several (database,
-//! scene) pairs in rotation — a `SweepMatrix` evaluating many scenarios over
+//! scene) pairs in rotation — a `MatrixSpec` evaluating many scenarios over
 //! one warm engine, or two alternating monitoring scenes — each keep their
 //! plan instead of thrashing one slot; a
 //! [`LiveEngine`](super::LiveEngine) invalidates its plans exactly when an
@@ -475,7 +475,7 @@ pub(super) const PLAN_CACHE_CAPACITY: usize = 8;
 /// recently built on an engine core, keyed by `(generation, database,
 /// scene)`.
 ///
-/// Alternating (database, scene) pairs — a `SweepMatrix` evaluating several
+/// Alternating (database, scene) pairs — a `MatrixSpec` evaluating several
 /// scenarios against one warm engine, or two monitoring scenes taking turns —
 /// each keep their plan instead of thrashing a single slot.  Plans from
 /// superseded ingest generations can never validate again and are dropped

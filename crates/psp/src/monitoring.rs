@@ -19,7 +19,7 @@
 //!   grown corpus.
 
 use crate::config::PspConfig;
-use crate::engine::{IngestReceipt, LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
+use crate::engine::{IngestReceipt, LiveEngine, SaiScorer, WindowAxis};
 use crate::keyword_db::KeywordDatabase;
 use crate::sai::SaiList;
 use crate::weights::WeightGenerator;
@@ -104,12 +104,12 @@ fn window_plan(from_year: i32, to_year: i32, window_years: i32) -> (Vec<(i32, i3
 /// cold run by construction.
 fn observations_from(
     bounds: &[(i32, i32)],
-    sai_lists: &[SaiList],
+    lists: &[SaiList],
     scenario: &str,
 ) -> Vec<WindowObservation> {
     let generator = WeightGenerator::new();
     let mut observations = Vec::new();
-    for (&(start, end), sai) in bounds.iter().zip(sai_lists) {
+    for (&(start, end), sai) in bounds.iter().zip(lists) {
         let entries = sai.scenario_entries(scenario);
         let posts = entries.iter().map(|e| e.posts).sum();
         let scenario_sai = entries.iter().map(|e| e.sai).sum();
@@ -183,51 +183,11 @@ impl MonitoringSeries {
         window_years: i32,
     ) -> Self {
         let (bounds, axis) = window_plan(from_year, to_year, window_years);
-        let sai_lists = engine.sai_windows(db, base_config, &axis);
+        let lists = engine.sai_windows(db, base_config, &axis);
         Self {
             scenario: scenario.to_string(),
-            observations: observations_from(&bounds, &sai_lists, scenario),
+            observations: observations_from(&bounds, &lists, scenario),
         }
-    }
-
-    /// Runs the windowed analysis once and folds it into one series **per
-    /// scenario** — the multi-profile monitoring entry point.
-    ///
-    /// The expensive part of a monitoring run — indexing, text mining and the
-    /// per-window SAI sweep — does not depend on which scenario is being
-    /// watched, so watching `N` scenarios costs one batch-plane run
-    /// ([`SaiScorer::sai_matrix`]) plus `N` cheap observation folds, instead
-    /// of `N` full [`run`](Self::run)s.  Each returned series is
-    /// bit-identical to the corresponding single-scenario `run`.
-    #[must_use]
-    pub fn run_many(
-        corpus: &Corpus,
-        db: &KeywordDatabase,
-        base_config: &PspConfig,
-        scenarios: &[&str],
-        from_year: i32,
-        to_year: i32,
-        window_years: i32,
-    ) -> Vec<Self> {
-        let engine = LiveEngine::new(corpus.clone());
-        let (bounds, axis) = window_plan(from_year, to_year, window_years);
-        let spec = MatrixSpec::new()
-            .scenario("monitor", db.clone())
-            .config("base", base_config.clone())
-            .window_axis(&axis);
-        let sai_lists: Vec<SaiList> = engine
-            .sai_matrix(&spec)
-            .into_cells()
-            .into_iter()
-            .map(|(_, sai)| sai)
-            .collect();
-        scenarios
-            .iter()
-            .map(|scenario| Self {
-                scenario: (*scenario).to_string(),
-                observations: observations_from(&bounds, &sai_lists, scenario),
-            })
-            .collect()
     }
 
     /// The observations with evidence (non-zero posts).
@@ -468,24 +428,6 @@ mod tests {
         let s = series(0);
         assert_eq!(s.observations.len(), 9);
         assert!(s.observations.iter().all(|o| o.from_year == o.to_year));
-    }
-
-    #[test]
-    fn run_many_matches_individual_runs_bit_for_bit() {
-        let corpus = scenario::passenger_car_europe(42);
-        let db = KeywordDatabase::passenger_car_seed();
-        let config = PspConfig::passenger_car_europe();
-        let scenarios = ["ecm-reprogramming", "emission-defeat", "vehicle-theft"];
-        let many = MonitoringSeries::run_many(&corpus, &db, &config, &scenarios, 2015, 2023, 2);
-        assert_eq!(many.len(), scenarios.len());
-        for (series, scenario) in many.iter().zip(&scenarios) {
-            assert_eq!(
-                *series,
-                MonitoringSeries::run(&corpus, &db, &config, scenario, 2015, 2023, 2)
-            );
-        }
-        // No scenarios — the batch run degenerates to nothing.
-        assert!(MonitoringSeries::run_many(&corpus, &db, &config, &[], 2015, 2023, 2).is_empty());
     }
 
     #[test]

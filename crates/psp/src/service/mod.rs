@@ -731,10 +731,10 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         self.submit_with_token(request, CancelToken::with_deadline(deadline))
     }
 
-    /// Enqueues a request carrying an explicit token, so the caller can
-    /// [`cancel`](CancelToken::cancel) it while it is queued or running.
-    #[must_use]
-    pub fn submit_with_token(&self, request: ServiceRequest, token: CancelToken) -> Ticket {
+    /// Enqueues a request under `token` — the one queueing path behind
+    /// [`submit`](Self::submit) and
+    /// [`submit_with_deadline`](Self::submit_with_deadline).
+    fn submit_with_token(&self, request: ServiceRequest, token: CancelToken) -> Ticket {
         let (sender, ticket) = Ticket::new();
         let state = Arc::clone(&self.state);
         // An Err means the pool already shut down; the closure (and with it

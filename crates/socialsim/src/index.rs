@@ -249,9 +249,8 @@ impl CorpusIndex {
 
     /// Whether post `id` satisfies the query's *scene* constraints — region
     /// and target application, the metadata that does not depend on the
-    /// analysis window.  Batch callers sweeping many windows over otherwise
-    /// identical configurations check the scene once per candidate and
-    /// re-apply only [`in_window`](Self::in_window) per window.
+    /// analysis window.  A window sweep checks the scene once per candidate
+    /// when it builds its plan and resolves each window from the dates.
     #[must_use]
     pub fn matches_scene(&self, id: u32, query: &Query) -> bool {
         if let Some(region) = query.region() {
@@ -295,9 +294,9 @@ impl CorpusIndex {
     /// Ids of posts satisfying the query's *content* condition (keywords OR
     /// hashtags), ascending; every post when the query has no content
     /// constraints.  Content candidates are independent of the region /
-    /// application / window constraints, so batch callers sweeping many
-    /// windows can resolve them once per keyword set and re-apply
-    /// [`matches_metadata`](Self::matches_metadata) per window.
+    /// application / window constraints, so a window sweep resolves them
+    /// once per keyword set and filters them with
+    /// [`matches_scene`](Self::matches_scene).
     #[must_use]
     pub fn content_candidates(&self, corpus: &Corpus, query: &Query) -> Vec<u32> {
         if query.keywords().is_empty() && query.hashtags().is_empty() {
@@ -328,9 +327,9 @@ impl CorpusIndex {
     }
 
     /// Answers a batch of queries against the same index in one call — a
-    /// convenience for callers holding a prepared query set.  (The PSP scoring
-    /// engine uses the finer-grained [`content_candidates`](Self::content_candidates)
-    /// / [`matches_metadata`](Self::matches_metadata) split instead, so it can
+    /// convenience for callers holding a prepared query set.  (The PSP sweep
+    /// plan uses the finer-grained [`content_candidates`](Self::content_candidates)
+    /// / [`matches_scene`](Self::matches_scene) split instead, so it can
     /// reuse one candidate set across many windows.)
     #[must_use]
     pub fn query_many(&self, corpus: &Corpus, queries: &[Query]) -> Vec<Vec<u32>> {

@@ -109,23 +109,26 @@ fn main() {
 
     // The series rides the sweep plane (`sai_windows`): every window resolves
     // against prefix-summed columns instead of re-filtering the candidate
-    // set.  Smoke-check that path against per-window batch scoring.
+    // set.  Smoke-check that path against one `sai_list` per window.
     let windows: Vec<DateWindow> = (2015..=2023)
         .map(|y| DateWindow::years(y, (y + 1).min(2023)))
         .collect();
     let axis = WindowAxis::each(&windows);
     let swept = monitor.engine().sai_windows(&db, &config, &axis);
-    let per_window: Vec<PspConfig> = windows
+    let per_window: Vec<SaiList> = windows
         .iter()
-        .map(|w| config.clone().with_window(*w))
+        .map(|w| {
+            monitor
+                .engine()
+                .sai_list(&db, &config.clone().with_window(*w))
+        })
         .collect();
     assert_eq!(
-        swept,
-        monitor.engine().sai_lists(&db, &per_window),
-        "sweep plan diverged from per-window batch scoring"
+        swept, per_window,
+        "sweep plan diverged from per-window scoring"
     );
     println!(
-        "sai_windows over {} windows == per-window sai_lists on the warm engine: bit-exact",
+        "sai_windows over {} windows == per-window sai_list on the warm engine: bit-exact",
         axis.len()
     );
 

@@ -65,15 +65,11 @@ fn main() {
         ("2021+", Some(DateWindow::years(2021, 2023))),
         ("2015-2019", Some(DateWindow::years(2015, 2019))),
     ];
-    let mut spec = MatrixSpec::new()
+    let windows: Vec<Option<DateWindow>> = window_axis.iter().map(|(_, w)| *w).collect();
+    let spec = MatrixSpec::new()
         .scenario("ecm", learned_db.clone())
-        .config("base", base.clone());
-    for (_, window) in &window_axis {
-        spec = match window {
-            Some(w) => spec.window(*w),
-            None => spec.full_history(),
-        };
-    }
+        .config("base", base.clone())
+        .window_axis(&WindowAxis::spans(&windows));
     let car_engine = LiveEngine::new(car_corpus.clone());
     let cells = car_engine.sai_matrix(&spec);
     let generator = WeightGenerator::new();
@@ -106,8 +102,7 @@ fn main() {
     let excavator_cells = LiveEngine::new(corpus.clone()).sai_matrix(
         &MatrixSpec::new()
             .scenario("dpf", excavator_db.clone())
-            .config("base", excavator_config.clone())
-            .full_history(),
+            .config("base", excavator_config.clone()),
     );
     let sai = excavator_cells.get(0, 0, 0).expect("cell resolved");
     assert_eq!(
@@ -174,7 +169,7 @@ fn main() {
         .scenario("excavator", fleet_dbs[1].clone())
         .config("balanced", fleet_configs[0].clone())
         .config("views-only", fleet_configs[1].clone())
-        .windows(&windows);
+        .window_axis(&WindowAxis::each(&windows));
     let fleet_cells = engine.sai_matrix(&fleet_spec);
     println!(
         "  resolved {} cells (2 scenarios x 2 weight sets x {} windows)",

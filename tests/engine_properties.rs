@@ -278,19 +278,21 @@ proptest! {
         }
     }
 
-    /// Batched multi-window scoring matches per-window scoring on random
-    /// corpora (the monitoring hot path).
+    /// Batched multi-window scoring (one sweep) matches per-window scoring
+    /// and the naive oracle on random corpora (the monitoring hot path).
     #[test]
     fn batched_windows_equal_individual_windows(corpus in arb_corpus(), from in 2015i32..2022) {
         let db = KeywordDatabase::excavator_seed();
-        let configs: Vec<PspConfig> = (from..from + 3)
-            .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y + 1)))
-            .collect();
+        let base = PspConfig::excavator_europe();
+        let windows: Vec<DateWindow> =
+            (from..from + 3).map(|y| DateWindow::years(y, y + 1)).collect();
         let engine = LiveEngine::new(corpus.clone());
-        let batch = engine.sai_lists(&db, &configs);
-        prop_assert_eq!(batch.len(), configs.len());
-        for (config, list) in configs.iter().zip(&batch) {
-            prop_assert_eq!(list, &engine.sai_list(&db, config));
+        let batch = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
+        prop_assert_eq!(batch.len(), windows.len());
+        for (window, list) in windows.iter().zip(&batch) {
+            let config = base.clone().with_window(*window);
+            prop_assert_eq!(list, &engine.sai_list(&db, &config));
+            prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, &config));
         }
     }
 
@@ -405,24 +407,29 @@ proptest! {
         }
     }
 
-    /// Windowed batch scoring through a live, incrementally fed engine matches
-    /// a cold engine built over the whole corpus — the monitoring re-evaluation path stays
-    /// bit-exact under streaming ingestion with out-of-order dates.
+    /// Windowed scoring through a live, incrementally fed engine matches a
+    /// cold engine built over the whole corpus and the naive oracle — the
+    /// monitoring re-evaluation path stays bit-exact under streaming
+    /// ingestion with out-of-order dates.
     #[test]
     fn live_windows_equal_snapshot_windows(corpus in arb_corpus(), from in 2015i32..2022) {
         let db = KeywordDatabase::excavator_seed();
-        let configs: Vec<PspConfig> = (from..from + 3)
-            .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y + 1)))
-            .collect();
+        let base = PspConfig::excavator_europe();
+        let windows: Vec<DateWindow> =
+            (from..from + 3).map(|y| DateWindow::years(y, y + 1)).collect();
+        let axis = WindowAxis::each(&windows);
         let posts = corpus.posts().to_vec();
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(5) {
             live.ingest(batch.to_vec());
         }
-        prop_assert_eq!(
-            live.sai_lists(&db, &configs),
-            LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
-        );
+        let swept = live.sai_windows(&db, &base, &axis);
+        prop_assert_eq!(&swept, &LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &axis));
+        for (window, list) in windows.iter().zip(&swept) {
+            let config = base.clone().with_window(*window);
+            prop_assert_eq!(list, &live.sai_list(&db, &config));
+            prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, &config));
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration and property suite for the batch plane (`sai_matrix`): a
 //! (scenario × configuration × window) cross-product resolved through the
-//! `SweepMatrix` scheduler must be **bit-identical** to hand-nested loops of
+//! matrix scheduler must be **bit-identical** to hand-nested loops of
 //! one `sai_list` call per cell — on built and incrementally ingested
 //! engines, over random corpora, weight sets and window grids, and (behind
 //! the `shim-rayon` feature) forced thread counts.
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use psp_suite::psp::config::{PspConfig, SaiWeights};
-use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer};
+use psp_suite::psp::engine::{LiveEngine, MatrixSpec, SaiScorer, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
@@ -34,13 +34,7 @@ fn spec_of(
     for (i, config) in configs.iter().enumerate() {
         spec = spec.config(format!("config-{i}"), config.clone());
     }
-    for window in grid {
-        spec = match window {
-            Some(w) => spec.window(*w),
-            None => spec.full_history(),
-        };
-    }
-    spec
+    spec.window_axis(&WindowAxis::spans(grid))
 }
 
 /// The hand-nested reference: one `sai_list` call per cell, in cell order.
@@ -157,7 +151,7 @@ fn single_cell_matrix_equals_a_direct_sai_list_call() {
     let spec = MatrixSpec::new()
         .scenario("excavator", db.clone())
         .config("only", windowed)
-        .window(DateWindow::years(2018, 2019));
+        .window_axis(&WindowAxis::each(&[DateWindow::years(2018, 2019)]));
     assert_eq!(
         engine.sai_matrix(&spec).get(0, 0, 0),
         Some(&engine.sai_list(&db, &base.with_window(DateWindow::years(2018, 2019))))
@@ -186,10 +180,12 @@ fn duplicate_windows_in_one_grid_yield_identical_cells() {
     let spec = MatrixSpec::new()
         .scenario("excavator", db.clone())
         .config("base", base.clone())
-        .window(window)
-        .window(window)
-        .full_history()
-        .full_history();
+        .window_axis(&WindowAxis::spans(&[
+            Some(window),
+            Some(window),
+            None,
+            None,
+        ]));
     let engine = LiveEngine::new(corpus.clone());
     let results = engine.sai_matrix(&spec);
     assert_eq!(results.len(), 4);
@@ -205,12 +201,13 @@ fn duplicate_windows_in_one_grid_yield_identical_cells() {
 #[test]
 fn empty_matrices_return_no_cells_on_every_shape() {
     let corpus = scenario::excavator_europe(7);
+    let grid = WindowAxis::each(&[DateWindow::years(2019, 2021)]);
     let no_scenarios = MatrixSpec::new()
         .config("base", PspConfig::excavator_europe())
-        .window(DateWindow::years(2019, 2021));
+        .window_axis(&grid);
     let no_configs = MatrixSpec::new()
         .scenario("excavator", KeywordDatabase::excavator_seed())
-        .window(DateWindow::years(2019, 2021));
+        .window_axis(&grid);
     let engine = LiveEngine::new(corpus);
     for spec in [&no_scenarios, &no_configs, &MatrixSpec::new()] {
         assert_eq!(spec.cell_count(), 0);
@@ -231,8 +228,11 @@ fn matrix_works_through_trait_objects() {
     let spec = MatrixSpec::new()
         .scenario("excavator", db.clone())
         .config("base", base.clone())
-        .full_history()
-        .window(DateWindow::years(2020, 2022));
+        .window_axis(
+            &WindowAxis::new()
+                .full_history()
+                .window(DateWindow::years(2020, 2022)),
+        );
     let reference = LiveEngine::new(corpus.clone()).sai_matrix(&spec);
     let dynamic: Box<dyn SaiScorer + '_> = Box::new(LiveEngine::new(corpus.clone()));
     assert_eq!(dynamic.sai_matrix(&spec), reference);
@@ -407,7 +407,10 @@ mod thread_count_independence {
     fn matrices_are_identical_at_every_thread_count() {
         let corpus = scenario::excavator_europe(42);
         let base = PspConfig::excavator_europe();
-        let windows: Vec<DateWindow> = (2018..2023).map(|y| DateWindow::years(y, y)).collect();
+        // Full history, then five yearly windows.
+        let windows: Vec<Option<DateWindow>> = std::iter::once(None)
+            .chain((2018..2023).map(|y| Some(DateWindow::years(y, y))))
+            .collect();
         let spec = MatrixSpec::new()
             .scenario("excavator", KeywordDatabase::excavator_seed())
             .scenario("car", KeywordDatabase::passenger_car_seed())
@@ -416,8 +419,7 @@ mod thread_count_independence {
                 "views-only",
                 base.clone().with_weights(SaiWeights::views_only()),
             )
-            .full_history()
-            .windows(&windows);
+            .window_axis(&WindowAxis::spans(&windows));
 
         let reference =
             rayon::with_thread_count(1, || LiveEngine::new(corpus.clone()).sai_matrix(&spec));

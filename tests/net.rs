@@ -85,11 +85,6 @@ impl SaiScorer for SlowEngine {
         std::thread::sleep(self.delay);
         self.inner.sai_list(db, config)
     }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        std::thread::sleep(self.delay);
-        self.inner.sai_lists(db, configs)
-    }
 }
 
 impl StreamingScorer for SlowEngine {

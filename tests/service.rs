@@ -346,11 +346,6 @@ impl SaiScorer for ChaosEngine {
         assert!(!db.contains(CHAOS_KEYWORD), "chaos: injected scoring panic");
         self.inner.sai_list(db, config)
     }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        assert!(!db.contains(CHAOS_KEYWORD), "chaos: injected scoring panic");
-        self.inner.sai_lists(db, configs)
-    }
 }
 
 impl StreamingScorer for ChaosEngine {
@@ -381,7 +376,7 @@ impl StreamingScorer for ChaosEngine {
 
 /// An engine that sleeps on every scoring call, so a short per-request
 /// deadline reliably expires at the engine's check between windows
-/// mid-sweep (it implements only `sai_lists`, so it sweeps through the
+/// mid-sweep (it implements only `sai_list`, so it sweeps through the
 /// trait's per-window default).
 #[derive(Debug, Clone)]
 struct SlowEngine {
@@ -393,11 +388,6 @@ impl SaiScorer for SlowEngine {
     fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
         std::thread::sleep(self.delay);
         self.inner.sai_list(db, config)
-    }
-
-    fn sai_lists(&self, db: &KeywordDatabase, configs: &[PspConfig]) -> Vec<SaiList> {
-        std::thread::sleep(self.delay);
-        self.inner.sai_lists(db, configs)
     }
 }
 

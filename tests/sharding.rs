@@ -271,15 +271,18 @@ mod thread_count_independence {
     fn batched_window_sweeps_are_thread_count_independent() {
         let corpus = scenario::excavator_europe(7);
         let db = KeywordDatabase::excavator_seed();
-        let configs: Vec<PspConfig> = (2018..2024)
-            .map(|y| PspConfig::excavator_europe().with_window(DateWindow::years(y, y)))
-            .collect();
-        let reference = rayon::with_thread_count(1, || {
-            LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
+        let base = PspConfig::excavator_europe();
+        let windows = yearly(2018, 2023);
+        let reference: Vec<SaiList> = rayon::with_thread_count(1, || {
+            let engine = LiveEngine::new(corpus.clone());
+            windows
+                .iter()
+                .map(|w| engine.sai_list(&db, &base.clone().with_window(*w)))
+                .collect()
         });
         for threads in [2, 5, 16] {
             let swept = rayon::with_thread_count(threads, || {
-                LiveEngine::new(corpus.clone()).sai_lists(&db, &configs)
+                LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
             });
             assert_eq!(swept, reference, "sweep diverged at {threads} threads");
         }

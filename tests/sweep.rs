@@ -1,7 +1,7 @@
 //! Integration and property suite for the sweep plane (`sai_windows`): the
-//! prefix-summed columnar window sweep must be **bit-identical** to scoring
-//! each window through the batch `sai_lists` path, to one `sai_list` call per
-//! window, and to the naive `SaiList::compute_naive` oracle — on built and
+//! prefix-summed columnar window sweep must be **bit-identical** to one
+//! `sai_list` call per window and to the naive `SaiList::compute_naive`
+//! oracle — on built and
 //! incrementally ingested engines, over the reference scenes, random corpora,
 //! window grids and (behind the `shim-rayon` feature) forced thread counts.
 //! The hand-built edge corpora run through the same checks in
@@ -38,8 +38,8 @@ fn windowed_configs(base: &PspConfig, windows: &[DateWindow]) -> Vec<PspConfig> 
         .collect()
 }
 
-/// Asserts a sweep over `windows` matches, per window, the batch path, the
-/// one-at-a-time path and the naive oracle — bit for bit.
+/// Asserts a sweep over `windows` matches, per window, the one-at-a-time
+/// path and the naive oracle — bit for bit.
 fn assert_sweep_exact<E: SaiScorer>(
     engine: &E,
     corpus: &Corpus,
@@ -49,13 +49,7 @@ fn assert_sweep_exact<E: SaiScorer>(
 ) {
     let swept = engine.sai_windows(db, base, &WindowAxis::each(windows));
     assert_eq!(swept.len(), windows.len());
-    let configs = windowed_configs(base, windows);
-    assert_eq!(
-        swept,
-        engine.sai_lists(db, &configs),
-        "sweep vs batch lists"
-    );
-    for (config, list) in configs.iter().zip(&swept) {
+    for (config, list) in windowed_configs(base, windows).iter().zip(&swept) {
         assert_eq!(list, &engine.sai_list(db, config), "sweep vs single list");
         assert_eq!(
             list,
@@ -106,11 +100,7 @@ fn weight_presets_share_one_plan_without_changing_results() {
         psp_suite::psp::config::SaiWeights::interactions_only(),
     ] {
         let base = PspConfig::passenger_car_europe().with_weights(weights);
-        assert_eq!(
-            engine.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            engine.sai_lists(&db, &windowed_configs(&base, &windows)),
-            "weights {weights:?}"
-        );
+        assert_sweep_exact(&engine, &corpus, &db, &base, &windows);
     }
 }
 
@@ -202,8 +192,8 @@ fn posts_sharing_one_date_stay_in_id_order_across_window_bounds() {
 fn inverted_windows_report_zero_evidence_like_the_batch_path() {
     // DateWindow's fields are pub (and it deserialises), so an inverted
     // window can bypass DateWindow::new's bound swap.  It contains no date;
-    // the sweep must degrade to zero evidence exactly like sai_lists, not
-    // panic or wrap.
+    // the sweep must degrade to zero evidence exactly like per-window
+    // scoring and the naive oracle, not panic or wrap.
     let corpus = scenario::excavator_europe(7);
     let (db, base) = excavator_setup();
     let inverted = DateWindow {
@@ -211,12 +201,9 @@ fn inverted_windows_report_zero_evidence_like_the_batch_path() {
         to: SimDate::new(2019, 1, 1),
     };
     let windows = [inverted, DateWindow::years(2020, 2021)];
-    let engine = LiveEngine::new(corpus);
+    let engine = LiveEngine::new(corpus.clone());
+    assert_sweep_exact(&engine, &corpus, &db, &base, &windows);
     let swept = engine.sai_windows(&db, &base, &WindowAxis::each(&windows));
-    assert_eq!(
-        swept,
-        engine.sai_lists(&db, &windowed_configs(&base, &windows))
-    );
     assert!(swept[0]
         .entries()
         .iter()
@@ -241,7 +228,7 @@ fn full_history_entries_ride_the_same_plan_as_windows() {
 
 proptest! {
     /// On random corpora and window grids, the sweep is bit-identical to
-    /// per-window batch scoring and the naive oracle.
+    /// per-window scoring and the naive oracle.
     #[test]
     fn sweep_equals_per_window_scoring_on_random_corpora(
         corpus in arb_corpus(),
@@ -256,8 +243,8 @@ proptest! {
 
         let single = LiveEngine::new(corpus.clone());
         let swept = single.sai_windows(&db, &base, &WindowAxis::each(&windows));
-        prop_assert_eq!(&swept, &single.sai_lists(&db, &configs));
         for (config, list) in configs.iter().zip(&swept) {
+            prop_assert_eq!(list, &single.sai_list(&db, config));
             prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, config));
         }
     }
