@@ -15,11 +15,12 @@
 //! windows: `window_sweep_naive` (the naive path per window) against
 //! `window_sweep_engine` (a cold engine build plus one `sai_windows` call).
 //!
-//! The gated `speedup_one_shot/<size>` and `speedup_indexed_pass/<size>` rows
-//! are work ratios, naive over the engine path on one worker thread
-//! (`psp_bench::perf::work_speedup`): at 1k posts an indexed pass is a ~55 µs
-//! fan-out, and three samples of its thread start-up divided noise.  The
-//! metric rows stay the parallel cost.
+//! The `speedup_one_shot/<size>`, `speedup_indexed_pass/<size>` and
+//! `window_sweep_speedup/100000` rows are work ratios, naive over the engine
+//! path on one worker thread (`psp_bench::perf::work_speedup`): at 1k posts
+//! an indexed pass is a ~55 µs fan-out, and three samples of its thread
+//! start-up divided noise; three samples of the 100k sweep recorded host
+//! load more than work.  The metric rows stay the parallel cost.
 //!
 //! After measuring, the bench writes a `PerfReport` to
 //! `target/perf/engine_scaling.json`.  The blessed baseline lives in
@@ -54,8 +55,9 @@ fn sweep_windows() -> Vec<DateWindow> {
 }
 
 /// Writes the report; `work` holds each size's (`speedup_one_shot`,
-/// `speedup_indexed_pass`) work ratios, in `sizes` order.
-fn write_report(c: &Criterion, sizes: &[usize], work: &[(f64, f64)]) {
+/// `speedup_indexed_pass`) work ratios, in `sizes` order, and `sweep_work`
+/// the window sweep's work ratio when [`SWEEP_SIZE`] ran.
+fn write_report(c: &Criterion, sizes: &[usize], work: &[(f64, f64)], sweep_work: Option<f64>) {
     let mut report = PerfReport::new("engine_scaling");
     for (size, &(speedup_one_shot, speedup_indexed)) in sizes.iter().zip(work) {
         let naive = mean_ns(c, &format!("engine_scaling/naive/{size}"));
@@ -72,7 +74,7 @@ fn write_report(c: &Criterion, sizes: &[usize], work: &[(f64, f64)]) {
         report.push_ratio(format!("speedup_one_shot/{size}"), speedup_one_shot);
         report.push_ratio(format!("speedup_indexed_pass/{size}"), speedup_indexed);
     }
-    if sizes.contains(&SWEEP_SIZE) {
+    if let Some(sweep_speedup) = sweep_work {
         let sweep_naive = mean_ns(
             c,
             &format!("engine_scaling/window_sweep_naive/{SWEEP_SIZE}"),
@@ -81,10 +83,9 @@ fn write_report(c: &Criterion, sizes: &[usize], work: &[(f64, f64)]) {
             c,
             &format!("engine_scaling/window_sweep_engine/{SWEEP_SIZE}"),
         );
-        let sweep_speedup = sweep_naive / sweep_engine;
         println!(
             "window sweep ({SWEEP_SIZE} posts, {} windows incl. engine build): naive \
-             {sweep_naive:.0} ns | engine {sweep_engine:.0} ns ({sweep_speedup:.1}x)",
+             {sweep_naive:.0} ns | engine {sweep_engine:.0} ns ({sweep_speedup:.1}x work)",
             sweep_windows().len()
         );
         report.push_metric(format!("window_sweep_naive/{SWEEP_SIZE}"), sweep_naive);
@@ -103,6 +104,7 @@ fn bench(c: &mut Criterion) {
     let config = PspConfig::excavator_europe();
     let sizes = sizes_from_env(&DEFAULT_SIZES);
     let mut work = Vec::with_capacity(sizes.len());
+    let mut sweep_work = None;
 
     for &size in &sizes {
         let mut corpus = scaled_excavator_corpus(size, 42);
@@ -150,11 +152,28 @@ fn bench(c: &mut Criterion) {
                     }))
                 })
             });
+            // The naive side reads its own copy: the engine side moves the
+            // corpus in and out of each cold engine.
+            let naive_corpus = corpus.clone();
+            sweep_work = Some(rayon::with_thread_count(1, || {
+                work_speedup(
+                    || {
+                        for cfg in &configs {
+                            black_box(SaiList::compute_naive(&naive_corpus, &db, cfg));
+                        }
+                    },
+                    || {
+                        score_cold(&mut corpus, LiveEngine::new, |engine| {
+                            engine.sai_windows(&db, &config, &axis)
+                        })
+                    },
+                )
+            }));
         }
         group.finish();
     }
 
-    write_report(c, &sizes, &work);
+    write_report(c, &sizes, &work, sweep_work);
 }
 
 criterion_group!(benches, bench);

@@ -3,13 +3,16 @@
 //!
 //! A warm engine has paid the text-mining pipeline once per post (intent
 //! score, mined prices).  [`SignalCacheFile`] makes that investment survive a
-//! process restart: export it from the engine
-//! ([`LiveEngine::export_signal_cache`](super::LiveEngine::export_signal_cache)),
-//! save it as JSON next to the serialised corpus
-//! ([`socialsim::corpus::Corpus::save_json`]), and load it into a freshly
-//! built engine on the next cold start — the pipeline then never runs,
-//! because every post's signals arrive pre-computed (bit-identical: the JSON
-//! float encoding round-trips exactly).
+//! process restart: a
+//! [`DurableStore`](crate::service::durability::DurableStore) checkpoint
+//! writes the engine's export
+//! ([`LiveEngine::export_signal_cache`](super::LiveEngine::export_signal_cache))
+//! as `signals.json` beside the corpus, and
+//! [`DurableStore::recover`](crate::service::durability::DurableStore::recover)
+//! hands it back to the engine build, which installs it with
+//! [`LiveEngine::load_signal_cache`](super::LiveEngine::load_signal_cache) —
+//! the pipeline then never runs, because every post's signals arrive
+//! pre-computed (bit-identical: the JSON float encoding round-trips exactly).
 //!
 //! The file is **versioned and validated** before a single signal is
 //! installed: the layout version, the intent lexicon the signals were scored
@@ -22,7 +25,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
 use textmine::sentiment::IntentLexicon;
 
 /// The on-disk layout version; bumped whenever the signal semantics or the
@@ -47,7 +49,7 @@ pub struct SignalCacheFile {
     pub prices: Vec<f64>,
 }
 
-/// Why a cache was rejected (or could not be read/written).
+/// Why a cache was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SignalCacheError {
     /// The layout version does not match [`SIGNAL_CACHE_VERSION`].
@@ -75,8 +77,6 @@ pub enum SignalCacheError {
     },
     /// The columns disagree with each other (truncated or tampered file).
     Corrupt(String),
-    /// A filesystem or serialisation failure.
-    Io(String),
 }
 
 impl fmt::Display for SignalCacheError {
@@ -102,7 +102,6 @@ impl fmt::Display for SignalCacheError {
                 "signal cache post id {cached} != corpus post id {found} at index {index}"
             ),
             Self::Corrupt(why) => write!(f, "signal cache is corrupt: {why}"),
-            Self::Io(why) => write!(f, "signal cache i/o failed: {why}"),
         }
     }
 }
@@ -192,34 +191,6 @@ impl SignalCacheFile {
         }
         offsets
     }
-
-    /// Serialises the cache as JSON to `path`, creating parent directories as
-    /// needed.  The write is atomic ([`socialsim::persist::atomic_write`]):
-    /// a crash mid-save leaves the previous file at `path` intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SignalCacheError::Io`] when serialisation or a filesystem
-    /// step fails.
-    pub fn save(&self, path: &Path) -> Result<(), SignalCacheError> {
-        let json = serde_json::to_string(self)
-            .map_err(|err| SignalCacheError::Io(format!("serialise signal cache: {err:?}")))?;
-        socialsim::persist::atomic_write(path, json.as_bytes()).map_err(SignalCacheError::Io)
-    }
-
-    /// Loads a cache from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SignalCacheError::Io`] when the file is unreadable or
-    /// malformed.  Shape and corpus validation happen at install time
-    /// (`load_signal_cache` on the engines).
-    pub fn load(path: &Path) -> Result<Self, SignalCacheError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| SignalCacheError::Io(format!("read {}: {err}", path.display())))?;
-        serde_json::from_str(&text)
-            .map_err(|err| SignalCacheError::Io(format!("parse {}: {err:?}", path.display())))
-    }
 }
 
 #[cfg(test)]
@@ -304,26 +275,6 @@ mod tests {
             serde_json::from_str::<SignalCacheFile>(&json).unwrap(),
             cache
         );
-    }
-
-    #[test]
-    fn interrupted_save_leaves_the_previous_cache_file_intact() {
-        let dir =
-            std::env::temp_dir().join(format!("psp_cache_atomic_save_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("signals.json");
-        let old = sample();
-        old.save(&path).unwrap();
-        // A directory squatting on the deterministic temp path makes the
-        // next save fail before the published file could be touched — the
-        // partial-write simulation.
-        std::fs::create_dir(dir.join("signals.json.tmp")).unwrap();
-        let mut newer = sample();
-        newer.push_row(13, 0.5, &[100.0]);
-        assert!(matches!(newer.save(&path), Err(SignalCacheError::Io(_))));
-        assert_eq!(SignalCacheFile::load(&path).unwrap(), old);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //!
 //! The scheduler amortises shared work across the whole matrix:
 //!
-//! * cells sharing a (database, scene) pair — weight ablations, window grids
-//!   — are scheduled **consecutively**, so they resolve against ONE sweep
-//!   plan (see [`super::sweep`]); the bounded keyed `PlanCache` keeps the
-//!   plans of a scenario rotation warm on top of that;
-//! * within each (scenario, configuration) row the window axis rides the
-//!   prefix-summed sweep plane;
+//! * every (scenario, configuration) row rides the prefix-summed sweep
+//!   plane, so the window axis costs a binary search and a short fold per
+//!   window (see [`super::sweep`]);
+//! * rows sharing a (database, scene) pair — weight ablations, window grids
+//!   — resolve against ONE sweep plan, kept warm by the engine's bounded
+//!   keyed `PlanCache`, which holds the plans of a scenario rotation too;
 //! * keyword profiles fan out over worker threads via `rayon`,
 //!   exactly as in the underlying sweep path.
 //!
@@ -33,7 +33,6 @@ use crate::sai::SaiList;
 use serde::{Deserialize, Serialize};
 use socialsim::time::DateWindow;
 
-use super::sweep::PlanKey;
 use super::{SaiScorer, WindowAxis};
 
 /// The address of one cell in a [`MatrixSpec`] cross-product: indices into
@@ -316,59 +315,33 @@ impl MatrixResults {
 /// Resolves every cell of `spec` against `engine`, streaming results to
 /// `sink` in [`CellId`] order.
 ///
-/// The scheduler's job is ordering, not computing: per scenario it groups the
-/// configurations by their plan key ([`PlanKey`]) and schedules same-key
-/// configurations consecutively, so every (database, scene) pair in the
-/// matrix builds its sweep plan exactly once — structurally, independent of
-/// the plan cache's capacity.  Each (scenario, configuration) row then rides
-/// the engine's own sweep path ([`SaiScorer::sai_windows_until`]), which
-/// brings the rayon fan-out and the prefix-summed window resolution.
+/// Each (scenario, configuration) row rides the engine's own sweep path
+/// ([`SaiScorer::sai_windows_until`]), which brings the rayon fan-out, the
+/// prefix-summed window resolution and the keyed plan cache: rows sharing a
+/// (database, scene) pair reuse one plan for as long as the matrix has no
+/// more distinct pairs per scenario than the cache has slots.  A row's cells
+/// reach `sink` as soon as the row resolves.
 ///
 /// Every row's sweep checks `stop` before it touches a plan and again
-/// inside; a stopped run returns `None` without streaming the stopped
-/// scenario's cells.  An empty scenario or configuration axis yields no
-/// cells and touches no plan.
+/// inside; a stopped run returns `None`, and the rows finished before the
+/// stop may already have reached `sink`.  An empty scenario or configuration
+/// axis yields no cells and touches no plan.
 pub(super) fn run_matrix<E: SaiScorer + ?Sized>(
     engine: &E,
     spec: &MatrixSpec,
     stop: &(dyn Fn() -> bool + Sync),
     sink: &mut dyn FnMut(CellId, SaiList),
 ) -> Option<()> {
-    if spec.scenarios.is_empty() || spec.configs.is_empty() {
-        return Some(());
-    }
-    for (s, (_, db)) in spec.scenarios.iter().enumerate() {
-        // Group configuration indices by plan key, preserving first-appearance
-        // order, so configurations sharing a (database, scene) resolve
-        // consecutively against one warm plan.
-        let mut groups: Vec<(PlanKey, Vec<usize>)> = Vec::new();
-        for (c, (_, config)) in spec.configs.iter().enumerate() {
-            let key = PlanKey::of(config);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(c),
-                None => groups.push((key, vec![c])),
-            }
-        }
-        let mut rows: Vec<Option<Vec<SaiList>>> = (0..spec.configs.len()).map(|_| None).collect();
-        for (_, members) in &groups {
-            for &c in members {
-                let config = &spec.configs[c].1;
-                let axis = spec.effective_windows(config);
-                rows[c] = Some(engine.sai_windows_until(db, config, &axis, stop)?);
-            }
-        }
-        // Emit buffered rows in ascending (configuration, window) order.
-        for (c, row) in rows.into_iter().enumerate() {
-            let row = row.expect("every configuration was scheduled");
-            for (w, sai) in row.into_iter().enumerate() {
-                sink(
-                    CellId {
-                        scenario: s,
-                        config: c,
-                        window: w,
-                    },
-                    sai,
-                );
+    for (scenario, (_, db)) in spec.scenarios.iter().enumerate() {
+        for (config, (_, base)) in spec.configs.iter().enumerate() {
+            let row = engine.sai_windows_until(db, base, &spec.effective_windows(base), stop)?;
+            for (window, sai) in row.into_iter().enumerate() {
+                let id = CellId {
+                    scenario,
+                    config,
+                    window,
+                };
+                sink(id, sai);
             }
         }
     }

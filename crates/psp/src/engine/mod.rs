@@ -214,8 +214,8 @@ pub trait SaiScorer {
     ///
     /// Every cell is bit-identical to the corresponding nested
     /// [`sai_list`](Self::sai_list) / [`sai_windows`](Self::sai_windows)
-    /// calls; the scheduler orders cells so that every (database, scene)
-    /// pair in the matrix builds its sweep plan exactly once.
+    /// calls; rows sharing a (database, scene) pair reuse one cached sweep
+    /// plan.
     fn sai_matrix(&self, spec: &MatrixSpec) -> MatrixResults {
         let mut results = MatrixResults::empty_for(spec);
         self.sai_matrix_stream_until(spec, &|| false, &mut |id, sai| results.push(id, sai))
@@ -228,9 +228,10 @@ pub trait SaiScorer {
     /// (scenario-major, then configuration, then window) as their row
     /// resolves, and every row's sweep polls `stop` before it touches a plan
     /// and again inside (see [`sai_windows_until`](Self::sai_windows_until)).
-    /// A stopped run returns `None`; the cells of scenarios finished before
-    /// the stop may already have reached `sink`.  A run that is never
-    /// stopped streams exactly the cells `sai_matrix` collects.
+    /// A stopped run returns `None`; the rows finished before the stop may
+    /// already have reached `sink`, so a caller that stops a run discards
+    /// what it streamed.  A run that is never stopped streams exactly the
+    /// cells `sai_matrix` collects.
     fn sai_matrix_stream_until(
         &self,
         spec: &MatrixSpec,
@@ -646,11 +647,11 @@ impl LiveEngine {
     }
 
     /// Exports the memoised per-post text signals as a persistable
-    /// [`SignalCacheFile`], materialising any signal not yet paid for.  Save
-    /// it alongside the serialised corpus
-    /// ([`socialsim::corpus::Corpus::save_json`]) and feed it to
-    /// [`load_signal_cache`](Self::load_signal_cache) after a restart to skip
-    /// text mining entirely.
+    /// [`SignalCacheFile`], materialising any signal not yet paid for.  A
+    /// [`DurableStore`](crate::service::durability::DurableStore) checkpoint
+    /// saves it beside the corpus, and recovery feeds it to
+    /// [`load_signal_cache`](Self::load_signal_cache) to skip text mining
+    /// entirely.
     #[must_use]
     pub fn export_signal_cache(&self) -> SignalCacheFile {
         self.core.export_cache(&self.corpus)
@@ -706,12 +707,6 @@ impl LiveEngine {
     #[must_use]
     pub fn into_corpus(self) -> Corpus {
         self.corpus
-    }
-
-    /// The underlying inverted index.
-    #[must_use]
-    pub fn index(&self) -> &CorpusIndex {
-        &self.core.index
     }
 
     /// Number of posts currently served.

@@ -57,14 +57,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// sweep and SAI weights per entry, so configurations differing only in those
 /// share one plan — a weight-ablation sweep re-uses the cached columns.
 #[derive(Debug, Clone, PartialEq)]
-pub(super) struct PlanKey {
+struct PlanKey {
     region: Region,
     application: TargetApplication,
     min_author_credibility: Option<f64>,
 }
 
 impl PlanKey {
-    pub(super) fn of(config: &PspConfig) -> Self {
+    fn of(config: &PspConfig) -> Self {
         Self {
             region: config.region,
             application: config.application,

@@ -410,11 +410,10 @@ fn load_checkpoint(dir: &Path, generation: u64) -> Option<(u64, Corpus, Option<S
     {
         return None;
     }
-    let mut corpus: Corpus = serde_json::from_str(std::str::from_utf8(&corpus_bytes).ok()?).ok()?;
+    let corpus: Corpus = serde_json::from_str(std::str::from_utf8(&corpus_bytes).ok()?).ok()?;
     if corpus.len() as u64 != manifest.posts {
         return None;
     }
-    corpus.rebuild_index();
     // The signal cache is an optimisation, not state: a damaged one costs
     // re-mining, never correctness, so it degrades to `None` instead of
     // invalidating the checkpoint.

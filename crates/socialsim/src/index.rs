@@ -1,4 +1,4 @@
-//! The inverted corpus index and its batch query API.
+//! The inverted corpus index.
 //!
 //! [`Corpus::search`] answers a [`Query`] with a linear scan over every post —
 //! fine for one query, ruinous for the PSP hot path, which re-queries the same
@@ -29,7 +29,7 @@
 
 use crate::corpus::Corpus;
 use crate::hashtag::Hashtag;
-use crate::post::{Post, Region, TargetApplication};
+use crate::post::{Region, TargetApplication};
 use crate::query::Query;
 use crate::time::{DateWindow, SimDate};
 use std::collections::HashMap;
@@ -195,23 +195,6 @@ impl CorpusIndex {
         self.dates.len()
     }
 
-    /// Number of distinct mention terms in the vocabulary.
-    #[must_use]
-    pub fn vocabulary_size(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// Ids of posts that mention `keyword`, ascending — the indexed equivalent
-    /// of filtering with [`Post::mentions`].
-    #[must_use]
-    pub fn mentioning(&self, corpus: &Corpus, keyword: &str) -> Vec<u32> {
-        let mut ids = Vec::new();
-        self.collect_mentions(corpus, keyword, &mut ids);
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     fn collect_mentions(&self, corpus: &Corpus, keyword: &str, out: &mut Vec<u32>) {
         let needle = keyword.to_lowercase();
         if needle.is_empty() {
@@ -325,41 +308,13 @@ impl CorpusIndex {
             .filter(|id| self.matches_metadata(*id, query))
             .collect()
     }
-
-    /// Answers a batch of queries against the same index in one call — a
-    /// convenience for callers holding a prepared query set.  (The PSP sweep
-    /// plan uses the finer-grained [`content_candidates`](Self::content_candidates)
-    /// / [`matches_scene`](Self::matches_scene) split instead, so it can
-    /// reuse one candidate set across many windows.)
-    #[must_use]
-    pub fn query_many(&self, corpus: &Corpus, queries: &[Query]) -> Vec<Vec<u32>> {
-        queries.iter().map(|q| self.query(corpus, q)).collect()
-    }
-
-    /// Posts matching the query, borrowed from the corpus in ascending order.
-    #[must_use]
-    pub fn matching_posts<'a>(&self, corpus: &'a Corpus, query: &Query) -> Vec<&'a Post> {
-        self.query(corpus, query)
-            .into_iter()
-            .map(|id| &corpus.posts()[id as usize])
-            .collect()
-    }
-}
-
-impl Corpus {
-    /// Builds a [`CorpusIndex`] over the current posts.  After appending more
-    /// posts, extend the index in place with [`CorpusIndex::append`] instead of
-    /// rebuilding it.
-    #[must_use]
-    pub fn build_index(&self) -> CorpusIndex {
-        CorpusIndex::build(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engagement::Engagement;
+    use crate::post::Post;
     use crate::scenario;
     use crate::time::DateWindow;
     use crate::user::User;
@@ -414,10 +369,25 @@ mod tests {
         posts.iter().map(|p| p.id()).collect()
     }
 
+    /// The post ids the index answers `query` with, in answer order.
+    fn indexed_ids(index: &CorpusIndex, corpus: &Corpus, query: &Query) -> Vec<u64> {
+        index
+            .query(corpus, query)
+            .into_iter()
+            .map(|id| corpus.posts()[id as usize].id())
+            .collect()
+    }
+
+    /// The ids of posts mentioning `keyword`: the content candidates of a
+    /// keyword-only query.
+    fn mentioning(index: &CorpusIndex, corpus: &Corpus, keyword: &str) -> Vec<u32> {
+        index.content_candidates(corpus, &Query::new().with_keyword(keyword))
+    }
+
     #[test]
     fn indexed_query_matches_naive_scan() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         let queries = [
             Query::new(),
             Query::new().with_keyword("dpf"),
@@ -433,40 +403,26 @@ mod tests {
         ];
         for query in &queries {
             let naive = ids(&corpus.search(query));
-            let indexed = ids(&index.matching_posts(&corpus, query));
+            let indexed = indexed_ids(&index, &corpus, query);
             assert_eq!(naive, indexed, "query {query:?}");
         }
     }
 
     #[test]
-    fn batch_api_answers_all_queries() {
-        let corpus = sample();
-        let index = corpus.build_index();
-        let queries = vec![
-            Query::new().with_keyword("dpf"),
-            Query::new().with_keyword("egr"),
-        ];
-        let results = index.query_many(&corpus, &queries);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].len(), 2);
-        assert_eq!(results[1].len(), 1);
-    }
-
-    #[test]
     fn substring_keywords_hit_tokens_and_hashtags() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         // "dpf" is a substring of the token/hashtag "dpfdelete".
-        assert_eq!(index.mentioning(&corpus, "dpf"), vec![0, 1]);
+        assert_eq!(mentioning(&index, &corpus, "dpf"), vec![0, 1]);
         // Case-insensitive like Post::mentions.
-        assert_eq!(index.mentioning(&corpus, "DPF"), vec![0, 1]);
-        assert!(index.mentioning(&corpus, "").is_empty());
+        assert_eq!(mentioning(&index, &corpus, "DPF"), vec![0, 1]);
+        assert!(mentioning(&index, &corpus, "").is_empty());
     }
 
     #[test]
     fn whitespace_keywords_fall_back_to_the_scan() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         let naive: Vec<u32> = corpus
             .posts()
             .iter()
@@ -474,14 +430,14 @@ mod tests {
             .filter(|(_, p)| p.mentions("machine is"))
             .map(|(i, _)| i as u32)
             .collect();
-        assert_eq!(index.mentioning(&corpus, "machine is"), naive);
+        assert_eq!(mentioning(&index, &corpus, "machine is"), naive);
         assert_eq!(naive, vec![3]);
     }
 
     #[test]
     fn metadata_bitsets_filter_correctly() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         let europe = index.query(&corpus, &Query::new().in_region(Region::Europe));
         assert_eq!(europe, vec![0, 1, 3]);
         let excavator = index.query(
@@ -498,7 +454,7 @@ mod tests {
     #[test]
     fn metadata_split_agrees_with_the_combined_predicate() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         let queries = [
             Query::new(),
             Query::new().in_region(Region::Europe),
@@ -523,7 +479,7 @@ mod tests {
     #[test]
     fn date_column_mirrors_the_posts() {
         let corpus = sample();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         for (id, post) in corpus.posts().iter().enumerate() {
             assert_eq!(index.date_of(id as u32), post.date());
         }
@@ -534,7 +490,7 @@ mod tests {
     #[test]
     fn agrees_with_naive_scan_on_a_generated_scene() {
         let corpus = scenario::passenger_car_europe(42);
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         for keyword in ["chiptuning", "benchflash", "dpf", "relay", "nope"] {
             let query = Query::new()
                 .with_keyword(keyword)
@@ -543,7 +499,7 @@ mod tests {
                 .about(TargetApplication::PassengerCar);
             assert_eq!(
                 ids(&corpus.search(&query)),
-                ids(&index.matching_posts(&corpus, &query)),
+                indexed_ids(&index, &corpus, &query),
                 "keyword {keyword}"
             );
         }
@@ -552,9 +508,8 @@ mod tests {
     #[test]
     fn empty_corpus_index_is_empty() {
         let corpus = Corpus::new();
-        let index = corpus.build_index();
+        let index = CorpusIndex::build(&corpus);
         assert_eq!(index.post_count(), 0);
-        assert_eq!(index.vocabulary_size(), 0);
         assert!(index.query(&corpus, &Query::new()).is_empty());
     }
 
@@ -576,7 +531,7 @@ mod tests {
     }
 
     fn assert_answers_like_rebuild(index: &CorpusIndex, corpus: &Corpus) {
-        let rebuilt = corpus.build_index();
+        let rebuilt = CorpusIndex::build(corpus);
         for query in probe_queries() {
             assert_eq!(
                 index.query(corpus, &query),
@@ -589,20 +544,16 @@ mod tests {
     #[test]
     fn append_empty_batch_is_a_noop() {
         let corpus = sample();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         index.append(&corpus, 0);
         assert_eq!(index.post_count(), 4);
-        assert_eq!(
-            index.vocabulary_size(),
-            corpus.build_index().vocabulary_size()
-        );
         assert_answers_like_rebuild(&index, &corpus);
     }
 
     #[test]
     fn append_extends_existing_posting_lists() {
         let mut corpus = sample();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         corpus.push(post(
             5,
             "another #dpfdelete story",
@@ -614,14 +565,14 @@ mod tests {
         assert_eq!(index.post_count(), 5);
         // The existing hashtag/mention lists picked up the new id.
         assert_eq!(index.with_hashtag(&Hashtag::new("dpfdelete")), &[0, 1, 4]);
-        assert_eq!(index.mentioning(&corpus, "dpf"), vec![0, 1, 4]);
+        assert_eq!(mentioning(&index, &corpus, "dpf"), vec![0, 1, 4]);
         assert_answers_like_rebuild(&index, &corpus);
     }
 
     #[test]
     fn append_introduces_new_terms_regions_and_applications() {
         let mut corpus = sample();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         // Brand-new mention term, hashtag, region and application, all in one batch.
         corpus.push(post(
             6,
@@ -638,7 +589,7 @@ mod tests {
             TargetApplication::Agriculture,
         ));
         index.append(&corpus, 2);
-        assert_eq!(index.mentioning(&corpus, "immooff"), vec![4]);
+        assert_eq!(mentioning(&index, &corpus, "immooff"), vec![4]);
         assert_eq!(index.with_hashtag(&Hashtag::new("immooff")), &[4]);
         assert_eq!(
             index.query(&corpus, &Query::new().in_region(Region::SouthAmerica)),
@@ -654,7 +605,7 @@ mod tests {
     #[test]
     fn append_handles_dates_out_of_order_across_the_boundary() {
         let mut corpus = sample();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         // The appended posts pre-date the indexed ones: window filtering must
         // still answer from the per-post date array, not any assumed ordering.
         corpus.push(post(
@@ -681,7 +632,7 @@ mod tests {
         let full = scenario::excavator_europe(11);
         let posts: Vec<Post> = full.posts().to_vec();
         let mut corpus = Corpus::new();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         for chunk in posts.chunks(7) {
             for post in chunk {
                 corpus.push(post.clone());
@@ -696,7 +647,7 @@ mod tests {
     #[should_panic(expected = "CorpusIndex::append")]
     fn append_panics_when_the_claimed_count_is_wrong() {
         let mut corpus = sample();
-        let mut index = corpus.build_index();
+        let mut index = CorpusIndex::build(&corpus);
         corpus.push(post(
             9,
             "one more",

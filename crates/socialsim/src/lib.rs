@@ -13,11 +13,13 @@
 //! * [`trend`] — per-topic intensity profiles over years (this is where the
 //!   Figure 9-B/9-C trend inversion is encoded),
 //! * [`generator`] — a seedable corpus generator driven by trend profiles,
-//! * [`corpus`] + [`query`] — an indexed corpus with a search API shaped like a
-//!   social-media search endpoint (keywords, hashtags, region, time window),
-//! * [`index`] — an inverted [`CorpusIndex`] (mention vocabulary, hashtag
-//!   posting lists, region/application bitsets) with a batch multi-query API
-//!   that answers the same queries without rescanning the corpus,
+//! * [`corpus`] + [`query`] — an append-only post list with a linear-scan
+//!   search API shaped like a social-media search endpoint (keywords,
+//!   hashtags, region, time window),
+//! * [`index`] — the inverted [`CorpusIndex`] (mention vocabulary, hashtag
+//!   posting lists, region/application bitsets, per-post dates), the one index
+//!   over a corpus: it answers the same queries without rescanning, and
+//!   [`CorpusIndex::append`] keeps it live as posts stream in,
 //! * [`poisoning`] — bot-campaign injection used by the poisoning-defence
 //!   experiments,
 //! * [`scenario`] — ready-made corpora: the passenger-car tuning scene and the
@@ -42,7 +44,6 @@ pub mod engagement;
 pub mod generator;
 pub mod hashtag;
 pub mod index;
-pub mod persist;
 pub mod poisoning;
 pub mod post;
 pub mod query;

@@ -15,6 +15,7 @@ use psp_suite::psp::engine::{
     LiveEngine, MatrixSpec, SaiScorer, SignalCacheFile, StreamingScorer, WindowAxis,
 };
 use psp_suite::psp::keyword_db::KeywordDatabase;
+use psp_suite::psp::sai::SaiList;
 use psp_suite::psp::service::durability::{DurableStore, RecoveryReport};
 use psp_suite::psp::service::journal::FaultFs;
 use psp_suite::psp::service::{ServiceRegistry, ServiceRequest, ServiceResponse, TaraService};
@@ -444,4 +445,91 @@ fn bitflipped_journal_frames_truncate_the_suffix_without_panicking() {
     expected.ingest_batch(batch(8)[..4].to_vec());
     assert_eq!(recovered.snapshot_corpus(), expected.snapshot_corpus());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A data directory committed under `tests/fixtures/data_dir_v1`, written
+/// while `Corpus` still carried a derived hashtag map (never serialised) by
+/// exactly the history [`write_fixture_history`] replays.
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/data_dir_v1")
+}
+
+/// The fixture's files, relative to the data directory.
+const FIXTURE_FILES: [&str; 7] = [
+    "wal.log",
+    "checkpoints/ckpt-0/manifest.json",
+    "checkpoints/ckpt-0/corpus.json",
+    "checkpoints/ckpt-0/signals.json",
+    "checkpoints/ckpt-1/manifest.json",
+    "checkpoints/ckpt-1/corpus.json",
+    "checkpoints/ckpt-1/signals.json",
+];
+
+/// The fixture's history: a fresh start over the first 8 posts of
+/// `excavator_europe(7)` (checkpoint 0), posts 8..12 journaled and
+/// checkpointed as generation 1, posts 12..15 journaled as generation 2.
+fn write_fixture_history(dir: &Path, posts: &[Post]) {
+    let seed = Corpus::from_posts(posts[..8].to_vec());
+    let (store, mut engine, _) = DurableStore::recover(
+        dir,
+        FaultFs::none(),
+        || LiveEngine::new(seed),
+        |corpus, _| LiveEngine::new(corpus),
+    )
+    .expect("fresh start");
+    store.log_ingest(&posts[8..12], 1).expect("journal batch 1");
+    engine.ingest(posts[8..12].to_vec());
+    store.checkpoint(&engine).expect("checkpoint 1");
+    store
+        .log_ingest(&posts[12..15], 2)
+        .expect("journal batch 2");
+}
+
+#[test]
+fn a_data_dir_from_the_previous_corpus_layout_recovers_and_rewrites_byte_identically() {
+    let posts = scenario::excavator_europe(7).posts().to_vec();
+
+    // Today's writer reproduces every byte of the committed directory.
+    let rewritten = temp_dir("fixture_rewrite");
+    write_fixture_history(&rewritten, &posts);
+    for file in FIXTURE_FILES {
+        assert_eq!(
+            std::fs::read(rewritten.join(file)).unwrap(),
+            std::fs::read(fixture_dir().join(file)).unwrap(),
+            "{file}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&rewritten);
+
+    // Recovery reads the committed directory (a copy: recovery reopens the
+    // journal for appending) into the engine its history describes.
+    let dir = temp_dir("fixture_recover");
+    for file in FIXTURE_FILES {
+        let target = dir.join(file);
+        std::fs::create_dir_all(target.parent().unwrap()).unwrap();
+        std::fs::copy(fixture_dir().join(file), target).unwrap();
+    }
+    let mut installed = None;
+    let (_, engine, report) = DurableStore::recover(
+        &dir,
+        FaultFs::none(),
+        || panic!("the fixture holds checkpoints"),
+        |corpus, signals| {
+            let engine = LiveEngine::new(corpus);
+            installed = Some(engine.load_signal_cache(&signals.expect("signals.json loads")));
+            engine
+        },
+    )
+    .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.checkpoint_generation, Some(1));
+    assert_eq!(report.replayed_records, 1);
+    assert_eq!(installed, Some(Ok(12)));
+    assert_eq!(engine.generation(), 2);
+    assert_eq!(engine.corpus().posts(), &posts[..15]);
+    let (db, config) = db_and_config();
+    assert_eq!(
+        engine.sai_list(&db, &config),
+        SaiList::compute_naive(engine.corpus(), &db, &config)
+    );
 }

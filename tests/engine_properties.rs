@@ -16,6 +16,7 @@ use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
+use psp_suite::socialsim::index::CorpusIndex;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
 use psp_suite::socialsim::query::Query;
 use psp_suite::socialsim::scenario;
@@ -233,11 +234,10 @@ fn naive_ids(corpus: &Corpus, query: &Query) -> Vec<u64> {
 }
 
 fn indexed_ids(corpus: &Corpus, query: &Query) -> Vec<u64> {
-    corpus
-        .build_index()
-        .matching_posts(corpus, query)
-        .iter()
-        .map(|p| p.id())
+    CorpusIndex::build(corpus)
+        .query(corpus, query)
+        .into_iter()
+        .map(|id| corpus.posts()[id as usize].id())
         .collect()
 }
 
@@ -308,7 +308,7 @@ proptest! {
         let posts = corpus.posts().to_vec();
         let split = posts.len() * split_percent / 100;
         let mut grown = Corpus::from_posts(posts[..split].to_vec());
-        let mut index = grown.build_index();
+        let mut index = CorpusIndex::build(&grown);
         for post in &posts[split..] {
             grown.push(post.clone());
         }
@@ -316,7 +316,7 @@ proptest! {
         prop_assert_eq!(index.post_count(), corpus.posts().len());
         prop_assert_eq!(
             index.query(&grown, &query),
-            corpus.build_index().query(&corpus, &query)
+            CorpusIndex::build(&corpus).query(&corpus, &query)
         );
     }
 

@@ -1,12 +1,15 @@
 //! The persistable signal cache end to end: export → serialise → load into a
 //! cold engine → score, bit-identical to a fresh compute, also across ingest
-//! cycles — and hard rejection of every stale/mismatched cache.
+//! cycles and through a durable checkpoint and recovery — and hard rejection
+//! of every stale/mismatched cache.
 
 use proptest::prelude::*;
 use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{LiveEngine, SignalCacheError, SignalCacheFile, SIGNAL_CACHE_VERSION};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
+use psp_suite::psp::service::durability::DurableStore;
+use psp_suite::psp::service::journal::FaultFs;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
@@ -61,27 +64,49 @@ fn cache_round_trip_through_json_restores_warm_scoring() {
 fn cold_restart_from_disk_skips_text_mining() {
     let corpus = scenario::excavator_europe(9);
     let (db, config) = db_and_config();
-    let expected = LiveEngine::new(corpus.clone()).sai_list(&db, &config);
+    let dir = temp_path("cold_restart");
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // Persist the corpus and the signal cache side by side.
-    let corpus_path = temp_path("corpus.json");
-    let cache_path = temp_path("signals.json");
-    corpus.save_json(&corpus_path).unwrap();
-    LiveEngine::new(corpus.clone())
-        .export_signal_cache()
-        .save(&cache_path)
-        .unwrap();
+    // A durable engine ingests the corpus, scores it warm and checkpoints:
+    // the corpus and its signal cache land in one checkpoint directory.
+    let (store, mut engine, _) = DurableStore::recover(
+        &dir,
+        FaultFs::none(),
+        || LiveEngine::new(Corpus::new()),
+        |corpus, _| LiveEngine::new(corpus),
+    )
+    .unwrap();
+    engine.ingest(corpus.posts().to_vec());
+    let expected = engine.sai_list(&db, &config);
+    let (generation, posts, _) = store.checkpoint(&engine).unwrap();
+    assert_eq!((generation, posts), (1, corpus.len()));
+    drop((store, engine));
 
-    // "Restart": load both from disk, rebuild the index, install the cache.
-    let restored = Corpus::load_json(&corpus_path).unwrap();
-    let cache = SignalCacheFile::load(&cache_path).unwrap();
-    std::fs::remove_file(&corpus_path).ok();
-    std::fs::remove_file(&cache_path).ok();
+    // "Restart": recovery hands the checkpointed cache to the engine build,
+    // which installs a row for every post, so text mining never runs.
+    let mut installed = None;
+    let (_, recovered, report) = DurableStore::recover(
+        &dir,
+        FaultFs::none(),
+        || panic!("a checkpointed directory needs no seed"),
+        |corpus, signals| {
+            let cache = signals.expect("the checkpoint carries the signal cache");
+            let engine = LiveEngine::new(corpus);
+            installed = Some(engine.load_signal_cache(&cache).unwrap());
+            engine
+        },
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 
-    assert_eq!(restored, corpus);
-    let engine = LiveEngine::new(restored.clone());
-    assert_eq!(engine.load_signal_cache(&cache).unwrap(), restored.len());
-    assert_eq!(engine.sai_list(&db, &config), expected);
+    assert_eq!(report.checkpoint_generation, Some(1));
+    assert_eq!(installed, Some(corpus.len()));
+    assert_eq!(recovered.corpus(), &corpus);
+    assert_eq!(recovered.sai_list(&db, &config), expected);
+    assert_eq!(
+        recovered.sai_list(&db, &config),
+        SaiList::compute_naive(&corpus, &db, &config)
+    );
 }
 
 #[test]
@@ -173,12 +198,39 @@ fn stale_and_mismatched_caches_are_rejected() {
 }
 
 #[test]
-fn missing_cache_file_reports_io() {
-    let path = temp_path("does_not_exist.json");
-    assert!(matches!(
-        SignalCacheFile::load(&path),
-        Err(SignalCacheError::Io(_))
-    ));
+fn a_checkpoint_missing_its_signal_cache_recovers_cold() {
+    let corpus = scenario::excavator_europe(7);
+    let (db, config) = db_and_config();
+    let dir = temp_path("missing_signals");
+    let _ = std::fs::remove_dir_all(&dir);
+    // A fresh start checkpoints the seed as generation 0.
+    DurableStore::recover(
+        &dir,
+        FaultFs::none(),
+        || LiveEngine::new(corpus.clone()),
+        |corpus, _| LiveEngine::new(corpus),
+    )
+    .unwrap();
+    std::fs::remove_file(dir.join("checkpoints/ckpt-0/signals.json")).unwrap();
+
+    // The cache is an optimisation, not state: the corpus still recovers,
+    // the build gets no cache, and scores are mined afresh.
+    let (_, recovered, report) = DurableStore::recover(
+        &dir,
+        FaultFs::none(),
+        || panic!("a checkpointed directory needs no seed"),
+        |corpus, signals| {
+            assert!(signals.is_none());
+            LiveEngine::new(corpus)
+        },
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.checkpoint_generation, Some(0));
+    assert_eq!(
+        recovered.sai_list(&db, &config),
+        SaiList::compute_naive(&corpus, &db, &config)
+    );
 }
 
 /// A compact random-corpus generator for the round-trip property below.
