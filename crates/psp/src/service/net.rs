@@ -499,25 +499,27 @@ fn reap_finished(connections: Vec<JoinHandle<()>>) -> Vec<JoinHandle<()>> {
 /// rejected peer cannot stall the acceptor for long either.
 fn reject_connection(mut stream: TcpStream, shared: &Arc<Shared>, open: usize) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let line = wire::error_line(
+    let mut line = wire::error_line(
         "",
         PspError::ConnectionLimit {
             open,
             cap: shared.config.max_connections,
         },
     );
-    if write_line(&mut stream, &line, &shared.metrics).is_ok() {
+    if write_line(&mut stream, &mut line, &shared.metrics).is_ok() {
         let _ = stream.flush();
     }
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn write_line(stream: &mut impl Write, line: &str, metrics: &NetMetrics) -> io::Result<()> {
+/// Terminates `line` and writes it with one `write_all`, so on a
+/// `TCP_NODELAY` socket the newline never leaves as a segment of its own.
+fn write_line(stream: &mut impl Write, line: &mut String, metrics: &NetMetrics) -> io::Result<()> {
+    line.push('\n');
     stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
     metrics
         .bytes_out
-        .fetch_add(line.len() as u64 + 1, Ordering::SeqCst);
+        .fetch_add(line.len() as u64, Ordering::SeqCst);
     Ok(())
 }
 
@@ -800,7 +802,8 @@ fn answer_watch(
 }
 
 /// The writer half: responses in submission order, event forwarding, slow
-/// consumer disconnection, drain hand-off.
+/// consumer disconnection, drain hand-off.  Responses and events are encoded
+/// into one buffer per connection, cleared per line so it keeps its capacity.
 fn write_loop<E>(
     mut stream: impl Write,
     inbox: &mpsc::Receiver<Outbound>,
@@ -812,17 +815,19 @@ fn write_loop<E>(
 {
     let mut watches: Vec<Subscription> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
+    let mut encoded = String::new();
     loop {
         match inbox.recv_timeout(TICK) {
-            Ok(Outbound::Line(line)) => {
-                if write_line(&mut stream, &line, &shared.metrics).is_err() {
+            Ok(Outbound::Line(mut line)) => {
+                if write_line(&mut stream, &mut line, &shared.metrics).is_err() {
                     break;
                 }
             }
             Ok(Outbound::Ticket { id, ticket, permit }) => {
                 let response = wait_ticket(ticket, shared, &mut drain_deadline);
-                let line = wire::encode_response(&WireResponse { id, response });
-                let written = write_line(&mut stream, &line, &shared.metrics);
+                encoded.clear();
+                wire::encode_response_into(&mut encoded, &WireResponse { id, response });
+                let written = write_line(&mut stream, &mut encoded, &shared.metrics);
                 // The response reached the peer (or the peer is gone either
                 // way); the admission slot frees here, after the write, so
                 // `admission_capacity` truly bounds reader-to-writer
@@ -837,35 +842,37 @@ fn write_loop<E>(
                     .fetch_add(1, Ordering::SeqCst);
             }
             Ok(Outbound::Watch {
-                response,
+                mut response,
                 subscription,
             }) => {
-                if write_line(&mut stream, &response, &shared.metrics).is_err() {
+                if write_line(&mut stream, &mut response, &shared.metrics).is_err() {
                     break;
                 }
                 watches.push(subscription);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !pump_events(&mut stream, &mut watches, &shared.metrics) {
+                if !pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics) {
                     break;
                 }
             }
             // Reader gone and queue fully drained: every admitted request
             // has been answered.  Close the subscription side and exit.
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = pump_events(&mut stream, &mut watches, &shared.metrics);
+                let _ = pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics);
                 if !watches.is_empty() {
                     // Subscriptions end with an explicit final event so a
                     // subscribed peer can tell drain from a torn connection.
                     let event = ServiceEvent::Draining {
                         generation: service.snapshot().generation(),
                     };
-                    let _ = write_line(&mut stream, &wire::encode_event(&event), &shared.metrics);
+                    encoded.clear();
+                    wire::encode_event_into(&mut encoded, &event);
+                    let _ = write_line(&mut stream, &mut encoded, &shared.metrics);
                 }
                 break;
             }
         }
-        if !pump_events(&mut stream, &mut watches, &shared.metrics) {
+        if !pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics) {
             break;
         }
     }
@@ -913,6 +920,7 @@ fn wait_ticket(
 fn pump_events(
     stream: &mut impl Write,
     watches: &mut Vec<Subscription>,
+    encoded: &mut String,
     metrics: &NetMetrics,
 ) -> bool {
     let mut alive = true;
@@ -923,7 +931,9 @@ fn pump_events(
         loop {
             match subscription.receiver.try_recv() {
                 Ok(event) => {
-                    if write_line(stream, &wire::encode_event(&event), metrics).is_err() {
+                    encoded.clear();
+                    wire::encode_event_into(encoded, &event);
+                    if write_line(stream, encoded, metrics).is_err() {
                         alive = false;
                         return true;
                     }

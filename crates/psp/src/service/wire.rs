@@ -51,14 +51,22 @@ pub fn encode_request(request: &WireRequest) -> String {
 }
 
 /// Encodes one response line (no trailing newline).
+#[must_use]
+pub fn encode_response(response: &WireResponse) -> String {
+    let mut out = String::new();
+    encode_response_into(&mut out, response);
+    out
+}
+
+/// Appends one response line (no trailing newline) to `out`, so a
+/// connection can encode every response into one reused buffer.
 ///
 /// Serialization of a well-formed response cannot fail on this surface
 /// (every payload type round-trips and scores are finite); if it ever does,
-/// the failure itself is encoded as an error response so the one-line-out
-/// invariant holds.
-#[must_use]
-pub fn encode_response(response: &WireResponse) -> String {
-    serde_json::to_string(response).unwrap_or_else(|error| {
+/// no partial bytes remain and the failure itself is encoded as an error
+/// response, so the one-line-out invariant holds.
+pub fn encode_response_into(out: &mut String, response: &WireResponse) {
+    if let Err(error) = serde_json::to_string_into(out, response) {
         let fallback = WireResponse {
             id: response.id,
             response: ServiceResponse::Error {
@@ -68,8 +76,8 @@ pub fn encode_response(response: &WireResponse) -> String {
                 .into(),
             },
         };
-        serde_json::to_string(&fallback).expect("error responses always serialize")
-    })
+        serde_json::to_string_into(out, &fallback).expect("error responses always serialize");
+    }
 }
 
 /// One push-event line: an out-of-band [`ServiceEvent`] (monitor delta or
@@ -81,21 +89,28 @@ pub struct WireEvent {
     pub event: ServiceEvent,
 }
 
-/// Encodes one event line (no trailing newline), with the same
-/// cannot-fail-silently fallback as [`encode_response`].
+/// Encodes one event line (no trailing newline).
 #[must_use]
 pub fn encode_event(event: &ServiceEvent) -> String {
-    serde_json::to_string(&WireEvent {
+    let mut out = String::new();
+    encode_event_into(&mut out, event);
+    out
+}
+
+/// Appends one event line (no trailing newline) to `out`, with the same
+/// cannot-fail-silently fallback as [`encode_response_into`].
+pub fn encode_event_into(out: &mut String, event: &ServiceEvent) {
+    let line = WireEvent {
         event: event.clone(),
-    })
-    .unwrap_or_else(|error| {
-        error_line(
+    };
+    if let Err(error) = serde_json::to_string_into(out, &line) {
+        out.push_str(&error_line(
             "",
             PspError::BadRequest {
                 detail: format!("event failed to serialize: {error}"),
             },
-        )
-    })
+        ));
+    }
 }
 
 /// Best-effort recovery of the correlation id from a line that failed to
@@ -152,6 +167,8 @@ pub fn error_line(line: &str, error: PspError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SignalCacheFile;
+    use textmine::sentiment::IntentLexicon;
 
     #[test]
     fn request_lines_round_trip() {
@@ -324,6 +341,51 @@ mod tests {
             Err(error) => assert_eq!(error.kind(), "bad-request"),
         }
         assert_eq!(recover_id(r#"{"id": nope, "id": 2}"#), 2);
+    }
+
+    /// A response that cannot serialize (a non-finite float) still answers
+    /// exactly one line: the bad-request fallback with the request's id, and
+    /// none of the failed attempt's bytes, even in a reused buffer.
+    #[test]
+    fn a_non_finite_float_answers_one_bad_request_line_with_its_id() {
+        let response = WireResponse {
+            id: 31,
+            response: ServiceResponse::Cache {
+                generation: 2,
+                cache: SignalCacheFile {
+                    version: 1,
+                    lexicon: IntentLexicon::default(),
+                    post_ids: vec![1, 2],
+                    intents: vec![0.5, f64::NAN],
+                    price_counts: vec![0, 0],
+                    prices: Vec::new(),
+                },
+            },
+        };
+        let mut out = String::from("previous line\n");
+        encode_response_into(&mut out, &response);
+        let line = out
+            .strip_prefix("previous line\n")
+            .expect("earlier bytes kept");
+        assert!(!line.contains('\n'), "one line: {line}");
+        assert_eq!(line, encode_response(&response));
+        let decoded: WireResponse = serde_json::from_str(line).unwrap();
+        assert_eq!(decoded.id, 31);
+        match decoded.response {
+            ServiceResponse::Error { error } => {
+                assert_eq!(error.kind, "bad-request");
+                assert!(error.detail.contains("non-finite"), "{}", error.detail);
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+
+        let event = ServiceEvent::ScheduledRun {
+            job: 4,
+            response: response.response,
+        };
+        let line = encode_event(&event);
+        assert!(line.starts_with("{\"id\":0,"), "{line}");
+        assert!(line.contains("event failed to serialize"), "{line}");
     }
 
     #[test]

@@ -1,12 +1,23 @@
 //! Offline shim of `serde`.
 //!
 //! The build environment has no registry access, so this crate provides the
-//! subset of serde this workspace uses: `Serialize` / `Deserialize` traits (with
-//! derive macros from the sibling `serde_derive` shim) over a simplified
-//! self-describing [`Value`] model.  The sibling `serde_json` shim renders and
-//! parses that model as JSON.  The trait signatures are intentionally simpler
-//! than real serde; nothing in this workspace implements the traits by hand, so
-//! only the derive macros and `serde_json` depend on their exact shape.
+//! subset of serde this workspace uses, with derive macros from the sibling
+//! `serde_derive` shim:
+//!
+//! - [`Serialize`] drives a visitor [`Serializer`] shaped like real serde's
+//!   data model (structs and fields, sequences, maps, unit / newtype / struct
+//!   variants, scalars).  Nothing is built in between: the sibling
+//!   `serde_json` shim's serializer writes JSON straight into a `String`.
+//! - [`Deserialize`] reads a simplified self-describing [`Value`] tree, which
+//!   `serde_json` parses first.
+//!
+//! The signatures are simpler than real serde's: a serializer has no `Ok` /
+//! `Error` associated types (it records its first error itself and the caller
+//! checks it once at the end), compound values are opened and closed by
+//! methods on the serializer instead of returned `SerializeStruct`-style
+//! handles, and deserialisation has no visitor.  Outside tests nothing in
+//! this workspace implements the traits by hand, so only the derive macros
+//! and `serde_json` depend on their exact shape.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -14,7 +25,8 @@ use std::hash::Hash;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing serialised value (the shim's data model).
+/// A self-describing parsed value: what `serde_json` hands to
+/// [`Deserialize`].  Serialisation never builds one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null` (also unit structs and `None`).
@@ -88,10 +100,69 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serialisation into the shim's [`Value`] model.
+/// A visitor that receives a value's structure, shaped like real serde's
+/// data model.
+///
+/// A compound value is opened, filled and closed: `serialize_struct`, one
+/// `serialize_field` per field, `end_struct`; `serialize_seq`, one
+/// `serialize_element` per element, `end_seq`; `serialize_map`, then
+/// `serialize_key` and `serialize_value` per entry, `end_map`.  The methods
+/// return nothing: a serializer that meets a value it cannot represent
+/// records the error and reports it when the caller finishes.
+pub trait Serializer {
+    /// A unit value, unit struct or `None`.
+    fn serialize_unit(&mut self);
+    /// A boolean.
+    fn serialize_bool(&mut self, v: bool);
+    /// A signed integer.
+    fn serialize_i64(&mut self, v: i64);
+    /// An unsigned integer.
+    fn serialize_u64(&mut self, v: u64);
+    /// A floating-point number.
+    fn serialize_f64(&mut self, v: f64);
+    /// A string.
+    fn serialize_str(&mut self, v: &str);
+    /// Opens a sequence (vectors, slices, tuples, multi-field tuple structs).
+    fn serialize_seq(&mut self);
+    /// One sequence element.
+    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T);
+    /// Closes the open sequence.
+    fn end_seq(&mut self);
+    /// Opens a map.
+    fn serialize_map(&mut self);
+    /// One map key; its value follows through [`serialize_value`](Self::serialize_value).
+    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T);
+    /// The value of the key just serialized.
+    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T);
+    /// Closes the open map.
+    fn end_map(&mut self);
+    /// Opens a struct with named fields.
+    fn serialize_struct(&mut self, name: &'static str);
+    /// One named field of the open struct or struct variant.
+    fn serialize_field<T: Serialize + ?Sized>(&mut self, key: &'static str, value: &T);
+    /// Closes the open struct.
+    fn end_struct(&mut self);
+    /// A fieldless enum variant.
+    fn serialize_unit_variant(&mut self, name: &'static str, variant: &'static str);
+    /// An enum variant wrapping one value (multi-field tuple variants wrap a
+    /// tuple).
+    fn serialize_newtype_variant<T: Serialize + ?Sized>(
+        &mut self,
+        name: &'static str,
+        variant: &'static str,
+        value: &T,
+    );
+    /// Opens an enum variant with named fields, filled by
+    /// [`serialize_field`](Self::serialize_field).
+    fn serialize_struct_variant(&mut self, name: &'static str, variant: &'static str);
+    /// Closes the open struct variant.
+    fn end_struct_variant(&mut self);
+}
+
+/// A value that can describe itself to a [`Serializer`].
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Feeds `self` to the serializer.
+    fn serialize<S: Serializer>(&self, s: &mut S);
 }
 
 /// Deserialisation from the shim's [`Value`] model.
@@ -105,14 +176,14 @@ pub trait Deserialize: Sized {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
@@ -125,8 +196,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 macro_rules! ser_de_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(i64::from(*self))
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.serialize_i64(i64::from(*self));
             }
         }
         impl Deserialize for $t {
@@ -147,8 +218,8 @@ ser_de_signed!(i8, i16, i32, i64);
 macro_rules! ser_de_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(u64::from(*self))
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.serialize_u64(u64::from(*self));
             }
         }
         impl Deserialize for $t {
@@ -169,8 +240,8 @@ macro_rules! ser_de_unsigned {
 ser_de_unsigned!(u8, u16, u32, u64);
 
 impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::UInt(*self as u64)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_u64(*self as u64);
     }
 }
 impl Deserialize for usize {
@@ -182,8 +253,8 @@ impl Deserialize for usize {
 }
 
 impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        Value::Int(*self as i64)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_i64(*self as i64);
     }
 }
 impl Deserialize for isize {
@@ -195,8 +266,8 @@ impl Deserialize for isize {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_f64(*self);
     }
 }
 impl Deserialize for f64 {
@@ -211,8 +282,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_f64(f64::from(*self));
     }
 }
 impl Deserialize for f32 {
@@ -222,8 +293,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_bool(*self);
     }
 }
 impl Deserialize for bool {
@@ -236,8 +307,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_str(self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
@@ -254,8 +325,8 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_str(self);
     }
 }
 impl Deserialize for String {
@@ -267,16 +338,16 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_str(self);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.serialize(s),
+            None => s.serialize_unit(),
         }
     }
 }
@@ -290,8 +361,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -305,18 +376,32 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_seq();
+        for item in self {
+            s.serialize_element(item);
+        }
+        s.end_seq();
     }
 }
 
+fn serialize_entries<'a, K, V, S>(s: &mut S, entries: impl Iterator<Item = (&'a K, &'a V)>)
+where
+    K: Serialize + 'a,
+    V: Serialize + 'a,
+    S: Serializer,
+{
+    s.serialize_map();
+    for (key, value) in entries {
+        s.serialize_key(key);
+        s.serialize_value(value);
+    }
+    s.end_map();
+}
+
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_value(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        serialize_entries(s, self.iter());
     }
 }
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
@@ -329,13 +414,9 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: Serialize, V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_value(), v.to_value()))
-                .collect(),
-        )
+impl<K: Serialize, V: Serialize, H: std::hash::BuildHasher> Serialize for HashMap<K, V, H> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        serialize_entries(s, self.iter());
     }
 }
 impl<K: Deserialize + Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
@@ -351,8 +432,10 @@ impl<K: Deserialize + Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
 macro_rules! ser_de_tuple {
     ($(($($t:ident : $idx:tt),+)),*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.serialize_seq();
+                $(s.serialize_element(&self.$idx);)+
+                s.end_seq();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {

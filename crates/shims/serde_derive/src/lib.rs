@@ -2,11 +2,13 @@
 //!
 //! The build environment has no registry access, so this crate re-implements the
 //! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros against the local
-//! `serde` shim's simplified data model (`serde::Value`).  It parses the item
-//! token stream by hand (no `syn`/`quote`) and supports the shapes this
+//! `serde` shim: `Serialize` feeds the shim's visitor `serde::Serializer`
+//! (one call per struct, field, element and variant, like real serde), and
+//! `Deserialize` reads the shim's parsed `serde::Value` tree.  It parses the
+//! item token stream by hand (no `syn`/`quote`) and supports the shapes this
 //! workspace actually uses: non-generic named structs (with `#[serde(skip)]`
-//! fields), tuple structs, unit structs, and enums with unit, tuple and struct
-//! variants (externally tagged, like real serde).
+//! fields), tuple structs, unit structs, and enums with unit, tuple (up to
+//! four fields) and struct variants (externally tagged, like real serde).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -220,104 +222,95 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn seq_ser(arity: usize, prefix: &str) -> String {
-    let items: Vec<String> = (0..arity)
-        .map(|k| format!("::serde::Serialize::to_value({prefix}{k})"))
-        .collect();
-    format!("::serde::Value::Seq(vec![{}])", items.join(", "))
+/// `serialize_field` calls for the non-skipped fields, each value
+/// read through `access` (`&self.` for structs, empty for bound variant
+/// fields).
+fn field_calls(fields: &[Field], access: &str) -> String {
+    fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| {
+            format!(
+                "__serializer.serialize_field(\"{n}\", {access}{n});\n",
+                n = f.name
+            )
+        })
+        .collect()
 }
 
 /// `#[derive(Serialize)]` against the local serde shim.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let body = match &item {
-        Item::NamedStruct { name, fields } => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
-                    "map.push((::serde::Value::Str(\"{n}\".to_string()), \
-                     ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
+    let (name, body) = match &item {
+        Item::NamedStruct { name, fields } => (
+            name,
             format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut map: Vec<(::serde::Value, ::serde::Value)> = Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Map(map)\n}}\n}}"
-            )
-        }
-        Item::TupleStruct { name, arity } => {
-            let expr = if *arity == 1 {
-                "::serde::Serialize::to_value(&self.0)".to_string()
-            } else {
-                let items: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                    .collect();
-                format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ {expr} }}\n}}"
-            )
-        }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Null }}\n}}"
+                "__serializer.serialize_struct(\"{name}\");\n{}__serializer.end_struct();",
+                field_calls(fields, "&self.")
+            ),
         ),
+        Item::TupleStruct { name, arity: 1 } => (
+            name,
+            "::serde::Serialize::serialize(&self.0, __serializer);".to_string(),
+        ),
+        Item::TupleStruct { name, arity } => {
+            let elements: String = (0..*arity)
+                .map(|k| format!("__serializer.serialize_element(&self.{k});\n"))
+                .collect();
+            (
+                name,
+                format!("__serializer.serialize_seq();\n{elements}__serializer.end_seq();"),
+            )
+        }
+        Item::UnitStruct { name } => (name, "__serializer.serialize_unit();".to_string()),
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
                 match &v.kind {
                     VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
+                        "{name}::{vn} => __serializer.serialize_unit_variant(\"{name}\", \"{vn}\"),\n"
                     )),
                     VariantKind::Tuple(arity) => {
+                        assert!(
+                            (1..=4).contains(arity),
+                            "serde_derive shim: tuple variant `{name}::{vn}` needs one to four fields"
+                        );
                         let binders: Vec<String> = (0..*arity).map(|k| format!("f{k}")).collect();
                         let payload = if *arity == 1 {
-                            "::serde::Serialize::to_value(f0)".to_string()
+                            "f0".to_string()
                         } else {
-                            seq_ser(*arity, "f")
+                            format!("&({},)", binders.join(", "))
                         };
                         arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => ::serde::Value::Map(vec![(\
-                             ::serde::Value::Str(\"{vn}\".to_string()), {payload})]),\n",
+                            "{name}::{vn}({binds}) => \
+                             __serializer.serialize_newtype_variant(\"{name}\", \"{vn}\", {payload}),\n",
                             binds = binders.join(", ")
                         ));
                     }
                     VariantKind::Struct(fields) => {
                         let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let mut pushes = String::new();
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            pushes.push_str(&format!(
-                                "inner.push((::serde::Value::Str(\"{n}\".to_string()), \
-                                 ::serde::Serialize::to_value({n})));\n",
-                                n = f.name
-                            ));
-                        }
                         arms.push_str(&format!(
                             "{name}::{vn} {{ {binds} }} => {{\n\
-                             let mut inner: Vec<(::serde::Value, ::serde::Value)> = Vec::new();\n\
-                             {pushes}\
-                             ::serde::Value::Map(vec![(::serde::Value::Str(\"{vn}\".to_string()), \
-                             ::serde::Value::Map(inner))])\n}}\n",
-                            binds = binders.join(", ")
+                             __serializer.serialize_struct_variant(\"{name}\", \"{vn}\");\n\
+                             {calls}__serializer.end_struct_variant();\n}}\n",
+                            binds = binders.join(", "),
+                            calls = field_calls(fields, "")
                         ));
                     }
                 }
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{\n\
-                 match self {{\n{arms}}}\n}}\n}}"
-            )
+            (name, format!("match self {{\n{arms}}}"))
         }
     };
-    body.parse()
-        .expect("serde_derive shim: generated invalid Serialize impl")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn serialize<__S: ::serde::Serializer>(&self, __serializer: &mut __S) {{\n\
+         {body}\n}}\n}}"
+    )
+    .parse()
+    .expect("serde_derive shim: generated invalid Serialize impl")
 }
 
 fn named_fields_de(struct_path: &str, fields: &[Field], map_expr: &str) -> String {

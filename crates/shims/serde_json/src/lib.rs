@@ -1,11 +1,18 @@
 //! Offline shim of `serde_json`.
 //!
-//! Renders and parses the local serde shim's [`serde::Value`] model as JSON.
-//! Supports exactly what this workspace uses: `to_string`, `to_string_pretty`
-//! and `from_str`, with round-trip-exact floating-point formatting (Rust's
-//! shortest `{:?}` representation).
+//! Supports exactly what this workspace uses: `to_string`, `to_string_pretty`,
+//! [`to_string_into`] (append to a reused buffer) and `from_str`.
+//!
+//! Serialising is one pass: a [`Serialize`] value drives this crate's
+//! `serde::Serializer`, which writes JSON straight into a `String` — compact,
+//! or pretty through an indent state — with nothing built in between.
+//! Floats keep Rust's shortest round-trip `{:?}` form (e.g. `360.0`);
+//! integral floats below `1e16` take a digit-writing fast path that prints
+//! exactly the same bytes.  Parsing reads the text into the serde shim's
+//! [`serde::Value`] tree, which `Deserialize` then consumes.
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 /// The error type (shared with the serde shim).
 pub type Error = serde::Error;
@@ -15,9 +22,9 @@ pub type Error = serde::Error;
 /// # Errors
 ///
 /// Returns [`Error`] for non-finite floats or non-string-like map keys.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0)?;
+    to_string_into(&mut out, value)?;
     Ok(out)
 }
 
@@ -26,10 +33,21 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 /// # Errors
 ///
 /// Returns [`Error`] for non-finite floats or non-string-like map keys.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0)?;
+    write(&mut out, value, Some(2))?;
     Ok(out)
+}
+
+/// Appends a value's compact JSON to `out`, so a caller encoding many
+/// values can reuse one buffer.
+///
+/// # Errors
+///
+/// Returns [`Error`] for non-finite floats or non-string-like map keys; `out`
+/// is then left exactly as it was before the call.
+pub fn to_string_into<T: Serialize + ?Sized>(out: &mut String, value: &T) -> Result<(), Error> {
+    write(out, value, None)
 }
 
 /// Parses JSON text into a deserialisable type.
@@ -52,89 +70,283 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&value)
 }
 
-fn write_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..(width * depth) {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_value(
+fn write<T: Serialize + ?Sized>(
     out: &mut String,
-    value: &Value,
+    value: &T,
     indent: Option<usize>,
-    depth: usize,
 ) -> Result<(), Error> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(x) => {
-            if !x.is_finite() {
-                return Err(Error::custom("cannot serialise non-finite float"));
-            }
-            // `{:?}` is Rust's shortest round-trip representation (e.g. `360.0`).
-            out.push_str(&format!("{x:?}"));
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1)?;
-            }
-            if !items.is_empty() {
-                write_indent(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, depth + 1);
-                match key {
-                    Value::Str(s) => write_string(out, s),
-                    Value::Int(n) => write_string(out, &n.to_string()),
-                    Value::UInt(n) => write_string(out, &n.to_string()),
-                    _ => return Err(Error::custom("map key must be string-like")),
-                }
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1)?;
-            }
-            if !entries.is_empty() {
-                write_indent(out, indent, depth);
-            }
-            out.push('}');
+    let start = out.len();
+    let mut serializer = Serializer {
+        out,
+        indent,
+        depth: 0,
+        first: true,
+        key: false,
+        error: None,
+    };
+    value.serialize(&mut serializer);
+    match serializer.error {
+        None => Ok(()),
+        Some(error) => {
+            out.truncate(start);
+            Err(error)
         }
     }
-    Ok(())
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The JSON writer behind every `to_string*` call.
+struct Serializer<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; `None` writes compact JSON.
+    indent: Option<usize>,
+    /// Containers currently open.
+    depth: usize,
+    /// Nothing has been written yet into the innermost open container.
+    /// Closing a container leaves it `false`: its parent now holds an item.
+    first: bool,
+    /// The value being written is a map key and must come out as a string.
+    key: bool,
+    /// The first unrepresentable value met; the caller discards the output.
+    error: Option<Error>,
+}
+
+impl Serializer<'_> {
+    fn fail(&mut self, msg: &str) {
+        self.error.get_or_insert_with(|| Error::custom(msg));
+    }
+
+    fn fail_if_key(&mut self) {
+        if self.key {
+            self.fail("map key must be string-like");
         }
     }
+
+    fn newline(&mut self) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            for _ in 0..width * self.depth {
+                self.out.push(' ');
+            }
+        }
+    }
+
+    /// The separator and indentation before an item of the open container.
+    fn next_item(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline();
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.fail_if_key();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    fn write_key(&mut self, key: &str) {
+        self.next_item();
+        write_string(self.out, key);
+        self.colon();
+    }
+
+    fn colon(&mut self) {
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+    }
+
+    /// An integer; quoted when it is a map key.
+    fn integer(&mut self, negative: bool, magnitude: u64) {
+        if self.key {
+            self.out.push('"');
+        }
+        if negative {
+            self.out.push('-');
+        }
+        write_u64(self.out, magnitude);
+        if self.key {
+            self.out.push('"');
+        }
+    }
+}
+
+impl serde::Serializer for Serializer<'_> {
+    fn serialize_unit(&mut self) {
+        self.fail_if_key();
+        self.out.push_str("null");
+    }
+
+    fn serialize_bool(&mut self, v: bool) {
+        self.fail_if_key();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn serialize_i64(&mut self, v: i64) {
+        self.integer(v < 0, v.unsigned_abs());
+    }
+
+    fn serialize_u64(&mut self, v: u64) {
+        self.integer(false, v);
+    }
+
+    fn serialize_f64(&mut self, v: f64) {
+        self.fail_if_key();
+        if v.is_finite() {
+            write_f64(self.out, v);
+        } else {
+            self.fail("cannot serialise non-finite float");
+        }
+    }
+
+    fn serialize_str(&mut self, v: &str) {
+        write_string(self.out, v);
+    }
+
+    fn serialize_seq(&mut self) {
+        self.open('[');
+    }
+
+    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.next_item();
+        value.serialize(self);
+    }
+
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    fn serialize_map(&mut self) {
+        self.open('{');
+    }
+
+    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) {
+        self.next_item();
+        self.key = true;
+        key.serialize(self);
+        self.key = false;
+        self.colon();
+    }
+
+    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) {
+        value.serialize(self);
+    }
+
+    fn end_map(&mut self) {
+        self.close('}');
+    }
+
+    fn serialize_struct(&mut self, _name: &'static str) {
+        self.open('{');
+    }
+
+    fn serialize_field<T: Serialize + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.write_key(key);
+        value.serialize(self);
+    }
+
+    fn end_struct(&mut self) {
+        self.close('}');
+    }
+
+    fn serialize_unit_variant(&mut self, _name: &'static str, variant: &'static str) {
+        write_string(self.out, variant);
+    }
+
+    fn serialize_newtype_variant<T: Serialize + ?Sized>(
+        &mut self,
+        _name: &'static str,
+        variant: &'static str,
+        value: &T,
+    ) {
+        self.open('{');
+        self.write_key(variant);
+        value.serialize(self);
+        self.close('}');
+    }
+
+    fn serialize_struct_variant(&mut self, _name: &'static str, variant: &'static str) {
+        self.open('{');
+        self.write_key(variant);
+        self.open('{');
+    }
+
+    fn end_struct_variant(&mut self) {
+        self.close('}');
+        self.close('}');
+    }
+}
+
+/// Writes `n` in decimal without allocating.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0_u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Writes a finite float as Rust's shortest round-trip `{:?}` form.  An
+/// integral value below `1e16` (other than `-0.0`) prints as its integer
+/// digits plus `.0` under `{:?}`, so those are written digit by digit.
+fn write_f64(out: &mut String, x: f64) {
+    let n = x as i64;
+    if n as f64 == x && x.abs() < 1e16 && (n != 0 || x.is_sign_positive()) {
+        if n < 0 {
+            out.push('-');
+        }
+        write_u64(out, n.unsigned_abs());
+        out.push_str(".0");
+    } else {
+        let _ = write!(out, "{x:?}");
+    }
+}
+
+/// Writes a JSON string literal, copying runs of bytes that need no escape.
+fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -371,6 +583,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap};
 
     #[test]
     fn round_trip_scalars() {
@@ -404,6 +617,141 @@ mod tests {
             let json = to_string(&x).unwrap();
             assert_eq!(from_str::<f64>(&json).unwrap(), x, "{json}");
         }
+    }
+
+    /// The integral fast path must print exactly what `{:?}` prints.
+    fn assert_debug_form(x: f64) {
+        let mut out = String::new();
+        write_f64(&mut out, x);
+        assert_eq!(out, format!("{x:?}"), "bits {:#018x}", x.to_bits());
+    }
+
+    #[test]
+    fn float_edge_cases_print_as_debug_does() {
+        let two_53 = 9_007_199_254_740_992.0_f64;
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two_53,
+            -two_53,
+            two_53 - 1.0,
+            -(two_53 - 1.0),
+            two_53 + 2.0,
+            -(two_53 + 2.0),
+            9_999_999_999_999_998.0,
+            -9_999_999_999_999_998.0,
+            1e16,
+            -1e16,
+            1e15,
+            360.0,
+            0.5,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ] {
+            assert_debug_form(x);
+        }
+    }
+
+    // The shim's range strategies span at most 2^64 - 1 values, so 64 random
+    // bits are drawn as two 32-bit halves.
+    proptest::proptest! {
+        #[test]
+        fn random_bit_patterns_print_as_debug_does(
+            hi in 0..=u32::MAX,
+            lo in 0..=u32::MAX,
+        ) {
+            let x = f64::from_bits(u64::from(hi) << 32 | u64::from(lo));
+            if x.is_finite() {
+                assert_debug_form(x);
+            }
+        }
+
+        #[test]
+        fn random_integral_floats_print_as_debug_does(
+            hi in 0..=u32::MAX,
+            lo in 0..=u32::MAX,
+            shift in 0_u32..64,
+        ) {
+            // Spans every magnitude up to 2^63, across the 1e16 cut-over.
+            let n = (u64::from(hi) << 32 | u64::from(lo)) as i64;
+            assert_debug_form((n >> shift) as f64);
+        }
+    }
+
+    #[test]
+    fn integers_print_as_to_string_does() {
+        assert_eq!(to_string(&0_u64).unwrap(), "0");
+        assert_eq!(to_string(&u64::MAX).unwrap(), u64::MAX.to_string());
+        assert_eq!(to_string(&i64::MIN).unwrap(), i64::MIN.to_string());
+        assert_eq!(to_string(&i64::MAX).unwrap(), i64::MAX.to_string());
+        assert_eq!(to_string(&-7_i32).unwrap(), "-7");
+    }
+
+    #[test]
+    fn a_non_finite_float_errors_and_leaves_a_reused_buffer_untouched() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::from("[1,2]");
+            let err = to_string_into(&mut out, &vec![(1_u64, 2.5), (2, bad)]).unwrap_err();
+            assert!(err.to_string().contains("non-finite"), "{err}");
+            assert_eq!(out, "[1,2]");
+            assert!(to_string(&bad).is_err());
+            assert!(to_string_pretty(&Some(bad)).is_err());
+        }
+    }
+
+    #[test]
+    fn map_keys_must_be_string_like() {
+        let mut ints = BTreeMap::new();
+        ints.insert(-3_i32, "a".to_string());
+        ints.insert(4, "b".to_string());
+        assert_eq!(to_string(&ints).unwrap(), r#"{"-3":"a","4":"b"}"#);
+        let mut floats = HashMap::new();
+        floats.insert(KeyedByFloat(3), 1_u8);
+        let mut out = String::from("kept");
+        assert!(to_string_into(&mut out, &floats).is_err());
+        assert_eq!(out, "kept");
+        let mut seqs = BTreeMap::new();
+        seqs.insert(vec![1_u8], 1_u8);
+        assert!(to_string(&seqs).is_err());
+    }
+
+    #[derive(PartialEq, Eq, Hash)]
+    struct KeyedByFloat(u8);
+
+    impl Serialize for KeyedByFloat {
+        fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+            s.serialize_f64(f64::from(self.0) / 2.0);
+        }
+    }
+
+    #[test]
+    fn strings_escape_control_bytes_and_keep_unicode() {
+        let text = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é 😀\u{7f}";
+        assert_eq!(
+            to_string(&text).unwrap(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh é 😀\u{7f}\""
+        );
+        assert_eq!(
+            from_str::<String>(&to_string(&text).unwrap()).unwrap(),
+            text
+        );
+    }
+
+    #[test]
+    fn pretty_output_indents_nested_containers() {
+        let mut map = BTreeMap::new();
+        map.insert("empty".to_string(), Vec::<u8>::new());
+        map.insert("pair".to_string(), vec![1, 2]);
+        assert_eq!(
+            to_string_pretty(&map).unwrap(),
+            "{\n  \"empty\": [],\n  \"pair\": [\n    1,\n    2\n  ]\n}"
+        );
+        assert_eq!(to_string_pretty(&Vec::<u8>::new()).unwrap(), "[]");
     }
 
     #[test]

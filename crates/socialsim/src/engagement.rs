@@ -54,17 +54,6 @@ impl Engagement {
     pub fn popularity(&self) -> f64 {
         self.views as f64 * 0.01 + self.interactions() as f64
     }
-
-    /// Element-wise sum of two engagement records.
-    #[must_use]
-    pub fn combined(&self, other: &Engagement) -> Engagement {
-        Engagement {
-            views: self.views + other.views,
-            likes: self.likes + other.likes,
-            replies: self.replies + other.replies,
-            reposts: self.reposts + other.reposts,
-        }
-    }
 }
 
 impl fmt::Display for Engagement {
@@ -100,14 +89,6 @@ mod tests {
         let viewed = Engagement::new(10_000, 0, 0, 0);
         let engaged = Engagement::new(1_000, 150, 30, 20);
         assert!(engaged.popularity() > viewed.popularity());
-    }
-
-    #[test]
-    fn combined_adds_elementwise() {
-        let a = Engagement::new(10, 1, 2, 3);
-        let b = Engagement::new(20, 4, 5, 6);
-        let c = a.combined(&b);
-        assert_eq!(c, Engagement::new(30, 5, 7, 9));
     }
 
     #[test]

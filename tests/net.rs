@@ -690,6 +690,76 @@ fn stdin_shape_and_tcp_answer_one_transcript_byte_identically() {
     assert!(events[1].contains("\"Draining\""), "{}", events[1]);
 }
 
+/// A writer that keeps every `write` call's bytes as a separate chunk.
+#[derive(Debug, Clone, Default)]
+struct ChunkSink(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for ChunkSink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(bytes.to_vec());
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Each line — responses, pre-encoded error lines, events — leaves in one
+/// `write` call with its newline, so a `TCP_NODELAY` socket never sends the
+/// newline as a segment of its own; `bytes_out` still counts every byte.
+#[test]
+fn every_line_leaves_in_one_write_call() {
+    let mut input = String::new();
+    for line in [
+        score_request(1),
+        encode_request(&WireRequest {
+            id: 2,
+            request: ServiceRequest::Subscribe {
+                spec: MonitorSpec {
+                    db: "excavator".into(),
+                    config: "excavator".into(),
+                    scenario: "dpf-tampering".into(),
+                    from_year: 2019,
+                    to_year: 2023,
+                    window_years: 2,
+                    alert_threshold: 0.25,
+                },
+            },
+        }),
+        encode_request(&WireRequest {
+            id: 3,
+            request: ServiceRequest::Ingest {
+                posts: scenario::excavator_europe(8).posts()[..10].to_vec(),
+            },
+        }),
+        "{not json".to_string(),
+        score_request(5),
+    ] {
+        input.push_str(&line);
+        input.push('\n');
+    }
+    let service = fresh_service(1);
+    let sink = ChunkSink::default();
+    net::serve_stream(
+        &service,
+        input.as_bytes(),
+        sink.clone(),
+        NetConfig::default(),
+    );
+    let chunks = sink.0.lock().unwrap().clone();
+    // Five responses, one monitor delta, one draining event.
+    let lengths: Vec<usize> = chunks.iter().map(Vec::len).collect();
+    assert_eq!(chunks.len(), 7, "write call lengths {lengths:?}");
+    for chunk in &chunks {
+        let line = String::from_utf8_lossy(chunk);
+        assert!(line.ends_with('\n'), "unterminated chunk: {line}");
+        assert_eq!(line.matches('\n').count(), 1, "one line per write: {line}");
+    }
+    let written: usize = lengths.iter().sum();
+    assert_eq!(service.net_stats().bytes_out, written as u64);
+}
+
 #[test]
 fn a_pipelined_stdin_burst_is_answered_in_order_without_overload() {
     let service = fresh_service(2);
