@@ -5,8 +5,7 @@
 //! (the static model the paper criticises) and once with the PSP insider table for
 //! the relevant threat scenario — and the differences are reported per threat.
 
-use crate::engine::LiveEngine;
-use crate::workflow::{PspOutcome, PspWorkflow};
+use crate::workflow::PspOutcome;
 use iso21434::feasibility::attack_vector::AttackVectorModel;
 use iso21434::feasibility::AttackFeasibilityRating;
 use iso21434::risk::RiskValue;
@@ -104,24 +103,6 @@ impl DynamicTaraComparison {
             dynamic_report,
             deltas,
         })
-    }
-
-    /// Runs the PSP workflow against a prebuilt [`LiveEngine`] and evaluates
-    /// the TARA with the freshly tuned tables — the continuous-re-evaluation
-    /// entry point: the corpus is indexed once in the engine and each
-    /// re-evaluation only pays for the indexed scoring pass.
-    ///
-    /// # Errors
-    ///
-    /// Forwards [`Iso21434Error`] from the TARA engine.
-    pub fn evaluate_with_engine(
-        tara: &Tara,
-        engine: &LiveEngine,
-        workflow: &PspWorkflow,
-        scenario: &str,
-    ) -> Result<Self, Iso21434Error> {
-        let outcome = workflow.run_with_engine(engine);
-        Self::evaluate(tara, &outcome, scenario)
     }
 
     /// The delta for one threat.

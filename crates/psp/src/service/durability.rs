@@ -33,6 +33,7 @@
 //!   engine's responses exactly (property-tested in `tests/durability.rs`).
 
 use super::journal::{crc32, scan_wal, FaultFs, WalRecord, WalWriter};
+use super::lock;
 use crate::engine::{SignalCacheFile, StreamingScorer};
 use crate::error::PspError;
 use serde::{Deserialize, Serialize};
@@ -42,7 +43,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// The journal file name inside a data directory.
 const WAL_FILE: &str = "wal.log";
@@ -220,10 +221,7 @@ impl DurableStore {
             generation,
             posts: posts.to_vec(),
         };
-        self.wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .append(&record)
+        lock(&self.wal).append(&record)
     }
 
     /// Publishes an atomic checkpoint of `engine`: corpus + signal cache +
@@ -320,11 +318,7 @@ impl DurableStore {
         // The journal prefix up to this generation is now redundant; a
         // failed compaction is not a failed checkpoint (the WAL just stays
         // longer until the next one).
-        let _ = self
-            .wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .compact(generation);
+        let _ = lock(&self.wal).compact(generation);
         prune_checkpoints(&checkpoints, CHECKPOINTS_KEPT);
         Ok((generation, posts, target))
     }
@@ -332,7 +326,7 @@ impl DurableStore {
     /// Durability counters, observed now.
     #[must_use]
     pub fn stats(&self) -> DurabilityStats {
-        let wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let wal = lock(&self.wal);
         let last = self.last_checkpoint.load(Ordering::SeqCst);
         DurabilityStats {
             wal_records: wal.records(),

@@ -313,6 +313,20 @@ impl FaultFs {
     }
 }
 
+/// Encodes one record as a WAL frame, `len:u32 crc:u32 payload` (see the
+/// module docs): the one frame encoder behind appends and compaction.
+fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, PspError> {
+    let payload = serde_json::to_string(record).map_err(|err| PspError::Durability {
+        detail: format!("serialise WAL record: {err:?}"),
+    })?;
+    let payload = payload.as_bytes();
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
 /// The appending half of the journal.  One writer exists per
 /// [`DurableStore`](super::durability::DurableStore), serialized by the
 /// store's WAL mutex; every append is fsync'd before it returns `Ok`.
@@ -401,14 +415,7 @@ impl WalWriter {
                 ),
             });
         }
-        let payload = serde_json::to_string(record).map_err(|err| PspError::Durability {
-            detail: format!("serialise WAL record: {err:?}"),
-        })?;
-        let payload = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = encode_frame(record)?;
         let outcome = self
             .faults
             .clone()
@@ -465,15 +472,7 @@ impl WalWriter {
                     detail: format!("write {}: {err}", tmp.display()),
                 })?;
             for record in &survivors {
-                let payload =
-                    serde_json::to_string(*record).map_err(|err| PspError::Durability {
-                        detail: format!("serialise WAL record: {err:?}"),
-                    })?;
-                let payload = payload.as_bytes();
-                let mut frame = Vec::with_capacity(8 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(&crc32(payload).to_le_bytes());
-                frame.extend_from_slice(payload);
+                let frame = encode_frame(record)?;
                 file.write_all(&frame).map_err(|err| PspError::Durability {
                     detail: format!("write {}: {err}", tmp.display()),
                 })?;

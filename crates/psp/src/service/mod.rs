@@ -43,7 +43,8 @@
 //!   reports queued/in-flight depth.
 //! * **Subscriptions** — [`TaraService::subscribe`] (or
 //!   [`ServiceRequest::Subscribe`] over a [`net`] connection) registers a
-//!   [`MonitorSpec`] with a dedicated event channel; after every
+//!   [`MonitorSpec`] with an event sink (a dedicated channel, or the
+//!   connection's inbox); after every
 //!   successful ingest publication the service pushes a
 //!   [`ServiceEvent::MonitorDelta`] — the re-evaluated
 //!   [`MonitoringSeries`] plus its `sai_alerts` firings, computed on the
@@ -53,7 +54,7 @@
 //!   request at a fixed
 //!   interval against the latest snapshot on a dedicated scheduler thread,
 //!   delivering [`ServiceEvent::ScheduledRun`]s through the same event
-//!   channels.
+//!   sinks.
 
 pub mod durability;
 pub mod journal;
@@ -77,7 +78,7 @@ use serde::{Deserialize, Serialize};
 use snapshot::{EngineSnapshot, SnapshotPublisher};
 use socialsim::post::Post;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Renders a caught panic payload as the `detail` of an `internal-error`
@@ -90,6 +91,13 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "request panicked with a non-string payload".to_string()
     }
+}
+
+/// Locks `mutex`, recovering it from poisoning: every lock in the service
+/// guards state that a panicking holder cannot leave torn, and a poisoned
+/// lock must not cascade one bad request into service-wide failure.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The answer to a request whose token was cancelled or whose deadline
@@ -467,10 +475,10 @@ pub enum ServiceResponse {
 
 /// A push event delivered outside the request/response cycle: monitor
 /// deltas after ingest publications, and the results of scheduled runs.
-/// Every registration owns a dedicated channel: embedded callers hold the
-/// [`Subscription`] from [`TaraService::subscribe`] /
-/// [`TaraService::schedule`], and the [`net`] connection loop forwards a
-/// connection's own registrations to it as `{"event":…}` lines.
+/// Every registration owns an event sink: for embedded callers the channel
+/// behind the [`Subscription`] from [`TaraService::subscribe`] /
+/// [`TaraService::schedule`], for a [`net`] connection its writer's inbox,
+/// which writes the events as `{"event":…}` lines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServiceEvent {
     /// A monitor subscription re-evaluated after an ingest publication.
@@ -543,13 +551,35 @@ impl Subscription {
     }
 }
 
-/// One registered monitor subscription: its spec plus the sending half of
-/// its event channel.
+/// Where one registration's events go: an embedded caller's channel, or a
+/// connection's inbox.  A `false` return means the receiver is gone, and the
+/// registration is pruned (a subscription) or unscheduled (a job).
+struct EventSink(Box<dyn Fn(ServiceEvent) -> bool + Send>);
+
+impl EventSink {
+    fn send(&self, event: ServiceEvent) -> bool {
+        (self.0)(event)
+    }
+}
+
+impl From<mpsc::Sender<ServiceEvent>> for EventSink {
+    fn from(sender: mpsc::Sender<ServiceEvent>) -> Self {
+        Self(Box::new(move |event| sender.send(event).is_ok()))
+    }
+}
+
+impl std::fmt::Debug for EventSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("EventSink")
+    }
+}
+
+/// One registered monitor subscription: its spec plus its event sink.
 #[derive(Debug)]
 struct Subscriber {
     id: u64,
     spec: MonitorSpec,
-    sender: mpsc::Sender<ServiceEvent>,
+    sink: EventSink,
 }
 
 /// Everything a request needs, shared between the synchronous path, the
@@ -772,21 +802,13 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
     /// Returns an error when the spec names an unregistered database or
     /// configuration.
     pub fn subscribe(&self, spec: MonitorSpec) -> Result<Subscription, PspError> {
-        let state = &self.state;
-        state.registry.lookup_database(&spec.db)?;
-        state.registry.lookup_config(&spec.config)?;
-        let id = state.next_id.fetch_add(1, Ordering::SeqCst);
         let (sender, receiver) = mpsc::channel();
-        state
-            .subscriptions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Subscriber { id, spec, sender });
-        Ok(Subscription {
+        let subscription = |id, generation| Subscription {
             id,
-            generation: state.publisher.snapshot().generation(),
+            generation,
             receiver,
-        })
+        };
+        Ok(self.state.subscribe(spec, sender.into(), subscription)?.1)
     }
 
     /// Registers a recurring job with a dedicated event channel (what a
@@ -803,25 +825,16 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         request: ServiceRequest,
         every: Duration,
     ) -> Result<Subscription, PspError> {
-        let state = &self.state;
-        if !request.is_schedulable() {
-            return Err(PspError::NotSchedulable {
-                request: request.kind_name(),
-            });
-        }
-        if matches!(request, ServiceRequest::Checkpoint) && state.durable.is_none() {
-            // A scheduled checkpoint on a non-durable service would tick
-            // `not-durable` errors forever; reject at registration instead.
-            return Err(PspError::NotDurable);
-        }
-        let id = state.next_id.fetch_add(1, Ordering::SeqCst);
         let (sender, receiver) = mpsc::channel();
-        state.scheduler.add(id, request, every, sender);
-        Ok(Subscription {
+        let subscription = |id, generation| Subscription {
             id,
-            generation: state.publisher.snapshot().generation(),
+            generation,
             receiver,
-        })
+        };
+        Ok(self
+            .state
+            .schedule(request, every, sender.into(), subscription)?
+            .1)
     }
 
     /// Queue-depth and panic counters of the worker pool, observed now.
@@ -956,14 +969,19 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 // On a durable service the batch is journaled (fsync'd)
                 // before the publisher swaps the generation: an acked ingest
                 // is always on disk, and a failed append publishes nothing.
-                let receipt = match &self.durable {
-                    Some(store) => self.publisher.ingest_logged(posts, |batch, generation| {
-                        store.log_ingest(batch, generation)
-                    })?,
-                    None => self.publisher.ingest(posts),
-                };
-                if receipt.appended > 0 {
-                    self.notify_subscribers();
+                // The hook also locks the subscribers, under the ingest lock,
+                // so the next writer cannot publish until this ingest's
+                // deltas are out: deltas leave in generation order, each
+                // computed on the generation its own ingest published.
+                let mut subscribers = None;
+                let receipt = self.publisher.ingest_logged(posts, |batch, generation| {
+                    subscribers = Some(lock(&self.subscriptions));
+                    self.durable
+                        .as_ref()
+                        .map_or(Ok(()), |store| store.log_ingest(batch, generation))
+                })?;
+                if let Some(subscribers) = subscribers.filter(|_| receipt.appended > 0) {
+                    self.notify_subscribers(subscribers);
                 }
                 Ok(ServiceResponse::Ingested {
                     appended: receipt.appended,
@@ -1000,11 +1018,7 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                     queued: stats.queued,
                     in_flight: stats.in_flight,
                     panicked: stats.panicked,
-                    subscriptions: self
-                        .subscriptions
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .len(),
+                    subscriptions: lock(&self.subscriptions).len(),
                     scheduled: self.scheduler.len(),
                     wal_records: durability.wal_records,
                     wal_bytes: durability.wal_bytes,
@@ -1027,22 +1041,15 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 })
             }
             ServiceRequest::Unsubscribe { id } => {
-                let mut subscriptions = self
-                    .subscriptions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let before = subscriptions.len();
-                subscriptions.retain(|subscriber| subscriber.id != id);
-                if subscriptions.len() == before {
+                if !self.unregister(id, false) {
                     return Err(PspError::BadRequest {
                         detail: format!("no subscription with id {id}"),
                     });
                 }
-                // Dropping the sender disconnects the subscriber's channel.
                 Ok(ServiceResponse::Unsubscribed { id })
             }
             ServiceRequest::Unschedule { id } => {
-                if !self.scheduler.remove(id) {
+                if !self.unregister(id, true) {
                     return Err(PspError::BadRequest {
                         detail: format!("no scheduled job with id {id}"),
                     });
@@ -1066,22 +1073,73 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
         )
     }
 
+    /// Registers a monitor subscription delivering into `sink`; returns its
+    /// id and what `ack` made of the id and the generation published now.
+    /// `ack` runs under the subscriber lock, so whatever it queues comes
+    /// before the first delta.
+    fn subscribe<T>(
+        &self,
+        spec: MonitorSpec,
+        sink: EventSink,
+        ack: impl FnOnce(u64, u64) -> T,
+    ) -> Result<(u64, T), PspError> {
+        self.registry.lookup_database(&spec.db)?;
+        self.registry.lookup_config(&spec.config)?;
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let mut subscribers = lock(&self.subscriptions);
+        subscribers.push(Subscriber { id, spec, sink });
+        Ok((id, ack(id, self.publisher.snapshot().generation())))
+    }
+
+    /// Registers a recurring job delivering into `sink`, returning like
+    /// [`subscribe`](Self::subscribe).  `ack` runs before the job is on the
+    /// timetable, so whatever it queues comes before the first run.
+    fn schedule<T>(
+        &self,
+        request: ServiceRequest,
+        every: Duration,
+        sink: EventSink,
+        ack: impl FnOnce(u64, u64) -> T,
+    ) -> Result<(u64, T), PspError> {
+        if !request.is_schedulable() {
+            return Err(PspError::NotSchedulable {
+                request: request.kind_name(),
+            });
+        }
+        if matches!(request, ServiceRequest::Checkpoint) && self.durable.is_none() {
+            // A scheduled checkpoint on a non-durable service would tick
+            // `not-durable` errors forever; reject at registration instead.
+            return Err(PspError::NotDurable);
+        }
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let acked = ack(id, self.publisher.snapshot().generation());
+        self.scheduler.add(id, request, every, sink);
+        Ok((id, acked))
+    }
+
+    /// Removes subscription `id`, or scheduled job `id` when `job` is set;
+    /// returns whether it was still registered.  This is a fence: the
+    /// registration's sink is dropped, and no event reaches it once this
+    /// returns (deltas and runs are delivered under the same locks).
+    fn unregister(&self, id: u64, job: bool) -> bool {
+        if job {
+            return self.scheduler.remove(id);
+        }
+        let mut subscribers = lock(&self.subscriptions);
+        let before = subscribers.len();
+        subscribers.retain(|subscriber| subscriber.id != id);
+        subscribers.len() < before
+    }
+
     /// Re-evaluates every monitor subscription on the latest snapshot and
     /// pushes one [`ServiceEvent::MonitorDelta`] each; called after every
-    /// ingest that appended posts.  Subscribers whose receiver is gone are
-    /// pruned.  The snapshot is taken once and shared, so all deltas of one
-    /// notification round stamp the same generation.
-    fn notify_subscribers(&self) {
-        let mut subscriptions = self
-            .subscriptions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if subscriptions.is_empty() {
-            return;
-        }
+    /// ingest that appended posts, still holding the subscriber lock that
+    /// ingest took before it published.  Subscribers whose receiver is gone
+    /// are pruned.
+    fn notify_subscribers(&self, mut subscribers: MutexGuard<'_, Vec<Subscriber>>) {
         let snapshot = self.publisher.snapshot();
         let generation = snapshot.generation();
-        subscriptions.retain(|subscriber| {
+        subscribers.retain(|subscriber| {
             let spec = &subscriber.spec;
             // Registration validated the names and the registry is immutable
             // afterwards, so the lookups cannot fail; stay panic-free anyway.
@@ -1101,15 +1159,12 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
                 spec.window_years,
             );
             let alerts = series.sai_alerts(spec.alert_threshold);
-            subscriber
-                .sender
-                .send(ServiceEvent::MonitorDelta {
-                    subscription: subscriber.id,
-                    generation,
-                    series,
-                    alerts,
-                })
-                .is_ok()
+            subscriber.sink.send(ServiceEvent::MonitorDelta {
+                subscription: subscriber.id,
+                generation,
+                series,
+                alerts,
+            })
         });
     }
 }

@@ -20,15 +20,17 @@
 //!   the limit) and answered with a `line-too-long` error; the connection
 //!   survives and the next line is served normally.  At end of stream a
 //!   trailing unterminated line is still answered.
-//! * **Deadlines and reaping (TCP).**  Socket reads tick on a short timeout
-//!   so a connection idle longer than [`NetConfig::idle_timeout`] — including
-//!   half-open sockets whose peer vanished — is reaped.  Socket writes carry
-//!   [`NetConfig::write_timeout`]: a consumer too slow to drain its responses
-//!   is disconnected rather than ever back-pressuring the worker pool (ticket
-//!   channels are unbounded one-shots, so a stalled socket never blocks a
-//!   worker).  A blocking stream pair has no timeouts: it is never reaped,
-//!   and a slow writer back-pressures its own intake through the bounded
-//!   write queue.
+//! * **Deadlines and reaping (TCP).**  Socket reads time out on a short
+//!   tick, so the reader sees a drain and reaps a connection idle longer
+//!   than [`NetConfig::idle_timeout`] — including half-open sockets whose
+//!   peer vanished.  The writer never ticks: it blocks on its inbox alone.
+//!   Socket writes carry [`NetConfig::write_timeout`]: a consumer too slow
+//!   to drain its responses is disconnected rather than ever back-pressuring
+//!   the worker pool or the service (ticket channels are unbounded
+//!   one-shots and push events take no write-queue slot, so a stalled socket
+//!   never blocks a worker, an ingest or the scheduler).  A blocking stream
+//!   pair has no timeouts: it is never reaped, and a slow writer
+//!   back-pressures its own intake through the bounded write queue.
 //! * **Connection cap.**  Beyond `max_connections`, a new connection is
 //!   answered with one `connection-limit` error line and closed.
 //! * **Graceful drain.**  [`SocketServer::begin_drain`] (the SIGTERM path)
@@ -39,24 +41,29 @@
 //!   operators) can prove no accepted request was dropped unanswered.
 //!
 //! Subscriptions ([`ServiceRequest::Subscribe`] / `Schedule`) are intercepted
-//! by the loop and bound to the requesting connection via dedicated event
-//! channels ([`TaraService::subscribe`] / [`TaraService::schedule`]), so push
-//! events flow only to the peer that asked for them.
+//! by the loop and registered with the requesting connection's own inbox as
+//! their event sink, so push events flow only to the peer that asked for
+//! them, and they wake its writer exactly like a response does.  The
+//! connection owns its registrations: when it closes, or its writer hits a
+//! fatal write error, the writer removes them at once (a fence: no event
+//! arrives after the removal), writes the events already queued, and ends
+//! with [`ServiceEvent::Draining`] if any registration was still live.
 
 use super::wire::{self, WireRequest, WireResponse};
-use super::{ServiceEvent, ServiceRequest, ServiceResponse, Subscription, TaraService};
+use super::{lock, EventSink, ServiceEvent, ServiceRequest, ServiceResponse, TaraService};
 use crate::engine::StreamingScorer;
 use crate::error::PspError;
 use serde::{Deserialize, Serialize};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads/writes wake up to check the drain flag, idle
-/// deadline and pending events.
+/// How often a blocked socket read wakes up to check the drain flag and the
+/// idle deadline.  It also paces `wait_ticket`'s drain re-check and the
+/// back-off after an accept error; nothing else on the serving path ticks.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Tuning knobs for the connection loop, on a [`SocketServer`] or a
@@ -79,7 +86,8 @@ pub struct NetConfig {
     /// A single response/event write slower than this disconnects the
     /// consumer (slow consumers never block the service).
     pub write_timeout: Duration,
-    /// Outbound messages queued per connection between reader and writer.
+    /// Reader messages (responses and error lines) queued per connection
+    /// between reader and writer; push events are not counted.
     pub write_queue: usize,
     /// During drain, how long a writer keeps waiting for in-flight tickets
     /// before answering them with a `service-stopped` error and closing.
@@ -315,11 +323,13 @@ impl Shared {
     }
 }
 
-/// One message from a connection's reader to its writer.  The queue is
-/// bounded ([`NetConfig::write_queue`]); FIFO order is what makes pipelining
-/// answer in submission order.
+/// One message into a connection's writer, which takes them in FIFO order:
+/// that is what makes pipelining answer in submission order.  Each message
+/// from the reader holds one of the connection's [`NetConfig::write_queue`]
+/// slots until the writer takes it; push events take none, so the service
+/// never waits on a slow peer.
 enum Outbound {
-    /// A pre-encoded line (error responses the reader produced itself).
+    /// A pre-encoded line (answers the reader produced itself).
     Line(String),
     /// An admitted request: the writer waits the ticket and writes the
     /// response, holding the admission slot until the line is out.
@@ -328,12 +338,46 @@ enum Outbound {
         ticket: super::runtime::Ticket,
         permit: AdmissionPermit,
     },
-    /// A subscription registered by this connection: the writer answers
-    /// `response` and then forwards the channel's events to the peer.
-    Watch {
-        response: String,
-        subscription: Subscription,
-    },
+    /// A push event for one of this connection's registrations.
+    Event(ServiceEvent),
+    /// The reader is done; sent when its [`Outbox`] drops.
+    Close,
+}
+
+/// What a connection's reader and writer share besides the inbox.
+#[derive(Default)]
+struct Link {
+    /// The subscriptions and scheduled jobs registered on the connection, as
+    /// `(id, is_job)`; the writer removes them when it closes.
+    registrations: Mutex<Vec<(u64, bool)>>,
+    /// Set by the writer as it closes: the reader stops feeding a dead peer,
+    /// and a registration made after that is removed at once.
+    closed: AtomicBool,
+}
+
+/// The reader's end of a connection.  Dropping it — end of stream, drain, a
+/// dead writer, a panic — sends the writer [`Outbound::Close`]; the writer
+/// cannot wait for a disconnect, because registrations hold inbox senders.
+struct Outbox {
+    inbox: mpsc::Sender<Outbound>,
+    slots: mpsc::SyncSender<()>,
+    link: Arc<Link>,
+}
+
+impl Outbox {
+    /// A sink pushing a registration's events into this connection's inbox.
+    fn sink(&self) -> EventSink {
+        let inbox = self.inbox.clone();
+        EventSink(Box::new(move |event| {
+            inbox.send(Outbound::Event(event)).is_ok()
+        }))
+    }
+}
+
+impl Drop for Outbox {
+    fn drop(&mut self) {
+        let _ = self.inbox.send(Outbound::Close);
+    }
 }
 
 /// A TCP front end serving one [`TaraService`].  Bind with
@@ -533,7 +577,7 @@ fn write_line(stream: &mut impl Write, line: &mut String, metrics: &NetMetrics) 
 /// `config` applies as on a socket, except that idle reaping and the write
 /// timeout need a timed transport: a blocking reader is never reaped, and a
 /// stalled writer back-pressures intake through the bounded write queue.
-/// One pair holds at most [`NetConfig::write_queue`] + 2 admission slots, so
+/// One pair holds at most [`NetConfig::write_queue`] + 1 admission slots, so
 /// with the defaults a pipelined burst waits for the queue instead of being
 /// answered `overloaded`.  Traffic counts into the service's `Status` `net`
 /// block as one connection.
@@ -573,7 +617,7 @@ where
 
 /// One connection on any transport: this thread reads, a paired thread
 /// writes.  The reader owns admission; the writer owns response ordering,
-/// subscriptions and the drain hand-off.
+/// the connection's registrations and the drain hand-off.
 fn serve_connection<E, R, W>(
     reader: R,
     writer: W,
@@ -584,25 +628,26 @@ fn serve_connection<E, R, W>(
     R: Read,
     W: Write + Send + 'static,
 {
-    let (outbound, inbox) = mpsc::sync_channel::<Outbound>(shared.config.write_queue.max(1));
-    // The writer signals fatal write failures here so the reader stops
-    // feeding a dead peer.
-    let dead = Arc::new(AtomicBool::new(false));
+    let (inbox, outbound) = mpsc::channel();
+    let (slots, taken) = mpsc::sync_channel(shared.config.write_queue.max(1));
+    let link = Arc::new(Link::default());
     let writer = {
         let shared = Arc::clone(shared);
         let service = Arc::clone(service);
-        let dead = Arc::clone(&dead);
+        let link = Arc::clone(&link);
         std::thread::Builder::new()
             .name("tara-conn-writer".into())
-            .spawn(move || write_loop(writer, &inbox, &service, &shared, &dead))
+            .spawn(move || write_loop(writer, &outbound, &taken, &link, &service, &shared))
     };
     let Ok(writer) = writer else {
         return;
     };
-    read_loop(reader, service, shared, &outbound, &dead);
-    // Dropping the reader's sender lets the writer finish the queue (every
-    // admitted request still gets its response) and then exit.
-    drop(outbound);
+    let outbox = Outbox { inbox, slots, link };
+    read_loop(reader, service, shared, &outbox);
+    // Dropping the outbox sends `Close`: the writer finishes the queue
+    // (every admitted request still gets its response), ends this
+    // connection's registrations and exits.
+    drop(outbox);
     let _ = writer.join();
 }
 
@@ -612,8 +657,7 @@ fn read_loop<E>(
     mut reader: impl Read,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
-    outbound: &mpsc::SyncSender<Outbound>,
-    dead: &AtomicBool,
+    outbox: &Outbox,
 ) where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
@@ -621,7 +665,7 @@ fn read_loop<E>(
     let mut buffer = [0_u8; 8192];
     let mut last_activity = Instant::now();
     loop {
-        if shared.draining.load(Ordering::SeqCst) || dead.load(Ordering::SeqCst) {
+        if shared.draining.load(Ordering::SeqCst) || outbox.link.closed.load(Ordering::SeqCst) {
             return;
         }
         match reader.read(&mut buffer) {
@@ -629,7 +673,7 @@ fn read_loop<E>(
                 // EOF: the peer closed its half.  A trailing unterminated
                 // line is still a request and gets its answer.
                 if let Some(line) = scanner.finish() {
-                    handle_line(line, service, shared, outbound);
+                    handle_line(line, service, shared, outbox);
                 }
                 return;
             }
@@ -640,7 +684,7 @@ fn read_loop<E>(
                     .bytes_in
                     .fetch_add(read as u64, Ordering::SeqCst);
                 for line in scanner.push(&buffer[..read]) {
-                    if !handle_line(line, service, shared, outbound) {
+                    if !handle_line(line, service, shared, outbox) {
                         return;
                     }
                 }
@@ -667,11 +711,20 @@ fn handle_line<E>(
     line: ScannedLine,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
-    outbound: &mpsc::SyncSender<Outbound>,
+    outbox: &Outbox,
 ) -> bool
 where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
+    if matches!(&line, ScannedLine::Line(line) if line.trim().is_empty()) {
+        return true;
+    }
+    // A full queue back-pressures this connection's intake only — the
+    // service itself never waits on a peer.  An error means the writer hit
+    // a fatal write error; stop reading.
+    if outbox.slots.send(()).is_err() {
+        return false;
+    }
     let message = match line {
         ScannedLine::TooLong { prefix } => Outbound::Line(wire::error_line(
             &prefix,
@@ -679,7 +732,6 @@ where
                 limit: shared.config.max_line_bytes,
             },
         )),
-        ScannedLine::Line(line) if line.trim().is_empty() => return true,
         ScannedLine::Line(line) => match wire::decode_request(&line) {
             Err(error) => Outbound::Line(wire::error_line(&line, error)),
             Ok(WireRequest { id, request }) => match shared.admit() {
@@ -699,25 +751,27 @@ where
                         },
                     }))
                 }
-                Ok(permit) => dispatch_admitted(id, request, permit, service, shared),
+                Ok(permit) => {
+                    return dispatch_admitted(id, request, permit, service, shared, outbox)
+                }
             },
         },
     };
-    // A full queue back-pressures this connection's intake only — the
-    // service itself never waits on a peer.  Disconnected means the writer
-    // hit a fatal write error; stop reading.
-    outbound.send(message).is_ok()
+    outbox.inbox.send(message).is_ok()
 }
 
-/// Routes one admitted request: subscriptions bind to this connection via
-/// dedicated channels; everything else goes to the worker pool.
+/// Routes one admitted request into the writer's inbox: subscriptions and
+/// schedules register here with this connection's inbox as their sink;
+/// everything else goes to the worker pool.  Returns `false` when the
+/// writer is gone.
 fn dispatch_admitted<E>(
     id: u64,
     request: ServiceRequest,
     permit: AdmissionPermit,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
-) -> Outbound
+    outbox: &Outbox,
+) -> bool
 where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
@@ -725,105 +779,82 @@ where
         .metrics
         .requests_admitted
         .fetch_add(1, Ordering::SeqCst);
-    match request {
-        // The service's request path has no channel to hand back for
-        // Subscribe/Schedule; register dedicated ones here and route their
-        // events to this connection.
-        ServiceRequest::Subscribe { spec } => match service.subscribe(spec) {
-            Ok(subscription) => answer_watch(
-                id,
-                ServiceResponse::Subscribed {
-                    id: subscription.id(),
-                    generation: subscription.generation(),
-                },
-                subscription,
-                shared,
-            ),
-            Err(error) => answer_now(
-                id,
-                ServiceResponse::Error {
-                    error: error.into(),
-                },
-                shared,
-            ),
-        },
-        ServiceRequest::Schedule { every_ms, request } => {
-            match service.schedule(*request, Duration::from_millis(every_ms.max(1))) {
-                Ok(subscription) => answer_watch(
-                    id,
-                    ServiceResponse::Scheduled {
-                        id: subscription.id(),
-                        every_ms: every_ms.max(1),
-                    },
-                    subscription,
-                    shared,
-                ),
-                Err(error) => answer_now(
-                    id,
-                    ServiceResponse::Error {
-                        error: error.into(),
-                    },
-                    shared,
-                ),
-            }
+    // Answered here, on the reader thread (no ticket to wait), so counted
+    // against the admission window at once.
+    let answer = |response| {
+        shared
+            .metrics
+            .requests_answered
+            .fetch_add(1, Ordering::SeqCst);
+        let line = wire::encode_response(&WireResponse { id, response });
+        outbox.inbox.send(Outbound::Line(line)).is_ok()
+    };
+    // A registration is answered from inside the registration, so the
+    // answer is queued before its first event can be.
+    let state = &service.state;
+    let (registered, job) = match request {
+        ServiceRequest::Subscribe { spec } => {
+            let ack = |id, generation| answer(ServiceResponse::Subscribed { id, generation });
+            (state.subscribe(spec, outbox.sink(), ack), false)
         }
-        request => Outbound::Ticket {
-            id,
-            ticket: service.submit(request),
-            permit,
-        },
+        ServiceRequest::Schedule { every_ms, request } => {
+            let every_ms = every_ms.max(1);
+            let every = Duration::from_millis(every_ms);
+            let ack = |id, _| answer(ServiceResponse::Scheduled { id, every_ms });
+            (state.schedule(*request, every, outbox.sink(), ack), true)
+        }
+        request => {
+            let ticket = service.submit(request);
+            return outbox
+                .inbox
+                .send(Outbound::Ticket { id, ticket, permit })
+                .is_ok();
+        }
+    };
+    match registered {
+        Ok((registration, sent)) => {
+            let mut owned = lock(&outbox.link.registrations);
+            if outbox.link.closed.load(Ordering::SeqCst) {
+                state.unregister(registration, job);
+            } else {
+                owned.push((registration, job));
+            }
+            sent
+        }
+        Err(error) => answer(ServiceResponse::Error {
+            error: error.into(),
+        }),
     }
 }
 
-/// An answer produced on the reader thread (no ticket to wait): count it
-/// against the admission window immediately.
-fn answer_now(id: u64, response: ServiceResponse, shared: &Arc<Shared>) -> Outbound {
-    shared
-        .metrics
-        .requests_answered
-        .fetch_add(1, Ordering::SeqCst);
-    Outbound::Line(wire::encode_response(&WireResponse { id, response }))
-}
-
-fn answer_watch(
-    id: u64,
-    response: ServiceResponse,
-    subscription: Subscription,
-    shared: &Arc<Shared>,
-) -> Outbound {
-    shared
-        .metrics
-        .requests_answered
-        .fetch_add(1, Ordering::SeqCst);
-    Outbound::Watch {
-        response: wire::encode_response(&WireResponse { id, response }),
-        subscription,
-    }
-}
-
-/// The writer half: responses in submission order, event forwarding, slow
-/// consumer disconnection, drain hand-off.  Responses and events are encoded
-/// into one buffer per connection, cleared per line so it keeps its capacity.
+/// The writer half: blocks on its inbox alone and writes responses in
+/// submission order and push events as they arrive, disconnects a slow
+/// consumer, ends the connection's registrations and hands off the drain.
+/// Every line is encoded into one buffer per connection, cleared per line so
+/// it keeps its capacity.
 fn write_loop<E>(
     mut stream: impl Write,
     inbox: &mpsc::Receiver<Outbound>,
+    slots: &mpsc::Receiver<()>,
+    link: &Link,
     service: &Arc<TaraService<E>>,
     shared: &Arc<Shared>,
-    dead: &AtomicBool,
 ) where
     E: StreamingScorer + Clone + Send + Sync + 'static,
 {
-    let mut watches: Vec<Subscription> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
     let mut encoded = String::new();
-    loop {
-        match inbox.recv_timeout(TICK) {
-            Ok(Outbound::Line(mut line)) => {
-                if write_line(&mut stream, &mut line, &shared.metrics).is_err() {
-                    break;
-                }
-            }
-            Ok(Outbound::Ticket { id, ticket, permit }) => {
+    let mut written = Ok(());
+    // The reader's outbox sends `Close` however the reader ends, so `recv`
+    // never fails while the loop runs.
+    while let Ok(message) = inbox.recv() {
+        if !matches!(message, Outbound::Event(_) | Outbound::Close) {
+            // A reader message frees its slot as the writer takes it.
+            let _ = slots.try_recv();
+        }
+        written = match message {
+            Outbound::Line(mut line) => write_line(&mut stream, &mut line, &shared.metrics),
+            Outbound::Ticket { id, ticket, permit } => {
                 let response = wait_ticket(ticket, shared, &mut drain_deadline);
                 encoded.clear();
                 wire::encode_response_into(&mut encoded, &WireResponse { id, response });
@@ -833,54 +864,62 @@ fn write_loop<E>(
                 // `admission_capacity` truly bounds reader-to-writer
                 // occupancy.
                 drop(permit);
-                if written.is_err() {
-                    break;
+                if written.is_ok() {
+                    shared
+                        .metrics
+                        .requests_answered
+                        .fetch_add(1, Ordering::SeqCst);
                 }
-                shared
-                    .metrics
-                    .requests_answered
-                    .fetch_add(1, Ordering::SeqCst);
+                written
             }
-            Ok(Outbound::Watch {
-                mut response,
-                subscription,
-            }) => {
-                if write_line(&mut stream, &mut response, &shared.metrics).is_err() {
-                    break;
-                }
-                watches.push(subscription);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics) {
-                    break;
-                }
-            }
-            // Reader gone and queue fully drained: every admitted request
-            // has been answered.  Close the subscription side and exit.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics);
-                if !watches.is_empty() {
-                    // Subscriptions end with an explicit final event so a
-                    // subscribed peer can tell drain from a torn connection.
-                    let event = ServiceEvent::Draining {
-                        generation: service.snapshot().generation(),
-                    };
-                    encoded.clear();
-                    wire::encode_event_into(&mut encoded, &event);
-                    let _ = write_line(&mut stream, &mut encoded, &shared.metrics);
-                }
-                break;
-            }
-        }
-        if !pump_events(&mut stream, &mut watches, &mut encoded, &shared.metrics) {
+            Outbound::Event(event) => write_event(&mut stream, &event, &mut encoded, shared),
+            Outbound::Close => break,
+        };
+        if written.is_err() {
             break;
         }
     }
-    dead.store(true, Ordering::SeqCst);
+    // `Close` or a fatal write error: the connection's registrations end
+    // here.  Removal is a fence, so once it returns every event they will
+    // ever deliver is already in the inbox.
+    link.closed.store(true, Ordering::SeqCst);
+    let owned = std::mem::take(&mut *lock(&link.registrations));
+    let live = owned
+        .into_iter()
+        .filter(|&(id, job)| service.state.unregister(id, job))
+        .count()
+        > 0;
+    if written.is_ok() {
+        // A `Close` can overtake the delta of an ingest it already answered.
+        while let Ok(Outbound::Event(event)) = inbox.try_recv() {
+            if write_event(&mut stream, &event, &mut encoded, shared).is_err() {
+                break;
+            }
+        }
+        if live {
+            // Registrations end with an explicit final event so a subscribed
+            // peer can tell drain from a torn connection.
+            let event = ServiceEvent::Draining {
+                generation: service.snapshot().generation(),
+            };
+            let _ = write_event(&mut stream, &event, &mut encoded, shared);
+        }
+    }
     let _ = stream.flush();
     // Unwritten queue entries (fatal write error paths) drop here; dropping
     // a ticket abandons the answer and dropping a permit frees the admission
     // slot, so a dead connection never leaks capacity.
+}
+
+fn write_event(
+    stream: &mut impl Write,
+    event: &ServiceEvent,
+    encoded: &mut String,
+    shared: &Shared,
+) -> io::Result<()> {
+    encoded.clear();
+    wire::encode_event_into(encoded, event);
+    write_line(stream, encoded, &shared.metrics)
 }
 
 /// Waits for an admitted request's response.  Outside a drain this waits as
@@ -913,38 +952,6 @@ fn wait_ticket(
             Err(unanswered) => ticket = unanswered,
         }
     }
-}
-
-/// Forwards pending subscription events to the peer; prunes
-/// unsubscribed/closed channels.  Returns `false` on a fatal write error.
-fn pump_events(
-    stream: &mut impl Write,
-    watches: &mut Vec<Subscription>,
-    encoded: &mut String,
-    metrics: &NetMetrics,
-) -> bool {
-    let mut alive = true;
-    watches.retain(|subscription| {
-        if !alive {
-            return true;
-        }
-        loop {
-            match subscription.receiver.try_recv() {
-                Ok(event) => {
-                    encoded.clear();
-                    wire::encode_event_into(encoded, &event);
-                    if write_line(stream, encoded, metrics).is_err() {
-                        alive = false;
-                        return true;
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => return true,
-                // Unsubscribed (service dropped the sender): stop watching.
-                Err(mpsc::TryRecvError::Disconnected) => return false,
-            }
-        }
-    });
-    alive
 }
 
 #[cfg(test)]

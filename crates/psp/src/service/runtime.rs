@@ -34,7 +34,7 @@ use super::ServiceResponse;
 use crate::error::PspError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -120,7 +120,7 @@ impl WorkerPool {
                         // worker panicked between recv and unlock — the
                         // receiver itself is still sound, so recover it.
                         let job = {
-                            let queue = receiver.lock().unwrap_or_else(PoisonError::into_inner);
+                            let queue = super::lock(&receiver);
                             queue.recv()
                         };
                         match job {
@@ -171,7 +171,7 @@ impl WorkerPool {
         // Order matters: flip the flag *before* closing the queue so a worker
         // can never observe "queue closed" without also observing "stopping".
         self.stopping.store(true, Ordering::SeqCst);
-        let mut sender = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut sender = super::lock(&self.sender);
         sender.take();
     }
 
@@ -198,7 +198,7 @@ impl WorkerPool {
     /// Returns [`PspError::ServiceStopped`] when the pool has shut down.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> Result<(), PspError> {
         let sender = {
-            let guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = super::lock(&self.sender);
             guard.clone()
         };
         match sender {
@@ -473,10 +473,12 @@ mod tests {
         let mut answered: Vec<usize> = receiver.iter().collect();
         answered.sort_unstable();
         assert_eq!(answered, vec![0, 1, 2, 3]);
-        // A worker records its panic *after* the catch, so the counter can
-        // trail the completion channel briefly; wait for it, bounded.
+        // A worker records its panic, and leaves `in_flight`, *after* the
+        // job returns, so both counters can trail the completion channel
+        // briefly; wait for them, bounded.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.stats().panicked < 6 && Instant::now() < deadline {
+        let settled = |stats: PoolStats| stats.panicked == 6 && stats.in_flight == 0;
+        while !settled(pool.stats()) && Instant::now() < deadline {
             std::thread::yield_now();
         }
         let stats = pool.stats();

@@ -9,18 +9,17 @@
 //! job is due (condvar with timeout, woken early when a job is added,
 //! removed or the service shuts down), executes due requests through the
 //! same snapshot-isolated `respond` path every other request uses, and
-//! sends each result as a [`ServiceEvent::ScheduledRun`] on the job's event
-//! channel.  Removing a job is a fence: a run is delivered under the
+//! delivers each result as a [`ServiceEvent::ScheduledRun`] through the
+//! job's event sink.  Removing a job is a fence: a run is delivered under the
 //! timetable lock and only while its job is still scheduled, and the job
-//! holds the only sender, so once the removal returns no later run arrives
-//! and the channel is disconnected.  A job whose receiver is gone unschedules
-//! itself; a job whose request panics answers with the structured
+//! owns its sink, so once the removal returns no later run arrives and an
+//! embedded caller's channel is disconnected.  A job whose receiver is gone
+//! unschedules itself; a job whose request panics answers with the structured
 //! `internal-error` response and stays scheduled (the scheduler thread
 //! survives, same contract as the worker pool).
 
-use super::{ServiceEvent, ServiceRequest, ServiceResponse};
+use super::{lock, EventSink, ServiceEvent, ServiceRequest, ServiceResponse};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -31,7 +30,7 @@ struct ScheduledJob {
     request: ServiceRequest,
     every: Duration,
     next_due: Instant,
-    sender: mpsc::Sender<ServiceEvent>,
+    sink: EventSink,
 }
 
 /// The shared timetable between requesters (who add/remove jobs) and the
@@ -51,21 +50,15 @@ impl SchedulerQueue {
     /// Adds a recurring job; the first run is due one full interval from
     /// now.  Intervals are clamped to at least one millisecond so a
     /// zero-interval job cannot spin the scheduler thread.
-    pub(super) fn add(
-        &self,
-        id: u64,
-        request: ServiceRequest,
-        every: Duration,
-        sender: mpsc::Sender<ServiceEvent>,
-    ) {
+    pub(super) fn add(&self, id: u64, request: ServiceRequest, every: Duration, sink: EventSink) {
         let every = every.max(Duration::from_millis(1));
-        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut jobs = lock(&self.jobs);
         jobs.push(ScheduledJob {
             id,
             request,
             every,
             next_due: Instant::now() + every,
-            sender,
+            sink,
         });
         drop(jobs);
         self.wake.notify_all();
@@ -73,10 +66,9 @@ impl SchedulerQueue {
 
     /// Removes a job by id; returns whether it existed.  This is a fence:
     /// no run of the job is delivered after it returns (see
-    /// [`deliver`](Self::deliver)), and dropping the job's sender
-    /// disconnects its channel.
+    /// [`deliver`](Self::deliver)), and the job's sink is dropped with it.
     pub(super) fn remove(&self, id: u64) -> bool {
-        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut jobs = lock(&self.jobs);
         let before = jobs.len();
         jobs.retain(|job| job.id != id);
         let removed = jobs.len() != before;
@@ -89,10 +81,7 @@ impl SchedulerQueue {
 
     /// Number of scheduled jobs.
     pub(super) fn len(&self) -> usize {
-        self.jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock(&self.jobs).len()
     }
 
     /// Signals the scheduler thread to exit and wakes it.
@@ -110,7 +99,7 @@ impl SchedulerQueue {
     /// coalesces missed runs instead of bursting to catch up — and returns
     /// how long to sleep until the next one.
     fn take_due(&self, now: Instant) -> (Vec<(u64, ServiceRequest)>, Duration) {
-        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut jobs = lock(&self.jobs);
         let mut due = Vec::new();
         for job in jobs.iter_mut() {
             if job.next_due <= now {
@@ -130,12 +119,12 @@ impl SchedulerQueue {
 
     /// Sends one run's event to job `id`, under the timetable lock and only
     /// while the job is still scheduled — a run taken before
-    /// [`remove`](Self::remove) is dropped, not delivered after it.  A send
-    /// error (the receiver is gone) unschedules the job.
+    /// [`remove`](Self::remove) is dropped, not delivered after it.  A failed
+    /// delivery (the receiver is gone) unschedules the job.
     fn deliver(&self, id: u64, event: ServiceEvent) {
-        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut jobs = lock(&self.jobs);
         if let Some(index) = jobs.iter().position(|job| job.id == id) {
-            if jobs[index].sender.send(event).is_err() {
+            if !jobs[index].sink.send(event) {
                 jobs.remove(index);
             }
         }
@@ -143,7 +132,7 @@ impl SchedulerQueue {
 
     /// Sleeps until `wait` elapses or the timetable changes.
     fn sleep(&self, wait: Duration) {
-        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        let jobs = lock(&self.jobs);
         let _unused = self
             .wake
             .wait_timeout(jobs, wait)
@@ -183,12 +172,18 @@ pub(super) fn run(queue: &SchedulerQueue, respond: impl Fn(ServiceRequest) -> Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+
+    /// A sink feeding a channel, as `TaraService::schedule` builds one.
+    fn channel() -> (EventSink, mpsc::Receiver<ServiceEvent>) {
+        let (sender, receiver) = mpsc::channel();
+        (sender.into(), receiver)
+    }
 
     #[test]
     fn due_jobs_fire_and_coalesce_missed_intervals() {
         let queue = SchedulerQueue::default();
-        let (tx, _rx) = mpsc::channel();
+        let (tx, _rx) = channel();
         queue.add(1, ServiceRequest::Status, Duration::from_millis(10), tx);
         assert_eq!(queue.len(), 1);
 
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn remove_unschedules_and_reports_unknown_ids() {
         let queue = SchedulerQueue::default();
-        let (tx, _rx) = mpsc::channel();
+        let (tx, _rx) = channel();
         queue.add(7, ServiceRequest::Status, Duration::from_millis(5), tx);
         assert!(queue.remove(7));
         assert!(!queue.remove(7), "already gone");
@@ -215,7 +210,7 @@ mod tests {
     #[test]
     fn a_run_taken_before_remove_is_never_delivered() {
         let queue = SchedulerQueue::default();
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = channel();
         queue.add(3, ServiceRequest::Status, Duration::from_millis(1), tx);
         let (due, _) = queue.take_due(Instant::now() + Duration::from_millis(5));
         assert_eq!(due.len(), 1, "the run is in flight");
@@ -229,7 +224,7 @@ mod tests {
     #[test]
     fn a_run_for_a_vanished_receiver_unschedules_the_job() {
         let queue = SchedulerQueue::default();
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = channel();
         queue.add(4, ServiceRequest::Status, Duration::from_millis(1), tx);
         drop(rx);
         let response = ServiceResponse::Unscheduled { id: 4 };
@@ -245,9 +240,14 @@ mod tests {
             1,
             ServiceRequest::Status,
             Duration::from_millis(5),
-            tx.clone(),
+            tx.clone().into(),
         );
-        queue.add(2, ServiceRequest::ExportCache, Duration::from_millis(5), tx);
+        queue.add(
+            2,
+            ServiceRequest::ExportCache,
+            Duration::from_millis(5),
+            tx.into(),
+        );
         let thread = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {

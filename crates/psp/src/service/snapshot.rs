@@ -125,10 +125,7 @@ impl<E: StreamingScorer + Clone> SnapshotPublisher<E> {
         batch: Vec<Post>,
         log: impl FnOnce(&[Post], u64) -> Result<(), PspError>,
     ) -> Result<IngestReceipt, PspError> {
-        let _writer = self
-            .ingest_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _writer = super::lock(&self.ingest_lock);
         let current = self.snapshot();
         if batch.is_empty() {
             return Ok(IngestReceipt {

@@ -97,13 +97,22 @@ pub fn encode_event(event: &ServiceEvent) -> String {
     out
 }
 
+/// [`WireEvent`]'s line shape over a borrowed event, so encoding a pushed
+/// event copies nothing.  Written by hand: the derive has no lifetimes.
+struct WireEventRef<'a>(&'a ServiceEvent);
+
+impl Serialize for WireEventRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.serialize_struct("WireEvent");
+        s.serialize_field("event", self.0);
+        s.end_struct();
+    }
+}
+
 /// Appends one event line (no trailing newline) to `out`, with the same
 /// cannot-fail-silently fallback as [`encode_response_into`].
 pub fn encode_event_into(out: &mut String, event: &ServiceEvent) {
-    let line = WireEvent {
-        event: event.clone(),
-    };
-    if let Err(error) = serde_json::to_string_into(out, &line) {
+    if let Err(error) = serde_json::to_string_into(out, &WireEventRef(event)) {
         out.push_str(&error_line(
             "",
             PspError::BadRequest {

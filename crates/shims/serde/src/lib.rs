@@ -15,9 +15,10 @@
 //! `Error` associated types (it records its first error itself and the caller
 //! checks it once at the end), compound values are opened and closed by
 //! methods on the serializer instead of returned `SerializeStruct`-style
-//! handles, and deserialisation has no visitor.  Outside tests nothing in
-//! this workspace implements the traits by hand, so only the derive macros
-//! and `serde_json` depend on their exact shape.
+//! handles, and deserialisation has no visitor.  Outside tests one type
+//! implements [`Serialize`] by hand (`psp::service::wire`'s borrowed event
+//! envelope, since the derive has no lifetimes), so besides it only the
+//! derive macros and `serde_json` depend on the traits' exact shape.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

@@ -21,9 +21,11 @@ use psp_suite::psp::engine::{
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::sai::SaiList;
 use psp_suite::psp::service::net::{self, NetConfig, SocketServer};
-use psp_suite::psp::service::wire::{encode_request, encode_response, WireRequest, WireResponse};
+use psp_suite::psp::service::wire::{
+    encode_request, encode_response, WireEvent, WireRequest, WireResponse,
+};
 use psp_suite::psp::service::{
-    MonitorSpec, ServiceRegistry, ServiceRequest, ServiceResponse, TaraService,
+    MonitorSpec, ServiceEvent, ServiceRegistry, ServiceRequest, ServiceResponse, TaraService,
 };
 use psp_suite::psp::LiveEngine;
 use psp_suite::socialsim::corpus::Corpus;
@@ -805,4 +807,122 @@ fn a_connection_schedule_clamps_its_interval_and_unschedules() {
     assert!(responses[0].contains("\"every_ms\":1"), "{}", responses[0]);
     assert!(responses[1].contains("\"Unscheduled\""), "{}", responses[1]);
     assert!(responses[2].contains("\"bad-request\""), "{}", responses[2]);
+}
+
+/// The monitor spec the registration tests subscribe with.
+fn dpf_spec() -> MonitorSpec {
+    MonitorSpec {
+        db: "excavator".into(),
+        config: "excavator".into(),
+        scenario: "dpf-tampering".into(),
+        from_year: 2019,
+        to_year: 2023,
+        window_years: 2,
+        alert_threshold: 0.25,
+    }
+}
+
+/// The `subscriptions` / `scheduled` counts a `Status` reports.
+fn registrations(service: &TaraService) -> (usize, usize) {
+    match service.handle(ServiceRequest::Status) {
+        ServiceResponse::Status {
+            subscriptions,
+            scheduled,
+            ..
+        } => (subscriptions, scheduled),
+        other => panic!("unexpected response: {other:?}"),
+    }
+}
+
+/// A connection owns its registrations: once it has closed, `Status`
+/// reports neither its subscription nor its hour-long job, with no ingest
+/// or scheduler tick in between to prune them.
+#[test]
+fn a_closed_connection_drops_its_registrations_at_once() {
+    let (service, mut server) = serve(NetConfig::default());
+    let mut client = ChaosClient::connect(server.local_addr());
+    for (id, request) in [
+        ServiceRequest::Subscribe { spec: dpf_spec() },
+        ServiceRequest::Schedule {
+            every_ms: 3_600_000,
+            request: Box::new(ServiceRequest::Status),
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        client.send_line(&encode_request(&WireRequest {
+            id: id as u64,
+            request,
+        }));
+    }
+    let subscribed = client.read_line().expect("subscription acknowledged");
+    assert!(subscribed.contains("\"Subscribed\""), "{subscribed}");
+    let scheduled = client.read_line().expect("job acknowledged");
+    assert!(scheduled.contains("\"Scheduled\""), "{scheduled}");
+    assert_eq!(registrations(&service), (1, 1));
+
+    drop(client);
+    wait_until("the connection to close", || {
+        service.net_stats().open_connections == 0
+    });
+    assert_eq!(registrations(&service), (0, 0));
+    server.shutdown();
+}
+
+/// The generation stamped on an event line.
+fn event_generation(line: &str) -> u64 {
+    match serde_json::from_str::<WireEvent>(line)
+        .unwrap_or_else(|error| panic!("{error:?}: {line}"))
+        .event
+    {
+        ServiceEvent::MonitorDelta { generation, .. } | ServiceEvent::Draining { generation } => {
+            generation
+        }
+        other => panic!("unexpected event: {other:?}"),
+    }
+}
+
+/// Push delivery needs no clock.  Over a stream pair served by two workers,
+/// a subscriber pipelining ingests between scores gets exactly one delta
+/// per ingest, in generation order, and the stream ends with `Draining`.
+/// Only event lines are ordered by generation: on two workers a pipelined
+/// response may stamp an older generation than a line before it.
+#[test]
+fn pipelined_ingests_push_one_delta_each_in_generation_order() {
+    const INGESTS: usize = 6;
+    let posts = scenario::excavator_europe(8).posts().to_vec();
+    let mut input = encode_request(&WireRequest {
+        id: 0,
+        request: ServiceRequest::Subscribe { spec: dpf_spec() },
+    });
+    input.push('\n');
+    for (n, batch) in posts.chunks(20).take(INGESTS).enumerate() {
+        let request = ServiceRequest::Ingest {
+            posts: batch.to_vec(),
+        };
+        let id = 2 * n as u64 + 1;
+        input += &encode_request(&WireRequest { id, request });
+        input.push('\n');
+        input += &score_request(id + 1);
+        input.push('\n');
+    }
+    let service = fresh_service(2);
+    let lines = serve_in_memory(&service, input.as_bytes(), NetConfig::default());
+
+    let (responses, events) = responses_and_events(&lines);
+    assert_eq!(responses.len(), 2 * INGESTS + 1, "{lines:?}");
+    for (id, line) in responses.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"id\":{id},")), "{line}");
+    }
+    assert_eq!(events.len(), INGESTS + 1, "{events:?}");
+    let (draining, deltas) = events.split_last().expect("events were pushed");
+    for delta in deltas {
+        assert!(delta.contains("\"MonitorDelta\""), "{delta}");
+    }
+    let generations: Vec<u64> = deltas.iter().map(|line| event_generation(line)).collect();
+    assert_eq!(generations, (1..=INGESTS as u64).collect::<Vec<_>>());
+    assert!(draining.contains("\"Draining\""), "{draining}");
+    assert_eq!(event_generation(draining), INGESTS as u64);
+    assert_eq!(lines.last(), Some(*draining), "Draining is the last line");
 }
