@@ -345,14 +345,6 @@ impl Comparison {
     }
 }
 
-/// Compares a fresh report against the committed baseline, checking both
-/// absolute metrics and speedup ratios — the right call when both reports
-/// come from the same machine.  See [`compare_with`].
-#[must_use]
-pub fn compare(baseline: &PerfReport, fresh: &PerfReport, max_regression: f64) -> Comparison {
-    compare_with(baseline, fresh, max_regression, true)
-}
-
 /// Compares a fresh report against the committed baseline.
 ///
 /// Every row present in **both** reports is checked (rows only in the
@@ -443,7 +435,7 @@ mod tests {
     fn within_tolerance_passes() {
         let baseline = report(&[("a/100", 1000.0)], &[("speed/100", 10.0)]);
         let fresh = report(&[("a/100", 1900.0)], &[("speed/100", 5.5)]);
-        let outcome = compare(&baseline, &fresh, 2.0);
+        let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert_eq!(outcome.checked, 2);
         assert!(outcome.passed());
     }
@@ -452,7 +444,7 @@ mod tests {
     fn metric_regression_is_flagged() {
         let baseline = report(&[("a/100", 1000.0)], &[]);
         let fresh = report(&[("a/100", 2100.0)], &[]);
-        let outcome = compare(&baseline, &fresh, 2.0);
+        let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert_eq!(outcome.regressions.len(), 1);
         let regression = &outcome.regressions[0];
         assert!(!regression.is_ratio);
@@ -464,7 +456,7 @@ mod tests {
     fn ratio_collapse_is_flagged() {
         let baseline = report(&[], &[("speed/100", 10.0)]);
         let fresh = report(&[], &[("speed/100", 4.0)]);
-        let outcome = compare(&baseline, &fresh, 2.0);
+        let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert_eq!(outcome.regressions.len(), 1);
         let regression = &outcome.regressions[0];
         assert!(regression.is_ratio);
@@ -476,7 +468,7 @@ mod tests {
     fn every_checked_row_is_recorded_even_when_passing() {
         let baseline = report(&[("a/100", 1000.0)], &[("speed/100", 10.0)]);
         let fresh = report(&[("a/100", 500.0)], &[("speed/100", 12.0)]);
-        let outcome = compare(&baseline, &fresh, 2.0);
+        let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert!(outcome.passed());
         assert_eq!(outcome.rows.len(), 2);
         assert_eq!(outcome.checked, outcome.rows.len());
@@ -505,7 +497,7 @@ mod tests {
             &[("speed/100000", 50.0)],
         );
         let fresh = report(&[("a/1000", 11.0)], &[]);
-        let outcome = compare(&baseline, &fresh, 2.0);
+        let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert_eq!(outcome.checked, 1);
         assert!(outcome.passed());
     }
@@ -545,6 +537,6 @@ mod tests {
         let outcome = compare_with(&baseline, &fresh, 2.0, false);
         assert_eq!(outcome.checked, 1);
         assert!(outcome.passed());
-        assert!(!compare(&baseline, &fresh, 2.0).passed());
+        assert!(!compare_with(&baseline, &fresh, 2.0, true).passed());
     }
 }

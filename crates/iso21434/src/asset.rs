@@ -26,18 +26,6 @@ pub enum CybersecurityProperty {
     NonRepudiation,
 }
 
-impl CybersecurityProperty {
-    /// All properties, in a stable order.
-    pub const ALL: [CybersecurityProperty; 6] = [
-        CybersecurityProperty::Confidentiality,
-        CybersecurityProperty::Integrity,
-        CybersecurityProperty::Availability,
-        CybersecurityProperty::Authenticity,
-        CybersecurityProperty::Authorization,
-        CybersecurityProperty::NonRepudiation,
-    ];
-}
-
 impl fmt::Display for CybersecurityProperty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -78,7 +66,6 @@ pub enum AssetCategory {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Asset {
     name: String,
-    description: String,
     category: AssetCategory,
     /// The ECU (by short name) that hosts the asset, if any.
     host_ecu: Option<String>,
@@ -96,24 +83,16 @@ impl Asset {
     ///     .hosted_on("ECM")
     ///     .with_property(CybersecurityProperty::Integrity)
     ///     .with_property(CybersecurityProperty::Authenticity);
-    /// assert_eq!(asset.properties().len(), 2);
+    /// assert_eq!(asset.to_string(), "ECM firmware @ ECM");
     /// ```
     #[must_use]
     pub fn new(name: impl Into<String>, category: AssetCategory) -> Self {
         Self {
             name: name.into(),
-            description: String::new(),
             category,
             host_ecu: None,
             properties: Vec::new(),
         }
-    }
-
-    /// Adds a free-text description.
-    #[must_use]
-    pub fn with_description(mut self, description: impl Into<String>) -> Self {
-        self.description = description.into();
-        self
     }
 
     /// Records the ECU hosting the asset.
@@ -137,36 +116,6 @@ impl Asset {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The free-text description.
-    #[must_use]
-    pub fn description(&self) -> &str {
-        &self.description
-    }
-
-    /// The asset category.
-    #[must_use]
-    pub fn category(&self) -> AssetCategory {
-        self.category
-    }
-
-    /// The hosting ECU, if recorded.
-    #[must_use]
-    pub fn host_ecu(&self) -> Option<&str> {
-        self.host_ecu.as_deref()
-    }
-
-    /// The cybersecurity properties that must hold for the asset.
-    #[must_use]
-    pub fn properties(&self) -> &[CybersecurityProperty] {
-        &self.properties
-    }
-
-    /// Whether the asset carries the given property.
-    #[must_use]
-    pub fn has_property(&self, property: CybersecurityProperty) -> bool {
-        self.properties.contains(&property)
-    }
 }
 
 impl fmt::Display for Asset {
@@ -184,7 +133,6 @@ mod tests {
 
     fn firmware_asset() -> Asset {
         Asset::new("ECM firmware", AssetCategory::Firmware)
-            .with_description("engine control firmware image")
             .hosted_on("ECM")
             .with_property(CybersecurityProperty::Integrity)
             .with_property(CybersecurityProperty::Authenticity)
@@ -193,15 +141,19 @@ mod tests {
     #[test]
     fn builder_accumulates_properties_without_duplicates() {
         let asset = firmware_asset().with_property(CybersecurityProperty::Integrity);
-        assert_eq!(asset.properties().len(), 2);
-        assert!(asset.has_property(CybersecurityProperty::Integrity));
-        assert!(!asset.has_property(CybersecurityProperty::Confidentiality));
+        assert_eq!(
+            asset.properties,
+            vec![
+                CybersecurityProperty::Integrity,
+                CybersecurityProperty::Authenticity
+            ]
+        );
     }
 
     #[test]
     fn host_ecu_is_recorded() {
-        assert_eq!(firmware_asset().host_ecu(), Some("ECM"));
-        assert_eq!(Asset::new("x", AssetCategory::Function).host_ecu(), None);
+        assert_eq!(firmware_asset().host_ecu.as_deref(), Some("ECM"));
+        assert_eq!(Asset::new("x", AssetCategory::Function).host_ecu, None);
     }
 
     #[test]
@@ -215,7 +167,17 @@ mod tests {
 
     #[test]
     fn all_properties_distinct() {
-        let set: std::collections::HashSet<_> = CybersecurityProperty::ALL.iter().collect();
+        let set: std::collections::HashSet<_> = [
+            CybersecurityProperty::Confidentiality,
+            CybersecurityProperty::Integrity,
+            CybersecurityProperty::Availability,
+            CybersecurityProperty::Authenticity,
+            CybersecurityProperty::Authorization,
+            CybersecurityProperty::NonRepudiation,
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
         assert_eq!(set.len(), 6);
     }
 
@@ -224,10 +186,5 @@ mod tests {
         let asset = firmware_asset();
         let json = serde_json::to_string(&asset).unwrap();
         assert_eq!(asset, serde_json::from_str(&json).unwrap());
-    }
-
-    #[test]
-    fn description_defaults_empty() {
-        assert_eq!(Asset::new("x", AssetCategory::Hardware).description(), "");
     }
 }

@@ -26,12 +26,6 @@ impl AttackStep {
         }
     }
 
-    /// The step description.
-    #[must_use]
-    pub fn description(&self) -> &str {
-        &self.description
-    }
-
     /// The attack vector used by the step.
     #[must_use]
     pub fn vector(&self) -> AttackVector {
@@ -79,31 +73,6 @@ impl AttackPath {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The ordered steps.
-    #[must_use]
-    pub fn steps(&self) -> &[AttackStep] {
-        &self.steps
-    }
-
-    /// Whether the path has no steps.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Number of steps.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// The *entry* vector: the vector of the first step (how the attacker first
-    /// touches the item).
-    #[must_use]
-    pub fn entry_vector(&self) -> Option<AttackVector> {
-        self.steps.first().map(AttackStep::vector)
     }
 
     /// The *limiting* vector: the most local (highest-ordinal) access any step of
@@ -160,19 +129,8 @@ mod tests {
     #[test]
     fn empty_path_has_no_vectors() {
         let p = AttackPath::new("empty");
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
-        assert_eq!(p.entry_vector(), None);
+        assert!(p.steps.is_empty());
         assert_eq!(p.limiting_vector(), None);
-    }
-
-    #[test]
-    fn entry_vector_is_first_step() {
-        assert_eq!(obd_reflash_path().entry_vector(), Some(AttackVector::Local));
-        assert_eq!(
-            remote_then_physical_path().entry_vector(),
-            Some(AttackVector::Network)
-        );
     }
 
     #[test]
@@ -201,7 +159,7 @@ mod tests {
             AttackStep::new("a", AttackVector::Adjacent),
             AttackStep::new("b", AttackVector::Local),
         ]);
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.steps.len(), 2);
         assert_eq!(p.limiting_vector(), Some(AttackVector::Local));
     }
 

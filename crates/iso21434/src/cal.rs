@@ -26,9 +26,6 @@ pub enum Cal {
 }
 
 impl Cal {
-    /// All levels from lowest to highest.
-    pub const ALL: [Cal; 4] = [Cal::Cal1, Cal::Cal2, Cal::Cal3, Cal::Cal4];
-
     /// The numeric level (1–4).
     #[must_use]
     pub fn level(self) -> u8 {
@@ -37,17 +34,6 @@ impl Cal {
             Cal::Cal2 => 2,
             Cal::Cal3 => 3,
             Cal::Cal4 => 4,
-        }
-    }
-
-    /// Builds a CAL from its numeric level, clamping into range.
-    #[must_use]
-    pub fn from_level(level: u8) -> Self {
-        match level {
-            0 | 1 => Cal::Cal1,
-            2 => Cal::Cal2,
-            3 => Cal::Cal3,
-            _ => Cal::Cal4,
         }
     }
 }
@@ -98,18 +84,6 @@ impl CalMatrix {
             .filter_map(|impact| self.cal(*impact, vector))
             .max()
             .unwrap_or(Cal::Cal1)
-    }
-
-    /// The full matrix as (impact, vector, CAL) triples for report rendering.
-    #[must_use]
-    pub fn table(self) -> Vec<(ImpactRating, AttackVector, Option<Cal>)> {
-        let mut out = Vec::new();
-        for impact in ImpactRating::ALL {
-            for vector in AttackVector::ALL {
-                out.push((impact, vector, self.cal(impact, vector)));
-            }
-        }
-        out
     }
 }
 
@@ -183,20 +157,6 @@ mod tests {
                 prev = cal;
             }
         }
-    }
-
-    #[test]
-    fn table_has_16_cells() {
-        assert_eq!(CalMatrix::new().table().len(), 16);
-    }
-
-    #[test]
-    fn level_round_trip_and_clamp() {
-        for c in Cal::ALL {
-            assert_eq!(Cal::from_level(c.level()), c);
-        }
-        assert_eq!(Cal::from_level(0), Cal::Cal1);
-        assert_eq!(Cal::from_level(200), Cal::Cal4);
     }
 
     #[test]

@@ -163,13 +163,6 @@ impl ControlPlan {
             .sum()
     }
 
-    /// Whether the plan withstands an adversary investment bound (e.g. the FC of
-    /// the PSP financial model) on the given vector.
-    #[must_use]
-    pub fn withstands(&self, vector: AttackVector, adversary_investment_eur: f64) -> bool {
-        self.resistance_for(vector) >= adversary_investment_eur
-    }
-
     /// The residual feasibility after applying the plan to an initial rating for
     /// attacks using the given vector: each mitigating control steps the rating
     /// down by its `feasibility_reduction`, saturating at Very Low.
@@ -251,7 +244,7 @@ mod tests {
         let plan =
             ControlPlan::select_for(&anti_tampering_catalogue(), AttackVector::Local, 145_286.0)
                 .expect("catalogue suffices");
-        assert!(plan.withstands(AttackVector::Local, 145_286.0));
+        assert!(plan.resistance_for(AttackVector::Local) >= 145_286.0);
         assert!(!plan.controls().is_empty());
     }
 

@@ -6,8 +6,7 @@
 //! total onto a feasibility rating (a *higher* attack-potential total means the
 //! attack is *harder*, hence *lower* feasibility).
 
-use super::{AttackFeasibilityRating, FeasibilityModel};
-use crate::attack_path::AttackPath;
+use super::AttackFeasibilityRating;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -249,43 +248,9 @@ impl fmt::Display for AttackPotential {
     }
 }
 
-/// A [`FeasibilityModel`] that rates every path with a fixed attack-potential
-/// assessment supplied by the analyst (the standard's model has no way to derive
-/// the five parameters from the path itself — precisely the "static weights"
-/// criticism the paper makes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttackPotentialModel {
-    assessment: AttackPotential,
-}
-
-impl AttackPotentialModel {
-    /// Wraps an assessment as a feasibility model.
-    #[must_use]
-    pub fn new(assessment: AttackPotential) -> Self {
-        Self { assessment }
-    }
-
-    /// The wrapped assessment.
-    #[must_use]
-    pub fn assessment(&self) -> &AttackPotential {
-        &self.assessment
-    }
-}
-
-impl FeasibilityModel for AttackPotentialModel {
-    fn name(&self) -> &str {
-        "attack-potential-based (ISO/SAE-21434 G.2)"
-    }
-
-    fn rate(&self, _path: &AttackPath) -> AttackFeasibilityRating {
-        self.assessment.rating()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vehicle::attack_surface::AttackVector;
 
     #[test]
     fn parameter_values_match_iso18045() {
@@ -369,21 +334,6 @@ mod tests {
         );
         assert_eq!(low.total(), 22);
         assert_eq!(low.rating(), AttackFeasibilityRating::Low);
-    }
-
-    #[test]
-    fn model_rates_any_path_with_the_fixed_assessment() {
-        let ap = AttackPotential::new(
-            ElapsedTime::OneWeek,
-            Expertise::Proficient,
-            Knowledge::Public,
-            WindowOfOpportunity::Unlimited,
-            Equipment::Specialized,
-        );
-        let model = AttackPotentialModel::new(ap);
-        let path = AttackPath::new("p").step("x", AttackVector::Physical);
-        assert_eq!(model.rate(&path), ap.rating());
-        assert!(model.name().contains("attack-potential"));
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl AttackVectorModel {
     pub fn with_table(table: AttackVectorTable) -> Self {
         Self { table }
     }
-
-    /// The underlying table.
-    #[must_use]
-    pub fn table(&self) -> &AttackVectorTable {
-        &self.table
-    }
 }
 
 impl Default for AttackVectorModel {

@@ -38,14 +38,6 @@ pub enum AttackFeasibilityRating {
 }
 
 impl AttackFeasibilityRating {
-    /// All ratings from lowest to highest feasibility.
-    pub const ALL: [AttackFeasibilityRating; 4] = [
-        AttackFeasibilityRating::VeryLow,
-        AttackFeasibilityRating::Low,
-        AttackFeasibilityRating::Medium,
-        AttackFeasibilityRating::High,
-    ];
-
     /// Numeric feasibility value used by the risk matrix (1 = very low … 4 = high).
     #[must_use]
     pub fn value(self) -> u8 {
@@ -88,8 +80,8 @@ impl fmt::Display for AttackFeasibilityRating {
 
 /// A model that can rate the feasibility of an attack path.
 ///
-/// The trait is object-safe so a TARA can be parameterised with any of the three
-/// standard models — or with a PSP-tuned replacement.
+/// The trait is object-safe so a TARA can be parameterised with the CVSS or the
+/// attack-vector model — or with a PSP-tuned attack-vector table.
 pub trait FeasibilityModel {
     /// A short name identifying the model (used in reports).
     fn name(&self) -> &str;
@@ -99,21 +91,26 @@ pub trait FeasibilityModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every rating, from lowest to highest feasibility.
+    pub(crate) const FEASIBILITIES: [AttackFeasibilityRating; 4] = [
+        AttackFeasibilityRating::VeryLow,
+        AttackFeasibilityRating::Low,
+        AttackFeasibilityRating::Medium,
+        AttackFeasibilityRating::High,
+    ];
 
     #[test]
     fn values_are_monotone_with_feasibility() {
-        let values: Vec<_> = AttackFeasibilityRating::ALL
-            .iter()
-            .map(|r| r.value())
-            .collect();
+        let values: Vec<_> = FEASIBILITIES.iter().map(|r| r.value()).collect();
         assert_eq!(values, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn from_value_round_trips_and_clamps() {
-        for r in AttackFeasibilityRating::ALL {
+        for r in FEASIBILITIES {
             assert_eq!(AttackFeasibilityRating::from_value(r.value()), r);
         }
         assert_eq!(
@@ -136,7 +133,7 @@ mod tests {
     fn ordering_puts_high_last() {
         assert!(AttackFeasibilityRating::VeryLow < AttackFeasibilityRating::High);
         assert_eq!(
-            AttackFeasibilityRating::ALL.iter().max(),
+            FEASIBILITIES.iter().max(),
             Some(&AttackFeasibilityRating::High)
         );
     }

@@ -70,17 +70,6 @@ impl ImpactRating {
             ImpactRating::Severe => 4,
         }
     }
-
-    /// Builds a rating back from its numeric value, clamping out-of-range input.
-    #[must_use]
-    pub fn from_value(value: u8) -> Self {
-        match value {
-            0 | 1 => ImpactRating::Negligible,
-            2 => ImpactRating::Moderate,
-            3 => ImpactRating::Major,
-            _ => ImpactRating::Severe,
-        }
-    }
 }
 
 impl fmt::Display for ImpactRating {
@@ -93,7 +82,6 @@ impl fmt::Display for ImpactRating {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DamageScenario {
     title: String,
-    description: String,
     ratings: BTreeMap<ImpactCategory, ImpactRating>,
 }
 
@@ -117,16 +105,8 @@ impl DamageScenario {
             .collect();
         Self {
             title: title.into(),
-            description: String::new(),
             ratings,
         }
-    }
-
-    /// Adds a free-text description.
-    #[must_use]
-    pub fn with_description(mut self, description: impl Into<String>) -> Self {
-        self.description = description.into();
-        self
     }
 
     /// Sets the rating of one impact category.
@@ -134,27 +114,6 @@ impl DamageScenario {
     pub fn rate(mut self, category: ImpactCategory, rating: ImpactRating) -> Self {
         self.ratings.insert(category, rating);
         self
-    }
-
-    /// The scenario title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The free-text description.
-    #[must_use]
-    pub fn description(&self) -> &str {
-        &self.description
-    }
-
-    /// The rating of one category.
-    #[must_use]
-    pub fn rating(&self, category: ImpactCategory) -> ImpactRating {
-        self.ratings
-            .get(&category)
-            .copied()
-            .unwrap_or(ImpactRating::Negligible)
     }
 
     /// The overall impact: the maximum over the four categories, as required by the
@@ -166,12 +125,6 @@ impl DamageScenario {
             .copied()
             .max()
             .unwrap_or(ImpactRating::Negligible)
-    }
-
-    /// Whether the scenario has any safety impact above negligible.
-    #[must_use]
-    pub fn is_safety_relevant(&self) -> bool {
-        self.rating(ImpactCategory::Safety) > ImpactRating::Negligible
     }
 }
 
@@ -187,7 +140,6 @@ mod tests {
 
     fn stall_scenario() -> DamageScenario {
         DamageScenario::new("Engine stall while driving")
-            .with_description("loss of propulsion at speed")
             .rate(ImpactCategory::Safety, ImpactRating::Severe)
             .rate(ImpactCategory::Operational, ImpactRating::Major)
             .rate(ImpactCategory::Financial, ImpactRating::Moderate)
@@ -197,10 +149,9 @@ mod tests {
     fn ratings_default_to_negligible() {
         let ds = DamageScenario::new("nothing");
         for c in ImpactCategory::ALL {
-            assert_eq!(ds.rating(c), ImpactRating::Negligible);
+            assert_eq!(ds.ratings[&c], ImpactRating::Negligible);
         }
         assert_eq!(ds.overall(), ImpactRating::Negligible);
-        assert!(!ds.is_safety_relevant());
     }
 
     #[test]
@@ -209,26 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn safety_relevance() {
-        assert!(stall_scenario().is_safety_relevant());
-        let ds = DamageScenario::new("emissions increase")
-            .rate(ImpactCategory::Financial, ImpactRating::Major);
-        assert!(!ds.is_safety_relevant());
-    }
-
-    #[test]
     fn rating_values_are_monotone() {
         let values: Vec<_> = ImpactRating::ALL.iter().map(|r| r.value()).collect();
         assert_eq!(values, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn from_value_round_trip_and_clamp() {
-        for r in ImpactRating::ALL {
-            assert_eq!(ImpactRating::from_value(r.value()), r);
-        }
-        assert_eq!(ImpactRating::from_value(0), ImpactRating::Negligible);
-        assert_eq!(ImpactRating::from_value(200), ImpactRating::Severe);
     }
 
     #[test]

@@ -76,27 +76,12 @@ impl RiskMatrix {
         let value = (i + f - 3).clamp(1, 5) as u8;
         RiskValue::new(value)
     }
-
-    /// The full matrix as rows over impact (negligible→severe) and columns over
-    /// feasibility (very low→high) — handy for rendering reports.
-    #[must_use]
-    pub fn table(self) -> Vec<(ImpactRating, Vec<(AttackFeasibilityRating, RiskValue)>)> {
-        ImpactRating::ALL
-            .iter()
-            .map(|impact| {
-                let row = AttackFeasibilityRating::ALL
-                    .iter()
-                    .map(|feas| (*feas, self.risk(*impact, *feas)))
-                    .collect();
-                (*impact, row)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility::tests::FEASIBILITIES;
 
     #[test]
     fn risk_value_clamps() {
@@ -108,7 +93,7 @@ mod tests {
     #[test]
     fn negligible_impact_is_always_minimal_risk() {
         let m = RiskMatrix::new();
-        for feas in AttackFeasibilityRating::ALL {
+        for feas in FEASIBILITIES {
             assert_eq!(m.risk(ImpactRating::Negligible, feas), RiskValue::new(1));
         }
     }
@@ -136,7 +121,7 @@ mod tests {
         let m = RiskMatrix::new();
         for impact in ImpactRating::ALL {
             let mut prev = RiskValue::new(1);
-            for feas in AttackFeasibilityRating::ALL {
+            for feas in FEASIBILITIES {
                 let r = m.risk(impact, feas);
                 assert!(r >= prev, "risk must not decrease with feasibility");
                 prev = r;
@@ -147,7 +132,7 @@ mod tests {
     #[test]
     fn risk_is_monotone_in_impact() {
         let m = RiskMatrix::new();
-        for feas in AttackFeasibilityRating::ALL {
+        for feas in FEASIBILITIES {
             let mut prev = RiskValue::new(1);
             for impact in ImpactRating::ALL {
                 let r = m.risk(impact, feas);
@@ -162,15 +147,6 @@ mod tests {
         assert!(!RiskValue::new(3).requires_treatment());
         assert!(RiskValue::new(4).requires_treatment());
         assert!(RiskValue::new(5).requires_treatment());
-    }
-
-    #[test]
-    fn table_covers_all_cells() {
-        let table = RiskMatrix::new().table();
-        assert_eq!(table.len(), 4);
-        for (_, row) in &table {
-            assert_eq!(row.len(), 4);
-        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::risk::{RiskMatrix, RiskValue};
 use crate::threat::ThreatScenario;
 use crate::treatment::{CybersecurityGoal, RiskTreatment};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One threat scenario bundled with its damage scenario and candidate attack paths.
@@ -96,12 +95,6 @@ pub struct TaraReport {
 }
 
 impl TaraReport {
-    /// The item under analysis.
-    #[must_use]
-    pub fn item_name(&self) -> &str {
-        &self.item_name
-    }
-
     /// The feasibility model used.
     #[must_use]
     pub fn model_name(&self) -> &str {
@@ -126,26 +119,6 @@ impl TaraReport {
         self.assessments
             .iter()
             .find(|a| a.threat_title == threat_title)
-    }
-
-    /// Histogram of risk values (risk value → count), useful for comparing a
-    /// static and a dynamic run of the same TARA.
-    #[must_use]
-    pub fn risk_histogram(&self) -> BTreeMap<u8, usize> {
-        let mut out = BTreeMap::new();
-        for a in &self.assessments {
-            *out.entry(a.risk.get()).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Number of assessments whose risk requires treatment (risk ≥ 4).
-    #[must_use]
-    pub fn treatment_required_count(&self) -> usize {
-        self.assessments
-            .iter()
-            .filter(|a| a.risk.requires_treatment())
-            .count()
     }
 }
 
@@ -369,7 +342,7 @@ mod tests {
     fn evaluate_with_standard_model_produces_report() {
         let report = ecm_tara().evaluate(&AttackVectorModel::standard()).unwrap();
         assert_eq!(report.assessments().len(), 2);
-        assert_eq!(report.item_name(), "ECM");
+        assert_eq!(report.item_name, "ECM");
         assert!(report.model_name().contains("G.9"));
     }
 
@@ -416,16 +389,17 @@ mod tests {
     #[test]
     fn goals_are_generated_for_reduced_risks() {
         let report = ecm_tara().evaluate(&AttackVectorModel::standard()).unwrap();
-        for goal in report.goals() {
-            assert!(goal.risk().get() >= 3);
+        let treated: Vec<_> = report
+            .assessments()
+            .iter()
+            .filter(|a| matches!(a.treatment, RiskTreatment::Reduce | RiskTreatment::Avoid))
+            .collect();
+        assert_eq!(report.goals().len(), treated.len());
+        for (goal, assessment) in report.goals().iter().zip(treated) {
+            assert!(assessment.risk.get() >= 3);
+            let label = format!("[risk {}]", assessment.risk);
+            assert!(goal.to_string().starts_with(&label));
         }
-    }
-
-    #[test]
-    fn risk_histogram_sums_to_assessment_count() {
-        let report = ecm_tara().evaluate(&AttackVectorModel::standard()).unwrap();
-        let total: usize = report.risk_histogram().values().sum();
-        assert_eq!(total, report.assessments().len());
     }
 
     #[test]

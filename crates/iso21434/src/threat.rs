@@ -30,16 +30,6 @@ pub enum StrideCategory {
 }
 
 impl StrideCategory {
-    /// All categories.
-    pub const ALL: [StrideCategory; 6] = [
-        StrideCategory::Spoofing,
-        StrideCategory::Tampering,
-        StrideCategory::Repudiation,
-        StrideCategory::InformationDisclosure,
-        StrideCategory::DenialOfService,
-        StrideCategory::ElevationOfPrivilege,
-    ];
-
     /// The cybersecurity property a threat of this category primarily violates.
     #[must_use]
     pub fn violated_property(self) -> CybersecurityProperty {
@@ -83,42 +73,6 @@ pub enum AttackerProfile {
     Remote,
 }
 
-impl AttackerProfile {
-    /// All profiles.
-    pub const ALL: [AttackerProfile; 8] = [
-        AttackerProfile::Insider,
-        AttackerProfile::Outsider,
-        AttackerProfile::Rational,
-        AttackerProfile::Malicious,
-        AttackerProfile::Active,
-        AttackerProfile::Passive,
-        AttackerProfile::Local,
-        AttackerProfile::Remote,
-    ];
-
-    /// Whether the profile belongs to the paper's *insider* super-category: attacks
-    /// performed with the owner's awareness and approval (owner, workshop,
-    /// maintenance personnel), typically with unlimited time and free device access.
-    #[must_use]
-    pub fn is_insider_category(self) -> bool {
-        matches!(
-            self,
-            AttackerProfile::Insider | AttackerProfile::Rational | AttackerProfile::Local
-        )
-    }
-
-    /// Whether the profile typically enjoys unlimited physical access to the item —
-    /// the property that breaks the "physical attacks are hard" assumption baked
-    /// into the enterprise-IT feasibility weights.
-    #[must_use]
-    pub fn has_unlimited_access(self) -> bool {
-        matches!(
-            self,
-            AttackerProfile::Insider | AttackerProfile::Rational | AttackerProfile::Local
-        )
-    }
-}
-
 impl fmt::Display for AttackerProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -140,8 +94,7 @@ pub struct ThreatScenario {
 impl ThreatScenario {
     /// Creates a threat scenario for the named asset.
     ///
-    /// The violated property defaults to the one implied by the STRIDE category and
-    /// can be overridden with [`violating`](Self::violating).
+    /// The violated property is the one implied by the STRIDE category.
     ///
     /// # Examples
     ///
@@ -153,7 +106,7 @@ impl ThreatScenario {
     ///     .by(AttackerProfile::Rational)
     ///     .via(AttackVector::Physical)
     ///     .with_keyword("chiptuning");
-    /// assert!(ts.attacker().is_insider_category());
+    /// assert!(ts.to_string().contains("Rational"));
     /// ```
     #[must_use]
     pub fn new(
@@ -170,13 +123,6 @@ impl ThreatScenario {
             preferred_vector: AttackVector::Network,
             keywords: Vec::new(),
         }
-    }
-
-    /// Overrides the violated cybersecurity property.
-    #[must_use]
-    pub fn violating(mut self, property: CybersecurityProperty) -> Self {
-        self.violated_property = property;
-        self
     }
 
     /// Sets the attacker profile.
@@ -217,30 +163,6 @@ impl ThreatScenario {
     #[must_use]
     pub fn violated_property(&self) -> CybersecurityProperty {
         self.violated_property
-    }
-
-    /// The STRIDE category.
-    #[must_use]
-    pub fn stride(&self) -> StrideCategory {
-        self.stride
-    }
-
-    /// The attacker profile.
-    #[must_use]
-    pub fn attacker(&self) -> AttackerProfile {
-        self.attacker
-    }
-
-    /// The expected attack vector.
-    #[must_use]
-    pub fn preferred_vector(&self) -> AttackVector {
-        self.preferred_vector
-    }
-
-    /// Social-media keywords associated with the scenario.
-    #[must_use]
-    pub fn keywords(&self) -> &[String] {
-        &self.keywords
     }
 }
 
@@ -293,37 +215,12 @@ mod tests {
             ts.violated_property(),
             CybersecurityProperty::Confidentiality
         );
-        assert_eq!(ts.attacker(), AttackerProfile::Outsider);
-    }
-
-    #[test]
-    fn violating_overrides_property() {
-        let ts = ThreatScenario::new("t", "a", StrideCategory::Tampering)
-            .violating(CybersecurityProperty::Availability);
-        assert_eq!(ts.violated_property(), CybersecurityProperty::Availability);
-    }
-
-    #[test]
-    fn insider_category_profiles() {
-        assert!(AttackerProfile::Insider.is_insider_category());
-        assert!(AttackerProfile::Rational.is_insider_category());
-        assert!(AttackerProfile::Local.is_insider_category());
-        assert!(!AttackerProfile::Outsider.is_insider_category());
-        assert!(!AttackerProfile::Malicious.is_insider_category());
-    }
-
-    #[test]
-    fn insiders_have_unlimited_access() {
-        for p in AttackerProfile::ALL {
-            if p.is_insider_category() {
-                assert!(p.has_unlimited_access(), "{p}");
-            }
-        }
+        assert_eq!(ts.attacker, AttackerProfile::Outsider);
     }
 
     #[test]
     fn keywords_accumulate() {
-        assert_eq!(reprogramming().keywords(), &["chiptuning", "ecuremap"]);
+        assert_eq!(reprogramming().keywords, ["chiptuning", "ecuremap"]);
     }
 
     #[test]

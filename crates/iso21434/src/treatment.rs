@@ -22,14 +22,6 @@ pub enum RiskTreatment {
 }
 
 impl RiskTreatment {
-    /// All options.
-    pub const ALL: [RiskTreatment; 4] = [
-        RiskTreatment::Avoid,
-        RiskTreatment::Reduce,
-        RiskTreatment::Share,
-        RiskTreatment::Retain,
-    ];
-
     /// The default treatment policy used by the TARA engine: retain minimal risks,
     /// share low risks, reduce medium and high risks, avoid critical ones when no
     /// reduction is planned.
@@ -71,24 +63,6 @@ impl CybersecurityGoal {
             threat_title: threat_title.into(),
             risk,
         }
-    }
-
-    /// The goal statement.
-    #[must_use]
-    pub fn statement(&self) -> &str {
-        &self.statement
-    }
-
-    /// The threat scenario the goal addresses.
-    #[must_use]
-    pub fn threat_title(&self) -> &str {
-        &self.threat_title
-    }
-
-    /// The risk value that motivated the goal.
-    #[must_use]
-    pub fn risk(&self) -> RiskValue {
-        self.risk
     }
 }
 
@@ -133,14 +107,22 @@ mod tests {
             "ECM reprogramming",
             RiskValue::new(4),
         );
-        assert_eq!(g.threat_title(), "ECM reprogramming");
-        assert_eq!(g.risk().get(), 4);
+        assert_eq!(g.threat_title, "ECM reprogramming");
+        assert_eq!(g.risk.get(), 4);
         assert!(g.to_string().contains("risk 4"));
     }
 
     #[test]
     fn all_treatments_distinct() {
-        let set: std::collections::HashSet<_> = RiskTreatment::ALL.iter().collect();
+        let set: std::collections::HashSet<_> = [
+            RiskTreatment::Avoid,
+            RiskTreatment::Reduce,
+            RiskTreatment::Share,
+            RiskTreatment::Retain,
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
         assert_eq!(set.len(), 4);
     }
 

@@ -33,13 +33,6 @@ impl CapexItem {
         }
     }
 
-    /// Sets a residual value.
-    #[must_use]
-    pub fn with_residual(mut self, residual_value_eur: f64) -> Self {
-        self.residual_value_eur = residual_value_eur;
-        self
-    }
-
     /// The yearly straight-line depreciation charge.
     #[must_use]
     pub fn annual_depreciation(&self) -> f64 {
@@ -82,7 +75,10 @@ mod tests {
 
     #[test]
     fn residual_value_reduces_the_charge() {
-        let item = CapexItem::new("debugger", 4_000.0, 4).with_residual(400.0);
+        let item = CapexItem {
+            residual_value_eur: 400.0,
+            ..CapexItem::new("debugger", 4_000.0, 4)
+        };
         assert!((item.annual_depreciation() - 900.0).abs() < 1e-9);
     }
 

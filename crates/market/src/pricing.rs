@@ -28,15 +28,6 @@ impl PriceObservation {
             full_service: true,
         }
     }
-
-    /// A bare-component listing.
-    #[must_use]
-    pub fn component(eur: f64) -> Self {
-        Self {
-            eur,
-            full_service: false,
-        }
-    }
 }
 
 /// An aggregated pricing study for one insider attack.
@@ -46,29 +37,12 @@ pub struct PricingStudy {
 }
 
 impl PricingStudy {
-    /// Creates an empty study.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a study from observations.
     #[must_use]
     pub fn from_observations(observations: impl IntoIterator<Item = PriceObservation>) -> Self {
         Self {
             observations: observations.into_iter().collect(),
         }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, observation: PriceObservation) {
-        self.observations.push(observation);
-    }
-
-    /// All observations.
-    #[must_use]
-    pub fn observations(&self) -> &[PriceObservation] {
-        &self.observations
     }
 
     /// The purchase price per insider attack: the median of full-service prices,
@@ -104,15 +78,6 @@ impl PricingStudy {
         }
         self.ppia().map(|p| p / 7.0)
     }
-
-    /// The attacker's unit margin `PPIA − VCU` (the denominator of Equation 3).
-    #[must_use]
-    pub fn unit_margin(&self) -> Option<f64> {
-        match (self.ppia(), self.vcu()) {
-            (Some(p), Some(v)) => Some(p - v),
-            _ => None,
-        }
-    }
 }
 
 fn median(values: &[f64]) -> Option<f64> {
@@ -133,13 +98,20 @@ fn median(values: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
 
+    fn component(eur: f64) -> PriceObservation {
+        PriceObservation {
+            eur,
+            full_service: false,
+        }
+    }
+
     #[test]
     fn ppia_prefers_full_service_listings() {
         let study = PricingStudy::from_observations([
             PriceObservation::service(360.0),
             PriceObservation::service(380.0),
             PriceObservation::service(340.0),
-            PriceObservation::component(55.0),
+            component(55.0),
         ]);
         assert_eq!(study.ppia(), Some(360.0));
         assert_eq!(study.vcu(), Some(55.0));
@@ -147,10 +119,7 @@ mod tests {
 
     #[test]
     fn fallback_when_only_unlabelled_prices_exist() {
-        let study = PricingStudy::from_observations([
-            PriceObservation::component(100.0),
-            PriceObservation::component(140.0),
-        ]);
+        let study = PricingStudy::from_observations([component(100.0), component(140.0)]);
         assert_eq!(study.ppia(), Some(120.0));
         assert_eq!(study.vcu(), Some(120.0));
     }
@@ -163,26 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn unit_margin() {
-        let study = PricingStudy::from_observations([
-            PriceObservation::service(360.0),
-            PriceObservation::component(50.0),
-        ]);
-        assert_eq!(study.unit_margin(), Some(310.0));
-    }
-
-    #[test]
     fn empty_study_yields_none() {
-        let study = PricingStudy::new();
+        let study = PricingStudy::default();
         assert_eq!(study.ppia(), None);
         assert_eq!(study.vcu(), None);
-        assert_eq!(study.unit_margin(), None);
-    }
-
-    #[test]
-    fn push_accumulates() {
-        let mut study = PricingStudy::new();
-        study.push(PriceObservation::service(300.0));
-        assert_eq!(study.observations().len(), 1);
     }
 }

@@ -55,18 +55,6 @@ impl CyberSecurityReport {
         self
     }
 
-    /// The publisher name.
-    #[must_use]
-    pub fn publisher(&self) -> &str {
-        &self.publisher
-    }
-
-    /// All statistics.
-    #[must_use]
-    pub fn statistics(&self) -> &[IncidentStatistic] {
-        &self.statistics
-    }
-
     /// The percentage of potential attackers (`PEA`) for an attack category: the
     /// prevalence reported for the most recent year whose category matches
     /// case-insensitively (substring match, so "emission" finds
@@ -123,7 +111,7 @@ mod tests {
     #[test]
     fn publisher_and_statistics_accessors() {
         let r = report();
-        assert_eq!(r.publisher(), "Fleet Security Observatory");
-        assert_eq!(r.statistics().len(), 4);
+        assert_eq!(r.publisher, "Fleet Security Observatory");
+        assert_eq!(r.statistics.len(), 4);
     }
 }

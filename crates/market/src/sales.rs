@@ -40,23 +40,6 @@ pub struct SalesLedger {
 }
 
 impl SalesLedger {
-    /// Creates an empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a record.
-    pub fn push(&mut self, record: SalesRecord) {
-        self.records.push(record);
-    }
-
-    /// All records.
-    #[must_use]
-    pub fn records(&self) -> &[SalesRecord] {
-        &self.records
-    }
-
     /// Total units sold for an application/region in one year (`VS`).
     #[must_use]
     pub fn units_in_year(&self, application: &str, region: &str, year: i32) -> u64 {
@@ -140,15 +123,15 @@ mod tests {
 
     #[test]
     fn duplicate_rows_accumulate() {
-        let mut l = ledger();
-        l.push(SalesRecord::new("excavator", "Europe", 2022, 14));
+        let extra = SalesRecord::new("excavator", "Europe", 2022, 14);
+        let l: SalesLedger = ledger().records.into_iter().chain([extra]).collect();
         assert_eq!(l.units_in_year("excavator", "Europe", 2022), 20_100);
     }
 
     #[test]
     fn empty_ledger() {
-        let l = SalesLedger::new();
-        assert!(l.records().is_empty());
+        let l = SalesLedger::default();
+        assert!(l.records.is_empty());
         assert_eq!(l.previous_year_sales("x", "y"), None);
     }
 }

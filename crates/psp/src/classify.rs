@@ -7,10 +7,8 @@
 //! attacks)".  The PSP re-tuning only applies to insider entries: "re-tuning the
 //! standard model weight values on the outsider entries does not make sense".
 
-use iso21434::threat::AttackerProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vehicle::attack_surface::{AttackVector, ExternalInterface};
 
 /// Whether an attack topic belongs to the insider or outsider super-category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -19,47 +17,6 @@ pub enum AttackOrigin {
     Insider,
     /// Owner-oblivious attacks (theft, remote exploitation, espionage).
     Outsider,
-}
-
-impl AttackOrigin {
-    /// Classifies an ISO/SAE-21434 attacker profile into the PSP super-category.
-    #[must_use]
-    pub fn from_profile(profile: AttackerProfile) -> Self {
-        if profile.is_insider_category() {
-            AttackOrigin::Insider
-        } else {
-            AttackOrigin::Outsider
-        }
-    }
-
-    /// A structural heuristic for topics without an explicit profile: attacks whose
-    /// entry interface is typically owner-assisted (OBD, USB, harness, debug port,
-    /// ECU removal) are insider attacks; radio and network entries are outsider
-    /// attacks unless stated otherwise.
-    #[must_use]
-    pub fn from_interface(interface: ExternalInterface) -> Self {
-        if interface.typically_owner_assisted() {
-            AttackOrigin::Insider
-        } else {
-            AttackOrigin::Outsider
-        }
-    }
-
-    /// The same heuristic expressed on attack vectors: local and physical vectors
-    /// default to insider, network and adjacent to outsider.
-    #[must_use]
-    pub fn from_vector(vector: AttackVector) -> Self {
-        match vector {
-            AttackVector::Local | AttackVector::Physical => AttackOrigin::Insider,
-            AttackVector::Network | AttackVector::Adjacent => AttackOrigin::Outsider,
-        }
-    }
-
-    /// Whether PSP re-tunes feasibility weights for this origin.
-    #[must_use]
-    pub fn is_retuned_by_psp(self) -> bool {
-        self == AttackOrigin::Insider
-    }
 }
 
 impl fmt::Display for AttackOrigin {
@@ -74,72 +31,6 @@ impl fmt::Display for AttackOrigin {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiles_map_to_the_paper_super_categories() {
-        assert_eq!(
-            AttackOrigin::from_profile(AttackerProfile::Rational),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_profile(AttackerProfile::Insider),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_profile(AttackerProfile::Local),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_profile(AttackerProfile::Outsider),
-            AttackOrigin::Outsider
-        );
-        assert_eq!(
-            AttackOrigin::from_profile(AttackerProfile::Malicious),
-            AttackOrigin::Outsider
-        );
-    }
-
-    #[test]
-    fn owner_assisted_interfaces_are_insider() {
-        assert_eq!(
-            AttackOrigin::from_interface(ExternalInterface::ObdPort),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_interface(ExternalInterface::Cellular),
-            AttackOrigin::Outsider
-        );
-        assert_eq!(
-            AttackOrigin::from_interface(ExternalInterface::KeyFobRadio),
-            AttackOrigin::Outsider
-        );
-    }
-
-    #[test]
-    fn vector_heuristic() {
-        assert_eq!(
-            AttackOrigin::from_vector(AttackVector::Local),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_vector(AttackVector::Physical),
-            AttackOrigin::Insider
-        );
-        assert_eq!(
-            AttackOrigin::from_vector(AttackVector::Network),
-            AttackOrigin::Outsider
-        );
-        assert_eq!(
-            AttackOrigin::from_vector(AttackVector::Adjacent),
-            AttackOrigin::Outsider
-        );
-    }
-
-    #[test]
-    fn only_insiders_are_retuned() {
-        assert!(AttackOrigin::Insider.is_retuned_by_psp());
-        assert!(!AttackOrigin::Outsider.is_retuned_by_psp());
-    }
 
     #[test]
     fn display_labels() {

@@ -182,12 +182,11 @@ impl MatrixSpec {
     }
 }
 
-/// The resolved cells of one matrix run, addressable by [`CellId`] and
-/// carrying the spec's labels for reporting.
+/// The resolved cells of one matrix run, addressable by [`CellId`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixResults {
-    scenario_labels: Vec<String>,
-    config_labels: Vec<String>,
+    scenario_count: usize,
+    config_count: usize,
     window_count: usize,
     /// Dense cells in [`CellId`] order (scenario-major, then configuration,
     /// then window).
@@ -199,8 +198,8 @@ impl MatrixResults {
     /// streamed cells.
     pub(super) fn empty_for(spec: &MatrixSpec) -> Self {
         Self {
-            scenario_labels: spec.scenarios.iter().map(|(l, _)| l.clone()).collect(),
-            config_labels: spec.configs.iter().map(|(l, _)| l.clone()).collect(),
+            scenario_count: spec.scenario_count(),
+            config_count: spec.config_count(),
             window_count: spec.window_count(),
             cells: Vec::with_capacity(spec.cell_count()),
         }
@@ -219,12 +218,10 @@ impl MatrixResults {
 
     /// The dense index of a cell address, if it is in range.
     fn index_of(&self, id: CellId) -> Option<usize> {
-        (id.scenario < self.scenario_labels.len()
-            && id.config < self.config_labels.len()
+        (id.scenario < self.scenario_count
+            && id.config < self.config_count
             && id.window < self.window_count)
-            .then(|| {
-                (id.scenario * self.config_labels.len() + id.config) * self.window_count + id.window
-            })
+            .then(|| (id.scenario * self.config_count + id.config) * self.window_count + id.window)
     }
 
     /// The cell at an address, if it exists.
@@ -243,24 +240,6 @@ impl MatrixResults {
         })
     }
 
-    /// The label of a scenario axis entry.
-    #[must_use]
-    pub fn scenario_label(&self, scenario: usize) -> Option<&str> {
-        self.scenario_labels.get(scenario).map(String::as_str)
-    }
-
-    /// The label of a configuration axis entry.
-    #[must_use]
-    pub fn config_label(&self, config: usize) -> Option<&str> {
-        self.config_labels.get(config).map(String::as_str)
-    }
-
-    /// Number of windows per (scenario, configuration) row.
-    #[must_use]
-    pub fn window_count(&self) -> usize {
-        self.window_count
-    }
-
     /// Number of resolved cells.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -275,7 +254,7 @@ impl MatrixResults {
 
     /// Iterates over the cells in [`CellId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (CellId, &SaiList)> {
-        let configs = self.config_labels.len();
+        let configs = self.config_count;
         let windows = self.window_count;
         self.cells.iter().enumerate().map(move |(i, sai)| {
             (
@@ -293,7 +272,7 @@ impl MatrixResults {
     /// order.
     #[must_use]
     pub fn into_cells(self) -> Vec<(CellId, SaiList)> {
-        let configs = self.config_labels.len();
+        let configs = self.config_count;
         let windows = self.window_count;
         self.cells
             .into_iter()

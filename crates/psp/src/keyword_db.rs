@@ -194,36 +194,6 @@ impl KeywordDatabase {
     pub fn iter(&self) -> impl Iterator<Item = &KeywordProfile> {
         self.entries.values()
     }
-
-    /// All keywords (normalised).
-    #[must_use]
-    pub fn keywords(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Distinct scenario identifiers present in the database.
-    #[must_use]
-    pub fn scenarios(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.entries.values().map(|p| p.scenario.clone()).collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Profiles attached to one scenario.
-    #[must_use]
-    pub fn profiles_for_scenario(&self, scenario: &str) -> Vec<&KeywordProfile> {
-        self.entries
-            .values()
-            .filter(|p| p.scenario == scenario)
-            .collect()
-    }
-
-    /// Number of learned (non-seed) keywords.
-    #[must_use]
-    pub fn learned_count(&self) -> usize {
-        self.entries.values().filter(|p| p.learned).count()
-    }
 }
 
 impl Extend<KeywordProfile> for KeywordDatabase {
@@ -241,7 +211,10 @@ mod tests {
     #[test]
     fn passenger_seed_covers_both_reprogramming_routes() {
         let db = KeywordDatabase::passenger_car_seed();
-        let ecm = db.profiles_for_scenario("ecm-reprogramming");
+        let ecm: Vec<_> = db
+            .iter()
+            .filter(|p| p.scenario == "ecm-reprogramming")
+            .collect();
         let vectors: std::collections::BTreeSet<_> = ecm.iter().map(|p| p.vector).collect();
         assert!(vectors.contains(&AttackVector::Physical));
         assert!(vectors.contains(&AttackVector::Local));
@@ -293,7 +266,7 @@ mod tests {
         db.insert(seed.clone());
         db.insert(KeywordProfile::learned_from("b", &seed));
         assert_eq!(db.len(), 2);
-        assert_eq!(db.learned_count(), 1);
+        assert_eq!(db.iter().filter(|p| p.learned).count(), 1);
         db.insert(KeywordProfile::manual(
             "a",
             "s2",
@@ -302,17 +275,6 @@ mod tests {
         ));
         assert_eq!(db.len(), 2, "re-insert replaces");
         assert_eq!(db.profile("a").unwrap().scenario, "s2");
-    }
-
-    #[test]
-    fn scenarios_are_deduplicated_and_sorted() {
-        let db = KeywordDatabase::passenger_car_seed();
-        let scenarios = db.scenarios();
-        assert!(scenarios.contains(&"ecm-reprogramming".to_string()));
-        assert!(scenarios.contains(&"vehicle-theft".to_string()));
-        let mut sorted = scenarios.clone();
-        sorted.sort();
-        assert_eq!(scenarios, sorted);
     }
 
     #[test]

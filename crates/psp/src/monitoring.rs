@@ -213,15 +213,6 @@ impl MonitoringSeries {
         None
     }
 
-    /// The dominant vector per window start year, for plotting / reporting.
-    #[must_use]
-    pub fn dominant_series(&self) -> Vec<(i32, Option<AttackVector>)> {
-        self.observations
-            .iter()
-            .map(|o| (o.from_year, o.dominant))
-            .collect()
-    }
-
     /// Alerts for every pair of consecutive windows whose scenario SAI moved
     /// by more than `threshold` (relative; clamped to be non-negative).
     ///
@@ -318,18 +309,6 @@ impl LiveMonitor {
         )
     }
 
-    /// The SAI movement alerts of the current series — see
-    /// [`MonitoringSeries::sai_alerts`].
-    ///
-    /// Convenience that re-runs the full windowed sweep: when you already
-    /// hold the [`series`](Self::series) for these bounds (or want alerts at
-    /// several thresholds), call [`MonitoringSeries::sai_alerts`] on it
-    /// instead of paying the sweep again.
-    #[must_use]
-    pub fn alerts(&self, from_year: i32, to_year: i32, threshold: f64) -> Vec<SaiAlert> {
-        self.series(from_year, to_year).sai_alerts(threshold)
-    }
-
     /// The underlying engine (corpus, index, generation counter).
     #[must_use]
     pub fn engine(&self) -> &LiveEngine {
@@ -340,12 +319,6 @@ impl LiveMonitor {
     #[must_use]
     pub fn post_count(&self) -> usize {
         self.engine.post_count()
-    }
-
-    /// The scenario being monitored.
-    #[must_use]
-    pub fn scenario(&self) -> &str {
-        &self.scenario
     }
 }
 
@@ -417,7 +390,7 @@ mod tests {
     #[test]
     fn dominant_series_is_chronological() {
         let s = series(1);
-        let years: Vec<i32> = s.dominant_series().iter().map(|(y, _)| *y).collect();
+        let years: Vec<i32> = s.observations.iter().map(|o| o.from_year).collect();
         let mut sorted = years.clone();
         sorted.sort_unstable();
         assert_eq!(years, sorted);
@@ -524,7 +497,7 @@ mod tests {
             "dpf-tampering",
             1,
         );
-        let alerts = monitor.alerts(2018, 2020, 0.5);
+        let alerts = monitor.series(2018, 2020).sai_alerts(0.5);
         assert_eq!(alerts.len(), 2, "one rising and one falling: {alerts:?}");
         assert_eq!(alerts[0].from_year, 2019);
         assert_eq!(alerts[0].direction, AlertDirection::Rising);
@@ -546,13 +519,13 @@ mod tests {
             "dpf-tampering",
             1,
         );
-        let alerts = monitor.alerts(2019, 2020, 0.25);
+        let alerts = monitor.series(2019, 2020).sai_alerts(0.25);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].direction, AlertDirection::Rising);
         assert_eq!(alerts[0].previous_sai, 0.0);
         assert!(alerts[0].current_sai > 0.0);
         // Two consecutive empty windows never alert.
-        assert!(monitor.alerts(2015, 2018, 0.25).is_empty());
+        assert!(monitor.series(2015, 2018).sai_alerts(0.25).is_empty());
     }
 
     #[test]
@@ -566,10 +539,10 @@ mod tests {
         );
         // A huge threshold silences the falling alert (and a rising alert
         // needs more than a 100x jump).
-        let alerts = monitor.alerts(2018, 2020, 99.0);
+        let alerts = monitor.series(2018, 2020).sai_alerts(99.0);
         assert!(alerts.iter().all(|a| a.direction == AlertDirection::Rising));
         // Negative thresholds clamp to zero: any strict change alerts.
-        let strict = monitor.alerts(2018, 2020, -1.0);
+        let strict = monitor.series(2018, 2020).sai_alerts(-1.0);
         assert_eq!(strict.len(), 2);
     }
 
@@ -673,7 +646,10 @@ mod tests {
             2020,
             1,
         );
-        assert_eq!(monitor.alerts(2018, 2020, 0.5), cold.sai_alerts(0.5));
+        assert_eq!(
+            monitor.series(2018, 2020).sai_alerts(0.5),
+            cold.sai_alerts(0.5)
+        );
         assert_eq!(monitor.series(2018, 2020), cold);
     }
 
@@ -690,6 +666,6 @@ mod tests {
         assert_eq!(s.observations.len(), 6);
         assert!(s.active_observations().is_empty());
         assert_eq!(monitor.post_count(), 0);
-        assert_eq!(monitor.scenario(), "ecm-reprogramming");
+        assert_eq!(monitor.scenario, "ecm-reprogramming");
     }
 }

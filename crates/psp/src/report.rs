@@ -43,13 +43,6 @@ impl PspReport {
         self
     }
 
-    /// Attaches a TARA comparison.
-    #[must_use]
-    pub fn with_tara_comparison(mut self, comparison: DynamicTaraComparison) -> Self {
-        self.tara_comparison = Some(comparison);
-        self
-    }
-
     /// Serialises the report to pretty JSON.
     ///
     /// # Errors
@@ -147,9 +140,10 @@ mod tests {
         )
         .unwrap();
 
-        PspReport::new("excavator study", outcome)
-            .with_financial(financial)
-            .with_tara_comparison(comparison)
+        PspReport {
+            tara_comparison: Some(comparison),
+            ..PspReport::new("excavator study", outcome).with_financial(financial)
+        }
     }
 
     #[test]

@@ -335,12 +335,6 @@ impl DurableStore {
             recovered_at_start: self.recovered_at_start.load(Ordering::SeqCst),
         }
     }
-
-    /// The data directory this store owns.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 /// Removes in-flight checkpoint temp directories (crash residue) —

@@ -843,14 +843,6 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
         self.pool.stats()
     }
 
-    /// Durability counters (the `Status` response's WAL/checkpoint fields),
-    /// observed now; all-zero when the service runs without a data
-    /// directory.
-    #[must_use]
-    pub fn durability_stats(&self) -> DurabilityStats {
-        self.state.durability_stats()
-    }
-
     /// Whether the service owns a data directory (journals ingests, serves
     /// `Checkpoint`) — transports use this to decide whether a drain should
     /// write a final checkpoint.
@@ -1092,8 +1084,9 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
     }
 
     /// Registers a recurring job delivering into `sink`, returning like
-    /// [`subscribe`](Self::subscribe).  `ack` runs before the job is on the
-    /// timetable, so whatever it queues comes before the first run.
+    /// [`subscribe`](Self::subscribe).  `ack` runs under the timetable lock
+    /// once the job is on it, so whatever it queues comes before the first
+    /// run, and a `Status` that follows the acknowledgement counts the job.
     fn schedule<T>(
         &self,
         request: ServiceRequest,
@@ -1112,8 +1105,10 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
             return Err(PspError::NotDurable);
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let acked = ack(id, self.publisher.snapshot().generation());
-        self.scheduler.add(id, request, every, sink);
+        let generation = self.publisher.snapshot().generation();
+        let acked = self
+            .scheduler
+            .add(id, request, every, sink, || ack(id, generation));
         Ok((id, acked))
     }
 

@@ -23,11 +23,10 @@
 //!   profile pins it and a test below asserts it, because under
 //!   `panic = "abort"` the first bad request would take the whole daemon
 //!   down.
-//! * **Deadlines and cancellation.**  A [`CancelToken`] travels with a
-//!   request submitted via a deadline; sweeps and matrices check it inside
-//!   the engine between profile jobs and plan rows and bail out with an
-//!   `Expired` response instead of burning a worker on an answer nobody is
-//!   waiting for.  [`Ticket::wait_timeout`] is the client-side half: bound
+//! * **Deadlines.**  A [`CancelToken`] travels with a request submitted via
+//!   a deadline; sweeps and matrices check it inside the engine between
+//!   profile jobs and plan rows and bail out with an `Expired` response
+//!   instead of burning a worker on an answer nobody is waiting for.  [`Ticket::wait_timeout`] is the client-side half: bound
 //!   the wait without losing the ticket.
 
 use super::ServiceResponse;
@@ -94,14 +93,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `threads` workers (clamped to at least one) draining a shared
-    /// queue.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self::with_metrics(threads, Arc::new(PoolMetrics::default()))
-    }
-
-    /// Spawns the pool around caller-shared metrics (the service keeps a
-    /// handle so `Status` can report depths without reaching into the pool).
+    /// queue, around caller-shared metrics (the service keeps a handle so
+    /// `Status` can report depths without reaching into the pool).
     pub(super) fn with_metrics(threads: usize, metrics: Arc<PoolMetrics>) -> Self {
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
@@ -175,12 +168,6 @@ impl WorkerPool {
         sender.take();
     }
 
-    /// Number of worker threads.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Queue-depth and panic counters, observed now.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
@@ -228,19 +215,12 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A cancellation token carried by a request.  Sweeps and matrices hand it
-/// to the engine as their stop predicate, checked inside the engine between
-/// profile jobs and plan rows; a token nobody cancels and without a deadline
-/// (the plain request path) costs one atomic load per check and never
-/// changes the execution.
+/// A request's deadline.  Sweeps and matrices hand it to the engine as their
+/// stop predicate, checked inside the engine between profile jobs and plan
+/// rows; a token without a deadline (the plain request path) never stops the
+/// execution.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-#[derive(Debug)]
-struct TokenInner {
-    cancelled: AtomicBool,
     deadline: Option<Instant>,
     started: Instant,
 }
@@ -248,16 +228,12 @@ struct TokenInner {
 impl CancelToken {
     fn build(deadline: Option<Instant>) -> Self {
         Self {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline,
-                started: Instant::now(),
-            }),
+            deadline,
+            started: Instant::now(),
         }
     }
 
-    /// A token with no deadline that a holder may still
-    /// [`cancel`](Self::cancel) explicitly.
+    /// A token with no deadline: it never expires.
     #[must_use]
     pub fn new() -> Self {
         Self::build(None)
@@ -269,28 +245,18 @@ impl CancelToken {
         Self::build(Instant::now().checked_add(after))
     }
 
-    /// Requests cancellation; observed at the engine's next check.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the token was cancelled or its deadline has passed.
+    /// Whether the token's deadline has passed.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::SeqCst) {
-            return true;
-        }
-        match self.inner.deadline {
-            Some(deadline) => Instant::now() >= deadline,
-            None => false,
-        }
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     /// Milliseconds elapsed since the token was created — what an
     /// `Expired { waited_ms }` response reports.
     #[must_use]
     pub fn waited_ms(&self) -> u64 {
-        u64::try_from(self.inner.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 }
 
@@ -350,12 +316,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    fn pool(threads: usize) -> WorkerPool {
+        WorkerPool::with_metrics(threads, Arc::default())
+    }
+
     #[test]
     fn jobs_run_and_drop_joins_cleanly() {
         let counter = Arc::new(AtomicUsize::new(0));
         let (done_tx, done_rx) = mpsc::channel();
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.worker_count(), 3);
+        let pool = pool(3);
+        assert_eq!(pool.workers.len(), 3);
         for _ in 0..20 {
             let counter = Arc::clone(&counter);
             let done_tx = done_tx.clone();
@@ -383,7 +353,7 @@ mod tests {
     /// job never got to run hung forever).
     #[test]
     fn stop_with_saturated_queue_answers_every_pending_ticket() {
-        let pool = WorkerPool::new(1);
+        let pool = pool(1);
         // Occupy the only worker so everything behind it stays queued.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (running_tx, running_rx) = mpsc::channel::<()>();
@@ -432,8 +402,8 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.worker_count(), 1);
+        let pool = pool(0);
+        assert_eq!(pool.workers.len(), 1);
         let (sender, receiver) = mpsc::channel();
         pool.execute(move || sender.send(7_usize).expect("receiver alive"))
             .expect("pool accepts jobs");
@@ -451,12 +421,12 @@ mod tests {
     }
 
     /// The regression the tentpole fixes: a panicking job used to kill its
-    /// worker thread for good; after `worker_count` panics the pool was
+    /// worker thread for good; after one panic per worker the pool was
     /// empty and every later job hung.  Now the worker catches the unwind
     /// and keeps draining.
     #[test]
     fn workers_survive_more_panics_than_there_are_threads() {
-        let pool = WorkerPool::new(2);
+        let pool = pool(2);
         for _ in 0..6 {
             pool.execute(|| panic!("injected job failure"))
                 .expect("pool accepts jobs");
@@ -505,7 +475,7 @@ mod tests {
     /// many submitters racing a slow queue should all get through promptly.
     #[test]
     fn concurrent_submitters_all_enqueue() {
-        let pool = Arc::new(WorkerPool::new(2));
+        let pool = Arc::new(pool(2));
         let counter = Arc::new(AtomicUsize::new(0));
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::scope(|scope| {
@@ -539,7 +509,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_returns_the_ticket_then_the_answer() {
-        let pool = WorkerPool::new(1);
+        let pool = pool(1);
         let (sender, ticket) = Ticket::new();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         pool.execute(move || {
@@ -566,16 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tokens_expire_by_deadline_and_by_hand() {
+    fn cancel_tokens_expire_by_deadline() {
         let token = CancelToken::with_deadline(Duration::from_millis(5));
         assert!(!token.is_cancelled());
         std::thread::sleep(Duration::from_millis(10));
         assert!(token.is_cancelled(), "deadline passed");
         assert!(token.waited_ms() >= 5);
 
-        let manual = CancelToken::new();
-        assert!(!manual.is_cancelled());
-        manual.clone().cancel();
-        assert!(manual.is_cancelled(), "cancel is shared across clones");
+        assert!(!CancelToken::new().is_cancelled(), "no deadline, no expiry");
     }
 }

@@ -50,7 +50,18 @@ impl SchedulerQueue {
     /// Adds a recurring job; the first run is due one full interval from
     /// now.  Intervals are clamped to at least one millisecond so a
     /// zero-interval job cannot spin the scheduler thread.
-    pub(super) fn add(&self, id: u64, request: ServiceRequest, every: Duration, sink: EventSink) {
+    ///
+    /// `ack` runs under the timetable lock once the job is on it, so whoever
+    /// sees the acknowledgement also sees the job counted, and no run of it
+    /// is delivered before the acknowledgement.
+    pub(super) fn add<T>(
+        &self,
+        id: u64,
+        request: ServiceRequest,
+        every: Duration,
+        sink: EventSink,
+        ack: impl FnOnce() -> T,
+    ) -> T {
         let every = every.max(Duration::from_millis(1));
         let mut jobs = lock(&self.jobs);
         jobs.push(ScheduledJob {
@@ -60,8 +71,10 @@ impl SchedulerQueue {
             next_due: Instant::now() + every,
             sink,
         });
+        let acked = ack();
         drop(jobs);
         self.wake.notify_all();
+        acked
     }
 
     /// Removes a job by id; returns whether it existed.  This is a fence:
@@ -184,7 +197,13 @@ mod tests {
     fn due_jobs_fire_and_coalesce_missed_intervals() {
         let queue = SchedulerQueue::default();
         let (tx, _rx) = channel();
-        queue.add(1, ServiceRequest::Status, Duration::from_millis(10), tx);
+        queue.add(
+            1,
+            ServiceRequest::Status,
+            Duration::from_millis(10),
+            tx,
+            || (),
+        );
         assert_eq!(queue.len(), 1);
 
         // Well past several intervals: exactly one due entry, next_due in
@@ -201,7 +220,13 @@ mod tests {
     fn remove_unschedules_and_reports_unknown_ids() {
         let queue = SchedulerQueue::default();
         let (tx, _rx) = channel();
-        queue.add(7, ServiceRequest::Status, Duration::from_millis(5), tx);
+        queue.add(
+            7,
+            ServiceRequest::Status,
+            Duration::from_millis(5),
+            tx,
+            || (),
+        );
         assert!(queue.remove(7));
         assert!(!queue.remove(7), "already gone");
         assert_eq!(queue.len(), 0);
@@ -211,7 +236,13 @@ mod tests {
     fn a_run_taken_before_remove_is_never_delivered() {
         let queue = SchedulerQueue::default();
         let (tx, rx) = channel();
-        queue.add(3, ServiceRequest::Status, Duration::from_millis(1), tx);
+        queue.add(
+            3,
+            ServiceRequest::Status,
+            Duration::from_millis(1),
+            tx,
+            || (),
+        );
         let (due, _) = queue.take_due(Instant::now() + Duration::from_millis(5));
         assert_eq!(due.len(), 1, "the run is in flight");
         assert!(queue.remove(3));
@@ -225,7 +256,13 @@ mod tests {
     fn a_run_for_a_vanished_receiver_unschedules_the_job() {
         let queue = SchedulerQueue::default();
         let (tx, rx) = channel();
-        queue.add(4, ServiceRequest::Status, Duration::from_millis(1), tx);
+        queue.add(
+            4,
+            ServiceRequest::Status,
+            Duration::from_millis(1),
+            tx,
+            || (),
+        );
         drop(rx);
         let response = ServiceResponse::Unscheduled { id: 4 };
         queue.deliver(4, ServiceEvent::ScheduledRun { job: 4, response });
@@ -241,12 +278,14 @@ mod tests {
             ServiceRequest::Status,
             Duration::from_millis(5),
             tx.clone().into(),
+            || (),
         );
         queue.add(
             2,
             ServiceRequest::ExportCache,
             Duration::from_millis(5),
             tx.into(),
+            || (),
         );
         let thread = {
             let queue = Arc::clone(&queue);

@@ -83,9 +83,9 @@ impl<E: StreamingScorer + Clone> SnapshotPublisher<E> {
     ///
     /// Lock poisoning is recovered, not propagated: the protected value is
     /// only ever a fully-formed `Arc` (swapped atomically in
-    /// [`ingest`](Self::ingest)), so a panic elsewhere can never leave it
-    /// torn, and a poisoned-lock panic here would cascade one bad request
-    /// into service-wide failure.
+    /// [`ingest_logged`](Self::ingest_logged)), so a panic elsewhere can
+    /// never leave it torn, and a poisoned-lock panic here would cascade one
+    /// bad request into service-wide failure.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot<E> {
         let published = self
@@ -105,14 +105,10 @@ impl<E: StreamingScorer + Clone> SnapshotPublisher<E> {
     /// An empty batch publishes nothing (no clone, no swap) and returns a
     /// receipt at the current generation, mirroring the engines' own
     /// empty-ingest behaviour.
-    pub fn ingest(&self, batch: Vec<Post>) -> IngestReceipt {
-        self.ingest_logged(batch, |_, _| Ok(()))
-            .expect("no-op log cannot fail")
-    }
-
-    /// [`ingest`](Self::ingest) with a write-ahead hook: `log` runs under the
-    /// ingest lock with the batch and the generation it will publish,
-    /// **before** the new generation is built or swapped.  If `log` errors
+    ///
+    /// `log` is the write-ahead hook: it runs under the ingest lock with the
+    /// batch and the generation it will publish, **before** the new
+    /// generation is built or swapped.  If `log` errors
     /// (e.g. a WAL append could not be made durable), nothing is published
     /// and the error is returned — the durability invariant is exactly
     /// "acked batches are on disk first".
@@ -156,6 +152,12 @@ mod tests {
     use crate::keyword_db::KeywordDatabase;
     use socialsim::scenario;
 
+    fn ingest(publisher: &SnapshotPublisher<LiveEngine>, batch: Vec<Post>) -> IngestReceipt {
+        publisher
+            .ingest_logged(batch, |_, _| Ok(()))
+            .expect("no-op log cannot fail")
+    }
+
     #[test]
     fn snapshots_pin_their_generation_across_ingest() {
         let seed = scenario::excavator_europe(7);
@@ -167,7 +169,7 @@ mod tests {
         let old = publisher.snapshot();
         let before = old.sai_list(&db, &config);
 
-        let receipt = publisher.ingest(extra.clone());
+        let receipt = ingest(&publisher, extra.clone());
         assert_eq!(receipt.appended, extra.len());
         assert_eq!(receipt.generation, 1);
 
@@ -187,7 +189,7 @@ mod tests {
     fn empty_ingest_publishes_nothing() {
         let publisher = SnapshotPublisher::new(LiveEngine::new(scenario::excavator_europe(7)));
         let before = publisher.snapshot();
-        let receipt = publisher.ingest(Vec::new());
+        let receipt = ingest(&publisher, Vec::new());
         assert_eq!(receipt.appended, 0);
         assert_eq!(receipt.generation, 0);
         // Same Arc — nothing was cloned or swapped.

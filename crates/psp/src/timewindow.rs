@@ -77,54 +77,11 @@ pub fn compare_windows(
     // projected once, then each window resolves against them.  The engine
     // owns a copy of the corpus, which costs a few percent of the index build.
     let engine = LiveEngine::new(corpus.clone());
-    comparison_from(
-        scenario,
-        base_config.window,
-        recent_window,
-        engine.sai_windows(
-            db,
-            base_config,
-            &WindowAxis::spans(&[base_config.window, Some(recent_window)]),
-        ),
-    )
-}
-
-/// [`compare_windows`] against a warm engine — the streaming variant: the
-/// corpus the engine has ingested so far is compared across the two windows
-/// without rebuilding any index or recomputing memoised signals.  Produces
-/// exactly what [`compare_windows`] over the engine's corpus would.
-///
-/// Generic over the scorer: any [`SaiScorer`] — a warm [`LiveEngine`] or a
-/// wrapper around one — can answer both windows.
-#[must_use]
-pub fn compare_windows_live<E: crate::engine::SaiScorer>(
-    engine: &E,
-    db: &KeywordDatabase,
-    base_config: &PspConfig,
-    scenario: &str,
-    recent_window: DateWindow,
-) -> WindowComparison {
-    comparison_from(
-        scenario,
-        base_config.window,
-        recent_window,
-        engine.sai_windows(
-            db,
-            base_config,
-            &WindowAxis::spans(&[base_config.window, Some(recent_window)]),
-        ),
-    )
-}
-
-/// Folds the two windowed SAI lists into the comparison — shared by the
-/// snapshot and live entry points so they are the same computation by
-/// construction.
-fn comparison_from(
-    scenario: &str,
-    baseline_window: Option<DateWindow>,
-    recent_window: DateWindow,
-    lists: Vec<crate::sai::SaiList>,
-) -> WindowComparison {
+    let lists = engine.sai_windows(
+        db,
+        base_config,
+        &WindowAxis::spans(&[base_config.window, Some(recent_window)]),
+    );
     let generator = WeightGenerator::new();
     let mut lists = lists.into_iter();
     let baseline_sai = lists.next().expect("baseline window scored");
@@ -132,7 +89,7 @@ fn comparison_from(
 
     WindowComparison {
         scenario: scenario.to_string(),
-        baseline_window,
+        baseline_window: base_config.window,
         recent_window,
         baseline_shares: baseline_sai.vector_shares(scenario),
         recent_shares: recent_sai.vector_shares(scenario),
@@ -223,14 +180,19 @@ mod tests {
         for chunk in posts.chunks(113) {
             engine.ingest(chunk.to_vec());
         }
-        let live = compare_windows_live(
-            &engine,
+        let config = PspConfig::passenger_car_europe();
+        let lists = engine.sai_windows(
             &KeywordDatabase::passenger_car_seed(),
-            &PspConfig::passenger_car_europe(),
-            "ecm-reprogramming",
-            DateWindow::years(2021, 2023),
+            &config,
+            &WindowAxis::spans(&[config.window, Some(DateWindow::years(2021, 2023))]),
         );
-        assert_eq!(live, comparison());
-        assert!(live.trend_inverted());
+        let snapshot = comparison();
+        let shares: Vec<_> = lists
+            .iter()
+            .map(|sai| sai.vector_shares("ecm-reprogramming"))
+            .collect();
+        assert_eq!(shares, [snapshot.baseline_shares, snapshot.recent_shares]);
+        let recent_table = WeightGenerator::new().insider_table(&lists[1], "ecm-reprogramming");
+        assert_eq!(recent_table, snapshot.recent_table);
     }
 }

@@ -50,12 +50,6 @@ impl WeightGenerator {
         Self { mapping }
     }
 
-    /// The mapping in use.
-    #[must_use]
-    pub fn mapping(&self) -> WeightMapping {
-        self.mapping
-    }
-
     /// The table PSP uses for outsider threats: the untouched standard G.9 table
     /// (paper Figure 8-A).
     #[must_use]
@@ -245,9 +239,9 @@ mod tests {
 
     #[test]
     fn mapping_accessor() {
-        assert_eq!(WeightGenerator::new().mapping(), WeightMapping::RankBased);
+        assert_eq!(WeightGenerator::new().mapping, WeightMapping::RankBased);
         assert_eq!(
-            WeightGenerator::with_mapping(WeightMapping::Proportional).mapping(),
+            WeightGenerator::with_mapping(WeightMapping::Proportional).mapping,
             WeightMapping::Proportional
         );
     }

@@ -19,7 +19,7 @@ use crate::engine::LiveEngine;
 use crate::keyword_db::KeywordDatabase;
 use crate::learning::{learn_keywords, LearningOutcome};
 use crate::sai::SaiList;
-use crate::weights::{WeightGenerator, WeightMapping};
+use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
 use serde::{Deserialize, Serialize};
 use socialsim::corpus::Corpus;
@@ -67,31 +67,13 @@ impl PspOutcome {
 pub struct PspWorkflow {
     config: PspConfig,
     database: KeywordDatabase,
-    mapping: WeightMapping,
 }
 
 impl PspWorkflow {
     /// Creates a workflow from a configuration and a (seed) keyword database.
     #[must_use]
     pub fn new(config: PspConfig, database: KeywordDatabase) -> Self {
-        Self {
-            config,
-            database,
-            mapping: WeightMapping::RankBased,
-        }
-    }
-
-    /// Overrides the share → rating mapping (used by the ablation bench).
-    #[must_use]
-    pub fn with_mapping(mut self, mapping: WeightMapping) -> Self {
-        self.mapping = mapping;
-        self
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &PspConfig {
-        &self.config
+        Self { config, database }
     }
 
     /// Runs the workflow on a corpus.
@@ -139,7 +121,7 @@ impl PspWorkflow {
         let sai = score(&database);
 
         // Blocks 8–12: insider/outsider split and weight-table generation.
-        let generator = WeightGenerator::with_mapping(self.mapping);
+        let generator = WeightGenerator::new();
         let mut insider_tables = BTreeMap::new();
         let insider_scenarios: std::collections::BTreeSet<String> = database
             .iter()
@@ -228,13 +210,16 @@ mod tests {
         )
         .run(&corpus);
         assert_eq!(outcome.learned_count(), 0);
-        assert_eq!(outcome.database.learned_count(), 0);
+        assert_eq!(outcome.database.iter().filter(|p| p.learned).count(), 0);
     }
 
     #[test]
     fn learning_grows_the_database_when_enabled() {
         let outcome = run_passenger(None);
-        assert_eq!(outcome.database.learned_count(), outcome.learned_count());
+        assert_eq!(
+            outcome.database.iter().filter(|p| p.learned).count(),
+            outcome.learned_count()
+        );
         // The scene's secondary hashtags (bootmode, ecuclone, stage1, …) are already
         // seeded, so learning may add few or zero keywords; the database must in any
         // case contain at least the seed.
@@ -261,24 +246,5 @@ mod tests {
                 .unwrap()
                 .same_ratings_as(&AttackVectorTable::standard()));
         }
-    }
-
-    #[test]
-    fn mapping_override_is_used() {
-        let corpus = scenario::passenger_car_europe(42);
-        let rank = PspWorkflow::new(
-            PspConfig::passenger_car_europe(),
-            KeywordDatabase::passenger_car_seed(),
-        )
-        .run(&corpus);
-        let prop = PspWorkflow::new(
-            PspConfig::passenger_car_europe(),
-            KeywordDatabase::passenger_car_seed(),
-        )
-        .with_mapping(WeightMapping::Proportional)
-        .run(&corpus);
-        let rank_table = rank.insider_table("emission-defeat").unwrap();
-        let prop_table = prop.insider_table("emission-defeat").unwrap();
-        assert!(!rank_table.same_ratings_as(prop_table));
     }
 }

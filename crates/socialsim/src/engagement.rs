@@ -47,13 +47,6 @@ impl Engagement {
             self.interactions() as f64 / self.views as f64
         }
     }
-
-    /// A single popularity score: views weighted lightly, interactions heavily
-    /// (an interaction signals far stronger intent than a passive impression).
-    #[must_use]
-    pub fn popularity(&self) -> f64 {
-        self.views as f64 * 0.01 + self.interactions() as f64
-    }
 }
 
 impl fmt::Display for Engagement {
@@ -85,17 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn popularity_weights_interactions_more_than_views() {
-        let viewed = Engagement::new(10_000, 0, 0, 0);
-        let engaged = Engagement::new(1_000, 150, 30, 20);
-        assert!(engaged.popularity() > viewed.popularity());
-    }
-
-    #[test]
     fn default_is_all_zero() {
         let e = Engagement::default();
         assert_eq!(e.views, 0);
-        assert_eq!(e.popularity(), 0.0);
+        assert_eq!(e.interactions(), 0);
     }
 
     #[test]

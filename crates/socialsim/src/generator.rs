@@ -42,12 +42,6 @@ impl CorpusGenerator {
         Self { seed }
     }
 
-    /// The seed in use.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Generates the corpus described by a trend model.
     #[must_use]
     pub fn generate(&self, model: &TrendModel) -> Corpus {

@@ -23,17 +23,6 @@ pub enum Region {
     AfricaMiddleEast,
 }
 
-impl Region {
-    /// All regions.
-    pub const ALL: [Region; 5] = [
-        Region::Europe,
-        Region::NorthAmerica,
-        Region::SouthAmerica,
-        Region::AsiaPacific,
-        Region::AfricaMiddleEast,
-    ];
-}
-
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -56,18 +45,6 @@ pub enum TargetApplication {
     Excavator,
     /// Sports cars.
     SportsCar,
-}
-
-impl TargetApplication {
-    /// All applications.
-    pub const ALL: [TargetApplication; 6] = [
-        TargetApplication::PassengerCar,
-        TargetApplication::LightTruck,
-        TargetApplication::HeavyTruck,
-        TargetApplication::Agriculture,
-        TargetApplication::Excavator,
-        TargetApplication::SportsCar,
-    ];
 }
 
 impl fmt::Display for TargetApplication {

@@ -40,24 +40,6 @@ impl SimDate {
         self.year
     }
 
-    /// The month component (1–12).
-    #[must_use]
-    pub fn month(&self) -> u8 {
-        self.month
-    }
-
-    /// The day component (1–28).
-    #[must_use]
-    pub fn day(&self) -> u8 {
-        self.day
-    }
-
-    /// A monotone ordinal useful for recency weighting: months since year 0.
-    #[must_use]
-    pub fn month_ordinal(&self) -> i64 {
-        i64::from(self.year) * 12 + i64::from(self.month) - 1
-    }
-
     /// Whether the date falls within `[from, to]` (inclusive).
     #[must_use]
     pub fn within(&self, from: SimDate, to: SimDate) -> bool {
@@ -121,18 +103,9 @@ mod tests {
     #[test]
     fn clamping_keeps_dates_valid() {
         let d = SimDate::new(2022, 0, 0);
-        assert_eq!(d.month(), 1);
-        assert_eq!(d.day(), 1);
+        assert_eq!((d.month, d.day), (1, 1));
         let d = SimDate::new(2022, 13, 31);
-        assert_eq!(d.month(), 12);
-        assert_eq!(d.day(), 28);
-    }
-
-    #[test]
-    fn month_ordinal_is_monotone() {
-        let a = SimDate::new(2020, 12, 1);
-        let b = SimDate::new(2021, 1, 1);
-        assert_eq!(b.month_ordinal() - a.month_ordinal(), 1);
+        assert_eq!((d.month, d.day), (12, 28));
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl TopicTrend {
     pub fn advertised_price_eur(&self) -> Option<f64> {
         self.advertised_price_eur
     }
-
-    /// Total posts over all years.
-    #[must_use]
-    pub fn total_posts(&self) -> u64 {
-        self.posts_per_year.values().map(|v| u64::from(*v)).sum()
-    }
 }
 
 /// A full trend model: the topics of one (application, region) scene.
@@ -175,21 +169,6 @@ impl TrendModel {
     pub fn topics(&self) -> &[TopicTrend] {
         &self.topics
     }
-
-    /// Looks up a topic by name.
-    #[must_use]
-    pub fn topic_named(&self, name: &str) -> Option<&TopicTrend> {
-        self.topics.iter().find(|t| t.topic() == name)
-    }
-
-    /// The overall year span covered by any topic, as `(min, max)`.
-    #[must_use]
-    pub fn year_span(&self) -> Option<(i32, i32)> {
-        let years: Vec<i32> = self.topics.iter().flat_map(|t| t.active_years()).collect();
-        let min = years.iter().min()?;
-        let max = years.iter().max()?;
-        Some((*min, *max))
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +191,7 @@ mod tests {
             assert_eq!(t.posts_in(year), 120);
         }
         assert_eq!(t.posts_in(2017), 0);
-        assert_eq!(t.total_posts(), 6 * 120);
+        assert_eq!(t.posts_per_year.values().sum::<u32>(), 6 * 120);
     }
 
     #[test]
@@ -242,16 +221,9 @@ mod tests {
         let model = TrendModel::new(TargetApplication::Excavator, Region::Europe)
             .topic(dpf_trend())
             .topic(TopicTrend::new("egr-delete").volume_range(2016, 2020, 40));
-        assert!(model.topic_named("dpf-delete").is_some());
-        assert!(model.topic_named("nope").is_none());
-        assert_eq!(model.year_span(), Some((2016, 2023)));
+        let names: Vec<_> = model.topics().iter().map(TopicTrend::topic).collect();
+        assert_eq!(names, ["dpf-delete", "egr-delete"]);
         assert_eq!(model.application(), TargetApplication::Excavator);
         assert_eq!(model.region(), Region::Europe);
-    }
-
-    #[test]
-    fn empty_model_has_no_span() {
-        let model = TrendModel::new(TargetApplication::PassengerCar, Region::Europe);
-        assert_eq!(model.year_span(), None);
     }
 }

@@ -37,24 +37,6 @@ impl User {
         }
     }
 
-    /// The account handle.
-    #[must_use]
-    pub fn handle(&self) -> &str {
-        &self.handle
-    }
-
-    /// Follower count.
-    #[must_use]
-    pub fn followers(&self) -> u64 {
-        self.followers
-    }
-
-    /// Account age in months.
-    #[must_use]
-    pub fn account_age_months(&self) -> u32 {
-        self.account_age_months
-    }
-
     /// Whether the account is flagged as a bot by the generator (ground truth used
     /// to evaluate the poisoning filter — the filter itself never reads this).
     #[must_use]
@@ -86,8 +68,8 @@ mod tests {
     fn organic_user_is_not_bot() {
         let u = User::new("dieselfan", 1_200, 48);
         assert!(!u.is_bot());
-        assert_eq!(u.handle(), "dieselfan");
-        assert_eq!(u.followers(), 1_200);
+        assert_eq!(u.handle, "dieselfan");
+        assert_eq!(u.followers, 1_200);
     }
 
     #[test]

@@ -11,8 +11,6 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, Default)]
 pub struct CooccurrenceMatrix {
     counts: BTreeMap<(String, String), usize>,
-    term_documents: BTreeMap<String, usize>,
-    documents: usize,
 }
 
 impl CooccurrenceMatrix {
@@ -29,49 +27,12 @@ impl CooccurrenceMatrix {
         S: Into<String>,
     {
         let set: BTreeSet<String> = terms.into_iter().map(Into::into).collect();
-        for term in &set {
-            *self.term_documents.entry(term.clone()).or_insert(0) += 1;
-        }
         let list: Vec<&String> = set.iter().collect();
         for i in 0..list.len() {
             for j in (i + 1)..list.len() {
                 let key = ordered_pair(list[i], list[j]);
                 *self.counts.entry(key).or_insert(0) += 1;
             }
-        }
-        self.documents += 1;
-    }
-
-    /// Number of documents recorded.
-    #[must_use]
-    pub fn document_count(&self) -> usize {
-        self.documents
-    }
-
-    /// Number of documents a term appeared in.
-    #[must_use]
-    pub fn term_count(&self, term: &str) -> usize {
-        self.term_documents.get(term).copied().unwrap_or(0)
-    }
-
-    /// Number of documents in which both terms appeared.
-    #[must_use]
-    pub fn cooccurrences(&self, a: &str, b: &str) -> usize {
-        if a == b {
-            return self.term_count(a);
-        }
-        self.counts.get(&ordered_pair(a, b)).copied().unwrap_or(0)
-    }
-
-    /// The Jaccard similarity between the document sets of two terms.
-    #[must_use]
-    pub fn jaccard(&self, a: &str, b: &str) -> f64 {
-        let both = self.cooccurrences(a, b) as f64;
-        let union = (self.term_count(a) + self.term_count(b)) as f64 - both;
-        if union <= 0.0 {
-            0.0
-        } else {
-            both / union
         }
     }
 
@@ -124,36 +85,19 @@ mod tests {
         m
     }
 
-    #[test]
-    fn counts_documents_and_terms() {
-        let m = sample_matrix();
-        assert_eq!(m.document_count(), 4);
-        assert_eq!(m.term_count("dpfdelete"), 3);
-        assert_eq!(m.term_count("dpfoff"), 2);
-        assert_eq!(m.term_count("unknown"), 0);
+    fn support(m: &CooccurrenceMatrix, seed: &str, term: &str) -> usize {
+        m.related_terms(&[seed.to_string()], 1)
+            .into_iter()
+            .find(|(t, _)| t == term)
+            .map_or(0, |(_, n)| n)
     }
 
     #[test]
     fn cooccurrence_is_symmetric() {
         let m = sample_matrix();
-        assert_eq!(m.cooccurrences("dpfdelete", "dpfoff"), 2);
-        assert_eq!(m.cooccurrences("dpfoff", "dpfdelete"), 2);
-        assert_eq!(m.cooccurrences("dpfdelete", "chiptuning"), 0);
-    }
-
-    #[test]
-    fn self_cooccurrence_is_term_count() {
-        let m = sample_matrix();
-        assert_eq!(m.cooccurrences("dpfdelete", "dpfdelete"), 3);
-    }
-
-    #[test]
-    fn jaccard_similarity() {
-        let m = sample_matrix();
-        // dpfdelete appears in 3 docs, dpfoff in 2, together in 2 -> 2 / 3.
-        assert!((m.jaccard("dpfdelete", "dpfoff") - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.jaccard("dpfdelete", "chiptuning"), 0.0);
-        assert_eq!(m.jaccard("ghost", "phantom"), 0.0);
+        assert_eq!(support(&m, "dpfdelete", "dpfoff"), 2);
+        assert_eq!(support(&m, "dpfoff", "dpfdelete"), 2);
+        assert_eq!(support(&m, "dpfdelete", "chiptuning"), 0);
     }
 
     #[test]
@@ -180,7 +124,9 @@ mod tests {
     fn duplicate_terms_in_one_document_count_once() {
         let mut m = CooccurrenceMatrix::new();
         m.add_document(["a", "a", "b"]);
-        assert_eq!(m.term_count("a"), 1);
-        assert_eq!(m.cooccurrences("a", "b"), 1);
+        assert_eq!(
+            m.related_terms(&["a".to_string()], 1),
+            vec![("b".into(), 1)]
+        );
     }
 }

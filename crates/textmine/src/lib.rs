@@ -3,12 +3,14 @@
 //! The paper uses NLP for three concrete jobs, and this crate implements exactly
 //! those from scratch, without external model downloads:
 //!
-//! 1. **Scoring posts** — tokenisation ([`token`], [`normalize`], [`stopwords`]) and
-//!    lexicon-based intent/sentiment scoring ([`sentiment`]) to decide how strongly a
-//!    post signals a real tampering intent rather than news reporting.
-//! 2. **Learning new attack keywords** — hashtag co-occurrence mining
-//!    ([`cooccurrence`]) so the keyword-attack database grows between runs
-//!    (paper Figure 7, block 5).
+//! 1. **Scoring posts** — one pass per post ([`pipeline`]) normalises the text
+//!    ([`normalize`]), drops stop words ([`stopwords`]) and scores intent against a
+//!    small lexicon ([`sentiment`]) to decide how strongly a post signals a real
+//!    tampering intent rather than news reporting.  [`token`] is the standalone
+//!    tokenizer.
+//! 2. **Learning new attack keywords** — hashtags that co-occur with known attack
+//!    hashtags ([`CooccurrenceMatrix::related_terms`]) become new keywords, so the
+//!    keyword-attack database grows between runs (paper Figure 7, block 5).
 //! 3. **Price mining** — extracting advertised prices from post text ([`price`]) and
 //!    clustering them ([`cluster`]) to estimate the purchase price per insider
 //!    attack (PPIA) used by the financial model (paper Figure 10, block 2).

@@ -51,14 +51,6 @@ pub struct DocumentAnalysis {
     pub intent: IntentScore,
 }
 
-impl DocumentAnalysis {
-    /// Whether the document advertises something for money.
-    #[must_use]
-    pub fn is_commercial(&self) -> bool {
-        !self.prices.is_empty() || self.intent.commerce_hits > 0
-    }
-}
-
 /// The lean per-document output the scoring engines consume: intent and mined
 /// prices only — no token or hashtag strings are materialised on this path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,12 +102,6 @@ impl TextPipeline {
     #[must_use]
     pub fn lexicon(&self) -> &IntentLexicon {
         &self.lexicon
-    }
-
-    /// Whether this pipeline dispatches to the reference implementation.
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        self.reference
     }
 
     /// Analyses one document.
@@ -383,14 +369,14 @@ mod tests {
         assert!(a.hashtags.contains(&"dpfdelete".to_string()));
         assert_eq!(a.prices, vec![360.0]);
         assert!(a.intent.score > 0.0);
-        assert!(a.is_commercial());
+        assert!(a.intent.commerce_hits > 0);
     }
 
     #[test]
     fn neutral_post_is_not_commercial() {
         let a = TextPipeline::new().analyze("Nice weather at the quarry today");
         assert!(a.prices.is_empty());
-        assert!(!a.is_commercial());
+        assert_eq!(a.intent.commerce_hits, 0);
         assert!(a.hashtags.is_empty());
     }
 
@@ -493,8 +479,8 @@ mod tests {
     fn reference_mode_dispatches_to_the_frozen_implementation() {
         let fast = TextPipeline::new();
         let slow = TextPipeline::reference();
-        assert!(slow.is_reference());
-        assert!(!fast.is_reference());
+        assert!(slow.reference);
+        assert!(!fast.reference);
         let text = "#DPFDelete kit for sale, 360 EUR shipped";
         assert_eq!(fast.analyze(text), slow.analyze(text));
         assert_eq!(fast.signals(text), slow.signals(text));

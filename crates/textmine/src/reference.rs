@@ -262,7 +262,7 @@ mod tests {
         assert!(a.hashtags.contains(&"dpfdelete".to_string()));
         assert_eq!(a.prices, vec![360.0]);
         assert!(a.intent.score > 0.0);
-        assert!(a.is_commercial());
+        assert!(a.intent.commerce_hits > 0);
     }
 
     #[test]

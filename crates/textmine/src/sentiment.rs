@@ -12,8 +12,6 @@
 //! [`crate::reference`] as the behavioural oracle; `lexicon_tables_are_sorted`
 //! and the `psp-suite` property tests pin the two together.
 
-use crate::stopwords::remove_stopwords;
-use crate::token::tokenize;
 use serde::{Deserialize, Serialize};
 
 /// Words signalling that the author performed, wants or sells the attack
@@ -250,22 +248,10 @@ pub struct IntentScore {
 }
 
 impl IntentLexicon {
-    /// Creates the default lexicon.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Folds one (stop-word-filtered, sigil-stripped) token into the hit
-    /// counters — the shared per-token step of [`score`](Self::score) and the
-    /// single-pass analyzer.
-    pub(crate) fn count_token(bare: &str, out: &mut IntentScore) {
-        Self::count_flags(token_flags(bare), bare, out);
-    }
-
-    /// [`count_token`](Self::count_token) with the merged-table flags already
-    /// looked up (the analyzer resolves them while deciding stop-word
-    /// filtering, so membership is paid exactly once per token).
+    /// counters, given its merged-table flags (the analyzer resolves them
+    /// while deciding stop-word filtering, so membership is paid exactly once
+    /// per token).
     pub(crate) fn count_flags(flags: u8, bare: &str, out: &mut IntentScore) {
         if flags & TOKEN_ENGAGEMENT != 0 {
             out.engagement_hits += 1;
@@ -289,31 +275,30 @@ impl IntentLexicon {
             - self.deterrent_weight * out.deterrent_hits as f64;
         out.score = raw.max(0.0);
     }
-
-    /// Scores a text.
-    #[must_use]
-    pub fn score(&self, text: &str) -> IntentScore {
-        let tokens = remove_stopwords(&tokenize(text));
-        let mut out = IntentScore::default();
-        for token in &tokens {
-            let bare = token.trim_start_matches(['#', '@']);
-            Self::count_token(bare, &mut out);
-        }
-        self.finish(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::TextPipeline;
+    use crate::stopwords::STOPWORDS;
+
+    /// Scores a text through the single-pass analyzer.
+    fn score(lexicon: IntentLexicon, text: &str) -> IntentScore {
+        TextPipeline::with_lexicon(lexicon).analyze(text).intent
+    }
 
     #[test]
     fn sale_post_scores_higher_than_news_post() {
-        let lex = IntentLexicon::new();
-        let sale = lex.score("DPF delete kit for sale, 360 EUR shipped, install guide included");
-        let news =
-            lex.score("Authorities warn that defeat devices are illegal and owners get fined");
+        let lex = IntentLexicon::default();
+        let sale = score(
+            lex,
+            "DPF delete kit for sale, 360 EUR shipped, install guide included",
+        );
+        let news = score(
+            lex,
+            "Authorities warn that defeat devices are illegal and owners get fined",
+        );
         assert!(sale.score > news.score);
         assert!(sale.engagement_hits >= 2);
         assert!(news.deterrent_hits >= 2);
@@ -321,22 +306,26 @@ mod tests {
 
     #[test]
     fn hashtag_with_embedded_intent_counts() {
-        let lex = IntentLexicon::new();
-        let s = lex.score("finally #dpfdelete on the excavator");
+        let s = score(
+            IntentLexicon::default(),
+            "finally #dpfdelete on the excavator",
+        );
         assert!(s.engagement_hits >= 1);
         assert!(s.score > 0.0);
     }
 
     #[test]
     fn score_never_goes_negative() {
-        let lex = IntentLexicon::new();
-        let s = lex.score("illegal banned fined recall warning");
+        let s = score(
+            IntentLexicon::default(),
+            "illegal banned fined recall warning",
+        );
         assert_eq!(s.score, 0.0);
     }
 
     #[test]
     fn empty_text_scores_zero() {
-        let s = IntentLexicon::new().score("");
+        let s = score(IntentLexicon::default(), "");
         assert_eq!(s.score, 0.0);
         assert_eq!(s.engagement_hits, 0);
     }
@@ -348,12 +337,15 @@ mod tests {
             ..IntentLexicon::default()
         };
         let text = "delete kit for sale but it is illegal";
-        assert!(strict.score(text).score < IntentLexicon::new().score(text).score);
+        assert!(score(strict, text).score < score(IntentLexicon::default(), text).score);
     }
 
     #[test]
     fn commerce_words_contribute() {
-        let s = IntentLexicon::new().score("best price, buy now, 200 eur offer");
+        let s = score(
+            IntentLexicon::default(),
+            "best price, buy now, 200 eur offer",
+        );
         assert!(s.commerce_hits >= 3);
         assert!(s.score > 0.0);
     }
@@ -401,7 +393,7 @@ mod tests {
             table.windows(2).all(|w| w[0].0 < w[1].0),
             "merged table must be strictly ascending"
         );
-        let all: Vec<&str> = crate::stopwords::STOPWORDS
+        let all: Vec<&str> = STOPWORDS
             .iter()
             .chain(&ENGAGEMENT_WORDS)
             .chain(&DETERRENT_WORDS)
@@ -411,11 +403,7 @@ mod tests {
             .collect();
         for word in all {
             let flags = token_flags(word);
-            assert_eq!(
-                flags & TOKEN_STOP != 0,
-                crate::stopwords::is_stopword(word),
-                "{word}"
-            );
+            assert_eq!(flags & TOKEN_STOP != 0, STOPWORDS.contains(&word), "{word}");
             assert_eq!(
                 flags & TOKEN_ENGAGEMENT != 0,
                 is_engagement_word(word),

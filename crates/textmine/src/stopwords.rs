@@ -1,6 +1,8 @@
 //! A small English stop-word list tuned for social-media text.
 
-/// Common English stop words plus social-media filler.
+/// Common English stop words plus social-media filler.  The analyzer folds
+/// them into the merged word table of [`crate::sentiment`], so one binary
+/// search per token answers stop-word and lexicon membership together.
 pub const STOPWORDS: [&str; 64] = [
     "a", "an", "the", "and", "or", "but", "if", "then", "else", "for", "of", "on", "in", "at",
     "to", "from", "by", "with", "without", "about", "as", "is", "are", "was", "were", "be", "been",
@@ -9,86 +11,34 @@ pub const STOPWORDS: [&str; 64] = [
     "your", "his", "her", "our", "their", "me", "you", "he", "she", "we", "they", "just", "now",
 ];
 
-/// [`STOPWORDS`] in ascending order, for binary-search membership tests.  The
-/// hot path probes this table once per token instead of scanning the list —
-/// `stopword_table_is_sorted_and_complete` guards the ordering.
-const STOPWORDS_SORTED: [&str; 64] = [
-    "a", "about", "am", "an", "and", "are", "as", "at", "be", "been", "being", "but", "by", "can",
-    "could", "did", "do", "does", "else", "for", "from", "had", "has", "have", "he", "her", "his",
-    "if", "in", "is", "it", "its", "just", "may", "me", "might", "must", "my", "now", "of", "on",
-    "or", "our", "shall", "she", "should", "that", "the", "their", "then", "these", "they", "this",
-    "those", "to", "was", "we", "were", "will", "with", "without", "would", "you", "your",
-];
-
-/// Whether a token is a stop word (binary search over the sorted table).
-#[must_use]
-pub fn is_stopword(token: &str) -> bool {
-    STOPWORDS_SORTED.binary_search(&token).is_ok()
-}
-
-/// Removes stop words from a token stream.
-#[must_use]
-pub fn remove_stopwords(tokens: &[String]) -> Vec<String> {
-    tokens
-        .iter()
-        .filter(|t| !is_stopword(t.as_str()))
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::TextPipeline;
 
     #[test]
     fn common_words_are_stopwords() {
         for w in ["the", "and", "is", "with"] {
-            assert!(is_stopword(w), "{w}");
+            assert!(STOPWORDS.contains(&w), "{w}");
         }
     }
 
     #[test]
     fn domain_words_are_not_stopwords() {
         for w in ["dpf", "delete", "tuning", "obd"] {
-            assert!(!is_stopword(w), "{w}");
+            assert!(!STOPWORDS.contains(&w), "{w}");
         }
     }
 
     #[test]
     fn removal_preserves_order() {
-        let tokens: Vec<String> = ["the", "dpf", "is", "gone"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(remove_stopwords(&tokens), vec!["dpf", "gone"]);
+        let tokens = TextPipeline::new().analyze("the dpf is gone").tokens;
+        assert_eq!(tokens, vec!["dpf", "gone"]);
     }
 
     #[test]
     fn stopword_list_has_no_duplicates() {
         let set: std::collections::HashSet<_> = STOPWORDS.iter().collect();
         assert_eq!(set.len(), STOPWORDS.len());
-    }
-
-    #[test]
-    fn stopword_table_is_sorted_and_complete() {
-        // Strictly ascending — the precondition binary search relies on.
-        assert!(
-            STOPWORDS_SORTED.windows(2).all(|w| w[0] < w[1]),
-            "STOPWORDS_SORTED must be strictly ascending"
-        );
-        // Same membership as the public list, so the two can never drift.
-        let mut expected = STOPWORDS;
-        expected.sort_unstable();
-        assert_eq!(expected, STOPWORDS_SORTED);
-    }
-
-    #[test]
-    fn binary_search_agrees_with_linear_scan() {
-        for w in STOPWORDS {
-            assert!(is_stopword(w), "{w}");
-        }
-        for w in ["", "#the", "thee", "z", "0", "@me"] {
-            assert_eq!(is_stopword(w), STOPWORDS.contains(&w), "{w}");
-        }
     }
 }

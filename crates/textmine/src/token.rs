@@ -21,19 +21,14 @@ pub fn tokenize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Extracts only the hashtag tokens (without the leading `#`).
-#[must_use]
-pub fn hashtags(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter_map(|t| t.strip_prefix('#').map(str::to_string))
-        .filter(|t| !t.is_empty())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::TextPipeline;
+
+    fn hashtags(text: &str) -> Vec<String> {
+        TextPipeline::new().analyze(text).hashtags
+    }
 
     #[test]
     fn splits_on_whitespace_and_punctuation() {

@@ -21,13 +21,6 @@ pub enum AttackRange {
 }
 
 impl AttackRange {
-    /// All ranges, from the most remote to the most local.
-    pub const ALL: [AttackRange; 3] = [
-        AttackRange::LongRange,
-        AttackRange::ShortRange,
-        AttackRange::Physical,
-    ];
-
     /// A short label matching the paper's figure legend.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -71,16 +64,6 @@ impl AttackVector {
         AttackVector::Local,
         AttackVector::Physical,
     ];
-
-    /// The attack range an attacker needs to exercise this vector.
-    #[must_use]
-    pub fn range(self) -> AttackRange {
-        match self {
-            AttackVector::Network => AttackRange::LongRange,
-            AttackVector::Adjacent => AttackRange::ShortRange,
-            AttackVector::Local | AttackVector::Physical => AttackRange::Physical,
-        }
-    }
 
     /// A short label matching the standard's wording.
     #[must_use]
@@ -133,23 +116,6 @@ pub enum ExternalInterface {
 }
 
 impl ExternalInterface {
-    /// All interfaces, in a stable order.
-    pub const ALL: [ExternalInterface; 13] = [
-        ExternalInterface::Cellular,
-        ExternalInterface::WiFi,
-        ExternalInterface::Bluetooth,
-        ExternalInterface::V2x,
-        ExternalInterface::Gnss,
-        ExternalInterface::KeyFobRadio,
-        ExternalInterface::Tpms,
-        ExternalInterface::ObdPort,
-        ExternalInterface::UsbMedia,
-        ExternalInterface::ChargingPort,
-        ExternalInterface::HarnessAccess,
-        ExternalInterface::DebugPort,
-        ExternalInterface::EcuRemoval,
-    ];
-
     /// The attack range required to use this interface.
     #[must_use]
     pub fn range(self) -> AttackRange {
@@ -194,23 +160,6 @@ impl ExternalInterface {
         }
     }
 
-    /// Whether using the interface requires the owner's cooperation or awareness.
-    ///
-    /// This feeds the insider/outsider split: interfaces inside the cabin or on the
-    /// ECU itself are typically exercised with the owner's consent (tuning,
-    /// defeat devices), which is the paper's definition of an *insider* attack.
-    #[must_use]
-    pub fn typically_owner_assisted(self) -> bool {
-        matches!(
-            self,
-            ExternalInterface::ObdPort
-                | ExternalInterface::UsbMedia
-                | ExternalInterface::HarnessAccess
-                | ExternalInterface::DebugPort
-                | ExternalInterface::EcuRemoval
-        )
-    }
-
     /// A short label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -242,12 +191,32 @@ impl fmt::Display for ExternalInterface {
 mod tests {
     use super::*;
 
+    const INTERFACES: [ExternalInterface; 13] = [
+        ExternalInterface::Cellular,
+        ExternalInterface::WiFi,
+        ExternalInterface::Bluetooth,
+        ExternalInterface::V2x,
+        ExternalInterface::Gnss,
+        ExternalInterface::KeyFobRadio,
+        ExternalInterface::Tpms,
+        ExternalInterface::ObdPort,
+        ExternalInterface::UsbMedia,
+        ExternalInterface::ChargingPort,
+        ExternalInterface::HarnessAccess,
+        ExternalInterface::DebugPort,
+        ExternalInterface::EcuRemoval,
+    ];
+
     #[test]
     fn vector_range_consistency() {
         // The range required by an interface must match the range of its vector,
         // except that Local vectors are exercised with physical presence as well.
-        for iface in ExternalInterface::ALL {
-            let via_vector = iface.vector().range();
+        for iface in INTERFACES {
+            let via_vector = match iface.vector() {
+                AttackVector::Network => AttackRange::LongRange,
+                AttackVector::Adjacent => AttackRange::ShortRange,
+                AttackVector::Local | AttackVector::Physical => AttackRange::Physical,
+            };
             let direct = iface.range();
             assert_eq!(via_vector, direct, "{iface:?}");
         }
@@ -255,7 +224,7 @@ mod tests {
 
     #[test]
     fn cellular_is_the_only_network_vector() {
-        let network: Vec<_> = ExternalInterface::ALL
+        let network: Vec<_> = INTERFACES
             .iter()
             .filter(|i| i.vector() == AttackVector::Network)
             .collect();
@@ -265,7 +234,6 @@ mod tests {
     #[test]
     fn obd_is_local_and_owner_assisted() {
         assert_eq!(ExternalInterface::ObdPort.vector(), AttackVector::Local);
-        assert!(ExternalInterface::ObdPort.typically_owner_assisted());
     }
 
     #[test]
@@ -306,9 +274,8 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> =
-            ExternalInterface::ALL.iter().map(|i| i.label()).collect();
-        assert_eq!(labels.len(), ExternalInterface::ALL.len());
+        let labels: std::collections::HashSet<_> = INTERFACES.iter().map(|i| i.label()).collect();
+        assert_eq!(labels.len(), INTERFACES.len());
     }
 
     #[test]
@@ -317,18 +284,13 @@ mod tests {
             let json = serde_json::to_string(&v).unwrap();
             assert_eq!(v, serde_json::from_str::<AttackVector>(&json).unwrap());
         }
-        for r in AttackRange::ALL {
+        for r in [
+            AttackRange::LongRange,
+            AttackRange::ShortRange,
+            AttackRange::Physical,
+        ] {
             let json = serde_json::to_string(&r).unwrap();
             assert_eq!(r, serde_json::from_str::<AttackRange>(&json).unwrap());
-        }
-    }
-
-    #[test]
-    fn owner_assisted_interfaces_are_physical_range() {
-        for iface in ExternalInterface::ALL {
-            if iface.typically_owner_assisted() {
-                assert_eq!(iface.range(), AttackRange::Physical, "{iface:?}");
-            }
         }
     }
 }

@@ -3,8 +3,7 @@
 //! The paper's powertrain argument rests on the properties of the CAN bus: no
 //! native authentication, broadcast medium, physically accessible through the OBD
 //! connector.  This module models the common in-vehicle network technologies and
-//! the properties the risk analysis needs (bandwidth, native security, typical
-//! domain usage).
+//! the segments built from them, each serving one functional domain.
 
 use crate::domain::FunctionalDomain;
 use serde::{Deserialize, Serialize};
@@ -31,46 +30,6 @@ pub enum BusKind {
 }
 
 impl BusKind {
-    /// All bus kinds, in a stable order.
-    pub const ALL: [BusKind; 7] = [
-        BusKind::CanHighSpeed,
-        BusKind::CanLowSpeed,
-        BusKind::CanFd,
-        BusKind::Lin,
-        BusKind::FlexRay,
-        BusKind::Ethernet,
-        BusKind::Most,
-    ];
-
-    /// Nominal bandwidth in kilobit per second.
-    #[must_use]
-    pub fn bandwidth_kbps(self) -> u32 {
-        match self {
-            BusKind::CanHighSpeed => 1_000,
-            BusKind::CanLowSpeed => 125,
-            BusKind::CanFd => 8_000,
-            BusKind::Lin => 20,
-            BusKind::FlexRay => 10_000,
-            BusKind::Ethernet => 1_000_000,
-            BusKind::Most => 150_000,
-        }
-    }
-
-    /// Whether the bus technology ships any native security mechanism
-    /// (message authentication, encryption).  Classical CAN, LIN and FlexRay do not,
-    /// which is exactly what makes physical and OBD-local attacks on the powertrain
-    /// sub-network attractive.
-    #[must_use]
-    pub fn has_native_security(self) -> bool {
-        matches!(self, BusKind::Ethernet)
-    }
-
-    /// Whether frames are broadcast to every node on the segment.
-    #[must_use]
-    pub fn is_broadcast(self) -> bool {
-        !matches!(self, BusKind::Ethernet)
-    }
-
     /// A short label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -123,25 +82,6 @@ impl Bus {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The network technology.
-    #[must_use]
-    pub fn kind(&self) -> BusKind {
-        self.kind
-    }
-
-    /// The functional domain this segment primarily serves.
-    #[must_use]
-    pub fn domain(&self) -> FunctionalDomain {
-        self.domain
-    }
-
-    /// Whether an attacker with physical access to the harness can inject frames
-    /// that every node will accept (broadcast bus without native security).
-    #[must_use]
-    pub fn is_injection_prone(&self) -> bool {
-        self.kind.is_broadcast() && !self.kind.has_native_security()
-    }
 }
 
 impl fmt::Display for Bus {
@@ -153,47 +93,6 @@ impl fmt::Display for Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn can_is_broadcast_without_security() {
-        assert!(BusKind::CanHighSpeed.is_broadcast());
-        assert!(!BusKind::CanHighSpeed.has_native_security());
-        assert!(BusKind::CanFd.is_broadcast());
-    }
-
-    #[test]
-    fn ethernet_is_switched_with_security() {
-        assert!(!BusKind::Ethernet.is_broadcast());
-        assert!(BusKind::Ethernet.has_native_security());
-    }
-
-    #[test]
-    fn bandwidth_ordering_is_sensible() {
-        assert!(BusKind::Lin.bandwidth_kbps() < BusKind::CanHighSpeed.bandwidth_kbps());
-        assert!(BusKind::CanHighSpeed.bandwidth_kbps() < BusKind::CanFd.bandwidth_kbps());
-        assert!(BusKind::CanFd.bandwidth_kbps() < BusKind::Ethernet.bandwidth_kbps());
-    }
-
-    #[test]
-    fn powertrain_can_is_injection_prone() {
-        let bus = Bus::new(
-            "PT-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Powertrain,
-        );
-        assert!(bus.is_injection_prone());
-        assert_eq!(bus.domain(), FunctionalDomain::Powertrain);
-    }
-
-    #[test]
-    fn ethernet_backbone_is_not_injection_prone() {
-        let bus = Bus::new(
-            "BACKBONE",
-            BusKind::Ethernet,
-            FunctionalDomain::Communication,
-        );
-        assert!(!bus.is_injection_prone());
-    }
 
     #[test]
     fn display_includes_kind() {
@@ -211,7 +110,16 @@ mod tests {
 
     #[test]
     fn all_kinds_have_distinct_labels() {
-        let labels: std::collections::HashSet<_> = BusKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), BusKind::ALL.len());
+        let kinds = [
+            BusKind::CanHighSpeed,
+            BusKind::CanLowSpeed,
+            BusKind::CanFd,
+            BusKind::Lin,
+            BusKind::FlexRay,
+            BusKind::Ethernet,
+            BusKind::Most,
+        ];
+        let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), kinds.len());
     }
 }

@@ -30,49 +30,6 @@ pub enum FunctionalDomain {
 }
 
 impl FunctionalDomain {
-    /// All domains, in a stable order.
-    pub const ALL: [FunctionalDomain; 7] = [
-        FunctionalDomain::Powertrain,
-        FunctionalDomain::Chassis,
-        FunctionalDomain::Body,
-        FunctionalDomain::Infotainment,
-        FunctionalDomain::Communication,
-        FunctionalDomain::Adas,
-        FunctionalDomain::Diagnostics,
-    ];
-
-    /// Whether functions in this domain have hard real-time deadlines.
-    ///
-    /// The paper stresses that the powertrain domain "oversees real-time functions
-    /// that carry critical safety implications"; the same holds for chassis and ADAS.
-    #[must_use]
-    pub fn is_hard_real_time(self) -> bool {
-        matches!(
-            self,
-            FunctionalDomain::Powertrain | FunctionalDomain::Chassis | FunctionalDomain::Adas
-        )
-    }
-
-    /// Whether a successful attack on this domain has direct safety impact.
-    #[must_use]
-    pub fn is_safety_critical(self) -> bool {
-        matches!(
-            self,
-            FunctionalDomain::Powertrain | FunctionalDomain::Chassis | FunctionalDomain::Adas
-        )
-    }
-
-    /// Whether the domain is, by design, exposed to off-board communication.
-    #[must_use]
-    pub fn is_externally_connected(self) -> bool {
-        matches!(
-            self,
-            FunctionalDomain::Communication
-                | FunctionalDomain::Infotainment
-                | FunctionalDomain::Diagnostics
-        )
-    }
-
     /// A short, human-readable label.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -99,29 +56,20 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    const ALL: [FunctionalDomain; 7] = [
+        FunctionalDomain::Powertrain,
+        FunctionalDomain::Chassis,
+        FunctionalDomain::Body,
+        FunctionalDomain::Infotainment,
+        FunctionalDomain::Communication,
+        FunctionalDomain::Adas,
+        FunctionalDomain::Diagnostics,
+    ];
+
     #[test]
     fn all_domains_are_distinct() {
-        let set: HashSet<_> = FunctionalDomain::ALL.iter().collect();
-        assert_eq!(set.len(), FunctionalDomain::ALL.len());
-    }
-
-    #[test]
-    fn powertrain_is_hard_real_time_and_safety_critical() {
-        assert!(FunctionalDomain::Powertrain.is_hard_real_time());
-        assert!(FunctionalDomain::Powertrain.is_safety_critical());
-        assert!(!FunctionalDomain::Powertrain.is_externally_connected());
-    }
-
-    #[test]
-    fn infotainment_is_connected_but_not_safety_critical() {
-        assert!(FunctionalDomain::Infotainment.is_externally_connected());
-        assert!(!FunctionalDomain::Infotainment.is_safety_critical());
-    }
-
-    #[test]
-    fn body_is_neither_real_time_nor_connected() {
-        assert!(!FunctionalDomain::Body.is_hard_real_time());
-        assert!(!FunctionalDomain::Body.is_externally_connected());
+        let set: HashSet<_> = ALL.iter().collect();
+        assert_eq!(set.len(), ALL.len());
     }
 
     #[test]
@@ -136,7 +84,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        for domain in FunctionalDomain::ALL {
+        for domain in ALL {
             let json = serde_json::to_string(&domain).unwrap();
             let back: FunctionalDomain = serde_json::from_str(&json).unwrap();
             assert_eq!(domain, back);
@@ -145,7 +93,7 @@ mod tests {
 
     #[test]
     fn ordering_is_stable() {
-        let mut sorted = FunctionalDomain::ALL;
+        let mut sorted = ALL;
         sorted.sort();
         assert_eq!(sorted[0], FunctionalDomain::Powertrain);
     }

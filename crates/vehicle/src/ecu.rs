@@ -26,29 +26,6 @@ pub enum AsilLevel {
     D,
 }
 
-impl AsilLevel {
-    /// All levels from lowest to highest.
-    pub const ALL: [AsilLevel; 5] = [
-        AsilLevel::Qm,
-        AsilLevel::A,
-        AsilLevel::B,
-        AsilLevel::C,
-        AsilLevel::D,
-    ];
-
-    /// A numeric rank (0 = QM … 4 = ASIL D).
-    #[must_use]
-    pub fn rank(self) -> u8 {
-        match self {
-            AsilLevel::Qm => 0,
-            AsilLevel::A => 1,
-            AsilLevel::B => 2,
-            AsilLevel::C => 3,
-            AsilLevel::D => 4,
-        }
-    }
-}
-
 impl fmt::Display for AsilLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -116,29 +93,6 @@ impl Ecu {
     pub fn is_gateway(&self) -> bool {
         self.gateway
     }
-
-    /// Whether the ECU accepts firmware updates over the air.
-    ///
-    /// The paper notes that "implementing a remote attack against the ECU without
-    /// FOTA support is uncommon and challenging" — this flag is what the
-    /// reachability analysis uses to decide whether a long-range path can end in a
-    /// reprogramming attack.
-    #[must_use]
-    pub fn is_fota_capable(&self) -> bool {
-        self.fota_capable
-    }
-
-    /// The ASIL level of the most critical function hosted by the ECU.
-    #[must_use]
-    pub fn asil(&self) -> AsilLevel {
-        self.asil
-    }
-
-    /// Whether the ECU has at least one directly terminated external interface.
-    #[must_use]
-    pub fn is_externally_exposed(&self) -> bool {
-        !self.interfaces.is_empty()
-    }
 }
 
 impl fmt::Display for Ecu {
@@ -162,7 +116,6 @@ impl fmt::Display for Ecu {
 ///     .asil(AsilLevel::D)
 ///     .build();
 /// assert!(ecm.buses().contains(&"PT-CAN".to_string()));
-/// assert!(!ecm.is_fota_capable());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EcuBuilder {
@@ -283,9 +236,9 @@ mod tests {
         assert_eq!(ecu.domain(), FunctionalDomain::Body);
         assert!(ecu.buses().is_empty());
         assert!(!ecu.is_gateway());
-        assert!(!ecu.is_fota_capable());
-        assert_eq!(ecu.asil(), AsilLevel::Qm);
-        assert!(!ecu.is_externally_exposed());
+        assert!(!ecu.fota_capable);
+        assert_eq!(ecu.asil, AsilLevel::Qm);
+        assert!(ecu.interfaces().is_empty());
     }
 
     #[test]
@@ -295,16 +248,19 @@ mod tests {
         assert_eq!(tcu.domain(), FunctionalDomain::Communication);
         assert_eq!(tcu.buses(), &["BACKBONE".to_string()]);
         assert_eq!(tcu.interfaces().len(), 2);
-        assert!(tcu.is_fota_capable());
-        assert!(tcu.is_externally_exposed());
+        assert!(tcu.fota_capable);
     }
 
     #[test]
     fn asil_ranks_are_monotone() {
-        let ranks: Vec<_> = AsilLevel::ALL.iter().map(|l| l.rank()).collect();
-        let mut sorted = ranks.clone();
-        sorted.sort_unstable();
-        assert_eq!(ranks, sorted);
+        let levels = [
+            AsilLevel::Qm,
+            AsilLevel::A,
+            AsilLevel::B,
+            AsilLevel::C,
+            AsilLevel::D,
+        ];
+        assert!(levels.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

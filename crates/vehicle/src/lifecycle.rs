@@ -148,12 +148,6 @@ impl DevelopmentLifecycle {
         Some(entering)
     }
 
-    /// Number of TARA processing passes performed so far (initial + re-processing).
-    #[must_use]
-    pub fn tara_passes(&self) -> u32 {
-        self.tara_passes
-    }
-
     /// Runs the whole life cycle to completion and returns the total number of TARA
     /// passes — six in the paper's Figure 2 (one initial, five re-processing).
     #[must_use]

@@ -40,12 +40,6 @@ pub struct EcuClassification {
 }
 
 impl EcuClassification {
-    /// The ECU short name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// All exposures, sorted from the most remote range to the most local and by
     /// increasing gateway depth.
     #[must_use]
@@ -84,21 +78,11 @@ impl EcuClassification {
             .min()
             .or_else(|| self.reachable_ranges().first().copied())
     }
-
-    /// Whether the only way to reach this ECU is physical access
-    /// (possibly including the local OBD vector).
-    #[must_use]
-    pub fn physical_only(&self) -> bool {
-        self.exposures
-            .iter()
-            .all(|e| e.range == AttackRange::Physical)
-    }
 }
 
 /// Result of analysing a whole topology.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReachabilityAnalysis {
-    topology_name: String,
     classifications: BTreeMap<String, EcuClassification>,
 }
 
@@ -152,27 +136,13 @@ impl ReachabilityAnalysis {
             );
         }
 
-        Self {
-            topology_name: topology.name().to_string(),
-            classifications,
-        }
-    }
-
-    /// The name of the analysed topology.
-    #[must_use]
-    pub fn topology_name(&self) -> &str {
-        &self.topology_name
+        Self { classifications }
     }
 
     /// Classification for a single ECU.
     #[must_use]
     pub fn classification_of(&self, ecu_name: &str) -> Option<&EcuClassification> {
         self.classifications.get(ecu_name)
-    }
-
-    /// Iterates over all classifications in ECU-name order.
-    pub fn iter(&self) -> impl Iterator<Item = &EcuClassification> {
-        self.classifications.values()
     }
 
     /// ECUs grouped by their dominant range, mirroring the Figure 4 colour code.
@@ -311,11 +281,11 @@ mod tests {
     #[test]
     fn every_ecu_is_physically_exposed() {
         let analysis = ReachabilityAnalysis::analyze(&topology());
-        for c in analysis.iter() {
+        for c in analysis.classifications.values() {
             assert!(
                 c.reachable_ranges().contains(&AttackRange::Physical),
                 "{} should always be physically reachable",
-                c.name()
+                c.name
             );
         }
     }
@@ -400,6 +370,7 @@ mod tests {
             .build()
             .unwrap();
         let analysis = ReachabilityAnalysis::analyze(&topo);
-        assert!(analysis.classification_of("ECM").unwrap().physical_only());
+        let ecm = analysis.classification_of("ECM").unwrap();
+        assert_eq!(ecm.reachable_ranges(), vec![AttackRange::Physical]);
     }
 }

@@ -336,15 +336,22 @@ mod tests {
     use super::*;
     use crate::attack_surface::AttackRange;
     use crate::reachability::ReachabilityAnalysis;
+    use crate::topology::NodeKind;
 
     #[test]
     fn passenger_car_has_expected_shape() {
         let car = passenger_car();
         assert_eq!(car.name(), "passenger-car");
         assert_eq!(car.ecu_count(), 15);
-        assert_eq!(car.buses().count(), 6);
-        assert!(car.ecu("ECM").is_some());
-        assert!(car.ecu("GATEWAY").unwrap().is_gateway());
+        let buses = car
+            .graph()
+            .node_weights()
+            .filter(|n| matches!(n, NodeKind::Bus(_)))
+            .count();
+        assert_eq!(buses, 6);
+        assert!(car.ecus().any(|e| e.name() == "ECM"));
+        let gateway = car.ecus().find(|e| e.name() == "GATEWAY").unwrap();
+        assert!(gateway.is_gateway());
     }
 
     #[test]
@@ -374,11 +381,12 @@ mod tests {
     fn excavator_has_no_long_range_interface() {
         let exc = excavator();
         let analysis = ReachabilityAnalysis::analyze(&exc);
-        for c in analysis.iter() {
+        for ecu in exc.ecus() {
+            let c = analysis.classification_of(ecu.name()).unwrap();
             assert!(
                 !c.direct_ranges().contains(&AttackRange::LongRange),
                 "{} should not be directly long-range reachable",
-                c.name()
+                ecu.name()
             );
         }
     }
@@ -406,8 +414,8 @@ mod tests {
     fn all_reference_architectures_have_an_obd_or_service_port() {
         for topo in [passenger_car(), excavator(), light_truck()] {
             let has_obd = topo
-                .interfaces()
-                .any(|(i, _)| i == ExternalInterface::ObdPort);
+                .ecus()
+                .any(|e| e.interfaces().contains(&ExternalInterface::ObdPort));
             assert!(has_obd, "{} lacks an OBD/service port", topo.name());
         }
     }

@@ -7,7 +7,6 @@
 
 use petgraph::graph::{DiGraph, NodeIndex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Strength of a contribution relationship between two standards.
@@ -55,7 +54,6 @@ impl Standard {
 #[derive(Debug, Clone)]
 pub struct StandardsGraph {
     graph: DiGraph<Standard, RelationshipStrength>,
-    by_name: HashMap<String, NodeIndex>,
     target: NodeIndex,
 }
 
@@ -107,12 +105,6 @@ impl StandardsGraph {
         }
     }
 
-    /// The underlying directed graph.
-    #[must_use]
-    pub fn graph(&self) -> &DiGraph<Standard, RelationshipStrength> {
-        &self.graph
-    }
-
     /// The target standard (ISO/SAE-21434 in the paper).
     #[must_use]
     pub fn target(&self) -> &Standard {
@@ -137,13 +129,6 @@ impl StandardsGraph {
             .collect();
         out.sort_by(|a, b| a.designation.cmp(&b.designation));
         out
-    }
-
-    /// The relationship strength of a named contributor, if present.
-    #[must_use]
-    pub fn strength_of(&self, designation: &str) -> Option<RelationshipStrength> {
-        let idx = self.by_name.get(designation)?;
-        self.graph.edges(*idx).next().map(|e| *e.weight())
     }
 
     /// Fraction of contributors that are *not* automotive-specific — the paper's
@@ -198,25 +183,25 @@ impl StandardsGraphBuilder {
     #[must_use]
     pub fn build(self) -> StandardsGraph {
         let mut graph = DiGraph::new();
-        let mut by_name = HashMap::new();
-        let target = graph.add_node(self.target.clone());
-        by_name.insert(self.target.designation.clone(), target);
+        let target = graph.add_node(self.target);
         for (std, strength) in self.contributors {
-            let idx = graph.add_node(std.clone());
-            by_name.insert(std.designation.clone(), idx);
+            let idx = graph.add_node(std);
             graph.add_edge(idx, target, strength);
         }
-        StandardsGraph {
-            graph,
-            by_name,
-            target,
-        }
+        StandardsGraph { graph, target }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn designations(g: &StandardsGraph, strength: RelationshipStrength) -> Vec<&str> {
+        g.contributors_with(strength)
+            .into_iter()
+            .map(|s| s.designation.as_str())
+            .collect()
+    }
 
     #[test]
     fn paper_figure_has_21_contributors() {
@@ -238,25 +223,21 @@ mod tests {
     #[test]
     fn iso26262_is_a_strong_contributor() {
         let g = StandardsGraph::paper_figure_1();
-        assert_eq!(
-            g.strength_of("ISO 26262:2018"),
-            Some(RelationshipStrength::Strong)
-        );
+        assert!(designations(&g, RelationshipStrength::Strong).contains(&"ISO 26262:2018"));
     }
 
     #[test]
     fn misra_is_a_medium_contributor() {
         let g = StandardsGraph::paper_figure_1();
-        assert_eq!(
-            g.strength_of("MISRA C 2012"),
-            Some(RelationshipStrength::Medium)
-        );
+        assert!(designations(&g, RelationshipStrength::Medium).contains(&"MISRA C 2012"));
     }
 
     #[test]
     fn unknown_standard_has_no_strength() {
         let g = StandardsGraph::paper_figure_1();
-        assert_eq!(g.strength_of("ISO 99999"), None);
+        for strength in [RelationshipStrength::Strong, RelationshipStrength::Medium] {
+            assert!(!designations(&g, strength).contains(&"ISO 99999"));
+        }
     }
 
     #[test]
@@ -273,7 +254,10 @@ mod tests {
             .contributor("OTHER", false, RelationshipStrength::Strong)
             .build();
         assert_eq!(g.contributor_count(), 1);
-        assert_eq!(g.strength_of("OTHER"), Some(RelationshipStrength::Strong));
+        assert_eq!(
+            designations(&g, RelationshipStrength::Strong),
+            vec!["OTHER"]
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ impl NodeKind {
 pub struct VehicleTopology {
     name: String,
     graph: UnGraph<NodeKind, ()>,
-    by_name: HashMap<String, NodeIndex>,
 }
 
 impl VehicleTopology {
@@ -76,84 +75,6 @@ impl VehicleTopology {
             NodeKind::Ecu(e) => Some(e),
             _ => None,
         })
-    }
-
-    /// Iterates over all bus segments.
-    pub fn buses(&self) -> impl Iterator<Item = &Bus> {
-        self.graph.node_weights().filter_map(|n| match n {
-            NodeKind::Bus(b) => Some(b),
-            _ => None,
-        })
-    }
-
-    /// Iterates over all external interface nodes together with the ECU that
-    /// terminates them.
-    pub fn interfaces(&self) -> impl Iterator<Item = (ExternalInterface, &Ecu)> + '_ {
-        self.graph.node_indices().filter_map(move |idx| {
-            if let NodeKind::Interface(iface) = &self.graph[idx] {
-                let ecu = self
-                    .graph
-                    .neighbors(idx)
-                    .find_map(|n| match &self.graph[n] {
-                        NodeKind::Ecu(e) => Some(e),
-                        _ => None,
-                    })?;
-                Some((*iface, ecu))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Looks up an ECU by name.
-    #[must_use]
-    pub fn ecu(&self, name: &str) -> Option<&Ecu> {
-        self.by_name
-            .get(name)
-            .and_then(|idx| match &self.graph[*idx] {
-                NodeKind::Ecu(e) => Some(e),
-                _ => None,
-            })
-    }
-
-    /// Looks up a bus by name.
-    #[must_use]
-    pub fn bus(&self, name: &str) -> Option<&Bus> {
-        self.by_name
-            .get(name)
-            .and_then(|idx| match &self.graph[*idx] {
-                NodeKind::Bus(b) => Some(b),
-                _ => None,
-            })
-    }
-
-    /// Returns the node index of a named node, if present.
-    #[must_use]
-    pub fn node_index(&self, name: &str) -> Option<NodeIndex> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The ECUs attached to the named bus.
-    #[must_use]
-    pub fn ecus_on_bus(&self, bus_name: &str) -> Vec<&Ecu> {
-        let Some(idx) = self.by_name.get(bus_name) else {
-            return Vec::new();
-        };
-        self.graph
-            .neighbors(*idx)
-            .filter_map(|n| match &self.graph[n] {
-                NodeKind::Ecu(e) => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Gateways: ECUs attached to two or more bus segments.
-    #[must_use]
-    pub fn gateways(&self) -> Vec<&Ecu> {
-        self.ecus()
-            .filter(|e| e.is_gateway() || e.buses().len() >= 2)
-            .collect()
     }
 }
 
@@ -247,7 +168,6 @@ impl VehicleTopologyBuilder {
         Ok(VehicleTopology {
             name: self.name,
             graph,
-            by_name,
         })
     }
 }
@@ -257,6 +177,18 @@ mod tests {
     use super::*;
     use crate::bus::BusKind;
     use crate::domain::FunctionalDomain;
+
+    /// Names of the graph neighbours of the named node, sorted.
+    fn neighbours(topo: &VehicleTopology, name: &str) -> Vec<String> {
+        let graph = topo.graph();
+        let idx = graph
+            .node_indices()
+            .find(|i| graph[*i].name() == name)
+            .expect("node present");
+        let mut names: Vec<_> = graph.neighbors(idx).map(|n| graph[n].name()).collect();
+        names.sort();
+        names
+    }
 
     fn tiny_topology() -> VehicleTopology {
         VehicleTopology::builder("tiny")
@@ -300,49 +232,29 @@ mod tests {
     fn builds_and_counts_nodes() {
         let topo = tiny_topology();
         assert_eq!(topo.ecu_count(), 3);
-        assert_eq!(topo.buses().count(), 2);
-        assert_eq!(topo.interfaces().count(), 1);
+        let graph = topo.graph();
+        let buses = graph
+            .node_weights()
+            .filter(|n| matches!(n, NodeKind::Bus(_)))
+            .count();
+        let interfaces = graph
+            .node_weights()
+            .filter(|n| matches!(n, NodeKind::Interface(_)))
+            .count();
+        assert_eq!(buses, 2);
+        assert_eq!(interfaces, 1);
     }
 
     #[test]
     fn ecus_on_bus_finds_attachments() {
         let topo = tiny_topology();
-        let names: Vec<_> = topo
-            .ecus_on_bus("PT-CAN")
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect();
-        assert!(names.contains(&"ECM".to_string()));
-        assert!(names.contains(&"GW".to_string()));
-        assert!(!names.contains(&"TCU".to_string()));
-    }
-
-    #[test]
-    fn gateways_detected() {
-        let topo = tiny_topology();
-        let gws: Vec<_> = topo
-            .gateways()
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect();
-        assert_eq!(gws, vec!["GW".to_string()]);
+        assert_eq!(neighbours(&topo, "PT-CAN"), vec!["ECM", "GW"]);
     }
 
     #[test]
     fn interface_is_linked_to_its_ecu() {
         let topo = tiny_topology();
-        let (iface, ecu) = topo.interfaces().next().unwrap();
-        assert_eq!(iface, ExternalInterface::Cellular);
-        assert_eq!(ecu.name(), "TCU");
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let topo = tiny_topology();
-        assert!(topo.ecu("ECM").is_some());
-        assert!(topo.ecu("NOPE").is_none());
-        assert!(topo.bus("PT-CAN").is_some());
-        assert!(topo.bus("ECM").is_none(), "an ECU name is not a bus");
+        assert_eq!(neighbours(&topo, "IF:Cellular"), vec!["TCU"]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`iso21434`] — the ISO/SAE-21434 TARA engine and its three attack-feasibility
 //!   models;
 //! * [`socialsim`] — the deterministic social-media corpus simulator;
-//! * [`textmine`] — tokenisation, sentiment, TF-IDF, price mining, keyword
-//!   learning;
+//! * [`textmine`] — tokenisation, intent scoring, price mining, keyword
+//!   co-occurrence;
 //! * [`market`] — sales, market share, annual reports, pricing, break-even
 //!   analysis;
 //! * [`psp`] — the PSP dynamic TARA framework itself (SAI, weight generation,

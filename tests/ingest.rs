@@ -3,10 +3,11 @@
 //! cold, full-rebuild counterparts across every deterministic scene.
 
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::LiveEngine;
+use psp_suite::psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::monitoring::{LiveMonitor, MonitoringSeries};
-use psp_suite::psp::timewindow::{compare_windows, compare_windows_live};
+use psp_suite::psp::timewindow::compare_windows;
+use psp_suite::psp::weights::WeightGenerator;
 use psp_suite::socialsim::corpus::Corpus;
 use psp_suite::socialsim::engagement::Engagement;
 use psp_suite::socialsim::post::{Post, Region, TargetApplication};
@@ -191,8 +192,33 @@ fn live_window_comparison_equals_the_snapshot_comparison() {
     for chunk in corpus.posts().to_vec().chunks(250) {
         live.ingest(chunk.to_vec());
     }
-    let streamed = compare_windows_live(&live, &db, &config, "ecm-reprogramming", recent);
+    // The ingested engine's two windows fold into exactly the comparison a
+    // cold engine over the grown corpus produces.
+    let lists = live.sai_windows(
+        &db,
+        &config,
+        &WindowAxis::spans(&[config.window, Some(recent)]),
+    );
     let snapshot = compare_windows(&corpus, &db, &config, "ecm-reprogramming", recent);
-    assert_eq!(streamed, snapshot);
-    assert!(streamed.trend_inverted());
+    let shares: Vec<_> = lists
+        .iter()
+        .map(|sai| sai.vector_shares("ecm-reprogramming"))
+        .collect();
+    assert_eq!(
+        shares,
+        [
+            snapshot.baseline_shares.clone(),
+            snapshot.recent_shares.clone()
+        ]
+    );
+    let generator = WeightGenerator::new();
+    assert_eq!(
+        generator.insider_table(&lists[0], "ecm-reprogramming"),
+        snapshot.baseline_table
+    );
+    assert_eq!(
+        generator.insider_table(&lists[1], "ecm-reprogramming"),
+        snapshot.recent_table
+    );
+    assert!(snapshot.trend_inverted());
 }
