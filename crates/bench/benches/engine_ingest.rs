@@ -18,6 +18,11 @@
 //!   measured separately so the report can also state the net append cost.
 //! * `clone_warm_engine` — just the clone, for that correction.
 //!
+//! A fourth row, `checkpoint_parse/<size>`, times what dominates a restart:
+//! `serde_json::from_str::<Corpus>` over the base corpus's checkpoint JSON
+//! (the `corpus.json` a `DurableStore` checkpoint writes).  It is recorded
+//! for the report and has no ratio to gate.
+//!
 //! The headline ratio `speedup_append/<size>` uses the raw (conservative,
 //! clone-included) append timing.  The report lands in
 //! `target/perf/engine_ingest.json`; the blessed baseline in
@@ -33,6 +38,7 @@ use psp::engine::LiveEngine;
 use psp::keyword_db::KeywordDatabase;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, PerfReport};
 use psp_bench::scaled_excavator_corpus;
+use socialsim::corpus::Corpus;
 use socialsim::post::Post;
 use std::hint::black_box;
 use std::time::Duration;
@@ -68,6 +74,10 @@ fn write_report(c: &Criterion, sizes: &[usize]) {
         report.push_metric(format!("rebuild_then_score/{size}"), rebuild);
         report.push_metric(format!("append_then_score/{size}"), append);
         report.push_metric(format!("clone_warm_engine/{size}"), clone);
+        report.push_metric(
+            format!("checkpoint_parse/{size}"),
+            mean_ns(c, &format!("engine_ingest/checkpoint_parse/{size}")),
+        );
         report.push_ratio(format!("speedup_append/{size}"), speedup);
         // speedup_net divides by the *difference* of two independently
         // measured noisy means, so it is printed for context but never
@@ -131,6 +141,12 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("clone_warm_engine/{size}"), |b| {
             b.iter(|| black_box(warm.clone()))
+        });
+        let checkpoint = serde_json::to_string(&base).expect("a corpus serializes");
+        group.bench_function(&format!("checkpoint_parse/{size}"), |b| {
+            b.iter(|| {
+                black_box(serde_json::from_str::<Corpus>(&checkpoint).expect("it parses back"))
+            })
         });
         group.finish();
     }

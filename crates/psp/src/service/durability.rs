@@ -32,7 +32,7 @@
 //!   [`StreamingScorer::restore_generation`] reproduces the pre-crash
 //!   engine's responses exactly (property-tested in `tests/durability.rs`).
 
-use super::journal::{crc32, scan_wal, FaultFs, WalRecord, WalWriter};
+use super::journal::{crc32, scan_wal, FaultFs, WalWriter};
 use super::lock;
 use crate::engine::{SignalCacheFile, StreamingScorer};
 use crate::error::PspError;
@@ -164,24 +164,26 @@ impl DurableStore {
         };
 
         // Replay the journal's valid prefix beyond the checkpoint floor.
+        // The writer only needs the scan's extent, so it opens first and
+        // the records then move into the engine.
         let wal_path = dir.join(WAL_FILE);
         let scan = scan_wal(&wal_path)?;
+        let truncated_wal_bytes = scan.truncated_bytes();
+        let wal = WalWriter::open(&wal_path, &scan, faults.clone())?;
         let floor = checkpoint_generation.unwrap_or(0);
         let mut replayed_records = 0;
         let mut replayed_posts = 0;
-        for record in &scan.records {
+        for record in scan.records {
             if record.generation <= floor && checkpoint_generation.is_some() {
                 continue; // Already inside the checkpoint (compaction lag).
             }
             replayed_records += 1;
             replayed_posts += record.posts.len();
-            engine.ingest_batch(record.posts.clone());
+            engine.ingest_batch(record.posts);
             // Stamp the journaled generation, so recovered responses match
             // the pre-crash service even if the journal has gaps.
             engine.restore_generation(record.generation);
         }
-        let truncated_wal_bytes = scan.truncated_bytes();
-        let wal = WalWriter::open(&wal_path, &scan, faults.clone())?;
 
         let store = Arc::new(Self {
             dir: dir.to_path_buf(),
@@ -217,11 +219,7 @@ impl DurableStore {
     /// [`PspError::Durability`] when the append could not be made durable;
     /// the caller must not publish the batch.
     pub fn log_ingest(&self, posts: &[Post], generation: u64) -> Result<(), PspError> {
-        let record = WalRecord {
-            generation,
-            posts: posts.to_vec(),
-        };
-        lock(&self.wal).append(&record)
+        lock(&self.wal).append(generation, posts)
     }
 
     /// Publishes an atomic checkpoint of `engine`: corpus + signal cache +

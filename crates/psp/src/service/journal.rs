@@ -55,6 +55,22 @@ pub struct WalRecord {
     pub posts: Vec<Post>,
 }
 
+/// [`WalRecord`]'s payload shape over a borrowed batch, so journaling an
+/// ingest copies no post.  Written by hand: the derive has no lifetimes.
+struct WalRecordRef<'a> {
+    generation: u64,
+    posts: &'a [Post],
+}
+
+impl Serialize for WalRecordRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.serialize_struct("WalRecord");
+        s.serialize_field("generation", &self.generation);
+        s.serialize_field("posts", self.posts);
+        s.end_struct();
+    }
+}
+
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes` — the checksum
 /// guarding every WAL frame and checkpoint manifest entry.
 #[must_use]
@@ -315,8 +331,9 @@ impl FaultFs {
 
 /// Encodes one record as a WAL frame, `len:u32 crc:u32 payload` (see the
 /// module docs): the one frame encoder behind appends and compaction.
-fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, PspError> {
-    let payload = serde_json::to_string(record).map_err(|err| PspError::Durability {
+fn encode_frame(generation: u64, posts: &[Post]) -> Result<Vec<u8>, PspError> {
+    let record = WalRecordRef { generation, posts };
+    let payload = serde_json::to_string(&record).map_err(|err| PspError::Durability {
         detail: format!("serialise WAL record: {err:?}"),
     })?;
     let payload = payload.as_bytes();
@@ -393,20 +410,20 @@ impl WalWriter {
         })
     }
 
-    /// Appends one record and fsyncs.  On `Ok`, the record is durable; on
-    /// `Err`, the caller must treat the batch as not ingested, and the
-    /// partial frame is rolled back so a *surviving* writer keeps appending
-    /// on a frame boundary — without the rollback, the next successful
-    /// append would land after garbage and be unreachable on replay.  (A
-    /// crash mid-append leaves the torn frame instead; the next open
-    /// truncates it.)
+    /// Appends one record, the batch `posts` publishing `generation`, and
+    /// fsyncs.  On `Ok`, the record is durable; on `Err`, the caller must
+    /// treat the batch as not ingested, and the partial frame is rolled back
+    /// so a *surviving* writer keeps appending on a frame boundary — without
+    /// the rollback, the next successful append would land after garbage and
+    /// be unreachable on replay.  (A crash mid-append leaves the torn frame
+    /// instead; the next open truncates it.)
     ///
     /// # Errors
     ///
     /// [`PspError::Durability`] when serialisation, the write or the fsync
     /// fails (including injected faults), or when an earlier failed append
     /// could not be rolled back (poisoned writer).
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), PspError> {
+    pub fn append(&mut self, generation: u64, posts: &[Post]) -> Result<(), PspError> {
         if self.poisoned {
             return Err(PspError::Durability {
                 detail: format!(
@@ -415,7 +432,7 @@ impl WalWriter {
                 ),
             });
         }
-        let frame = encode_frame(record)?;
+        let frame = encode_frame(generation, posts)?;
         let outcome = self
             .faults
             .clone()
@@ -472,7 +489,7 @@ impl WalWriter {
                     detail: format!("write {}: {err}", tmp.display()),
                 })?;
             for record in &survivors {
-                let frame = encode_frame(record)?;
+                let frame = encode_frame(record.generation, &record.posts)?;
                 file.write_all(&frame).map_err(|err| PspError::Durability {
                     detail: format!("write {}: {err}", tmp.display()),
                 })?;
@@ -557,13 +574,16 @@ mod tests {
         )
     }
 
+    fn posts(ids: &[u64]) -> Vec<Post> {
+        ids.iter()
+            .map(|id| post(*id, "#dpfdelete kit 360 EUR"))
+            .collect()
+    }
+
     fn record(generation: u64, ids: &[u64]) -> WalRecord {
         WalRecord {
             generation,
-            posts: ids
-                .iter()
-                .map(|id| post(*id, "#dpfdelete kit 360 EUR"))
-                .collect(),
+            posts: posts(ids),
         }
     }
 
@@ -580,8 +600,8 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert!(scan.records.is_empty());
         let mut writer = WalWriter::open(&path, &scan, FaultFs::none()).unwrap();
-        writer.append(&record(1, &[1, 2])).unwrap();
-        writer.append(&record(2, &[3])).unwrap();
+        writer.append(1, &posts(&[1, 2])).unwrap();
+        writer.append(2, &posts(&[3])).unwrap();
         assert_eq!(writer.records(), 2);
 
         let scan = scan_wal(&path).unwrap();
@@ -595,7 +615,7 @@ mod tests {
         let path = temp_wal("torn_tail");
         let mut writer =
             WalWriter::open(&path, &scan_wal(&path).unwrap(), FaultFs::none()).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
+        writer.append(1, &posts(&[1])).unwrap();
         let valid = writer.bytes();
         // A crash mid-append: half a frame of garbage at the end.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -610,7 +630,7 @@ mod tests {
 
         // Reopening truncates; the next scan is clean and appends work.
         let mut writer = WalWriter::open(&path, &scan, FaultFs::none()).unwrap();
-        writer.append(&record(2, &[2])).unwrap();
+        writer.append(2, &posts(&[2])).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
         assert!(scan.torn.is_none());
@@ -621,9 +641,9 @@ mod tests {
         let path = temp_wal("bitflip");
         let mut writer =
             WalWriter::open(&path, &scan_wal(&path).unwrap(), FaultFs::none()).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
+        writer.append(1, &posts(&[1])).unwrap();
         let first_end = writer.bytes();
-        writer.append(&record(2, &[2])).unwrap();
+        writer.append(2, &posts(&[2])).unwrap();
 
         // Flip one payload byte in the second frame.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -668,10 +688,10 @@ mod tests {
         let path = temp_wal("fault_tear");
         let faults = FaultFs::none();
         let mut writer = WalWriter::open(&path, &scan_wal(&path).unwrap(), faults.clone()).unwrap();
-        writer.append(&record(1, &[1])).unwrap();
+        writer.append(1, &posts(&[1])).unwrap();
         let valid = writer.bytes();
         faults.tear_append(0, 5);
-        let err = writer.append(&record(2, &[2])).unwrap_err();
+        let err = writer.append(2, &posts(&[2])).unwrap_err();
         assert_eq!(err.kind(), "durability");
 
         // The surviving writer rolled the partial frame back: the journal
@@ -683,7 +703,7 @@ mod tests {
 
         // The fault disarmed itself and the SAME writer keeps appending on
         // the boundary — the later record must stay replayable.
-        writer.append(&record(2, &[2])).unwrap();
+        writer.append(2, &posts(&[2])).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records, vec![record(1, &[1]), record(2, &[2])]);
         assert!(scan.torn.is_none());
@@ -695,13 +715,13 @@ mod tests {
         let faults = FaultFs::none();
         let mut writer = WalWriter::open(&path, &scan_wal(&path).unwrap(), faults.clone()).unwrap();
         faults.fail_sync(0);
-        let err = writer.append(&record(1, &[1])).unwrap_err();
+        let err = writer.append(1, &posts(&[1])).unwrap_err();
         assert_eq!(err.kind(), "durability");
         assert!(err.to_string().contains("fsync"));
         // The fully written but unsynced frame was rolled back; the same
         // writer appends cleanly afterwards.
         assert_eq!(scan_wal(&path).unwrap().records.len(), 0);
-        writer.append(&record(1, &[1])).unwrap();
+        writer.append(1, &posts(&[1])).unwrap();
         assert_eq!(scan_wal(&path).unwrap().records, vec![record(1, &[1])]);
     }
 
@@ -711,7 +731,7 @@ mod tests {
         let mut writer =
             WalWriter::open(&path, &scan_wal(&path).unwrap(), FaultFs::none()).unwrap();
         for generation in 1..=4 {
-            writer.append(&record(generation, &[generation])).unwrap();
+            writer.append(generation, &posts(&[generation])).unwrap();
         }
         writer.compact(2).unwrap();
         assert_eq!(writer.records(), 2);
@@ -724,7 +744,7 @@ mod tests {
             vec![3, 4]
         );
         // The writer keeps appending on the compacted file.
-        writer.append(&record(5, &[5])).unwrap();
+        writer.append(5, &posts(&[5])).unwrap();
         assert_eq!(scan_wal(&path).unwrap().records.len(), 3);
     }
 
@@ -734,13 +754,13 @@ mod tests {
         let faults = FaultFs::none();
         let mut writer = WalWriter::open(&path, &scan_wal(&path).unwrap(), faults.clone()).unwrap();
         for generation in 1..=3 {
-            writer.append(&record(generation, &[generation])).unwrap();
+            writer.append(generation, &posts(&[generation])).unwrap();
         }
         faults.fail_rename(0);
         assert_eq!(writer.compact(2).unwrap_err().kind(), "durability");
         // All three records still present; appends continue to work.
         assert_eq!(scan_wal(&path).unwrap().records.len(), 3);
-        writer.append(&record(4, &[4])).unwrap();
+        writer.append(4, &posts(&[4])).unwrap();
         assert_eq!(scan_wal(&path).unwrap().records.len(), 4);
     }
 }

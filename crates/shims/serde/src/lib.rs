@@ -2,80 +2,36 @@
 //!
 //! The build environment has no registry access, so this crate provides the
 //! subset of serde this workspace uses, with derive macros from the sibling
-//! `serde_derive` shim:
+//! `serde_derive` shim.  Both directions are visitors with nothing built in
+//! between:
 //!
-//! - [`Serialize`] drives a visitor [`Serializer`] shaped like real serde's
-//!   data model (structs and fields, sequences, maps, unit / newtype / struct
-//!   variants, scalars).  Nothing is built in between: the sibling
-//!   `serde_json` shim's serializer writes JSON straight into a `String`.
-//! - [`Deserialize`] reads a simplified self-describing [`Value`] tree, which
-//!   `serde_json` parses first.
+//! - [`Serialize`] drives a [`Serializer`] shaped like real serde's data
+//!   model (structs and fields, sequences, maps, unit / newtype / struct
+//!   variants, scalars); the sibling `serde_json` shim's serializer writes
+//!   JSON straight into a `String`.
+//! - [`Deserialize`] pulls from a [`Deserializer`]: it asks for the scalar,
+//!   sequence, map, struct or enum variant it expects next, and `serde_json`'s
+//!   deserializer reads exactly that from the input bytes.  Struct field
+//!   names are handed over borrowed, and values a type does not want are
+//!   skipped (still fully validated) without being built.
 //!
 //! The signatures are simpler than real serde's: a serializer has no `Ok` /
 //! `Error` associated types (it records its first error itself and the caller
 //! checks it once at the end), compound values are opened and closed by
-//! methods on the serializer instead of returned `SerializeStruct`-style
-//! handles, and deserialisation has no visitor.  Outside tests one type
-//! implements [`Serialize`] by hand (`psp::service::wire`'s borrowed event
-//! envelope, since the derive has no lifetimes), so besides it only the
-//! derive macros and `serde_json` depend on the traits' exact shape.
+//! methods on the serializer and deserializer instead of returned
+//! `SerializeStruct` / `SeqAccess`-style handles, and a deserializing type
+//! asks for one shape rather than handing the deserializer a `Visitor`.
+//! Outside tests two types implement [`Serialize`] by hand (the borrowed
+//! envelopes `psp::service::wire::WireEventRef` and
+//! `psp::service::journal::WalRecordRef`, since the derive has no lifetimes),
+//! so besides them only the derive macros and `serde_json` depend on the
+//! traits' exact shape.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
 pub use serde_derive::{Deserialize, Serialize};
-
-/// A self-describing parsed value: what `serde_json` hands to
-/// [`Deserialize`].  Serialisation never builds one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null` (also unit structs and `None`).
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A signed integer.
-    Int(i64),
-    /// An unsigned integer outside the `i64` range or serialised from unsigned types.
-    UInt(u64),
-    /// A floating-point number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// A sequence (arrays, tuples, multi-field tuple structs).
-    Seq(Vec<Value>),
-    /// An ordered map (structs, maps, externally tagged enum variants).
-    Map(Vec<(Value, Value)>),
-}
-
-impl Value {
-    /// The entries of a map value, if this is a map.
-    #[must_use]
-    pub fn as_map(&self) -> Option<&[(Value, Value)]> {
-        match self {
-            Value::Map(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    /// The elements of a sequence value, if this is a sequence.
-    #[must_use]
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string value.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
 
 /// The shim's (de)serialisation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,14 +122,66 @@ pub trait Serialize {
     fn serialize<S: Serializer>(&self, s: &mut S);
 }
 
-/// Deserialisation from the shim's [`Value`] model.
-pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a [`Value`].
+/// A source of a value's structure, pulled by [`Deserialize`]: the mirror of
+/// [`Serializer`].
+///
+/// The deserializing type asks for the shape it expects next, and the
+/// deserializer reads exactly that or fails.  A compound value is opened and
+/// then walked: after `deserialize_seq`, `next_element` before each element
+/// until it returns `false`; after `deserialize_map`, `next_key` before each
+/// value until it returns `None`; after `deserialize_struct`, `next_field`
+/// likewise.  Every value a key or element announces must be read, or
+/// dropped with [`skip_value`](Self::skip_value).
+pub trait Deserializer {
+    /// A boolean.
     ///
     /// # Errors
     ///
-    /// Returns [`Error`] when the value does not have the expected shape.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Every method returns [`Error`] on malformed input or when the input
+    /// holds a different shape than the one asked for.
+    fn deserialize_bool(&mut self) -> Result<bool, Error>;
+    /// A signed integer.
+    fn deserialize_i64(&mut self) -> Result<i64, Error>;
+    /// An unsigned integer.
+    fn deserialize_u64(&mut self) -> Result<u64, Error>;
+    /// A floating-point number (integers are accepted too).
+    fn deserialize_f64(&mut self) -> Result<f64, Error>;
+    /// A string, borrowed until the next call.
+    fn deserialize_str(&mut self) -> Result<&str, Error>;
+    /// Whether an optional value is present: consumes a null and returns
+    /// `false`, or returns `true` and leaves the value to be read.
+    fn deserialize_option(&mut self) -> Result<bool, Error>;
+    /// Opens a sequence.
+    fn deserialize_seq(&mut self) -> Result<(), Error>;
+    /// Whether another element of the open sequence follows; `false` closes it.
+    fn next_element(&mut self) -> Result<bool, Error>;
+    /// Opens a map.
+    fn deserialize_map(&mut self) -> Result<(), Error>;
+    /// The next key of the open map, or `None` when it closes.
+    fn next_key<K: Deserialize>(&mut self) -> Result<Option<K>, Error>;
+    /// Opens a struct with named fields.
+    fn deserialize_struct(&mut self, name: &'static str) -> Result<(), Error>;
+    /// The next field name of the open struct or struct variant, borrowed
+    /// until the next call, or `None` when it closes.
+    fn next_field(&mut self) -> Result<Option<&str>, Error>;
+    /// Opens an externally tagged enum value: its variant name, and whether a
+    /// payload follows (which must then be read and closed with
+    /// [`end_variant`](Self::end_variant)) or the variant is a bare name.
+    fn deserialize_variant(&mut self, name: &'static str) -> Result<(&str, bool), Error>;
+    /// Closes a variant whose payload has been read.
+    fn end_variant(&mut self) -> Result<(), Error>;
+    /// Reads and discards one value of any shape.
+    fn skip_value(&mut self) -> Result<(), Error>;
+}
+
+/// A value that can rebuild itself from a [`Deserializer`].
+pub trait Deserialize: Sized {
+    /// Pulls `Self` from the deserializer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error`] when the input is malformed or has the wrong shape.
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -189,8 +197,8 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        T::deserialize(d).map(Box::new)
     }
 }
 
@@ -202,14 +210,9 @@ macro_rules! ser_de_signed {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom("signed integer out of range")),
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom("unsigned integer out of range")),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
-                }
+            fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+                <$t>::try_from(d.deserialize_i64()?)
+                    .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -224,16 +227,9 @@ macro_rules! ser_de_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom("unsigned integer out of range")),
-                    Value::Int(n) => u64::try_from(*n)
-                        .ok()
-                        .and_then(|n| <$t>::try_from(n).ok())
-                        .ok_or_else(|| Error::custom("integer out of unsigned range")),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
-                }
+            fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+                <$t>::try_from(d.deserialize_u64()?)
+                    .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -246,10 +242,9 @@ impl Serialize for usize {
     }
 }
 impl Deserialize for usize {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        u64::from_value(v).and_then(|n| {
-            usize::try_from(n).map_err(|_| Error::custom("integer out of usize range"))
-        })
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        usize::try_from(d.deserialize_u64()?)
+            .map_err(|_| Error::custom("integer out of usize range"))
     }
 }
 
@@ -259,10 +254,9 @@ impl Serialize for isize {
     }
 }
 impl Deserialize for isize {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        i64::from_value(v).and_then(|n| {
-            isize::try_from(n).map_err(|_| Error::custom("integer out of isize range"))
-        })
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        isize::try_from(d.deserialize_i64()?)
+            .map_err(|_| Error::custom("integer out of isize range"))
     }
 }
 
@@ -272,13 +266,8 @@ impl Serialize for f64 {
     }
 }
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(x) => Ok(*x),
-            Value::Int(n) => Ok(*n as f64),
-            Value::UInt(n) => Ok(*n as f64),
-            _ => Err(Error::custom("expected number for f64")),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        d.deserialize_f64()
     }
 }
 
@@ -288,8 +277,8 @@ impl Serialize for f32 {
     }
 }
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        d.deserialize_f64().map(|x| x as f32)
     }
 }
 
@@ -299,11 +288,8 @@ impl Serialize for bool {
     }
 }
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected boolean")),
-        }
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        d.deserialize_bool()
     }
 }
 
@@ -313,11 +299,8 @@ impl Serialize for char {
     }
 }
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| Error::custom("expected string for char"))?;
-        let mut chars = s.chars();
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        let mut chars = d.deserialize_str()?.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
             _ => Err(Error::custom("expected single-character string for char")),
@@ -331,10 +314,8 @@ impl Serialize for String {
     }
 }
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom("expected string"))
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        d.deserialize_str().map(str::to_owned)
     }
 }
 
@@ -353,10 +334,11 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        if d.deserialize_option()? {
+            T::deserialize(d).map(Some)
+        } else {
+            Ok(None)
         }
     }
 }
@@ -367,12 +349,13 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_seq()
-            .ok_or_else(|| Error::custom("expected sequence"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        d.deserialize_seq()?;
+        let mut items = Vec::new();
+        while d.next_element()? {
+            items.push(T::deserialize(d)?);
+        }
+        Ok(items)
     }
 }
 
@@ -400,18 +383,32 @@ where
     s.end_map();
 }
 
+/// Reads a whole map into any collection of its entries; a repeated key
+/// keeps its last value, as collecting into a map does.
+fn deserialize_entries<K, V, C, D>(d: &mut D) -> Result<C, Error>
+where
+    K: Deserialize,
+    V: Deserialize,
+    C: Default + Extend<(K, V)>,
+    D: Deserializer,
+{
+    d.deserialize_map()?;
+    let mut map = C::default();
+    while let Some(key) = d.next_key()? {
+        let value = V::deserialize(d)?;
+        map.extend(std::iter::once((key, value)));
+    }
+    Ok(map)
+}
+
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn serialize<S: Serializer>(&self, s: &mut S) {
         serialize_entries(s, self.iter());
     }
 }
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_map()
-            .ok_or_else(|| Error::custom("expected map"))?
-            .iter()
-            .map(|(k, val)| Ok((K::from_value(k)?, V::from_value(val)?)))
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        deserialize_entries(d)
     }
 }
 
@@ -421,12 +418,8 @@ impl<K: Serialize, V: Serialize, H: std::hash::BuildHasher> Serialize for HashMa
     }
 }
 impl<K: Deserialize + Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_map()
-            .ok_or_else(|| Error::custom("expected map"))?
-            .iter()
-            .map(|(k, val)| Ok((K::from_value(k)?, V::from_value(val)?)))
-            .collect()
+    fn deserialize<D: Deserializer>(d: &mut D) -> Result<Self, Error> {
+        deserialize_entries(d)
     }
 }
 
@@ -440,13 +433,19 @@ macro_rules! ser_de_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let seq = v.as_seq().ok_or_else(|| Error::custom("expected tuple sequence"))?;
-                let expected = [$($idx),+].len();
-                if seq.len() != expected {
-                    return Err(Error::custom("wrong tuple arity"));
+            fn deserialize<De: Deserializer>(d: &mut De) -> Result<Self, Error> {
+                let arity = || Error::custom("wrong tuple arity");
+                d.deserialize_seq()?;
+                let tuple = ($({
+                    if !d.next_element()? {
+                        return Err(arity());
+                    }
+                    $t::deserialize(d)?
+                },)+);
+                if d.next_element()? {
+                    return Err(arity());
                 }
-                Ok(($($t::from_value(&seq[$idx])?,)+))
+                Ok(tuple)
             }
         }
     )*};
@@ -457,24 +456,3 @@ ser_de_tuple!(
     (A: 0, B: 1, C: 2),
     (A: 0, B: 1, C: 2, D: 3)
 );
-
-/// Support functions for the derive macros; not part of the public API.
-pub mod __private {
-    use super::{Deserialize, Error, Value};
-
-    /// Looks up a named field in a struct map and deserialises it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] when the field is missing or has the wrong shape.
-    pub fn get_field<T: Deserialize>(
-        map: &[(Value, Value)],
-        name: &str,
-        ty: &str,
-    ) -> Result<T, Error> {
-        match map.iter().find(|(k, _)| k.as_str() == Some(name)) {
-            Some((_, v)) => T::from_value(v),
-            None => Err(Error::custom(&format!("missing field `{name}` for {ty}"))),
-        }
-    }
-}

@@ -4,11 +4,12 @@
 //! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros against the local
 //! `serde` shim: `Serialize` feeds the shim's visitor `serde::Serializer`
 //! (one call per struct, field, element and variant, like real serde), and
-//! `Deserialize` reads the shim's parsed `serde::Value` tree.  It parses the
-//! item token stream by hand (no `syn`/`quote`) and supports the shapes this
-//! workspace actually uses: non-generic named structs (with `#[serde(skip)]`
-//! fields), tuple structs, unit structs, and enums with unit, tuple (up to
-//! four fields) and struct variants (externally tagged, like real serde).
+//! `Deserialize` pulls from the shim's `serde::Deserializer` the same way,
+//! filling struct fields as their keys stream by.  It parses the item token
+//! stream by hand (no `syn`/`quote`) and supports the shapes this workspace
+//! actually uses: non-generic named structs (with `#[serde(skip)]` fields),
+//! tuple structs, unit structs, and enums with unit, tuple (up to four
+//! fields) and struct variants (externally tagged, like real serde).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -313,8 +314,30 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("serde_derive shim: generated invalid Serialize impl")
 }
 
-fn named_fields_de(struct_path: &str, fields: &[Field], map_expr: &str) -> String {
+/// The body that reads a struct (or struct variant) with named fields from
+/// `__d` and evaluates to `Result<{path}, Error>`.  Each field gets an
+/// `Option` slot (its type inferred from the struct literal) filled as the
+/// keys stream by: unknown keys and repeats of a filled field are skipped, so
+/// the first occurrence of a key wins, and `#[serde(skip)]` fields take
+/// `Default`.
+fn named_fields_de(path: &str, fields: &[Field]) -> String {
+    let wanted: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut slots = String::new();
+    let mut keys = String::new();
+    let mut fills = String::new();
+    for (k, f) in wanted.iter().enumerate() {
+        slots.push_str(&format!("let mut __v{k} = ::std::option::Option::None;\n"));
+        keys.push_str(&format!(
+            "::std::option::Option::Some(\"{n}\") => {k}usize,\n",
+            n = f.name
+        ));
+        fills.push_str(&format!(
+            "{k}usize if __v{k}.is_none() => \
+             __v{k} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__d)?),\n"
+        ));
+    }
     let mut inits = String::new();
+    let mut k = 0;
     for f in fields {
         if f.skip {
             inits.push_str(&format!(
@@ -323,123 +346,107 @@ fn named_fields_de(struct_path: &str, fields: &[Field], map_expr: &str) -> Strin
             ));
         } else {
             inits.push_str(&format!(
-                "{n}: ::serde::__private::get_field({map_expr}, \"{n}\", \"{struct_path}\")?,\n",
+                "{n}: match __v{k} {{\n\
+                 ::std::option::Option::Some(__v) => __v,\n\
+                 ::std::option::Option::None => return ::std::result::Result::Err(\
+                 ::serde::Error::custom(\"missing field `{n}` for {path}\")),\n}},\n",
                 n = f.name
             ));
+            k += 1;
         }
     }
-    inits
+    let unknown = wanted.len();
+    format!(
+        "{slots}loop {{\n\
+         let __slot = match __d.next_field()? {{\n\
+         ::std::option::Option::None => break,\n\
+         {keys}\
+         ::std::option::Option::Some(_) => {unknown}usize,\n}};\n\
+         match __slot {{\n{fills}_ => __d.skip_value()?,\n}}\n}}\n\
+         ::std::result::Result::Ok({path} {{\n{inits}}})"
+    )
+}
+
+/// The body that reads a tuple payload of `arity` fields (a JSON array) and
+/// builds `ctor(..)` from it, through the serde shim's tuple impls.
+fn tuple_de(ctor: &str, arity: usize) -> String {
+    let placeholders = vec!["_"; arity].join(", ");
+    let fields: Vec<String> = (0..arity).map(|k| format!("__t.{k}")).collect();
+    format!(
+        "let __t = <({placeholders},) as ::serde::Deserialize>::deserialize(__d)?;\n\
+         ::std::result::Result::Ok({ctor}({fields}))",
+        fields = fields.join(", ")
+    )
 }
 
 /// `#[derive(Deserialize)]` against the local serde shim.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let body = match &item {
-        Item::NamedStruct { name, fields } => {
-            let inits = named_fields_de(name, fields, "map");
+    let (name, body) = match &item {
+        Item::NamedStruct { name, fields } => (
+            name,
             format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 let map = v.as_map().ok_or_else(|| ::serde::Error::custom(\
-                 \"expected map for {name}\"))?;\n\
-                 ::std::result::Result::Ok({name} {{\n{inits}}})\n}}\n}}"
-            )
-        }
-        Item::TupleStruct { name, arity } => {
-            if *arity == 1 {
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     ::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))\n}}\n}}"
-                )
-            } else {
-                let items: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Deserialize::from_value(&seq[{k}])?"))
-                    .collect();
-                format!(
-                    "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     let seq = v.as_seq().ok_or_else(|| ::serde::Error::custom(\
-                     \"expected sequence for {name}\"))?;\n\
-                     if seq.len() != {arity} {{ return ::std::result::Result::Err(\
-                     ::serde::Error::custom(\"wrong tuple arity for {name}\")); }}\n\
-                     ::std::result::Result::Ok({name}({items}))\n}}\n}}",
-                    items = items.join(", ")
-                )
-            }
-        }
-        Item::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(_v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-             ::std::result::Result::Ok({name})\n}}\n}}"
+                "__d.deserialize_struct(\"{name}\")?;\n{}",
+                named_fields_de(name, fields)
+            ),
+        ),
+        Item::TupleStruct { name, arity: 1 } => (
+            name,
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__d)?))"),
+        ),
+        Item::TupleStruct { name, arity } => (name, tuple_de(name, *arity)),
+        Item::UnitStruct { name } => (
+            name,
+            format!("__d.skip_value()?;\n::std::result::Result::Ok({name})"),
         ),
         Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
+            let mut tags = String::new();
+            let mut arms = String::new();
+            for (k, v) in variants.iter().enumerate() {
                 let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => unit_arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-                    )),
-                    VariantKind::Tuple(arity) => {
-                        if *arity == 1 {
-                            data_arms.push_str(&format!(
-                                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                                 ::serde::Deserialize::from_value(payload)?)),\n"
-                            ));
-                        } else {
-                            let items: Vec<String> = (0..*arity)
-                                .map(|k| format!("::serde::Deserialize::from_value(&seq[{k}])?"))
-                                .collect();
-                            data_arms.push_str(&format!(
-                                "\"{vn}\" => {{\n\
-                                 let seq = payload.as_seq().ok_or_else(|| ::serde::Error::custom(\
-                                 \"expected sequence for {name}::{vn}\"))?;\n\
-                                 if seq.len() != {arity} {{ return ::std::result::Result::Err(\
-                                 ::serde::Error::custom(\"wrong tuple arity for {name}::{vn}\")); }}\n\
-                                 ::std::result::Result::Ok({name}::{vn}({items}))\n}}\n",
-                                items = items.join(", ")
-                            ));
-                        }
+                let path = format!("{name}::{vn}");
+                let payload = !matches!(v.kind, VariantKind::Unit);
+                tags.push_str(&format!("(\"{vn}\", {payload}) => {k}usize,\n"));
+                let read = match &v.kind {
+                    VariantKind::Unit => {
+                        arms.push_str(&format!("{k}usize => ::std::result::Result::Ok({path}),\n"));
+                        continue;
                     }
-                    VariantKind::Struct(fields) => {
-                        let path = format!("{name}::{vn}");
-                        let inits = named_fields_de(&path, fields, "inner");
-                        data_arms.push_str(&format!(
-                            "\"{vn}\" => {{\n\
-                             let inner = payload.as_map().ok_or_else(|| ::serde::Error::custom(\
-                             \"expected map for {name}::{vn}\"))?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{\n{inits}}})\n}}\n"
-                        ));
-                    }
-                }
+                    VariantKind::Tuple(1) => format!(
+                        "::std::result::Result::Ok({path}(::serde::Deserialize::deserialize(__d)?))"
+                    ),
+                    VariantKind::Tuple(arity) => tuple_de(&path, *arity),
+                    VariantKind::Struct(fields) => format!(
+                        "__d.deserialize_struct(\"{path}\")?;\n{}",
+                        named_fields_de(&path, fields)
+                    ),
+                };
+                arms.push_str(&format!(
+                    "{k}usize => {{\n\
+                     let __value: ::std::result::Result<{name}, ::serde::Error> = {{\n{read}\n}};\n\
+                     let __value = __value?;\n\
+                     __d.end_variant()?;\n\
+                     ::std::result::Result::Ok(__value)\n}}\n"
+                ));
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::custom(&format!(\
-                 \"unknown {name} variant `{{other}}`\"))),\n\
-                 }},\n\
-                 ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                 let (key, payload) = &entries[0];\n\
-                 let tag = key.as_str().ok_or_else(|| ::serde::Error::custom(\
-                 \"expected string variant tag for {name}\"))?;\n\
-                 match tag {{\n\
-                 {data_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::custom(&format!(\
-                 \"unknown {name} variant `{{other}}`\"))),\n\
-                 }}\n}},\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected string or single-entry map for {name}\")),\n\
-                 }}\n}}\n}}"
+            (
+                name,
+                format!(
+                    "let __variant = match __d.deserialize_variant(\"{name}\")? {{\n\
+                     {tags}\
+                     (__other, _) => return ::std::result::Result::Err(::serde::Error::custom(\
+                     &::std::format!(\"unknown {name} variant `{{__other}}`\"))),\n}};\n\
+                     match __variant {{\n{arms}_ => ::std::unreachable!(),\n}}"
+                ),
             )
         }
     };
-    body.parse()
-        .expect("serde_derive shim: generated invalid Deserialize impl")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize<__D: ::serde::Deserializer>(__d: &mut __D) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}"
+    )
+    .parse()
+    .expect("serde_derive shim: generated invalid Deserialize impl")
 }

@@ -8,11 +8,16 @@
 //! or pretty through an indent state — with nothing built in between.
 //! Floats keep Rust's shortest round-trip `{:?}` form (e.g. `360.0`);
 //! integral floats below `1e16` take a digit-writing fast path that prints
-//! exactly the same bytes.  Parsing reads the text into the serde shim's
-//! [`serde::Value`] tree, which `Deserialize` then consumes.
+//! exactly the same bytes.  Parsing is one pass too: `Deserialize` pulls
+//! from this crate's `serde::Deserializer`, which reads each token as it is
+//! asked for.  Strings without escapes are copied once, straight from the
+//! text; struct field names are matched in place; values a type does not
+//! want are skipped but still fully validated, and the nesting limit
+//! applies to them too.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The error type (shared with the serde shim).
 pub type Error = serde::Error;
@@ -50,24 +55,25 @@ pub fn to_string_into<T: Serialize + ?Sized>(out: &mut String, value: &T) -> Res
     write(out, value, None)
 }
 
-/// Parses JSON text into a deserialisable type.
+/// Parses JSON text into a deserialisable type, pulling each value straight
+/// from the text: nothing is built but the value itself.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or a shape mismatch.
+/// Returns [`Error`] on malformed JSON (anywhere, skipped values included),
+/// trailing characters, or a shape mismatch.  A malformed document reports
+/// its syntax error, never the shape mismatch the type may have met first.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
+    let mut deserializer = Deserializer::new(s);
+    match T::deserialize(&mut deserializer) {
+        Ok(value) => deserializer.end().map(|()| value),
+        // Only a failed parse pays for this second, untyped pass.
+        Err(shape) => {
+            let mut syntax = Deserializer::new(s);
+            serde::Deserializer::skip_value(&mut syntax).and_then(|()| syntax.end())?;
+            Err(shape)
+        }
     }
-    T::from_value(&value)
 }
 
 fn write<T: Serialize + ?Sized>(
@@ -350,20 +356,56 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Maximum container nesting the parser accepts.  Matches real serde_json's
-/// default recursion limit; without it, adversarial input like `"[" * 100_000`
-/// overflows the stack (an abort, not a catchable error).
+/// Maximum container nesting the parser accepts, in typed and skipped values
+/// alike.  Matches real serde_json's default recursion limit; without it,
+/// adversarial input like `"[" * 100_000` inside an ignored field overflows
+/// the stack (an abort, not a catchable error).
 const MAX_PARSE_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// A number token, typed by the first rule it fits: an integer in `i64`,
+/// else an integer in `u64`, else a float.
+enum Number {
+    Int(i64),
+    UInt(u64),
+    Float(f64),
 }
 
-impl Parser<'_> {
+/// The pull parser behind [`from_str`]: each `serde::Deserializer` call
+/// reads one token (or one container boundary) straight from the input.
+struct Deserializer<'a> {
+    input: &'a str,
+    pos: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// The innermost open container has had no item yet, so the next one
+    /// takes no `,`.  Closing a container leaves it `false`.
+    first: bool,
+    /// Decoded text of the last string that held escapes; strings without
+    /// escapes are borrowed from `input` instead.
+    scratch: String,
+}
+
+impl<'a> Deserializer<'a> {
+    fn new(input: &'a str) -> Self {
+        Self {
+            input,
+            pos: 0,
+            depth: 0,
+            first: false,
+            scratch: String::new(),
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
+    fn error(&self, what: &str) -> Error {
+        Error::custom(&format!("{what} at byte {}", self.pos))
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -372,8 +414,10 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The next non-whitespace byte, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
@@ -381,15 +425,20 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error::custom(&format!(
-                "expected `{}` at byte {}",
-                byte as char, self.pos
-            )))
+            Err(self.error(&format!("expected `{}`", byte as char)))
+        }
+    }
+
+    /// Rejects anything but whitespace after the value.
+    fn end(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters after JSON value")),
         }
     }
 
     fn eat_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             true
         } else {
@@ -397,164 +446,154 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(Error::custom(&format!(
-                "unexpected character at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn enter(&mut self) -> Result<(), Error> {
+    /// Consumes the opening bracket of a container.
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
+        self.expect(bracket)?;
         self.depth += 1;
         if self.depth > MAX_PARSE_DEPTH {
             return Err(Error::custom("recursion limit exceeded"));
         }
+        self.first = true;
         Ok(())
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.enter()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+    /// Before an item of the open container: `false` (with the closing
+    /// bracket consumed) when the container ends here, else `true` with the
+    /// separating `,` consumed.
+    fn next_item(&mut self, close: u8) -> Result<bool, Error> {
+        if self.peek() == Some(close) {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Value::Seq(items));
+            self.first = false;
+            return Ok(false);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
+        if self.first {
+            self.first = false;
+        } else {
+            self.expect(b',')?;
         }
+        Ok(true)
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        self.enter()?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Map(entries));
+    /// The next struct field name or map key and its `:`.
+    fn key(&mut self) -> Result<Option<&str>, Error> {
+        if !self.next_item(b'}')? {
+            return Ok(None);
         }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((Value::Str(key), value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
+        let span = self.string_span()?;
+        self.expect(b':')?;
+        Ok(Some(self.span_str(span)))
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// Reads a string token.  Returns where its text is: the byte range in
+    /// `input` when it has no escapes, else `None`, the decoded text being in
+    /// `scratch`.
+    fn string_span(&mut self) -> Result<Option<Range<usize>>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.bytes();
+        let start = self.pos;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(Some(start..self.pos - 1));
+                }
+                b'\\' => break,
+                _ => self.pos += 1,
+            }
+        }
+        self.scratch.clear();
+        self.scratch.push_str(&self.input[start..self.pos]);
         loop {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
+            let run = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+            // `"` and `\\` are ASCII, so both ends are char boundaries.
+            self.scratch.push_str(&self.input[run..self.pos]);
+            match bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(None);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let escape = self
-                        .peek()
+                    let escape = *bytes
+                        .get(self.pos)
                         .ok_or_else(|| Error::custom("unterminated escape"))?;
                     self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error::custom("unpaired surrogate"));
-                                }
-                                let second = self.parse_hex4()?;
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(Error::custom("unknown escape sequence")),
-                    }
+                    let decoded = match escape {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{0008}',
+                        b'f' => '\u{000c}',
+                        b'u' => self.unicode_escape()?,
+                        _ => return Err(self.error("unknown escape sequence")),
+                    };
+                    self.scratch.push(decoded);
                 }
                 _ => return Err(Error::custom("unterminated string")),
             }
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::custom("truncated unicode escape"));
+    fn span_str(&self, span: Option<Range<usize>>) -> &str {
+        match span {
+            Some(range) => &self.input[range],
+            None => &self.scratch,
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::custom("invalid unicode escape"))?;
+    }
+
+    fn string(&mut self) -> Result<&str, Error> {
+        let span = self.string_span()?;
+        Ok(self.span_str(span))
+    }
+
+    /// The character of a `\\u` escape (its `\\u` already consumed),
+    /// joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let first = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&first) {
+            if !self.eat_literal("\\u") {
+                return Err(Error::custom("unpaired surrogate"));
+            }
+            let second = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&second) {
+                return Err(Error::custom("unpaired surrogate"));
+            }
+            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+        } else {
+            first
+        };
+        char::from_u32(code).ok_or_else(|| Error::custom("invalid unicode escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .input
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("truncated unicode escape"))?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid unicode escape"))
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    fn number(&mut self) -> Result<Number, Error> {
+        match self.peek() {
+            Some(b) if b == b'-' || b.is_ascii_digit() => {}
+            _ => return Err(self.error("expected number")),
         }
+        let bytes = self.bytes();
+        let start = self.pos;
+        self.pos += 1;
         let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = bytes.get(self.pos) {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -564,22 +603,146 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::Int(n));
+                return Ok(Number::Int(n));
             }
             if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
+                return Ok(Number::UInt(n));
             }
         }
         text.parse::<f64>()
-            .map(Value::Float)
+            .map(Number::Float)
             .map_err(|_| Error::custom(&format!("invalid number `{text}`")))
     }
 }
 
+impl serde::Deserializer for Deserializer<'_> {
+    fn deserialize_bool(&mut self) -> Result<bool, Error> {
+        if self.peek() == Some(b't') && self.eat_literal("true") {
+            Ok(true)
+        } else if self.peek() == Some(b'f') && self.eat_literal("false") {
+            Ok(false)
+        } else {
+            Err(self.error("expected boolean"))
+        }
+    }
+
+    fn deserialize_i64(&mut self) -> Result<i64, Error> {
+        match self.number()? {
+            Number::Int(n) => Ok(n),
+            _ => Err(Error::custom("expected signed integer")),
+        }
+    }
+
+    fn deserialize_u64(&mut self) -> Result<u64, Error> {
+        match self.number()? {
+            Number::UInt(n) => Ok(n),
+            Number::Int(n) => {
+                u64::try_from(n).map_err(|_| Error::custom("integer out of unsigned range"))
+            }
+            Number::Float(_) => Err(Error::custom("expected unsigned integer")),
+        }
+    }
+
+    fn deserialize_f64(&mut self) -> Result<f64, Error> {
+        Ok(match self.number()? {
+            Number::Int(n) => n as f64,
+            Number::UInt(n) => n as f64,
+            Number::Float(x) => x,
+        })
+    }
+
+    fn deserialize_str(&mut self) -> Result<&str, Error> {
+        self.string()
+    }
+
+    fn deserialize_option(&mut self) -> Result<bool, Error> {
+        Ok(!(self.peek() == Some(b'n') && self.eat_literal("null")))
+    }
+
+    fn deserialize_seq(&mut self) -> Result<(), Error> {
+        self.open(b'[')
+    }
+
+    fn next_element(&mut self) -> Result<bool, Error> {
+        self.next_item(b']')
+    }
+
+    fn deserialize_map(&mut self) -> Result<(), Error> {
+        self.open(b'{')
+    }
+
+    fn next_key<K: Deserialize>(&mut self) -> Result<Option<K>, Error> {
+        if !self.next_item(b'}')? {
+            return Ok(None);
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected string key"));
+        }
+        let key = K::deserialize(self)?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    fn deserialize_struct(&mut self, name: &'static str) -> Result<(), Error> {
+        if self.peek() != Some(b'{') {
+            return Err(self.error(&format!("expected map for {name}")));
+        }
+        self.open(b'{')
+    }
+
+    fn next_field(&mut self) -> Result<Option<&str>, Error> {
+        self.key()
+    }
+
+    fn deserialize_variant(&mut self, name: &'static str) -> Result<(&str, bool), Error> {
+        match self.peek() {
+            Some(b'"') => Ok((self.string()?, false)),
+            Some(b'{') => {
+                self.open(b'{')?;
+                match self.key()? {
+                    Some(variant) => Ok((variant, true)),
+                    None => Err(Error::custom(&format!("empty map for {name}"))),
+                }
+            }
+            _ => Err(self.error(&format!("expected string or single-entry map for {name}"))),
+        }
+    }
+
+    fn end_variant(&mut self) -> Result<(), Error> {
+        if !self.next_item(b'}')? {
+            return Ok(());
+        }
+        Err(self.error("expected a single-entry map for an enum variant"))
+    }
+
+    fn skip_value(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'n') if self.eat_literal("null") => Ok(()),
+            Some(b't') if self.eat_literal("true") => Ok(()),
+            Some(b'f') if self.eat_literal("false") => Ok(()),
+            Some(b'"') => self.string_span().map(drop),
+            Some(b'[') => {
+                self.open(b'[')?;
+                while self.next_item(b']')? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b'{') => {
+                self.open(b'{')?;
+                while self.key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number().map(drop),
+            _ => Err(self.error("unexpected character")),
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
