@@ -40,33 +40,10 @@ impl fmt::Display for CybersecurityProperty {
     }
 }
 
-/// A coarse classification of assets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum AssetCategory {
-    /// Executable firmware or software images.
-    Firmware,
-    /// Calibration maps and configuration parameters.
-    Calibration,
-    /// Cryptographic keys and certificates.
-    CryptographicMaterial,
-    /// Run-time data (sensor values, bus messages).
-    OperationalData,
-    /// Personally identifiable information.
-    PersonalData,
-    /// A vehicle function (e.g. torque control, emission after-treatment).
-    Function,
-    /// A communication channel (bus segment, diagnostic session).
-    CommunicationChannel,
-    /// Physical hardware (the ECU itself, sensors, actuators).
-    Hardware,
-}
-
 /// An asset under analysis.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Asset {
     name: String,
-    category: AssetCategory,
     /// The ECU (by short name) that hosts the asset, if any.
     host_ecu: Option<String>,
     properties: Vec<CybersecurityProperty>,
@@ -78,18 +55,17 @@ impl Asset {
     /// # Examples
     ///
     /// ```
-    /// use iso21434::{Asset, AssetCategory, CybersecurityProperty};
-    /// let asset = Asset::new("ECM firmware", AssetCategory::Firmware)
+    /// use iso21434::{Asset, CybersecurityProperty};
+    /// let asset = Asset::new("ECM firmware")
     ///     .hosted_on("ECM")
     ///     .with_property(CybersecurityProperty::Integrity)
     ///     .with_property(CybersecurityProperty::Authenticity);
-    /// assert_eq!(asset.to_string(), "ECM firmware @ ECM");
+    /// assert_eq!(asset.name(), "ECM firmware");
     /// ```
     #[must_use]
-    pub fn new(name: impl Into<String>, category: AssetCategory) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            category,
             host_ecu: None,
             properties: Vec::new(),
         }
@@ -118,21 +94,12 @@ impl Asset {
     }
 }
 
-impl fmt::Display for Asset {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.host_ecu {
-            Some(ecu) => write!(f, "{} @ {}", self.name, ecu),
-            None => f.write_str(&self.name),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn firmware_asset() -> Asset {
-        Asset::new("ECM firmware", AssetCategory::Firmware)
+        Asset::new("ECM firmware")
             .hosted_on("ECM")
             .with_property(CybersecurityProperty::Integrity)
             .with_property(CybersecurityProperty::Authenticity)
@@ -153,16 +120,7 @@ mod tests {
     #[test]
     fn host_ecu_is_recorded() {
         assert_eq!(firmware_asset().host_ecu.as_deref(), Some("ECM"));
-        assert_eq!(Asset::new("x", AssetCategory::Function).host_ecu, None);
-    }
-
-    #[test]
-    fn display_includes_host() {
-        assert_eq!(firmware_asset().to_string(), "ECM firmware @ ECM");
-        assert_eq!(
-            Asset::new("VIN", AssetCategory::PersonalData).to_string(),
-            "VIN"
-        );
+        assert_eq!(Asset::new("x").host_ecu, None);
     }
 
     #[test]

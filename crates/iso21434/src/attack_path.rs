@@ -6,7 +6,6 @@
 //! requires) because that is what the attack-vector-based feasibility model rates.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use vehicle::attack_surface::AttackVector;
 
 /// One step of an attack path.
@@ -30,12 +29,6 @@ impl AttackStep {
     #[must_use]
     pub fn vector(&self) -> AttackVector {
         self.vector
-    }
-}
-
-impl fmt::Display for AttackStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}", self.vector, self.description)
     }
 }
 
@@ -81,18 +74,6 @@ impl AttackPath {
     #[must_use]
     pub fn limiting_vector(&self) -> Option<AttackVector> {
         self.steps.iter().map(AttackStep::vector).max()
-    }
-}
-
-impl fmt::Display for AttackPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} steps)", self.name, self.steps.len())
-    }
-}
-
-impl Extend<AttackStep> for AttackPath {
-    fn extend<T: IntoIterator<Item = AttackStep>>(&mut self, iter: T) {
-        self.steps.extend(iter);
     }
 }
 
@@ -146,32 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn step_display_contains_vector() {
-        let s = AttackStep::new("flash", AttackVector::Local).to_string();
-        assert!(s.contains("Local"));
-        assert!(s.contains("flash"));
-    }
-
-    #[test]
-    fn extend_appends_steps() {
-        let mut p = AttackPath::new("ext");
-        p.extend(vec![
-            AttackStep::new("a", AttackVector::Adjacent),
-            AttackStep::new("b", AttackVector::Local),
-        ]);
-        assert_eq!(p.steps.len(), 2);
-        assert_eq!(p.limiting_vector(), Some(AttackVector::Local));
-    }
-
-    #[test]
     fn serde_round_trip() {
         let p = obd_reflash_path();
         let json = serde_json::to_string(&p).unwrap();
         assert_eq!(p, serde_json::from_str(&json).unwrap());
-    }
-
-    #[test]
-    fn display_counts_steps() {
-        assert_eq!(obd_reflash_path().to_string(), "OBD reflash (3 steps)");
     }
 }

@@ -21,13 +21,6 @@ pub enum Iso21434Error {
         /// Human-readable reason.
         reason: String,
     },
-    /// A numeric parameter was outside its admissible range.
-    OutOfRange {
-        /// The parameter name.
-        parameter: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for Iso21434Error {
@@ -39,9 +32,6 @@ impl fmt::Display for Iso21434Error {
             }
             Iso21434Error::InvalidWeightTable { reason } => {
                 write!(f, "invalid weight table: {reason}")
-            }
-            Iso21434Error::OutOfRange { parameter, value } => {
-                write!(f, "parameter `{parameter}` out of range: {value}")
             }
         }
     }
@@ -72,12 +62,6 @@ mod tests {
         }
         .to_string()
         .contains("empty"));
-        assert!(Iso21434Error::OutOfRange {
-            parameter: "PEA",
-            value: 1.5
-        }
-        .to_string()
-        .contains("PEA"));
     }
 
     #[test]

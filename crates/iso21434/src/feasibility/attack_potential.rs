@@ -8,7 +8,6 @@
 
 use super::AttackFeasibilityRating;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Elapsed time needed to identify and exploit the vulnerability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -242,12 +241,6 @@ impl AttackPotential {
     }
 }
 
-impl fmt::Display for AttackPotential {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "attack potential {} -> {}", self.total(), self.rating())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,20 +327,6 @@ mod tests {
         );
         assert_eq!(low.total(), 22);
         assert_eq!(low.rating(), AttackFeasibilityRating::Low);
-    }
-
-    #[test]
-    fn display_mentions_total_and_rating() {
-        let ap = AttackPotential::new(
-            ElapsedTime::OneDay,
-            Expertise::Layman,
-            Knowledge::Public,
-            WindowOfOpportunity::Unlimited,
-            Equipment::Standard,
-        );
-        let s = ap.to_string();
-        assert!(s.contains('0'));
-        assert!(s.contains("High"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The attack-vector-based feasibility model (paper Figure 5 / table G.9).
 //!
-//! The simplest of the three models: the attack vector required by the attack path
+//! The simpler of the two models: the attack vector required by the attack path
 //! is looked up in a four-row table that maps Network → High, Adjacent → Medium,
 //! Local → Low and Physical → Very Low.
 //!
@@ -10,7 +10,7 @@
 //! mappings; the `psp` crate generates those from social-media evidence
 //! (paper Figures 8-B, 9-B and 9-C).
 
-use super::{AttackFeasibilityRating, FeasibilityModel};
+use super::AttackFeasibilityRating;
 use crate::attack_path::AttackPath;
 use crate::error::Iso21434Error;
 use serde::{Deserialize, Serialize};
@@ -104,12 +104,6 @@ impl AttackVectorTable {
     }
 }
 
-impl Default for AttackVectorTable {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl fmt::Display for AttackVectorTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.name)?;
@@ -120,8 +114,8 @@ impl fmt::Display for AttackVectorTable {
     }
 }
 
-/// A [`FeasibilityModel`] that rates an attack path by looking up its limiting
-/// vector in an [`AttackVectorTable`].
+/// The feasibility model a [`Tara`](crate::tara::Tara) evaluates with: it rates
+/// an attack path by looking up its limiting vector in an [`AttackVectorTable`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AttackVectorModel {
     table: AttackVectorTable,
@@ -141,20 +135,17 @@ impl AttackVectorModel {
     pub fn with_table(table: AttackVectorTable) -> Self {
         Self { table }
     }
-}
 
-impl Default for AttackVectorModel {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-impl FeasibilityModel for AttackVectorModel {
-    fn name(&self) -> &str {
+    /// The table name, shown in reports.
+    #[must_use]
+    pub fn name(&self) -> &str {
         self.table.name()
     }
 
-    fn rate(&self, path: &AttackPath) -> AttackFeasibilityRating {
+    /// Rates an attack path by its limiting vector; an empty path counts as
+    /// physical.
+    #[must_use]
+    pub fn rate(&self, path: &AttackPath) -> AttackFeasibilityRating {
         let vector = path.limiting_vector().unwrap_or(AttackVector::Physical);
         self.table.rating(vector)
     }
@@ -228,7 +219,7 @@ mod tests {
 
     #[test]
     fn empty_path_is_treated_as_physical() {
-        let model = AttackVectorModel::default();
+        let model = AttackVectorModel::standard();
         assert_eq!(
             model.rate(&AttackPath::new("empty")),
             AttackFeasibilityRating::VeryLow

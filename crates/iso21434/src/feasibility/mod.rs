@@ -1,30 +1,27 @@
 //! Attack-feasibility models (ISO/SAE-21434 Clause 15.7 and Annex G).
 //!
 //! The standard defines three alternative approaches to rate how feasible an attack
-//! path is:
+//! path is.  Two are modelled here:
 //!
 //! * the **attack-potential-based** approach ([`attack_potential`]) derived from
 //!   ISO/IEC 18045, summing elapsed time, expertise, knowledge, window of
 //!   opportunity and equipment scores (paper Figure 3);
-//! * the **CVSS-based** approach ([`cvss`]) using the exploitability sub-metrics of
-//!   CVSS v3.1;
 //! * the **attack-vector-based** approach ([`attack_vector`]) that maps the access
 //!   required (network / adjacent / local / physical) straight to a rating
 //!   (paper Figure 5 and table G.9).
 //!
-//! All three produce an [`AttackFeasibilityRating`].  The attack-vector approach is
+//! Both produce an [`AttackFeasibilityRating`].  The attack-vector approach is
 //! the one the PSP framework re-weights, so its table type accepts arbitrary
-//! vector → rating mappings.
+//! vector → rating mappings.  The third, CVSS-based approach is not modelled:
+//! the paper's method does not use it.
 
 pub mod attack_potential;
 pub mod attack_vector;
-pub mod cvss;
 
-use crate::attack_path::AttackPath;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The attack-feasibility rating scale shared by all three models.
+/// The attack-feasibility rating scale shared by both models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum AttackFeasibilityRating {
     /// The attack is practically out of reach.
@@ -78,18 +75,6 @@ impl fmt::Display for AttackFeasibilityRating {
     }
 }
 
-/// A model that can rate the feasibility of an attack path.
-///
-/// The trait is object-safe so a TARA can be parameterised with the CVSS or the
-/// attack-vector model — or with a PSP-tuned attack-vector table.
-pub trait FeasibilityModel {
-    /// A short name identifying the model (used in reports).
-    fn name(&self) -> &str;
-
-    /// Rates the feasibility of the given attack path.
-    fn rate(&self, path: &AttackPath) -> AttackFeasibilityRating;
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -136,10 +121,5 @@ pub(crate) mod tests {
             FEASIBILITIES.iter().max(),
             Some(&AttackFeasibilityRating::High)
         );
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        fn _takes_dyn(_m: &dyn FeasibilityModel) {}
     }
 }

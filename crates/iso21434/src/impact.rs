@@ -32,12 +32,6 @@ impl ImpactCategory {
     ];
 }
 
-impl fmt::Display for ImpactCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
 /// The impact level assigned to one impact category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ImpactRating {
@@ -128,12 +122,6 @@ impl DamageScenario {
     }
 }
 
-impl fmt::Display for DamageScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}]", self.title, self.overall())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,11 +151,6 @@ mod tests {
     fn rating_values_are_monotone() {
         let values: Vec<_> = ImpactRating::ALL.iter().map(|r| r.value()).collect();
         assert_eq!(values, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn display_contains_overall() {
-        assert!(stall_scenario().to_string().contains("Severe"));
     }
 
     #[test]

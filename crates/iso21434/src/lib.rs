@@ -8,9 +8,8 @@
 //!   categories (safety, financial, operational, privacy),
 //! * [`threat`] — threat scenarios, STRIDE categories and attacker profiles,
 //! * [`attack_path`] — attack paths made of concrete steps,
-//! * [`feasibility`] — the three attack-feasibility models defined by the standard
-//!   (attack-potential-based, CVSS-based, attack-vector-based; paper Figures 3
-//!   and 5),
+//! * [`feasibility`] — two of the standard's three attack-feasibility models
+//!   (attack-potential-based and attack-vector-based; paper Figures 3 and 5),
 //! * [`risk`] — risk-value determination from impact and feasibility,
 //! * [`cal`] — Cybersecurity Assurance Level determination (paper Figure 6),
 //! * [`treatment`] — risk-treatment decisions and cybersecurity goals,
@@ -49,10 +48,10 @@ pub mod tara;
 pub mod threat;
 pub mod treatment;
 
-pub use asset::{Asset, AssetCategory, CybersecurityProperty};
+pub use asset::{Asset, CybersecurityProperty};
 pub use cal::{Cal, CalMatrix};
 pub use error::Iso21434Error;
-pub use feasibility::{AttackFeasibilityRating, FeasibilityModel};
+pub use feasibility::AttackFeasibilityRating;
 pub use impact::{DamageScenario, ImpactCategory, ImpactRating};
 pub use risk::{RiskMatrix, RiskValue};
 pub use tara::{Tara, TaraEntry, TaraReport};

@@ -1,11 +1,11 @@
 //! The end-to-end TARA engine (ISO/SAE-21434 Clause 15).
 //!
 //! A [`Tara`] collects assets, damage scenarios, threat scenarios and attack paths,
-//! then evaluates them against a chosen [`FeasibilityModel`] to produce a
+//! then evaluates them against an [`AttackVectorModel`] to produce a
 //! [`TaraReport`] with per-threat risk values, CALs, treatment decisions and
 //! cybersecurity goals.
 //!
-//! The engine is deliberately model-agnostic: running the same TARA against the
+//! The engine is deliberately table-agnostic: running the same TARA against the
 //! standard attack-vector table and against a PSP-tuned table is how the workspace
 //! reproduces the before/after comparisons of paper Figure 9.
 
@@ -13,7 +13,8 @@ use crate::asset::Asset;
 use crate::attack_path::AttackPath;
 use crate::cal::{Cal, CalMatrix};
 use crate::error::Iso21434Error;
-use crate::feasibility::{AttackFeasibilityRating, FeasibilityModel};
+use crate::feasibility::attack_vector::AttackVectorModel;
+use crate::feasibility::AttackFeasibilityRating;
 use crate::impact::{DamageScenario, ImpactRating};
 use crate::risk::{RiskMatrix, RiskValue};
 use crate::threat::ThreatScenario;
@@ -197,7 +198,7 @@ impl Tara {
     /// Returns [`Iso21434Error::UnknownAsset`] if a threat scenario references an
     /// asset that was not registered, and [`Iso21434Error::MissingAttackPath`] if an
     /// entry has no attack path.
-    pub fn evaluate(&self, model: &dyn FeasibilityModel) -> Result<TaraReport, Iso21434Error> {
+    pub fn evaluate(&self, model: &AttackVectorModel) -> Result<TaraReport, Iso21434Error> {
         let risk_matrix = RiskMatrix::new();
         let cal_matrix = CalMatrix::new();
         let mut assessments = Vec::with_capacity(self.entries.len());
@@ -268,17 +269,16 @@ impl Tara {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asset::{AssetCategory, CybersecurityProperty};
-    use crate::feasibility::attack_vector::AttackVectorModel;
+    use crate::asset::CybersecurityProperty;
     use crate::impact::ImpactCategory;
     use crate::threat::{AttackerProfile, StrideCategory};
     use vehicle::attack_surface::AttackVector;
 
     fn ecm_tara() -> Tara {
-        let firmware = Asset::new("ECM firmware", AssetCategory::Firmware)
+        let firmware = Asset::new("ECM firmware")
             .hosted_on("ECM")
             .with_property(CybersecurityProperty::Integrity);
-        let torque = Asset::new("Torque control", AssetCategory::Function)
+        let torque = Asset::new("Torque control")
             .hosted_on("ECM")
             .with_property(CybersecurityProperty::Availability);
 
@@ -376,12 +376,10 @@ mod tests {
 
     #[test]
     fn missing_attack_path_is_rejected() {
-        let tara = Tara::new("X")
-            .asset(Asset::new("a", AssetCategory::Function))
-            .entry(TaraEntry::new(
-                ThreatScenario::new("t", "a", StrideCategory::Tampering),
-                DamageScenario::new("d"),
-            ));
+        let tara = Tara::new("X").asset(Asset::new("a")).entry(TaraEntry::new(
+            ThreatScenario::new("t", "a", StrideCategory::Tampering),
+            DamageScenario::new("d"),
+        ));
         let err = tara.evaluate(&AttackVectorModel::standard()).unwrap_err();
         assert!(matches!(err, Iso21434Error::MissingAttackPath { .. }));
     }
@@ -397,8 +395,9 @@ mod tests {
         assert_eq!(report.goals().len(), treated.len());
         for (goal, assessment) in report.goals().iter().zip(treated) {
             assert!(assessment.risk.get() >= 3);
-            let label = format!("[risk {}]", assessment.risk);
-            assert!(goal.to_string().starts_with(&label));
+            let shown = format!("{goal:?}");
+            assert!(shown.contains(&format!("threat_title: {:?}", assessment.threat_title)));
+            assert!(shown.contains(&format!("risk: {:?}", assessment.risk)));
         }
     }
 

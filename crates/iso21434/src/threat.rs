@@ -9,7 +9,6 @@
 
 use crate::asset::CybersecurityProperty;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use vehicle::attack_surface::AttackVector;
 
 /// STRIDE threat categories used to enumerate threat scenarios.
@@ -44,12 +43,6 @@ impl StrideCategory {
     }
 }
 
-impl fmt::Display for StrideCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
 /// Attacker profiles, following the taxonomy the paper cites (Section II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -73,12 +66,6 @@ pub enum AttackerProfile {
     Remote,
 }
 
-impl fmt::Display for AttackerProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
 /// A threat scenario.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreatScenario {
@@ -88,7 +75,6 @@ pub struct ThreatScenario {
     stride: StrideCategory,
     attacker: AttackerProfile,
     preferred_vector: AttackVector,
-    keywords: Vec<String>,
 }
 
 impl ThreatScenario {
@@ -99,14 +85,13 @@ impl ThreatScenario {
     /// # Examples
     ///
     /// ```
-    /// use iso21434::{ThreatScenario, StrideCategory, AttackerProfile};
+    /// use iso21434::{CybersecurityProperty, ThreatScenario, StrideCategory, AttackerProfile};
     /// use vehicle::attack_surface::AttackVector;
     ///
     /// let ts = ThreatScenario::new("ECM reprogramming", "ECM firmware", StrideCategory::Tampering)
     ///     .by(AttackerProfile::Rational)
-    ///     .via(AttackVector::Physical)
-    ///     .with_keyword("chiptuning");
-    /// assert!(ts.to_string().contains("Rational"));
+    ///     .via(AttackVector::Physical);
+    /// assert_eq!(ts.violated_property(), CybersecurityProperty::Integrity);
     /// ```
     #[must_use]
     pub fn new(
@@ -121,7 +106,6 @@ impl ThreatScenario {
             stride,
             attacker: AttackerProfile::Outsider,
             preferred_vector: AttackVector::Network,
-            keywords: Vec::new(),
         }
     }
 
@@ -136,14 +120,6 @@ impl ThreatScenario {
     #[must_use]
     pub fn via(mut self, vector: AttackVector) -> Self {
         self.preferred_vector = vector;
-        self
-    }
-
-    /// Adds a social-media keyword / hashtag associated with the scenario
-    /// (consumed by the PSP keyword database).
-    #[must_use]
-    pub fn with_keyword(mut self, keyword: impl Into<String>) -> Self {
-        self.keywords.push(keyword.into());
         self
     }
 
@@ -166,16 +142,6 @@ impl ThreatScenario {
     }
 }
 
-impl fmt::Display for ThreatScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} on {}, {} via {})",
-            self.title, self.stride, self.asset_name, self.attacker, self.preferred_vector
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,8 +154,6 @@ mod tests {
         )
         .by(AttackerProfile::Rational)
         .via(AttackVector::Physical)
-        .with_keyword("chiptuning")
-        .with_keyword("ecuremap")
     }
 
     #[test]
@@ -216,20 +180,6 @@ mod tests {
             CybersecurityProperty::Confidentiality
         );
         assert_eq!(ts.attacker, AttackerProfile::Outsider);
-    }
-
-    #[test]
-    fn keywords_accumulate() {
-        assert_eq!(reprogramming().keywords, ["chiptuning", "ecuremap"]);
-    }
-
-    #[test]
-    fn display_mentions_all_parts() {
-        let s = reprogramming().to_string();
-        assert!(s.contains("ECM reprogramming"));
-        assert!(s.contains("Tampering"));
-        assert!(s.contains("Rational"));
-        assert!(s.contains("Physical"));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl CybersecurityGoal {
     }
 }
 
-impl fmt::Display for CybersecurityGoal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[risk {}] {}", self.risk, self.statement)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +103,6 @@ mod tests {
         );
         assert_eq!(g.threat_title, "ECM reprogramming");
         assert_eq!(g.risk.get(), 4);
-        assert!(g.to_string().contains("risk 4"));
     }
 
     #[test]

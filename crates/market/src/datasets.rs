@@ -35,7 +35,7 @@ pub fn excavator_sales_europe() -> SalesLedger {
 /// (`PEA` = 7 %) plus a few other categories used by the examples.
 #[must_use]
 pub fn annual_report() -> CyberSecurityReport {
-    CyberSecurityReport::new("Synthetic Automotive Cybersecurity Observatory")
+    CyberSecurityReport::default()
         .with_statistic(IncidentStatistic::new(
             "emission tampering (DPF)",
             2021,

@@ -124,21 +124,21 @@ impl DynamicTaraComparison {
 /// `vehicle` reference models).
 #[must_use]
 pub fn ecm_reference_tara(item_name: &str) -> Tara {
-    use iso21434::asset::{Asset, AssetCategory, CybersecurityProperty};
+    use iso21434::asset::{Asset, CybersecurityProperty};
     use iso21434::attack_path::AttackPath;
     use iso21434::impact::{DamageScenario, ImpactCategory, ImpactRating};
     use iso21434::tara::TaraEntry;
     use iso21434::threat::{AttackerProfile, StrideCategory, ThreatScenario};
     use vehicle::attack_surface::AttackVector;
 
-    let firmware = Asset::new("ECM firmware", AssetCategory::Firmware)
+    let firmware = Asset::new("ECM firmware")
         .hosted_on("ECM")
         .with_property(CybersecurityProperty::Integrity)
         .with_property(CybersecurityProperty::Authenticity);
-    let calibration = Asset::new("ECM calibration", AssetCategory::Calibration)
+    let calibration = Asset::new("ECM calibration")
         .hosted_on("ECM")
         .with_property(CybersecurityProperty::Integrity);
-    let torque = Asset::new("Torque control function", AssetCategory::Function)
+    let torque = Asset::new("Torque control function")
         .hosted_on("ECM")
         .with_property(CybersecurityProperty::Availability);
 
@@ -149,9 +149,7 @@ pub fn ecm_reference_tara(item_name: &str) -> Tara {
             StrideCategory::Tampering,
         )
         .by(AttackerProfile::Rational)
-        .via(AttackVector::Physical)
-        .with_keyword("chiptuning")
-        .with_keyword("benchflash"),
+        .via(AttackVector::Physical),
         DamageScenario::new("Emission limits exceeded, warranty and type-approval fraud")
             .rate(ImpactCategory::Financial, ImpactRating::Major)
             .rate(ImpactCategory::Operational, ImpactRating::Moderate),
@@ -181,8 +179,7 @@ pub fn ecm_reference_tara(item_name: &str) -> Tara {
             StrideCategory::Tampering,
         )
         .by(AttackerProfile::Insider)
-        .via(AttackVector::Local)
-        .with_keyword("chiptuning"),
+        .via(AttackVector::Local),
         DamageScenario::new("Torque and emission maps outside homologated range")
             .rate(ImpactCategory::Financial, ImpactRating::Major)
             .rate(ImpactCategory::Safety, ImpactRating::Moderate),

@@ -261,12 +261,12 @@ pub trait StreamingScorer: SaiScorer {
     /// generic handle the service daemon's export-cache request rides.
     fn export_signal_cache(&self) -> SignalCacheFile;
 
-    /// A deep copy of the served corpus in global ingest order — the
-    /// checkpoint payload of the durability plane.  Rebuilding an engine of
-    /// the same shape over this corpus (plus
+    /// The served corpus in global ingest order — the checkpoint payload of
+    /// the durability plane, serialized through this borrow.  Rebuilding an
+    /// engine of the same shape over a copy of it (plus
     /// [`restore_generation`](Self::restore_generation)) must reproduce
     /// bit-identical scoring.
-    fn snapshot_corpus(&self) -> Corpus;
+    fn corpus(&self) -> &Corpus;
 
     /// Overrides the generation counter — recovery only.  A rebuilt engine
     /// starts at generation zero; restoring the checkpointed generation makes
@@ -782,8 +782,8 @@ impl StreamingScorer for LiveEngine {
         LiveEngine::export_signal_cache(self)
     }
 
-    fn snapshot_corpus(&self) -> Corpus {
-        self.corpus.clone()
+    fn corpus(&self) -> &Corpus {
+        LiveEngine::corpus(self)
     }
 
     fn restore_generation(&mut self, generation: u64) {

@@ -1,28 +1,15 @@
 //! Error types for the PSP framework.
 //!
-//! [`PspError`] is the single top-level error surface: workflow errors,
-//! forwarded ISO/SAE-21434 errors, signal-cache validation errors
-//! ([`crate::engine::SignalCacheError`], via `From`) and the service
-//! daemon's request errors all fold into it, so every
+//! [`PspError`] is the single top-level error surface: financial-input
+//! errors and the service daemon's request errors both fold into it, so every
 //! [`crate::service::ServiceResponse`] serializes exactly one error type.
 
-use crate::engine::SignalCacheError;
 use std::fmt;
 
 /// Errors produced by the PSP workflows.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PspError {
-    /// The corpus query returned no posts for any configured keyword.
-    EmptyEvidence {
-        /// The scene that was queried.
-        scene: String,
-    },
-    /// A threat scenario referenced by the caller has no keywords in the database.
-    UnknownScenario {
-        /// The scenario identifier.
-        scenario: String,
-    },
     /// A financial input was missing or non-positive.
     InvalidFinancialInput {
         /// The parameter name.
@@ -30,10 +17,6 @@ pub enum PspError {
         /// Human-readable detail.
         detail: String,
     },
-    /// Forwarded error from the ISO/SAE-21434 substrate.
-    Tara(iso21434::Iso21434Error),
-    /// A persisted signal cache failed validation against the serving corpus.
-    SignalCache(SignalCacheError),
     /// A service request named a keyword database not in the registry.
     UnknownDatabase {
         /// The database name requested.
@@ -106,11 +89,7 @@ impl PspError {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            PspError::EmptyEvidence { .. } => "empty-evidence",
-            PspError::UnknownScenario { .. } => "unknown-scenario",
             PspError::InvalidFinancialInput { .. } => "invalid-financial-input",
-            PspError::Tara(_) => "tara",
-            PspError::SignalCache(_) => "signal-cache",
             PspError::UnknownDatabase { .. } => "unknown-database",
             PspError::UnknownConfig { .. } => "unknown-config",
             PspError::BadRequest { .. } => "bad-request",
@@ -129,17 +108,9 @@ impl PspError {
 impl fmt::Display for PspError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PspError::EmptyEvidence { scene } => {
-                write!(f, "no social evidence found for scene `{scene}`")
-            }
-            PspError::UnknownScenario { scenario } => {
-                write!(f, "no keywords registered for threat scenario `{scenario}`")
-            }
             PspError::InvalidFinancialInput { parameter, detail } => {
                 write!(f, "invalid financial input `{parameter}`: {detail}")
             }
-            PspError::Tara(inner) => write!(f, "TARA error: {inner}"),
-            PspError::SignalCache(inner) => write!(f, "signal cache error: {inner}"),
             PspError::UnknownDatabase { name } => {
                 write!(f, "no keyword database registered under `{name}`")
             }
@@ -172,27 +143,7 @@ impl fmt::Display for PspError {
     }
 }
 
-impl std::error::Error for PspError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PspError::Tara(inner) => Some(inner),
-            PspError::SignalCache(inner) => Some(inner),
-            _ => None,
-        }
-    }
-}
-
-impl From<iso21434::Iso21434Error> for PspError {
-    fn from(value: iso21434::Iso21434Error) -> Self {
-        PspError::Tara(value)
-    }
-}
-
-impl From<SignalCacheError> for PspError {
-    fn from(value: SignalCacheError) -> Self {
-        PspError::SignalCache(value)
-    }
-}
+impl std::error::Error for PspError {}
 
 #[cfg(test)]
 mod tests {
@@ -200,16 +151,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(PspError::EmptyEvidence {
-            scene: "excavator".into()
-        }
-        .to_string()
-        .contains("excavator"));
-        assert!(PspError::UnknownScenario {
-            scenario: "x".into()
-        }
-        .to_string()
-        .contains("x"));
         assert!(PspError::InvalidFinancialInput {
             parameter: "PPIA",
             detail: "no prices found".into()
@@ -219,27 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn tara_errors_are_wrapped_with_source() {
-        use std::error::Error;
-        let err: PspError =
-            iso21434::Iso21434Error::MissingAttackPath { threat: "t".into() }.into();
-        assert!(err.to_string().contains("TARA"));
-        assert!(err.source().is_some());
-    }
-
-    #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PspError>();
-    }
-
-    #[test]
-    fn signal_cache_errors_fold_in_with_source() {
-        use std::error::Error;
-        let err: PspError = SignalCacheError::LexiconMismatch.into();
-        assert_eq!(err.kind(), "signal-cache");
-        assert!(err.to_string().contains("signal cache"));
-        assert!(err.source().is_some());
     }
 
     #[test]
@@ -289,19 +212,11 @@ mod tests {
     #[test]
     fn kinds_are_unique_per_variant() {
         let kinds = [
-            PspError::EmptyEvidence { scene: "s".into() }.kind(),
-            PspError::UnknownScenario {
-                scenario: "s".into(),
-            }
-            .kind(),
             PspError::InvalidFinancialInput {
                 parameter: "p",
                 detail: "d".into(),
             }
             .kind(),
-            PspError::Tara(iso21434::Iso21434Error::MissingAttackPath { threat: "t".into() })
-                .kind(),
-            PspError::SignalCache(SignalCacheError::LexiconMismatch).kind(),
             PspError::UnknownDatabase { name: "n".into() }.kind(),
             PspError::UnknownConfig { name: "n".into() }.kind(),
             PspError::BadRequest { detail: "d".into() }.kind(),

@@ -196,14 +196,6 @@ impl KeywordDatabase {
     }
 }
 
-impl Extend<KeywordProfile> for KeywordDatabase {
-    fn extend<T: IntoIterator<Item = KeywordProfile>>(&mut self, iter: T) {
-        for profile in iter {
-            self.insert(profile);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,18 +267,6 @@ mod tests {
         ));
         assert_eq!(db.len(), 2, "re-insert replaces");
         assert_eq!(db.profile("a").unwrap().scenario, "s2");
-    }
-
-    #[test]
-    fn extend_adds_profiles() {
-        let mut db = KeywordDatabase::new();
-        db.extend(vec![KeywordProfile::manual(
-            "x",
-            "s",
-            AttackVector::Local,
-            AttackOrigin::Insider,
-        )]);
-        assert_eq!(db.len(), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::dynamic_tara::DynamicTaraComparison;
 use crate::financial::FinancialAssessment;
 use crate::workflow::PspOutcome;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The top-level PSP report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,12 +95,6 @@ impl PspReport {
     }
 }
 
-impl fmt::Display for PspReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.summary())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +171,6 @@ mod tests {
             back.tara_comparison.as_ref().map(|c| c.deltas.clone()),
             report.tara_comparison.as_ref().map(|c| c.deltas.clone())
         );
-    }
-
-    #[test]
-    fn display_equals_summary() {
-        let report = full_report();
-        assert_eq!(report.to_string(), report.summary());
     }
 
     #[test]

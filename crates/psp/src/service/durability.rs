@@ -251,9 +251,9 @@ impl DurableStore {
             return Ok((last, engine.post_count(), path));
         }
 
-        let corpus = engine.snapshot_corpus();
+        let corpus = engine.corpus();
         let posts = corpus.len();
-        let corpus_json = serde_json::to_string(&corpus).map_err(|err| PspError::Durability {
+        let corpus_json = serde_json::to_string(corpus).map_err(|err| PspError::Durability {
             detail: format!("serialise checkpoint corpus: {err:?}"),
         })?;
         let signals_json = serde_json::to_string(&engine.export_signal_cache()).map_err(|err| {

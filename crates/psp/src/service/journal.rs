@@ -109,8 +109,6 @@ pub struct WalScan {
     pub valid_bytes: u64,
     /// Total bytes in the file as scanned.
     pub file_bytes: u64,
-    /// Why the scan stopped before end of file, when it did.
-    pub torn: Option<String>,
 }
 
 impl WalScan {
@@ -137,7 +135,6 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, PspError> {
                 records: Vec::new(),
                 valid_bytes: 0,
                 file_bytes: 0,
-                torn: None,
             })
         }
         Err(err) => {
@@ -152,52 +149,38 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, PspError> {
             records: Vec::new(),
             valid_bytes: 0,
             file_bytes,
-            torn: Some("missing or foreign WAL header".into()),
         });
     }
     let mut records = Vec::new();
     let mut at = WAL_MAGIC.len();
-    let mut torn = None;
-    while at < bytes.len() {
-        let Some(frame) = bytes.get(at..at + 8) else {
-            torn = Some(format!("short frame header at offset {at}"));
-            break;
-        };
+    while let Some(frame) = bytes.get(at..at + 8) {
         let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
         if len > MAX_FRAME_BYTES {
-            torn = Some(format!("implausible frame length {len} at offset {at}"));
             break;
         }
         let Some(payload) = bytes.get(at + 8..at + 8 + len as usize) else {
-            torn = Some(format!("short frame payload at offset {at}"));
             break;
         };
         if crc32(payload) != crc {
-            torn = Some(format!("CRC mismatch at offset {at}"));
             break;
         }
         let Ok(text) = std::str::from_utf8(payload) else {
-            torn = Some(format!("non-UTF-8 payload at offset {at}"));
             break;
         };
-        match serde_json::from_str::<WalRecord>(text) {
-            Ok(record) => records.push(record),
-            Err(err) => {
-                // The checksum passed but the payload does not decode: a
-                // foreign or future record shape.  Trusting anything after
-                // it would re-order history, so the prefix ends here.
-                torn = Some(format!("undecodable record at offset {at}: {err:?}"));
-                break;
-            }
-        }
+        // The checksum passed but the payload may still not decode: a
+        // foreign or future record shape.  Trusting anything after it would
+        // re-order history, so the prefix ends there too.
+        let Ok(record) = serde_json::from_str::<WalRecord>(text) else {
+            break;
+        };
+        records.push(record);
         at += 8 + len as usize;
     }
     Ok(WalScan {
         records,
         valid_bytes: at as u64,
         file_bytes,
-        torn,
     })
 }
 
@@ -607,7 +590,6 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records, vec![record(1, &[1, 2]), record(2, &[3])]);
         assert_eq!(scan.valid_bytes, scan.file_bytes);
-        assert!(scan.torn.is_none());
     }
 
     #[test]
@@ -625,7 +607,6 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_bytes, valid);
-        assert!(scan.torn.is_some());
         assert_eq!(scan.truncated_bytes(), 6);
 
         // Reopening truncates; the next scan is clean and appends work.
@@ -633,7 +614,7 @@ mod tests {
         writer.append(2, &posts(&[2])).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
-        assert!(scan.torn.is_none());
+        assert_eq!(scan.truncated_bytes(), 0);
     }
 
     #[test]
@@ -654,7 +635,7 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records, vec![record(1, &[1])]);
         assert_eq!(scan.valid_bytes, first_end);
-        assert!(scan.torn.unwrap().contains("CRC mismatch"));
+        assert_eq!(scan.truncated_bytes(), bytes.len() as u64 - first_end);
     }
 
     #[test]
@@ -668,7 +649,8 @@ mod tests {
         let writer = WalWriter::open(&path, &scan, FaultFs::none()).unwrap();
         assert_eq!(writer.records(), 0);
         let scan = scan_wal(&path).unwrap();
-        assert!(scan.records.is_empty() && scan.torn.is_none());
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.truncated_bytes(), 0);
     }
 
     #[test]
@@ -680,7 +662,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert!(scan.records.is_empty());
-        assert!(scan.torn.unwrap().contains("implausible"));
+        assert_eq!(scan.valid_bytes, WAL_MAGIC.len() as u64);
+        assert_eq!(scan.truncated_bytes(), 8);
     }
 
     #[test]
@@ -698,7 +681,7 @@ mod tests {
         // ends on a frame boundary holding exactly record 1.
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records, vec![record(1, &[1])]);
-        assert!(scan.torn.is_none());
+        assert_eq!(scan.truncated_bytes(), 0);
         assert_eq!(scan.file_bytes, valid);
 
         // The fault disarmed itself and the SAME writer keeps appending on
@@ -706,7 +689,7 @@ mod tests {
         writer.append(2, &posts(&[2])).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records, vec![record(1, &[1]), record(2, &[2])]);
-        assert!(scan.torn.is_none());
+        assert_eq!(scan.truncated_bytes(), 0);
     }
 
     #[test]

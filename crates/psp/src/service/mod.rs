@@ -748,7 +748,7 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> TaraService<E> {
     /// generation (or by wire id, at the transport layer) otherwise.
     #[must_use]
     pub fn submit(&self, request: ServiceRequest) -> Ticket {
-        self.submit_with_token(request, CancelToken::new())
+        self.submit_with_token(request, CancelToken::default())
     }
 
     /// Enqueues a request that expires `deadline` after submission: if it is
@@ -870,7 +870,7 @@ impl<E: StreamingScorer + Clone + Send + Sync + 'static> Drop for TaraService<E>
 
 impl<E: StreamingScorer + Clone + Send + Sync + 'static> ServiceState<E> {
     fn respond(&self, request: ServiceRequest) -> ServiceResponse {
-        self.respond_with(request, &CancelToken::new())
+        self.respond_with(request, &CancelToken::default())
     }
 
     fn respond_with(&self, request: ServiceRequest, token: &CancelToken) -> ServiceResponse {

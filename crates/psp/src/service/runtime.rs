@@ -233,12 +233,6 @@ impl CancelToken {
         }
     }
 
-    /// A token with no deadline: it never expires.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::build(None)
-    }
-
     /// A token that expires `after` the current instant.
     #[must_use]
     pub fn with_deadline(after: Duration) -> Self {
@@ -260,9 +254,10 @@ impl CancelToken {
     }
 }
 
+/// The default token has no deadline: it never expires.
 impl Default for CancelToken {
     fn default() -> Self {
-        Self::new()
+        Self::build(None)
     }
 }
 
@@ -543,6 +538,9 @@ mod tests {
         assert!(token.is_cancelled(), "deadline passed");
         assert!(token.waited_ms() >= 5);
 
-        assert!(!CancelToken::new().is_cancelled(), "no deadline, no expiry");
+        assert!(
+            !CancelToken::default().is_cancelled(),
+            "no deadline, no expiry"
+        );
     }
 }

@@ -6,8 +6,9 @@
 //! clock-driven half — "re-run this `Sweep`/`Matrix` every N milliseconds
 //! and deliver the result like a subscription event".  One
 //! `tara-scheduler` thread owns the timetable: it sleeps until the next
-//! job is due (condvar with timeout, woken early when a job is added,
-//! removed or the service shuts down), executes due requests through the
+//! job is due (a condvar wait, with no timeout while no job is scheduled,
+//! woken early when a job is added, removed or the service shuts down),
+//! executes due requests through the
 //! same snapshot-isolated `respond` path every other request uses, and
 //! delivers each result as a [`ServiceEvent::ScheduledRun`] through the
 //! job's event sink.  Removing a job is a fence: a run is delivered under the
@@ -41,10 +42,6 @@ pub(super) struct SchedulerQueue {
     wake: Condvar,
     shutdown: AtomicBool,
 }
-
-/// The longest the scheduler sleeps with an empty timetable (it still wakes
-/// promptly via the condvar when a job is added).
-const IDLE_WAIT: Duration = Duration::from_secs(1);
 
 impl SchedulerQueue {
     /// Adds a recurring job; the first run is due one full interval from
@@ -97,9 +94,13 @@ impl SchedulerQueue {
         lock(&self.jobs).len()
     }
 
-    /// Signals the scheduler thread to exit and wakes it.
+    /// Signals the scheduler thread to exit and wakes it.  The flag is set
+    /// under the timetable lock, so a [`sleep`](Self::sleep) that checked it
+    /// is already waiting and gets the wake.
     pub(super) fn shut_down(&self) {
+        let jobs = lock(&self.jobs);
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(jobs);
         self.wake.notify_all();
     }
 
@@ -107,11 +108,10 @@ impl SchedulerQueue {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Collects the requests due now — bumping each job's `next_due` by
+    /// Collects the requests due now, bumping each job's `next_due` by
     /// whole intervals past `now`, so a stalled scheduler (one slow tick)
-    /// coalesces missed runs instead of bursting to catch up — and returns
-    /// how long to sleep until the next one.
-    fn take_due(&self, now: Instant) -> (Vec<(u64, ServiceRequest)>, Duration) {
+    /// coalesces missed runs instead of bursting to catch up.
+    fn take_due(&self, now: Instant) -> Vec<(u64, ServiceRequest)> {
         let mut jobs = lock(&self.jobs);
         let mut due = Vec::new();
         for job in jobs.iter_mut() {
@@ -122,12 +122,7 @@ impl SchedulerQueue {
                 }
             }
         }
-        let wait = jobs
-            .iter()
-            .map(|job| job.next_due.saturating_duration_since(now))
-            .min()
-            .unwrap_or(IDLE_WAIT);
-        (due, wait)
+        due
     }
 
     /// Sends one run's event to job `id`, under the timetable lock and only
@@ -143,13 +138,26 @@ impl SchedulerQueue {
         }
     }
 
-    /// Sleeps until `wait` elapses or the timetable changes.
-    fn sleep(&self, wait: Duration) {
+    /// Sleeps until the earliest job is due or the timetable changes; with
+    /// no jobs, until the timetable changes.  The deadline is read under the
+    /// lock that `add`, `remove` and `shut_down` take before they notify, so
+    /// a job added while due requests ran, or just before this call, is
+    /// never slept past.
+    fn sleep(&self) {
         let jobs = lock(&self.jobs);
-        let _unused = self
-            .wake
-            .wait_timeout(jobs, wait)
-            .unwrap_or_else(PoisonError::into_inner);
+        if self.is_shut_down() {
+            return;
+        }
+        let now = Instant::now();
+        match jobs.iter().map(|job| job.next_due).min() {
+            None => drop(self.wake.wait(jobs).unwrap_or_else(PoisonError::into_inner)),
+            Some(due) if due > now => drop(
+                self.wake
+                    .wait_timeout(jobs, due - now)
+                    .unwrap_or_else(PoisonError::into_inner),
+            ),
+            Some(_) => {}
+        }
     }
 }
 
@@ -157,12 +165,8 @@ impl SchedulerQueue {
 /// latest snapshot (the same path every service request takes).  Runs until
 /// [`SchedulerQueue::shut_down`].
 pub(super) fn run(queue: &SchedulerQueue, respond: impl Fn(ServiceRequest) -> ServiceResponse) {
-    loop {
-        if queue.is_shut_down() {
-            break;
-        }
-        let (due, wait) = queue.take_due(Instant::now());
-        for (id, request) in due {
+    while !queue.is_shut_down() {
+        for (id, request) in queue.take_due(Instant::now()) {
             // The scheduler thread survives a panicking request exactly like
             // a pool worker: catch, answer structured, carry on.
             let response =
@@ -175,10 +179,7 @@ pub(super) fn run(queue: &SchedulerQueue, respond: impl Fn(ServiceRequest) -> Se
                     });
             queue.deliver(id, ServiceEvent::ScheduledRun { job: id, response });
         }
-        if queue.is_shut_down() {
-            break;
-        }
-        queue.sleep(wait);
+        queue.sleep();
     }
 }
 
@@ -209,11 +210,10 @@ mod tests {
         // Well past several intervals: exactly one due entry, next_due in
         // the future.
         let later = Instant::now() + Duration::from_millis(100);
-        let (due, _) = queue.take_due(later);
-        assert_eq!(due.len(), 1);
-        let (due_again, wait) = queue.take_due(later);
-        assert!(due_again.is_empty(), "missed runs coalesce");
-        assert!(wait <= Duration::from_millis(10));
+        assert_eq!(queue.take_due(later).len(), 1);
+        assert!(queue.take_due(later).is_empty(), "missed runs coalesce");
+        let next_due = lock(&queue.jobs)[0].next_due;
+        assert!(next_due > later && next_due <= later + Duration::from_millis(10));
     }
 
     #[test]
@@ -243,7 +243,7 @@ mod tests {
             tx,
             || (),
         );
-        let (due, _) = queue.take_due(Instant::now() + Duration::from_millis(5));
+        let due = queue.take_due(Instant::now() + Duration::from_millis(5));
         assert_eq!(due.len(), 1, "the run is in flight");
         assert!(queue.remove(3));
         let response = ServiceResponse::Unscheduled { id: 3 };

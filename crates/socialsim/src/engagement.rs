@@ -5,7 +5,6 @@
 //! returns per post.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Engagement counters of one post.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -49,17 +48,6 @@ impl Engagement {
     }
 }
 
-impl fmt::Display for Engagement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} views / {} interactions",
-            self.views,
-            self.interactions()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,10 +70,5 @@ mod tests {
         let e = Engagement::default();
         assert_eq!(e.views, 0);
         assert_eq!(e.interactions(), 0);
-    }
-
-    #[test]
-    fn display_mentions_views() {
-        assert!(Engagement::new(7, 1, 0, 0).to_string().contains("7 views"));
     }
 }

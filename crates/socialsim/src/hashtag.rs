@@ -1,7 +1,6 @@
 //! Hashtags and their normalisation.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A normalised hashtag (lowercase, no leading `#`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -43,12 +42,6 @@ impl Hashtag {
     }
 }
 
-impl fmt::Display for Hashtag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}", self.0)
-    }
-}
-
 impl From<&str> for Hashtag {
     fn from(raw: &str) -> Self {
         Hashtag::new(raw)
@@ -79,11 +72,6 @@ mod tests {
     fn empty_input_detected() {
         assert!(Hashtag::new("#!!").is_empty());
         assert!(!Hashtag::new("#x").is_empty());
-    }
-
-    #[test]
-    fn display_prepends_hash() {
-        assert_eq!(Hashtag::new("dieselpower").to_string(), "#dieselpower");
     }
 
     #[test]

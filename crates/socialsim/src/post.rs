@@ -5,7 +5,6 @@ use crate::hashtag::Hashtag;
 use crate::time::SimDate;
 use crate::user::User;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Geographic region of a post (the PSP query "excavator, Europe" filters on this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -21,12 +20,6 @@ pub enum Region {
     AsiaPacific,
     /// Africa and the Middle East.
     AfricaMiddleEast,
-}
-
-impl fmt::Display for Region {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
 }
 
 /// The target application a post talks about (PSP input block 1).
@@ -45,12 +38,6 @@ pub enum TargetApplication {
     Excavator,
     /// Sports cars.
     SportsCar,
-}
-
-impl fmt::Display for TargetApplication {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
 }
 
 /// A single social-media post.
@@ -170,12 +157,6 @@ impl Post {
     }
 }
 
-impl fmt::Display for Post {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.date, self.author, self.text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,13 +214,6 @@ mod tests {
         assert_eq!(p.application(), TargetApplication::Excavator);
         assert_eq!(p.date().year(), 2022);
         assert_eq!(p.engagement().views, 4_000);
-    }
-
-    #[test]
-    fn display_contains_date_and_author() {
-        let s = sample_post().to_string();
-        assert!(s.contains("2022-06-10"));
-        assert!(s.contains("@digger_dave"));
     }
 
     #[test]

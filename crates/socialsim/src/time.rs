@@ -5,7 +5,6 @@
 //! full date-time dependency into the workspace.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A calendar date with day precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -44,12 +43,6 @@ impl SimDate {
     #[must_use]
     pub fn within(&self, from: SimDate, to: SimDate) -> bool {
         *self >= from && *self <= to
-    }
-}
-
-impl fmt::Display for SimDate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day)
     }
 }
 
@@ -121,10 +114,5 @@ mod tests {
     fn window_swaps_inverted_bounds() {
         let w = DateWindow::new(SimDate::new(2022, 1, 1), SimDate::new(2020, 1, 1));
         assert!(w.from < w.to);
-    }
-
-    #[test]
-    fn display_is_iso_like() {
-        assert_eq!(SimDate::new(2021, 3, 7).to_string(), "2021-03-07");
     }
 }

@@ -1,7 +1,6 @@
 //! Simulated social-media users.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A social-media account that authors posts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,12 +53,6 @@ impl User {
     }
 }
 
-impl fmt::Display for User {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}", self.handle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,10 +87,5 @@ mod tests {
         let small = User::new("a", 10, 24);
         let large = User::new("b", 100_000, 24);
         assert!(large.credibility() > small.credibility());
-    }
-
-    #[test]
-    fn display_prepends_at() {
-        assert_eq!(User::new("tuner", 1, 1).to_string(), "@tuner");
     }
 }

@@ -181,12 +181,6 @@ impl ExternalInterface {
     }
 }
 
-impl fmt::Display for ExternalInterface {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

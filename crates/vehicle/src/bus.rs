@@ -7,7 +7,6 @@
 
 use crate::domain::FunctionalDomain;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The kind of an in-vehicle network segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,28 +26,6 @@ pub enum BusKind {
     Ethernet,
     /// MOST multimedia ring (legacy infotainment).
     Most,
-}
-
-impl BusKind {
-    /// A short label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            BusKind::CanHighSpeed => "CAN-HS",
-            BusKind::CanLowSpeed => "CAN-LS",
-            BusKind::CanFd => "CAN-FD",
-            BusKind::Lin => "LIN",
-            BusKind::FlexRay => "FlexRay",
-            BusKind::Ethernet => "Ethernet",
-            BusKind::Most => "MOST",
-        }
-    }
-}
-
-impl fmt::Display for BusKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// A concrete network segment in a vehicle architecture.
@@ -84,21 +61,9 @@ impl Bus {
     }
 }
 
-impl fmt::Display for Bus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name, self.kind)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_includes_kind() {
-        let bus = Bus::new("BODY-LIN", BusKind::Lin, FunctionalDomain::Body);
-        assert_eq!(bus.to_string(), "BODY-LIN (LIN)");
-    }
 
     #[test]
     fn serde_round_trip() {
@@ -106,20 +71,5 @@ mod tests {
         let json = serde_json::to_string(&bus).unwrap();
         let back: Bus = serde_json::from_str(&json).unwrap();
         assert_eq!(bus, back);
-    }
-
-    #[test]
-    fn all_kinds_have_distinct_labels() {
-        let kinds = [
-            BusKind::CanHighSpeed,
-            BusKind::CanLowSpeed,
-            BusKind::CanFd,
-            BusKind::Lin,
-            BusKind::FlexRay,
-            BusKind::Ethernet,
-            BusKind::Most,
-        ];
-        let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), kinds.len());
     }
 }

@@ -2,41 +2,11 @@
 //!
 //! The ECU is the item under analysis in an ISO/SAE-21434 TARA.  The model keeps
 //! the properties that drive the risk analysis: functional domain, bus attachments,
-//! external interfaces, whether the unit accepts firmware-over-the-air updates,
-//! whether it is a gateway, and its safety integrity level.
+//! external interfaces and whether it is a gateway.
 
 use crate::attack_surface::ExternalInterface;
 use crate::domain::FunctionalDomain;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Automotive Safety Integrity Level (ISO 26262), kept here because the paper maps
-/// CAL levels onto ASIL levels when discussing powertrain DoS attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum AsilLevel {
-    /// Quality-managed, no safety requirement.
-    Qm,
-    /// ASIL A (lowest safety integrity requirement).
-    A,
-    /// ASIL B.
-    B,
-    /// ASIL C.
-    C,
-    /// ASIL D (highest safety integrity requirement).
-    D,
-}
-
-impl fmt::Display for AsilLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AsilLevel::Qm => f.write_str("QM"),
-            AsilLevel::A => f.write_str("ASIL A"),
-            AsilLevel::B => f.write_str("ASIL B"),
-            AsilLevel::C => f.write_str("ASIL C"),
-            AsilLevel::D => f.write_str("ASIL D"),
-        }
-    }
-}
 
 /// An electronic control unit in the vehicle architecture.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,8 +17,6 @@ pub struct Ecu {
     buses: Vec<String>,
     interfaces: Vec<ExternalInterface>,
     gateway: bool,
-    fota_capable: bool,
-    asil: AsilLevel,
 }
 
 impl Ecu {
@@ -95,25 +63,18 @@ impl Ecu {
     }
 }
 
-impl fmt::Display for Ecu {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name, self.full_name)
-    }
-}
-
 /// Builder for [`Ecu`].
 ///
 /// # Examples
 ///
 /// ```
-/// use vehicle::{Ecu, FunctionalDomain, AsilLevel};
+/// use vehicle::{Ecu, FunctionalDomain};
 /// use vehicle::attack_surface::ExternalInterface;
 ///
 /// let ecm = Ecu::builder("ECM")
 ///     .full_name("Engine Control Module")
 ///     .domain(FunctionalDomain::Powertrain)
 ///     .on_bus("PT-CAN")
-///     .asil(AsilLevel::D)
 ///     .build();
 /// assert!(ecm.buses().contains(&"PT-CAN".to_string()));
 /// ```
@@ -125,13 +86,11 @@ pub struct EcuBuilder {
     buses: Vec<String>,
     interfaces: Vec<ExternalInterface>,
     gateway: bool,
-    fota_capable: bool,
-    asil: AsilLevel,
 }
 
 impl EcuBuilder {
     /// Creates a builder with defaults: body domain, no buses, no interfaces,
-    /// not a gateway, no FOTA, QM.
+    /// not a gateway.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
@@ -142,8 +101,6 @@ impl EcuBuilder {
             buses: Vec::new(),
             interfaces: Vec::new(),
             gateway: false,
-            fota_capable: false,
-            asil: AsilLevel::Qm,
         }
     }
 
@@ -182,20 +139,6 @@ impl EcuBuilder {
         self
     }
 
-    /// Marks the ECU as firmware-over-the-air capable.
-    #[must_use]
-    pub fn fota(mut self, fota_capable: bool) -> Self {
-        self.fota_capable = fota_capable;
-        self
-    }
-
-    /// Sets the ASIL level.
-    #[must_use]
-    pub fn asil(mut self, asil: AsilLevel) -> Self {
-        self.asil = asil;
-        self
-    }
-
     /// Finishes building the ECU.
     #[must_use]
     pub fn build(self) -> Ecu {
@@ -207,8 +150,6 @@ impl EcuBuilder {
             buses: self.buses,
             interfaces: self.interfaces,
             gateway: self.gateway,
-            fota_capable: self.fota_capable,
-            asil: self.asil,
         }
     }
 }
@@ -224,7 +165,6 @@ mod tests {
             .on_bus("BACKBONE")
             .interface(ExternalInterface::Cellular)
             .interface(ExternalInterface::Gnss)
-            .fota(true)
             .build()
     }
 
@@ -236,8 +176,6 @@ mod tests {
         assert_eq!(ecu.domain(), FunctionalDomain::Body);
         assert!(ecu.buses().is_empty());
         assert!(!ecu.is_gateway());
-        assert!(!ecu.fota_capable);
-        assert_eq!(ecu.asil, AsilLevel::Qm);
         assert!(ecu.interfaces().is_empty());
     }
 
@@ -248,33 +186,6 @@ mod tests {
         assert_eq!(tcu.domain(), FunctionalDomain::Communication);
         assert_eq!(tcu.buses(), &["BACKBONE".to_string()]);
         assert_eq!(tcu.interfaces().len(), 2);
-        assert!(tcu.fota_capable);
-    }
-
-    #[test]
-    fn asil_ranks_are_monotone() {
-        let levels = [
-            AsilLevel::Qm,
-            AsilLevel::A,
-            AsilLevel::B,
-            AsilLevel::C,
-            AsilLevel::D,
-        ];
-        assert!(levels.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn asil_display() {
-        assert_eq!(AsilLevel::Qm.to_string(), "QM");
-        assert_eq!(AsilLevel::D.to_string(), "ASIL D");
-    }
-
-    #[test]
-    fn ecu_display_contains_both_names() {
-        let tcu = sample_tcu();
-        let s = tcu.to_string();
-        assert!(s.contains("TCU"));
-        assert!(s.contains("Telematics"));
     }
 
     #[test]

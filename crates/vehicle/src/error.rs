@@ -16,16 +16,6 @@ pub enum VehicleError {
         /// The conflicting name.
         name: String,
     },
-    /// A connection was requested between nodes that cannot be linked
-    /// (for instance two buses without a gateway ECU in between).
-    InvalidConnection {
-        /// Source node name.
-        from: String,
-        /// Destination node name.
-        to: String,
-        /// Human-readable reason.
-        reason: String,
-    },
     /// The topology is empty or otherwise unusable for analysis.
     EmptyTopology,
 }
@@ -35,9 +25,6 @@ impl fmt::Display for VehicleError {
         match self {
             VehicleError::UnknownNode { name } => write!(f, "unknown node `{name}`"),
             VehicleError::DuplicateNode { name } => write!(f, "duplicate node `{name}`"),
-            VehicleError::InvalidConnection { from, to, reason } => {
-                write!(f, "invalid connection from `{from}` to `{to}`: {reason}")
-            }
             VehicleError::EmptyTopology => write!(f, "topology contains no nodes"),
         }
     }
@@ -59,17 +46,6 @@ mod tests {
     fn display_duplicate_node() {
         let err = VehicleError::DuplicateNode { name: "TCU".into() };
         assert_eq!(err.to_string(), "duplicate node `TCU`");
-    }
-
-    #[test]
-    fn display_invalid_connection() {
-        let err = VehicleError::InvalidConnection {
-            from: "CAN1".into(),
-            to: "CAN2".into(),
-            reason: "buses must be joined through a gateway".into(),
-        };
-        assert!(err.to_string().contains("CAN1"));
-        assert!(err.to_string().contains("gateway"));
     }
 
     #[test]

@@ -51,6 +51,6 @@ pub mod topology;
 pub use attack_surface::{AttackRange, ExternalInterface};
 pub use bus::{Bus, BusKind};
 pub use domain::FunctionalDomain;
-pub use ecu::{AsilLevel, Ecu, EcuBuilder};
+pub use ecu::{Ecu, EcuBuilder};
 pub use error::VehicleError;
 pub use topology::{NodeKind, VehicleTopology, VehicleTopologyBuilder};

@@ -6,7 +6,6 @@
 //! a manual re-evaluation, so the lifecycle model is exercised by several examples.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A phase of the ISO/SAE-21434 development life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,15 +97,9 @@ impl LifecyclePhase {
     }
 }
 
-impl fmt::Display for LifecyclePhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// A development life cycle instance that tracks which phase the project is in and
 /// how many TARA (re)processing passes have been performed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DevelopmentLifecycle {
     current: usize,
     tara_passes: u32,
@@ -154,12 +147,6 @@ impl DevelopmentLifecycle {
     pub fn run_to_completion(mut self) -> u32 {
         while self.advance().is_some() {}
         self.tara_passes
-    }
-}
-
-impl Default for DevelopmentLifecycle {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -249,7 +249,6 @@ mod tests {
                     .on_bus("INFO-CAN")
                     .interface(ExternalInterface::Cellular)
                     .interface(ExternalInterface::Bluetooth)
-                    .fota(true)
                     .build(),
             )
             .ecu(

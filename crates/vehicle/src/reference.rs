@@ -9,7 +9,7 @@
 use crate::attack_surface::ExternalInterface;
 use crate::bus::{Bus, BusKind};
 use crate::domain::FunctionalDomain;
-use crate::ecu::{AsilLevel, Ecu};
+use crate::ecu::Ecu;
 use crate::topology::VehicleTopology;
 
 /// The passenger-car reference architecture of paper Figure 4.
@@ -58,7 +58,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .on_bus("INFO-CAN")
                 .on_bus("DIAG-CAN")
                 .gateway(true)
-                .asil(AsilLevel::B)
                 .build(),
         )
         // Communication domain.
@@ -69,7 +68,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .on_bus("INFO-CAN")
                 .interface(ExternalInterface::Cellular)
                 .interface(ExternalInterface::Gnss)
-                .fota(true)
                 .build(),
         )
         .ecu(
@@ -89,7 +87,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .interface(ExternalInterface::Bluetooth)
                 .interface(ExternalInterface::WiFi)
                 .interface(ExternalInterface::UsbMedia)
-                .fota(true)
                 .build(),
         )
         .ecu(
@@ -106,7 +103,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Engine Control Module")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("PT-CAN")
-                .asil(AsilLevel::D)
                 .build(),
         )
         .ecu(
@@ -114,7 +110,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Transmission Control Module")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("PT-CAN")
-                .asil(AsilLevel::C)
                 .build(),
         )
         .ecu(
@@ -122,7 +117,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Diesel Exhaust Fluid Controller")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("PT-CAN")
-                .asil(AsilLevel::B)
                 .build(),
         )
         // Chassis domain.
@@ -131,7 +125,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Brake Control Unit")
                 .domain(FunctionalDomain::Chassis)
                 .on_bus("CHASSIS-CAN")
-                .asil(AsilLevel::D)
                 .build(),
         )
         .ecu(
@@ -139,7 +132,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Steering Control Module")
                 .domain(FunctionalDomain::Chassis)
                 .on_bus("CHASSIS-CAN")
-                .asil(AsilLevel::D)
                 .build(),
         )
         .ecu(
@@ -147,7 +139,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .full_name("Damping Control Unit")
                 .domain(FunctionalDomain::Chassis)
                 .on_bus("CHASSIS-CAN")
-                .asil(AsilLevel::B)
                 .build(),
         )
         .ecu(
@@ -156,7 +147,6 @@ pub fn passenger_car() -> VehicleTopology {
                 .domain(FunctionalDomain::Chassis)
                 .on_bus("CHASSIS-CAN")
                 .interface(ExternalInterface::Tpms)
-                .asil(AsilLevel::B)
                 .build(),
         )
         // Body domain.
@@ -215,7 +205,6 @@ pub fn excavator() -> VehicleTopology {
                 .full_name("Engine Control Module")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("ENG-CAN")
-                .asil(AsilLevel::C)
                 .build(),
         )
         .ecu(
@@ -223,7 +212,6 @@ pub fn excavator() -> VehicleTopology {
                 .full_name("After-Treatment Module (DPF/EGR/SCR)")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("ENG-CAN")
-                .asil(AsilLevel::B)
                 .build(),
         )
         .ecu(
@@ -231,7 +219,6 @@ pub fn excavator() -> VehicleTopology {
                 .full_name("Hydraulics Control Module")
                 .domain(FunctionalDomain::Chassis)
                 .on_bus("IMPL-CAN")
-                .asil(AsilLevel::C)
                 .build(),
         )
         .ecu(
@@ -292,7 +279,6 @@ pub fn light_truck() -> VehicleTopology {
                 .full_name("Engine Control Module")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("PT-CAN")
-                .asil(AsilLevel::D)
                 .build(),
         )
         .ecu(
@@ -300,7 +286,6 @@ pub fn light_truck() -> VehicleTopology {
                 .full_name("Diesel Exhaust Fluid Controller")
                 .domain(FunctionalDomain::Powertrain)
                 .on_bus("PT-CAN")
-                .asil(AsilLevel::B)
                 .build(),
         )
         .ecu(
@@ -309,7 +294,6 @@ pub fn light_truck() -> VehicleTopology {
                 .domain(FunctionalDomain::Communication)
                 .on_bus("PT-CAN")
                 .interface(ExternalInterface::Cellular)
-                .fota(true)
                 .build(),
         )
         .ecu(

@@ -221,7 +221,6 @@ mod tests {
                     .domain(FunctionalDomain::Communication)
                     .on_bus("BACKBONE")
                     .interface(ExternalInterface::Cellular)
-                    .fota(true)
                     .build(),
             )
             .build()

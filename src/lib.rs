@@ -7,7 +7,7 @@
 //!
 //! * [`vehicle`] — E/E architectures, attack surfaces, reachability, standards
 //!   graph, development life cycle;
-//! * [`iso21434`] — the ISO/SAE-21434 TARA engine and its three attack-feasibility
+//! * [`iso21434`] — the ISO/SAE-21434 TARA engine and two of its attack-feasibility
 //!   models;
 //! * [`socialsim`] — the deterministic social-media corpus simulator;
 //! * [`textmine`] — tokenisation, intent scoring, price mining, keyword

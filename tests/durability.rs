@@ -174,7 +174,7 @@ fn assert_crash_recovery_bit_identical(dir: &Path, batches: &[Vec<Post>], cut_pe
     for posts in &batches[..survivors] {
         expected.ingest(posts.clone());
     }
-    assert_eq!(recovered.snapshot_corpus(), expected.snapshot_corpus());
+    assert_eq!(recovered.corpus(), expected.corpus());
     assert_eq!(
         recovered.sai_list(&db, &config),
         expected.sai_list(&db, &config)
@@ -443,7 +443,7 @@ fn bitflipped_journal_frames_truncate_the_suffix_without_panicking() {
     assert!(report.truncated_wal_bytes > 0);
     let mut expected = seed();
     expected.ingest_batch(batch(8)[..4].to_vec());
-    assert_eq!(recovered.snapshot_corpus(), expected.snapshot_corpus());
+    assert_eq!(recovered.corpus(), expected.corpus());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -106,8 +106,8 @@ impl StreamingScorer for SlowEngine {
         self.inner.export_signal_cache()
     }
 
-    fn snapshot_corpus(&self) -> Corpus {
-        self.inner.snapshot_corpus()
+    fn corpus(&self) -> &Corpus {
+        self.inner.corpus()
     }
 
     fn restore_generation(&mut self, generation: u64) {
@@ -509,6 +509,38 @@ fn graceful_drain_answers_every_admitted_request_bit_identically() {
     let net = service.net_stats();
     assert_eq!(net.requests_admitted, net.requests_answered);
     assert_eq!(net.open_connections, 0);
+}
+
+/// A request still running when the drain's grace period ends is answered
+/// `service-stopped` instead of being waited out, so the drain terminates,
+/// and that answer is counted like any other.
+#[test]
+fn a_request_outliving_the_drain_grace_is_answered_service_stopped() {
+    let service = Arc::new(TaraService::with_workers(
+        SlowEngine::new(Duration::from_secs(2)),
+        registry(),
+        1,
+    ));
+    let config = NetConfig {
+        drain_grace: Duration::from_millis(50),
+        ..NetConfig::default()
+    };
+    let mut server = SocketServer::bind(Arc::clone(&service), "127.0.0.1:0", config)
+        .expect("bind an OS-picked port");
+    let mut client = ChaosClient::connect(server.local_addr());
+    client.send_line(&score_request(7));
+    wait_until("the score admitted", || {
+        service.net_stats().requests_admitted >= 1
+    });
+
+    server.begin_drain();
+    let lines = client.read_to_eof();
+    assert_eq!(lines.len(), 1, "one answer, then close: {lines:?}");
+    assert!(lines[0].contains("\"id\":7"), "{}", lines[0]);
+    assert!(lines[0].contains("\"service-stopped\""), "{}", lines[0]);
+    server.shutdown();
+    let net = service.net_stats();
+    assert_eq!(net.requests_admitted, net.requests_answered);
 }
 
 #[test]

@@ -25,7 +25,8 @@ use psp_suite::socialsim::scenario;
 use psp_suite::socialsim::time::DateWindow;
 use psp_suite::vehicle::attack_surface::AttackVector;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Runs `f` under a forced shim thread count; a no-op pass-through when the
 /// real rayon is swapped in.
@@ -365,8 +366,8 @@ impl StreamingScorer for ChaosEngine {
         self.inner.export_signal_cache()
     }
 
-    fn snapshot_corpus(&self) -> Corpus {
-        self.inner.snapshot_corpus()
+    fn corpus(&self) -> &Corpus {
+        self.inner.corpus()
     }
 
     fn restore_generation(&mut self, generation: u64) {
@@ -377,15 +378,20 @@ impl StreamingScorer for ChaosEngine {
 /// An engine that sleeps on every scoring call, so a short per-request
 /// deadline reliably expires at the engine's check between windows
 /// mid-sweep (it implements only `sai_list`, so it sweeps through the
-/// trait's per-window default).
+/// trait's per-window default).  When `started` is set, each call signals
+/// it before sleeping.
 #[derive(Debug, Clone)]
 struct SlowEngine {
     inner: LiveEngine,
     delay: Duration,
+    started: Option<mpsc::Sender<()>>,
 }
 
 impl SaiScorer for SlowEngine {
     fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
+        if let Some(started) = &self.started {
+            let _ = started.send(());
+        }
         std::thread::sleep(self.delay);
         self.inner.sai_list(db, config)
     }
@@ -408,8 +414,8 @@ impl StreamingScorer for SlowEngine {
         self.inner.export_signal_cache()
     }
 
-    fn snapshot_corpus(&self) -> Corpus {
-        self.inner.snapshot_corpus()
+    fn corpus(&self) -> &Corpus {
+        self.inner.corpus()
     }
 
     fn restore_generation(&mut self, generation: u64) {
@@ -516,6 +522,7 @@ fn deadline_expiry_answers_expired_without_hanging() {
         SlowEngine {
             inner: LiveEngine::new(scenario::excavator_europe(7)),
             delay: Duration::from_millis(25),
+            started: None,
         },
         registry,
         1,
@@ -746,4 +753,54 @@ fn scheduler_ticks_stay_bit_exact_under_concurrent_ingest() {
         check(event);
     }
     assert!(job.recv_timeout(Duration::from_secs(30)).is_none());
+}
+
+/// A job added while the scheduler runs another job's slow request gets its
+/// first run on its own interval: the scheduler reads its next deadline from
+/// the timetable after the due requests ran, not from before them.
+#[test]
+fn a_job_added_during_a_slow_scheduled_run_is_not_slept_past() {
+    let (started, starts) = mpsc::channel();
+    let registry = ServiceRegistry::new()
+        .database("excavator", KeywordDatabase::excavator_seed())
+        .config("excavator", PspConfig::excavator_europe());
+    let service = TaraService::with_workers(
+        SlowEngine {
+            inner: LiveEngine::new(scenario::excavator_europe(7)),
+            delay: Duration::from_millis(300),
+            started: Some(started),
+        },
+        registry,
+        1,
+    );
+    let slow = service
+        .schedule(
+            ServiceRequest::Score {
+                db: "excavator".into(),
+                config: "excavator".into(),
+            },
+            Duration::from_secs(2),
+        )
+        .expect("schedulable request");
+    starts
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the slow job's first run starts");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let added = Instant::now();
+    let fast = service
+        .schedule(ServiceRequest::Status, Duration::from_millis(10))
+        .expect("schedulable request");
+    match fast.recv_timeout(Duration::from_secs(30)) {
+        Some(ServiceEvent::ScheduledRun { job, .. }) => assert_eq!(job, fast.id()),
+        other => panic!("unexpected event: {other:?}"),
+    }
+    let waited = added.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "first run of a 10 ms job came {waited:?} after it was added"
+    );
+    for id in [slow.id(), fast.id()] {
+        let _ = service.handle(ServiceRequest::Unschedule { id });
+    }
 }

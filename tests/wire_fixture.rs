@@ -7,9 +7,8 @@
 //! Each fixture line is one wire line, except the last, which is the pretty
 //! report document encoded as one JSON string.
 
-use psp_suite::iso21434::Iso21434Error;
 use psp_suite::psp::config::PspConfig;
-use psp_suite::psp::engine::{SignalCacheError, WindowAxis};
+use psp_suite::psp::engine::WindowAxis;
 use psp_suite::psp::error::PspError;
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::report::PspReport;
@@ -35,24 +34,10 @@ fn axis() -> WindowAxis {
 /// (quotes, backslashes, control characters, non-ASCII).
 fn every_error_kind() -> Vec<PspError> {
     vec![
-        PspError::EmptyEvidence {
-            scene: "excavator/europe".into(),
-        },
-        PspError::UnknownScenario {
-            scenario: "dpf-\"tampering\"".into(),
-        },
         PspError::InvalidFinancialInput {
             parameter: "market_value",
             detail: "must be > 0, got -1.5".into(),
         },
-        PspError::Tara(Iso21434Error::OutOfRange {
-            parameter: "probability",
-            value: 1.25,
-        }),
-        PspError::SignalCache(SignalCacheError::LengthMismatch {
-            cached: 3,
-            corpus: 4,
-        }),
         PspError::UnknownDatabase {
             name: "naïve café 😀".into(),
         },
@@ -155,7 +140,9 @@ fn golden_lines() -> Vec<String> {
     let cache = service.handle(ServiceRequest::ExportCache);
     assert!(matches!(cache, ServiceResponse::Cache { .. }), "{cache:?}");
     lines.push(answer(6, cache));
-    for (id, error) in (100..).zip(every_error_kind()) {
+    // Ids 100, 101, 103 and 104 belonged to error kinds that no longer exist;
+    // every other error line keeps its id.
+    for (id, error) in std::iter::once(102).chain(105..).zip(every_error_kind()) {
         lines.push(answer(
             id,
             ServiceResponse::Error {
