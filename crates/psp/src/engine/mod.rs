@@ -24,10 +24,13 @@
 //! * SAI lists for many keyword profiles fan out over worker threads with
 //!   `rayon` ([`LiveEngine::precompute_signals`] warms the whole cache in
 //!   parallel for throughput-critical serving);
-//! * many windows of one (database, scene) — monitoring series, Figure-9
-//!   comparisons, matrix rows — resolve against one cached prefix-summed
-//!   sweep plan ([`SaiScorer::sai_windows`]; see the `sweep` module), while
-//!   a single configuration takes the direct fold ([`LiveEngine::sai_list`]).
+//! * every read resolves against one cached prefix-summed sweep plan per
+//!   (database, scene) — see the `sweep` module.  Many windows (monitoring
+//!   series, Figure-9 comparisons, matrix rows) share it through
+//!   [`SaiScorer::sai_windows`], and a single configuration
+//!   ([`LiveEngine::sai_list`]) is the one-window sweep of its own window.
+//!   An ingest does no plan work: the first read after it extends the plan
+//!   with the new posts instead of rebuilding it.
 //!
 //! The engines are *exactly* equivalent to the naive path: candidate ids come
 //! back in ascending post order, so every sum is folded in the same order the
@@ -36,12 +39,12 @@
 //! by the `psp-suite` property tests).
 //!
 //! All former callers of `SaiList::compute` route through here:
-//! [`crate::sai::SaiList::compute`] and [`crate::workflow::PspWorkflow::run`]
-//! score a borrowed corpus once through a throwaway core (no corpus copy),
-//! while [`crate::monitoring::MonitoringSeries`] and
-//! [`crate::timewindow::compare_windows`] build one [`LiveEngine`] per corpus
-//! and reuse it across keywords and windows; [`crate::monitoring::LiveMonitor`]
-//! holds a [`LiveEngine`] and interleaves ingestion with re-evaluation.
+//! [`crate::sai::SaiList::compute`], [`crate::workflow::PspWorkflow::run`],
+//! [`crate::monitoring::MonitoringSeries::run`] and
+//! [`crate::timewindow::compare_windows`] sweep a borrowed corpus once
+//! through a throwaway core (no corpus copy), while
+//! [`crate::monitoring::LiveMonitor`] holds a [`LiveEngine`] and interleaves
+//! ingestion with re-evaluation.
 
 use crate::config::PspConfig;
 use crate::keyword_db::{KeywordDatabase, KeywordProfile};
@@ -326,8 +329,8 @@ impl PostSignals {
 }
 
 /// The corpus-agnostic scoring core behind [`LiveEngine`] (one owned corpus)
-/// and the one-shot [`sai_list_once`]: the
-/// inverted index, the text pipeline and the memoised per-post signal cache.
+/// and the one-shot [`sai_windows_once`]: the inverted index, the text
+/// pipeline, the memoised per-post signal cache and the sweep plans.
 /// Every method takes the corpus explicitly, so a core can score a borrowed
 /// corpus as well as an owned one.
 #[derive(Debug, Clone)]
@@ -340,9 +343,8 @@ struct EngineCore {
     /// Number of ingest batches absorbed since construction (0 for one-shot
     /// cores).  Observers use this to detect that re-evaluation is due.
     generation: u64,
-    /// The cached window-sweep plan (see [`sweep`]), keyed by `generation`
-    /// plus the (database, scene) pair — an ingest bumps the generation and
-    /// thereby invalidates the plan.
+    /// The cached sweep plans (see [`sweep`]), one per (database, scene);
+    /// each extends itself with the posts ingested since it was last used.
     plans: PlanCache,
 }
 
@@ -444,70 +446,9 @@ impl EngineCore {
             .collect();
     }
 
-    /// Scores one keyword profile into an (unnormalised) SAI entry, folding
-    /// its matching post ids in ascending order.
-    fn score_profile(
-        &self,
-        corpus: &Corpus,
-        profile: &KeywordProfile,
-        config: &PspConfig,
-    ) -> SaiEntry {
-        let ids = self.index.query(corpus, &profile_query(profile, config));
-        let weights = config.sai_weights;
-        let mut posts = 0_usize;
-        let mut views = 0_u64;
-        let mut interactions = 0_u64;
-        let mut intent = 0.0_f64;
-        let mut prices = Vec::new();
-        for id in ids {
-            let signal = self.signal(corpus, id);
-            if let Some(threshold) = config.min_author_credibility {
-                // Same rule as the naive path: credible author, or organic
-                // engagement above 1% interaction rate.
-                if signal.credibility < threshold && signal.interaction_rate <= 0.01 {
-                    continue;
-                }
-            }
-            posts += 1;
-            views += signal.views;
-            interactions += signal.interactions;
-            intent += signal.intent;
-            prices.extend_from_slice(&signal.prices);
-        }
-        let sai = weights.view_weight * views as f64
-            + weights.interaction_weight * interactions as f64
-            + weights.post_weight * posts as f64
-            + weights.intent_weight * intent;
-
-        SaiEntry {
-            keyword: profile.keyword.clone(),
-            scenario: profile.scenario.clone(),
-            vector: profile.vector,
-            origin: profile.origin,
-            posts,
-            views,
-            interactions,
-            intent,
-            prices,
-            sai,
-            probability: 0.0,
-        }
-    }
-
-    /// Computes the full SAI list for a keyword database and configuration in
-    /// one indexed pass, fanning out over keyword profiles with `rayon`.
-    fn sai_list(&self, corpus: &Corpus, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        let profiles: Vec<&KeywordProfile> = db.iter().collect();
-        let entries: Vec<SaiEntry> = profiles
-            .par_iter()
-            .map(|profile| self.score_profile(corpus, profile, config))
-            .collect();
-        SaiList::from_entries(entries)
-    }
-
-    /// The (cached) sweep plan for a database and base configuration — built
-    /// on first use, reused while the key matches, invalidated by ingest via
-    /// the generation counter.
+    /// The (cached) sweep plan for a database and base configuration over
+    /// all of `corpus` — built on first use, reused while the key matches,
+    /// and extended with the posts ingested since its last use.
     fn sweep_plan(
         &self,
         corpus: &Corpus,
@@ -577,13 +518,30 @@ fn transpose_to_lists(per_profile: Vec<Vec<SaiEntry>>, lists: usize) -> Vec<SaiL
     per_config.into_iter().map(SaiList::from_entries).collect()
 }
 
-/// Scores a borrowed corpus once: builds a throwaway core over `corpus` (no
-/// corpus copy), runs one indexed pass and drops the core — the engine behind
-/// the one-shot conveniences [`SaiList::compute`] and
-/// [`crate::workflow::PspWorkflow::run`].  Bit-identical to
-/// [`LiveEngine::sai_list`] over the same corpus.
+/// Sweeps a borrowed corpus once: builds a throwaway core over `corpus` (no
+/// corpus copy), resolves every window of `axis` on one sweep plan and drops
+/// the core — the engine behind the one-shot conveniences
+/// [`SaiList::compute`] and [`crate::workflow::PspWorkflow::run`] (one
+/// window), [`crate::monitoring::MonitoringSeries::run`] and
+/// [`crate::timewindow::compare_windows`].  Bit-identical to
+/// [`SaiScorer::sai_windows`] on a [`LiveEngine`] over the same corpus.
+pub(crate) fn sai_windows_once(
+    corpus: &Corpus,
+    db: &KeywordDatabase,
+    base_config: &PspConfig,
+    axis: &WindowAxis,
+) -> Vec<SaiList> {
+    EngineCore::with_pipeline(corpus, TextPipeline::new())
+        .sai_sweep(corpus, db, base_config, axis.as_options(), &|| false)
+        .expect("a sweep that never stops finishes")
+}
+
+/// [`sai_windows_once`] over the configuration's own window: the one-shot
+/// SAI list of a borrowed corpus.
 pub(crate) fn sai_list_once(corpus: &Corpus, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-    EngineCore::with_pipeline(corpus, TextPipeline::new()).sai_list(corpus, db, config)
+    sai_windows_once(corpus, db, config, &WindowAxis::spans(&[config.window]))
+        .pop()
+        .expect("a one-window sweep returns one list")
 }
 
 /// The indexed, parallel SAI scoring engine: it **owns** one corpus behind one
@@ -723,22 +681,28 @@ impl LiveEngine {
         self.core.precompute_signals(&self.corpus);
     }
 
-    /// Number of sweep plans this engine has built; a plan-cache hit leaves
-    /// it unchanged.
+    /// Number of sweep plans this engine has built cold; a plan-cache hit,
+    /// and the extension of a plan with newly ingested posts, leave it
+    /// unchanged.
     #[must_use]
     pub fn plan_builds(&self) -> u64 {
         self.core.plans.build_count()
     }
 
-    /// Computes the full SAI list for a keyword database and configuration in
-    /// one indexed pass, fanning out over keyword profiles with `rayon`.
+    /// Computes the full SAI list for a keyword database and configuration:
+    /// the one-window sweep of the configuration's window on the cached plan
+    /// for its (database, scene), fanning out over keyword profiles with
+    /// `rayon`.
     ///
     /// The same as [`SaiScorer::sai_list`].  This inherent copy stays because
     /// the daemon benchmark (`perfbench`) calls it without importing the
     /// trait.
     #[must_use]
     pub fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
-        self.core.sai_list(&self.corpus, db, config)
+        self.core
+            .sai_sweep(&self.corpus, db, config, &[config.window], &|| false)
+            .and_then(|mut lists| lists.pop())
+            .expect("a one-window sweep that never stops returns one list")
     }
 }
 
@@ -747,12 +711,12 @@ impl SaiScorer for LiveEngine {
         LiveEngine::sai_list(self, db, config)
     }
 
-    /// Sweeps through the prefix-summed plan — bit-identical to (and much
-    /// faster than) per-window [`sai_list`](SaiScorer::sai_list).  The
-    /// plan survives across calls on this warm engine and is invalidated
-    /// exactly when [`LiveEngine::ingest`] absorbs a non-empty batch (the
-    /// generation counter is the key), so a monitoring loop pays the plan
-    /// build once per ingest, not per re-evaluation.
+    /// Sweeps through the prefix-summed plan — bit-identical to per-window
+    /// [`sai_list`](SaiScorer::sai_list) and to the naive oracle.  The plan
+    /// survives across calls on this warm engine and across
+    /// [`LiveEngine::ingest`]: the first sweep after a batch extends it with
+    /// the batch's posts, so a monitoring loop pays one cold build per
+    /// (database, scene), not one per ingest.
     fn sai_windows_until(
         &self,
         db: &KeywordDatabase,
@@ -957,10 +921,10 @@ mod tests {
         let axis = WindowAxis::new().full_history().window(recent);
         let swept = engine.sai_windows(&db, &base, &axis);
         assert_eq!(swept[0], engine.sai_list(&db, &base));
-        assert_eq!(
-            swept[1],
-            engine.sai_list(&db, &base.clone().with_window(recent))
-        );
+        assert_eq!(swept[0], SaiList::compute_naive(&corpus, &db, &base));
+        let windowed = base.clone().with_window(recent);
+        assert_eq!(swept[1], engine.sai_list(&db, &windowed));
+        assert_eq!(swept[1], SaiList::compute_naive(&corpus, &db, &windowed));
         // A window already set on the base config is replaced per entry.
         let windowed_base = base.clone().with_window(DateWindow::years(2019, 2019));
         assert_eq!(
@@ -1040,7 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_invalidates_the_live_sweep_plan() {
+    fn ingest_extends_the_live_sweep_plan_to_a_cold_build() {
         let seed = scenario::excavator_europe(7);
         let db = KeywordDatabase::excavator_seed();
         let base = PspConfig::excavator_europe();
@@ -1048,23 +1012,39 @@ mod tests {
 
         let mut live = LiveEngine::new(seed);
         let before = live.core.sweep_plan(live.corpus(), &db, &base);
-        // An empty ingest leaves the plan valid...
+        // An empty ingest leaves the plan as it is...
         live.ingest(Vec::new());
         assert!(std::sync::Arc::ptr_eq(
             &before,
             &live.core.sweep_plan(live.corpus(), &db, &base)
         ));
-        // ...a real batch invalidates it, and the re-planned sweep matches a
-        // cold engine over the grown corpus bit for bit.
+        // ...a real batch extends it on its next use (no cold build), and a
+        // copy pinned before the batch keeps the plan it had.
+        let pinned = live.clone();
         live.ingest(scenario::excavator_europe(8).posts().to_vec());
         let after = live.core.sweep_plan(live.corpus(), &db, &base);
         assert!(!std::sync::Arc::ptr_eq(&before, &after));
+        assert_eq!(live.plan_builds(), 1);
+        assert!(std::sync::Arc::ptr_eq(
+            &after,
+            &live.core.sweep_plan(live.corpus(), &db, &base)
+        ));
+        assert!(std::sync::Arc::ptr_eq(
+            &before,
+            &pinned.core.sweep_plan(pinned.corpus(), &db, &base)
+        ));
+        // The extension is the cold build, column for column, and sweeps
+        // like a cold engine and the naive oracle, bit for bit.
         let cold = LiveEngine::new(live.corpus().clone());
+        assert!(after.candidate_rows() > before.candidate_rows());
+        assert!(after.profiles == cold.core.sweep_plan(cold.corpus(), &db, &base).profiles);
         let axis = WindowAxis::each(&windows);
-        assert_eq!(
-            live.sai_windows(&db, &base, &axis),
-            cold.sai_windows(&db, &base, &axis)
-        );
+        let swept = live.sai_windows(&db, &base, &axis);
+        assert_eq!(swept, cold.sai_windows(&db, &base, &axis));
+        for (window, sai) in windows.iter().zip(&swept) {
+            let config = base.clone().with_window(*window);
+            assert_eq!(*sai, SaiList::compute_naive(live.corpus(), &db, &config));
+        }
     }
 
     #[test]
@@ -1208,27 +1188,35 @@ mod tests {
     }
 
     #[test]
-    fn ingest_invalidates_matrix_plans() {
+    fn ingest_extends_matrix_plans_without_rebuilding_them() {
         let mut live = LiveEngine::new(scenario::excavator_europe(7));
+        let db = KeywordDatabase::excavator_seed();
+        let configs = [
+            PspConfig::excavator_europe(),
+            PspConfig::excavator_europe().with_poisoning_filter(0.25),
+        ];
+        let window = DateWindow::years(2019, 2021);
         let spec = MatrixSpec::new()
-            .scenario("excavator", KeywordDatabase::excavator_seed())
-            .config("base", PspConfig::excavator_europe())
-            .config(
-                "filtered",
-                PspConfig::excavator_europe().with_poisoning_filter(0.25),
-            )
-            .window_axis(&WindowAxis::each(&[DateWindow::years(2019, 2021)]));
+            .scenario("excavator", db.clone())
+            .config("base", configs[0].clone())
+            .config("filtered", configs[1].clone())
+            .window_axis(&WindowAxis::each(&[window]));
         live.sai_matrix(&spec);
         assert_eq!(live.plan_builds(), 2);
         live.sai_matrix(&spec);
         assert_eq!(live.plan_builds(), 2);
-        // A real ingest bumps the generation: the whole matrix re-plans, and
-        // the result matches a cold engine over the grown corpus.
+        // A real ingest: both plans extend with the batch instead of
+        // re-planning, and the result matches a cold engine over the grown
+        // corpus and the naive oracle.
         live.ingest(scenario::excavator_europe(8).posts().to_vec());
         let after = live.sai_matrix(&spec);
-        assert_eq!(live.plan_builds(), 4);
+        assert_eq!(live.plan_builds(), 2);
         let cold = LiveEngine::new(live.corpus().clone());
         assert_eq!(after, cold.sai_matrix(&spec));
+        for (id, sai) in after.iter() {
+            let config = configs[id.config].clone().with_window(window);
+            assert_eq!(*sai, SaiList::compute_naive(live.corpus(), &db, &config));
+        }
     }
 
     #[test]
@@ -1279,10 +1267,9 @@ mod tests {
             snapshot.sai_windows(&db, &base, &WindowAxis::each(&windows))
         );
         for (window, sai) in windows.iter().zip(&swept) {
-            assert_eq!(
-                *sai,
-                snapshot.sai_list(&db, &base.clone().with_window(*window))
-            );
+            let config = base.clone().with_window(*window);
+            assert_eq!(*sai, snapshot.sai_list(&db, &config));
+            assert_eq!(*sai, SaiList::compute_naive(&seed, &db, &config));
         }
     }
 }

@@ -23,23 +23,33 @@
 //!   re-folded — in ascending post-id order, the exact order the per-window
 //!   `sai_list` fold uses — for the intent sum and the price stream.
 //!
-//! The result is **bit-identical** to scoring each window through
-//! [`SaiScorer::sai_list`](super::SaiScorer::sai_list) and to the
-//! `SaiList::compute_naive` oracle: integer subtraction of integer prefix
-//! sums is exact, and the float evidence is added in the same order as the
-//! unswept fold.  The `psp-suite` property tests (`tests/sweep.rs`) pin this
-//! down over random corpora × window grids × ingest splits × thread counts.
+//! The result is **bit-identical** to the `SaiList::compute_naive` oracle:
+//! integer subtraction of integer prefix sums is exact, and the float
+//! evidence is added in ascending post-id order, the order the oracle's scan
+//! folds in.  The `psp-suite` property tests (`tests/sweep.rs`,
+//! `tests/engine_properties.rs`) pin this down over random corpora × window
+//! grids × ingest splits × thread counts.  Every read resolves through a
+//! plan: a single configuration is the one-window sweep of its own window.
+//!
+//! **Plans survive ingest.**  An ingest appends posts whose ids are above
+//! every indexed id, and every plan filter is per post, so the id-order
+//! columns of a grown corpus are the old columns followed by the new posts'
+//! rows.  A plan records how many posts it covers; the first sweep that
+//! finds more posts in its corpus *extends* the plan with them — the cold
+//! build run over the tail ([`ProfileColumns::build`] is one function, and a
+//! cold build is the extension of the empty plan) — and the result is
+//! bit-identical to a cold build over the grown corpus.
 //!
 //! Plans are cached per engine core behind a [`PlanCache`] — a small bounded
 //! keyed cache (most-recently-used, [`PLAN_CACHE_CAPACITY`] slots) — keyed by
-//! the keyword database, the scene half of the configuration ([`PlanKey`]:
+//! the keyword database and the scene half of the configuration ([`PlanKey`]:
 //! region, application, credibility rule — windows and SAI weights are
-//! resolved per sweep) and the core's ingest generation.  Several (database,
-//! scene) pairs in rotation — a `MatrixSpec` evaluating many scenarios over
-//! one warm engine, or two alternating monitoring scenes — each keep their
-//! plan instead of thrashing one slot; a
-//! [`LiveEngine`](super::LiveEngine) invalidates its plans exactly when an
-//! ingest batch lands (generation bump).
+//! resolved per sweep).  Several (database, scene) pairs in rotation — a
+//! `MatrixSpec` evaluating many scenarios over one warm engine, or two
+//! alternating monitoring scenes — each keep their plan instead of thrashing
+//! one slot.  Cloning an engine (the service's copy-on-publish) shares the
+//! plans, so a reader pinned to an older generation keeps its plan while the
+//! published one extends a copy.
 
 use super::{profile_query, EngineCore};
 use crate::config::{PspConfig, SaiWeights};
@@ -78,7 +88,7 @@ impl PlanKey {
 ///
 /// * the primary columns live in **ascending post-id order** (the natural
 ///   candidate order — also the mandatory fold order for the order-sensitive
-///   float evidence);
+///   float evidence); an extension appends to them;
 /// * a **date-sorted view** (`sorted_dates` + the `perm` permutation) turns
 ///   any window into a contiguous rank range via two binary searches, with
 ///   the integer evidence prefix-summed along that view.
@@ -86,8 +96,9 @@ impl PlanKey {
 /// Per window the integer sums are O(log n) prefix subtractions; the
 /// order-sensitive evidence re-folds over the window's own rows only, picking
 /// the cheapest id-ordering strategy per window (see
-/// [`window_rows`](Self::window_rows)).
+/// [`in_order_rows`](Self::in_order_rows)).
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(super) struct ProfileColumns {
     /// Per-row intent scores, id order (one row per surviving candidate).
     /// Order-sensitive: folded per window in ascending post-id order, never
@@ -98,6 +109,12 @@ pub(super) struct ProfileColumns {
     price_offsets: Vec<u32>,
     /// Mined prices, flattened in id order.
     prices: Vec<f64>,
+    /// Per-row posting dates, id order.
+    dates: Vec<SimDate>,
+    /// Per-row view counts, id order.
+    views: Vec<u64>,
+    /// Per-row interaction counts, id order.
+    interactions: Vec<u64>,
     /// The candidates' posting dates in ascending (date, id) order — the
     /// binary-search axis of the date-sorted view.
     sorted_dates: Vec<SimDate>,
@@ -135,36 +152,49 @@ enum RowSet<'a> {
 }
 
 impl ProfileColumns {
-    /// Projects one profile's candidates under the window-invariant filters
-    /// of the base configuration (content, region, application, credibility
-    /// — everything but the window) into the dual-order columns.  Forces the
-    /// text signals of every surviving candidate — paid once per plan, not
-    /// per window.
+    /// Extends `base` — this profile's columns over the posts below `from` —
+    /// with the candidates from post `from` on, under the window-invariant
+    /// filters of the base configuration (content, region, application,
+    /// credibility — everything but the window).  A cold build extends the
+    /// empty columns from post 0.  Forces the text signals of every new
+    /// surviving candidate — paid once per post and plan, not per window.
+    ///
+    /// New ids are above every base id, so the new rows append to the
+    /// id-order columns.  The date view starts from the base `perm` followed
+    /// by the new rows and is stably sorted by date: equal dates keep base
+    /// rows (smaller ids) first, which is the cold build's (date, id) order.
     fn build(
+        base: &Self,
+        from: u32,
         core: &EngineCore,
         corpus: &Corpus,
         profile: &KeywordProfile,
         base_config: &PspConfig,
     ) -> Self {
         let query = profile_query(profile, base_config);
-        let candidates = core.index.content_candidates(corpus, &query);
-        let mut columns = Self::default();
-        columns.intents.reserve(candidates.len());
-        columns.price_offsets.reserve(candidates.len() + 1);
-        columns.price_offsets.push(0);
-        // Id-order columns first: candidates arrive ascending, and the
-        // filters preserve order.
-        let mut dates: Vec<SimDate> = Vec::with_capacity(candidates.len());
-        let mut views: Vec<u64> = Vec::with_capacity(candidates.len());
-        let mut interactions: Vec<u64> = Vec::with_capacity(candidates.len());
+        let candidates = core.index.content_candidates(corpus, &query, from);
+        let new = candidates.len();
+        let mut columns = Self {
+            intents: grown(&base.intents, new),
+            price_offsets: grown(&base.price_offsets, new + 1),
+            prices: base.prices.clone(),
+            dates: grown(&base.dates, new),
+            views: grown(&base.views, new),
+            interactions: grown(&base.interactions, new),
+            ..Self::default()
+        };
+        if columns.price_offsets.is_empty() {
+            columns.price_offsets.push(0);
+        }
+        // Candidates arrive ascending, and the filters preserve order.
         for id in candidates {
             if !core.index.matches_scene(id, &query) {
                 continue;
             }
             let signal = core.signal(corpus, id);
             if let Some(threshold) = base_config.min_author_credibility {
-                // Same rule as the aggregation paths: credible author, or
-                // organic engagement above 1% interaction rate.
+                // Same rule as the naive oracle: credible author, or organic
+                // engagement above 1% interaction rate.
                 if signal.credibility < threshold && signal.interaction_rate <= 0.01 {
                     continue;
                 }
@@ -172,21 +202,24 @@ impl ProfileColumns {
             columns.intents.push(signal.intent);
             columns.prices.extend_from_slice(&signal.prices);
             columns.price_offsets.push(columns.prices.len() as u32);
-            dates.push(core.index.date_of(id));
-            views.push(signal.views);
-            interactions.push(signal.interactions);
+            columns.dates.push(core.index.date_of(id));
+            columns.views.push(signal.views);
+            columns.interactions.push(signal.interactions);
         }
         let rows = columns.intents.len();
 
-        // The date-sorted view: a stable sort keeps equal dates in ascending
-        // id order, making `perm` the (date, id) order the windows slice.
-        let mut perm: Vec<u32> = (0..rows as u32).collect();
-        perm.sort_by_key(|row| dates[*row as usize]);
+        let mut perm: Vec<u32> = Vec::with_capacity(rows);
+        perm.extend_from_slice(&base.perm);
+        perm.extend(base.perm.len() as u32..rows as u32);
+        perm.sort_by_key(|row| columns.dates[*row as usize]);
         let mut rank_of = vec![0_u32; rows];
         for (rank, row) in perm.iter().enumerate() {
             rank_of[*row as usize] = rank as u32;
         }
-        columns.sorted_dates = perm.iter().map(|row| dates[*row as usize]).collect();
+        columns.sorted_dates = perm
+            .iter()
+            .map(|row| columns.dates[*row as usize])
+            .collect();
         columns.prefix_views.reserve(rows + 1);
         columns.prefix_views.push(0);
         columns.prefix_interactions.reserve(rows + 1);
@@ -199,10 +232,10 @@ impl ProfileColumns {
             let row = *row as usize;
             columns
                 .prefix_views
-                .push(columns.prefix_views[rank] + views[row]);
+                .push(columns.prefix_views[rank] + columns.views[row]);
             columns
                 .prefix_interactions
-                .push(columns.prefix_interactions[rank] + interactions[row]);
+                .push(columns.prefix_interactions[rank] + columns.interactions[row]);
             columns.prefix_price_counts.push(
                 columns.prefix_price_counts[rank] + columns.price_offsets[row + 1]
                     - columns.price_offsets[row],
@@ -416,13 +449,20 @@ impl ProfileColumns {
     }
 }
 
+/// A copy of `base` with room for `extra` more rows.
+fn grown<T: Copy>(base: &[T], extra: usize) -> Vec<T> {
+    let mut column = Vec::with_capacity(base.len() + extra);
+    column.extend_from_slice(base);
+    column
+}
+
 /// A full sweep plan: one [`ProfileColumns`] per keyword profile, plus the
-/// key it was built for.
+/// key it was built for and the corpus prefix it covers.
 #[derive(Debug, Clone)]
 pub(super) struct SweepPlan {
-    /// The core's ingest generation at build time; a later generation means
-    /// posts arrived and the plan is stale.
-    generation: u64,
+    /// How many posts (ids `0..posts`) the plan covers; a corpus holding
+    /// more has grown by ingest since, and the plan extends to it.
+    posts: usize,
     /// The keyword database the plan projects (column order = profile order).
     db: KeywordDatabase,
     /// The window-invariant configuration half the plan bakes in.
@@ -432,30 +472,38 @@ pub(super) struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Builds the plan for a database and base configuration, fanning the
+    /// The plan for a database and base configuration over all of `corpus`:
+    /// `base` (a plan for the same key over a prefix of the corpus) extended
+    /// with the posts it lacks, or a cold build when there is none.  Fans the
     /// per-profile column projections out over worker threads.
-    fn build(
+    fn extend(
+        base: Option<&SweepPlan>,
         core: &EngineCore,
         corpus: &Corpus,
         db: &KeywordDatabase,
         base_config: &PspConfig,
     ) -> Self {
-        let jobs: Vec<&KeywordProfile> = db.iter().collect();
+        let empty = ProfileColumns::default();
+        let from = base.map_or(0, |plan| plan.posts as u32);
+        let jobs: Vec<(usize, &KeywordProfile)> = db.iter().enumerate().collect();
         let profiles: Vec<ProfileColumns> = jobs
             .par_iter()
-            .map(|profile| ProfileColumns::build(core, corpus, profile, base_config))
+            .map(|(p, profile)| {
+                let columns = base.map_or(&empty, |plan| &plan.profiles[*p]);
+                ProfileColumns::build(columns, from, core, corpus, profile, base_config)
+            })
             .collect();
         Self {
-            generation: core.generation,
+            posts: corpus.len(),
             db: db.clone(),
             key: PlanKey::of(base_config),
             profiles,
         }
     }
 
-    /// Whether the plan still describes this core, database and scene.
-    fn is_valid_for(&self, generation: u64, db: &KeywordDatabase, key: &PlanKey) -> bool {
-        self.generation == generation && self.key == *key && self.db == *db
+    /// Whether the plan projects this database and scene.
+    fn is_for(&self, db: &KeywordDatabase, key: &PlanKey) -> bool {
+        self.key == *key && self.db == *db
     }
 
     /// Total candidate rows across all profiles (test-only introspection).
@@ -472,20 +520,20 @@ impl SweepPlan {
 pub(super) const PLAN_CACHE_CAPACITY: usize = 8;
 
 /// A small, bounded, interior-mutable cache of the [`SweepPlan`]s most
-/// recently built on an engine core, keyed by `(generation, database,
-/// scene)`.
+/// recently used on an engine core, one per (database, scene).
 ///
 /// Alternating (database, scene) pairs — a `MatrixSpec` evaluating several
 /// scenarios against one warm engine, or two monitoring scenes taking turns —
-/// each keep their plan instead of thrashing a single slot.  Plans from
-/// superseded ingest generations can never validate again and are dropped
-/// eagerly; beyond [`PLAN_CACHE_CAPACITY`] the least recently used plan is
-/// evicted.
+/// each keep their plan instead of thrashing a single slot.  A plan that
+/// covers fewer posts than the corpus is extended on its next use and
+/// replaced by the extension; beyond [`PLAN_CACHE_CAPACITY`] the least
+/// recently used plan is evicted.
 pub(super) struct PlanCache {
     /// The cached plans, least recently used first.
     slots: Mutex<Vec<Arc<SweepPlan>>>,
-    /// Number of plans ever built through this cache — how the plan-reuse
-    /// regression tests prove "one build per (generation, database, scene)".
+    /// Number of plans ever built cold through this cache (extensions do not
+    /// count) — how the plan-reuse regression tests prove "one build per
+    /// (database, scene)", across ingests too.
     builds: AtomicU64,
 }
 
@@ -506,10 +554,12 @@ impl PlanCache {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The cached plan for this (generation, database, scene), else a freshly
-    /// built (and newly cached) one.  Racing builders of one key may both
-    /// build — both plans are correct and the cache keeps exactly one of
-    /// them, so a race only costs duplicated work.
+    /// The plan for this (database, scene) over all of `corpus`: the cached
+    /// plan when it covers every post, else that plan extended with the posts
+    /// ingested since, else a cold build — cached either way, replacing the
+    /// plan it extends.  Racing readers of one key may both extend or build;
+    /// both plans are identical and the cache keeps one of them, so a race
+    /// only costs duplicated work.
     pub(super) fn plan_for(
         &self,
         core: &EngineCore,
@@ -518,27 +568,34 @@ impl PlanCache {
         base_config: &PspConfig,
     ) -> Arc<SweepPlan> {
         let key = PlanKey::of(base_config);
-        {
+        let base = {
             let mut slots = self.lock();
-            // Plans of superseded generations can never validate again.
-            slots.retain(|plan| plan.generation == core.generation);
-            if let Some(hit) = slots
-                .iter()
-                .position(|plan| plan.is_valid_for(core.generation, db, &key))
-            {
-                let plan = slots.remove(hit);
-                slots.push(Arc::clone(&plan)); // most recently used last
-                return plan;
+            match slots.iter().position(|plan| plan.is_for(db, &key)) {
+                Some(hit) if slots[hit].posts == corpus.len() => {
+                    let plan = slots.remove(hit);
+                    slots.push(Arc::clone(&plan)); // most recently used last
+                    return plan;
+                }
+                Some(stale) if slots[stale].posts < corpus.len() => Some(Arc::clone(&slots[stale])),
+                _ => None,
             }
+        };
+        // Extend or build outside the lock so concurrent sweeps of
+        // *different* keys are not serialised behind each other.
+        let plan = Arc::new(SweepPlan::extend(
+            base.as_deref(),
+            core,
+            corpus,
+            db,
+            base_config,
+        ));
+        if base.is_none() {
+            self.builds.fetch_add(1, Ordering::Relaxed);
         }
-        // Build outside the lock so concurrent sweeps of *different* keys are
-        // not serialised behind each other's builds.
-        let plan = Arc::new(SweepPlan::build(core, corpus, db, base_config));
-        self.builds.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.lock();
-        // A racing builder may have cached the same key meanwhile: drop it so
-        // the cache holds one plan per key.
-        slots.retain(|cached| !cached.is_valid_for(core.generation, db, &key));
+        // The new plan replaces the one it extends, and any plan a racing
+        // reader cached meanwhile: one plan per key.
+        slots.retain(|cached| !cached.is_for(db, &key));
         slots.push(Arc::clone(&plan));
         if slots.len() > PLAN_CACHE_CAPACITY {
             let excess = slots.len() - PLAN_CACHE_CAPACITY;
@@ -562,7 +619,7 @@ impl PlanCache {
 impl Clone for PlanCache {
     fn clone(&self) -> Self {
         // Clones share the immutable plans (cheap `Arc` clones) but get their
-        // own slots, so a clone that later ingests re-plans independently.
+        // own slots, so a clone that later ingests extends its own copies.
         Self {
             slots: Mutex::new(self.lock().clone()),
             builds: AtomicU64::new(self.builds.load(Ordering::Relaxed)),

@@ -9,8 +9,8 @@
 //!
 //! Two evaluation shapes share the same window logic:
 //!
-//! * [`MonitoringSeries::run`] — one-shot: index a corpus snapshot and sweep
-//!   every window over it;
+//! * [`MonitoringSeries::run`] — one-shot: index a borrowed corpus snapshot
+//!   and sweep every window over it;
 //! * [`LiveMonitor`] — streaming: hold a [`LiveEngine`], interleave
 //!   [`LiveMonitor::ingest`] with [`LiveMonitor::series`] so new posts are
 //!   absorbed in amortised O(batch) and every re-evaluation reuses the warm
@@ -102,11 +102,7 @@ fn window_plan(from_year: i32, to_year: i32, window_years: i32) -> (Vec<(i32, i3
 /// Folds per-window SAI lists into the observation series — the shared tail of
 /// both evaluation paths, so a live re-evaluation is the same computation as a
 /// cold run by construction.
-fn observations_from(
-    bounds: &[(i32, i32)],
-    lists: &[SaiList],
-    scenario: &str,
-) -> Vec<WindowObservation> {
+fn series_from(bounds: &[(i32, i32)], lists: &[SaiList], scenario: &str) -> MonitoringSeries {
     let generator = WeightGenerator::new();
     let mut observations = Vec::new();
     for (&(start, end), sai) in bounds.iter().zip(lists) {
@@ -132,7 +128,10 @@ fn observations_from(
             table: generator.insider_table(sai, scenario),
         });
     }
-    observations
+    MonitoringSeries {
+        scenario: scenario.to_string(),
+        observations,
+    }
 }
 
 impl MonitoringSeries {
@@ -149,20 +148,12 @@ impl MonitoringSeries {
         to_year: i32,
         window_years: i32,
     ) -> Self {
-        // One engine for the whole series: the corpus is indexed and the
-        // text-mining signals are computed once, then every window is
-        // answered through the prefix-summed sweep plan (`sai_windows`).  The
-        // engine owns a copy of the corpus, which costs a few percent of the
-        // index build.
-        Self::run_on(
-            &LiveEngine::new(corpus.clone()),
-            db,
-            base_config,
-            scenario,
-            from_year,
-            to_year,
-            window_years,
-        )
+        // One throwaway core for the whole series: the borrowed corpus is
+        // indexed and the text-mining signals are computed once, then every
+        // window is answered through one prefix-summed sweep plan.
+        let (bounds, axis) = window_plan(from_year, to_year, window_years);
+        let lists = crate::engine::sai_windows_once(corpus, db, base_config, &axis);
+        series_from(&bounds, &lists, scenario)
     }
 
     /// Runs the windowed analysis on an already-built engine —
@@ -183,11 +174,11 @@ impl MonitoringSeries {
         window_years: i32,
     ) -> Self {
         let (bounds, axis) = window_plan(from_year, to_year, window_years);
-        let lists = engine.sai_windows(db, base_config, &axis);
-        Self {
-            scenario: scenario.to_string(),
-            observations: observations_from(&bounds, &lists, scenario),
-        }
+        series_from(
+            &bounds,
+            &engine.sai_windows(db, base_config, &axis),
+            scenario,
+        )
     }
 
     /// The observations with evidence (non-zero posts).
@@ -294,8 +285,9 @@ impl LiveMonitor {
 
     /// Re-evaluates the sliding-window series over everything ingested so far,
     /// on the warm engine — through the sweep plan, which stays cached across
-    /// re-evaluations and is invalidated exactly when an ingest lands (the
-    /// engine's generation counter keys the plan).
+    /// re-evaluations and across ingests: the first re-evaluation after a
+    /// batch extends the plan with the batch's posts instead of rebuilding
+    /// it.
     #[must_use]
     pub fn series(&self, from_year: i32, to_year: i32) -> MonitoringSeries {
         MonitoringSeries::run_on(

@@ -22,8 +22,13 @@
 //! The cost model is copy-on-publish: each non-empty batch deep-clones the
 //! published engine (O(corpus), off the reader path) before appending.  The
 //! clone starts from the *published* engine, so per-post signals that readers
-//! have lazily warmed — the signal cells are shared `OnceLock`s — carry into
-//! the next generation instead of being re-mined.
+//! have lazily warmed carry into the next generation instead of being
+//! re-mined — as copies, not shared cells: the engine derives `Clone`, so
+//! every publish copies the corpus, the inverted index and each memoised
+//! per-post signal (its mined `prices` vector included).  Only the sweep
+//! plans are shared (`Arc`): the new generation's first read extends its own
+//! copy with the batch, while readers pinned to the old generation keep the
+//! old plan.
 
 use crate::engine::{IngestReceipt, StreamingScorer};
 use crate::error::PspError;

@@ -6,7 +6,7 @@
 //! are more likely to opt for a local attack via OBD."
 
 use crate::config::PspConfig;
-use crate::engine::{LiveEngine, SaiScorer, WindowAxis};
+use crate::engine::WindowAxis;
 use crate::keyword_db::KeywordDatabase;
 use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
@@ -72,12 +72,11 @@ pub fn compare_windows(
     scenario: &str,
     recent_window: DateWindow,
 ) -> WindowComparison {
-    // Both windows are answered by one engine through one sweep plan: the
-    // corpus is indexed once and the (window-invariant) candidate columns are
-    // projected once, then each window resolves against them.  The engine
-    // owns a copy of the corpus, which costs a few percent of the index build.
-    let engine = LiveEngine::new(corpus.clone());
-    let lists = engine.sai_windows(
+    // Both windows are answered through one sweep plan over the borrowed
+    // corpus: it is indexed once and the (window-invariant) candidate columns
+    // are projected once, then each window resolves against them.
+    let lists = crate::engine::sai_windows_once(
+        corpus,
         db,
         base_config,
         &WindowAxis::spans(&[base_config.window, Some(recent_window)]),
@@ -101,6 +100,7 @@ pub fn compare_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{LiveEngine, SaiScorer};
     use iso21434::feasibility::AttackFeasibilityRating;
     use socialsim::scenario;
 

@@ -195,7 +195,8 @@ impl CorpusIndex {
         self.dates.len()
     }
 
-    fn collect_mentions(&self, corpus: &Corpus, keyword: &str, out: &mut Vec<u32>) {
+    /// Ids `>= from` of posts mentioning `keyword`, in posting-list order.
+    fn collect_mentions(&self, corpus: &Corpus, keyword: &str, from: u32, out: &mut Vec<u32>) {
         let needle = keyword.to_lowercase();
         if needle.is_empty() {
             return;
@@ -203,7 +204,7 @@ impl CorpusIndex {
         if needle.chars().any(char::is_whitespace) {
             // A whitespace-bearing keyword can span token boundaries; the
             // vocabulary cannot answer it, so fall back to the exact scan.
-            for (id, post) in corpus.posts().iter().enumerate() {
+            for (id, post) in corpus.posts().iter().enumerate().skip(from as usize) {
                 if post.mentions(keyword) {
                     out.push(id as u32);
                 }
@@ -212,7 +213,7 @@ impl CorpusIndex {
         }
         for (term, ids) in &self.vocab {
             if term.contains(&needle) {
-                out.extend_from_slice(ids);
+                out.extend_from_slice(tail_from(ids, from));
             }
         }
     }
@@ -274,25 +275,28 @@ impl CorpusIndex {
         self.dates[id as usize]
     }
 
-    /// Ids of posts satisfying the query's *content* condition (keywords OR
-    /// hashtags), ascending; every post when the query has no content
-    /// constraints.  Content candidates are independent of the region /
-    /// application / window constraints, so a window sweep resolves them
-    /// once per keyword set and filters them with
-    /// [`matches_scene`](Self::matches_scene).
+    /// Ids `>= from` of posts satisfying the query's *content* condition
+    /// (keywords OR hashtags), ascending; every such post when the query has
+    /// no content constraints.  Content candidates are independent of the
+    /// region / application / window constraints, so a window sweep resolves
+    /// them once per keyword set and filters them with
+    /// [`matches_scene`](Self::matches_scene).  Whether a post is a candidate
+    /// depends on that post alone, so the candidates from `from` on are
+    /// exactly what a sweep plan covering the first `from` posts lacks: each
+    /// posting list's tail is one binary search away.
     #[must_use]
-    pub fn content_candidates(&self, corpus: &Corpus, query: &Query) -> Vec<u32> {
+    pub fn content_candidates(&self, corpus: &Corpus, query: &Query, from: u32) -> Vec<u32> {
         if query.keywords().is_empty() && query.hashtags().is_empty() {
-            return (0..self.dates.len() as u32).collect();
+            return (from..self.dates.len() as u32).collect();
         }
         // Keyword and hashtag constraints are disjunctive with each other
         // (see `Query::matches`), so the candidate set is the union.
         let mut ids = Vec::new();
         for keyword in query.keywords() {
-            self.collect_mentions(corpus, keyword, &mut ids);
+            self.collect_mentions(corpus, keyword, from, &mut ids);
         }
         for tag in query.hashtags() {
-            ids.extend_from_slice(self.with_hashtag(tag));
+            ids.extend_from_slice(tail_from(self.with_hashtag(tag), from));
         }
         ids.sort_unstable();
         ids.dedup();
@@ -303,11 +307,16 @@ impl CorpusIndex {
     /// the naive [`Corpus::search`] scan returns, in the same order.
     #[must_use]
     pub fn query(&self, corpus: &Corpus, query: &Query) -> Vec<u32> {
-        self.content_candidates(corpus, query)
+        self.content_candidates(corpus, query, 0)
             .into_iter()
             .filter(|id| self.matches_metadata(*id, query))
             .collect()
     }
+}
+
+/// The ids `>= from` of an ascending posting list.
+fn tail_from(ids: &[u32], from: u32) -> &[u32] {
+    &ids[ids.partition_point(|id| *id < from)..]
 }
 
 #[cfg(test)]
@@ -381,7 +390,7 @@ mod tests {
     /// The ids of posts mentioning `keyword`: the content candidates of a
     /// keyword-only query.
     fn mentioning(index: &CorpusIndex, corpus: &Corpus, keyword: &str) -> Vec<u32> {
-        index.content_candidates(corpus, &Query::new().with_keyword(keyword))
+        index.content_candidates(corpus, &Query::new().with_keyword(keyword), 0)
     }
 
     #[test]
@@ -641,6 +650,27 @@ mod tests {
         }
         assert_eq!(index.post_count(), full.posts().len());
         assert_answers_like_rebuild(&index, &corpus);
+    }
+
+    #[test]
+    fn candidates_from_an_id_are_the_tail_of_the_full_answer() {
+        let corpus = scenario::excavator_europe(11);
+        let index = CorpusIndex::build(&corpus);
+        let mut queries = probe_queries();
+        // A whitespace-bearing keyword takes the scan instead of the lists.
+        queries.push(Query::new().with_keyword("the").with_keyword("dpf delete"));
+        let posts = corpus.len() as u32;
+        for query in &queries {
+            let all = index.content_candidates(&corpus, query, 0);
+            for from in [1, posts / 3, posts - 1, posts, posts + 5] {
+                let tail: Vec<u32> = all.iter().copied().filter(|id| *id >= from).collect();
+                assert_eq!(
+                    index.content_candidates(&corpus, query, from),
+                    tail,
+                    "query {query:?} from {from}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! exists.  The streaming path is pinned the same way: appending posts to an
 //! index (or ingesting them into a `LiveEngine`) in arbitrary chunks is
 //! bit-identical to rebuilding from scratch and to the naive oracle.
+//! Sweep plans carried across ingest are pinned too: an engine that extends
+//! its plans with random batches answers like a cold engine and the oracle.
 //! Cancellation is pinned the same way: a sweep or matrix under a stop
 //! predicate that never fires is the plain computation, and one that fires
 //! answers `None` after a deterministic number of checks.
@@ -96,6 +98,30 @@ fn arb_post() -> impl Strategy<Value = Post> {
                 )
             },
         )
+}
+
+/// `post` with id `id` and date `date` — how an ingest batch gets ids after
+/// the corpus's and dates older or newer than any in it.
+fn renumbered(post: &Post, id: u64, date: SimDate) -> Post {
+    Post::new(
+        id,
+        post.author().clone(),
+        post.text(),
+        vec![],
+        date,
+        post.region(),
+        post.application(),
+        *post.engagement(),
+    )
+}
+
+/// Random ingest batches: each holds 0–5 posts dated 2008–2031 (the corpus
+/// spans 2015–2023, so some land before or after every corpus date), and
+/// says whether the engine is read right after it (1) or not (0).
+fn arb_batches() -> impl Strategy<Value = Vec<(Vec<(Post, SimDate)>, u8)>> {
+    let dated = (arb_post(), 2008i32..2032, 1u8..=12)
+        .prop_map(|(post, year, month)| (post, SimDate::new(year, month, 15)));
+    prop::collection::vec((prop::collection::vec(dated, 0..6), 0u8..2), 1..5)
 }
 
 fn arb_corpus() -> impl Strategy<Value = Corpus> {
@@ -379,21 +405,21 @@ proptest! {
     }
 
     /// A sweep and a matrix under a stop predicate that never fires are
-    /// bit-identical to the plain planes and to per-window `sai_list` —
+    /// bit-identical to the plain planes and to the naive oracle per window —
     /// including a matrix with an empty window grid.
     #[test]
     fn never_stopped_runs_equal_the_plain_planes(corpus in arb_corpus(), from in 2015i32..2022) {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
         let axis = stop_axis(from);
-        let engine = LiveEngine::new(corpus);
+        let engine = LiveEngine::new(corpus.clone());
         let reference: Vec<SaiList> = axis
             .as_options()
             .iter()
             .map(|window| {
                 let mut windowed = config.clone();
                 windowed.window = *window;
-                engine.sai_list(&db, &windowed)
+                SaiList::compute_naive(&corpus, &db, &windowed)
             })
             .collect();
         let swept = engine.sai_windows_until(&db, &config, &axis, &|| false);
@@ -404,6 +430,71 @@ proptest! {
             let cells = matrix_until(&engine, &spec, &|| false);
             prop_assert_eq!(cells.as_ref().map(Vec::len), Some(spec.cell_count()));
             prop_assert_eq!(cells, Some(engine.sai_matrix(&spec).into_cells()));
+        }
+    }
+
+    /// Plans carried across ingest: an engine that has scored, swept and run
+    /// a matrix ingests random batches (empty ones included, dates older and
+    /// newer than the corpus), reading after some of them, and every `Score`,
+    /// sweep and matrix it answers is bit-identical to a cold engine over the
+    /// grown corpus and to the naive oracle — while no plan is built again:
+    /// each read extends the plans with the posts ingested since.
+    #[test]
+    fn plans_carried_across_ingest_equal_cold_plans_and_naive(
+        corpus in arb_corpus(),
+        batches in arb_batches(),
+        from in 2010i32..2028,
+    ) {
+        let db = KeywordDatabase::excavator_seed();
+        let configs = [
+            PspConfig::excavator_europe(),
+            PspConfig::excavator_europe().with_poisoning_filter(0.25),
+        ];
+        let axis = stop_axis(from);
+        let spec = MatrixSpec::new()
+            .scenario("excavator", db.clone())
+            .config("base", configs[0].clone())
+            .config("filtered", configs[1].clone())
+            .window_axis(&axis);
+        let mut live = LiveEngine::new(corpus.clone());
+        let _ = live.sai_list(&db, &configs[0]);
+        let _ = live.sai_matrix(&spec);
+        let builds = live.plan_builds();
+        let mut posts = corpus.posts().to_vec();
+        let last = batches.len() - 1;
+        for (i, (batch, read)) in batches.into_iter().enumerate() {
+            let batch: Vec<Post> = batch
+                .iter()
+                .enumerate()
+                .map(|(k, (post, date))| renumbered(post, (posts.len() + k + 1) as u64, *date))
+                .collect();
+            posts.extend(batch.iter().cloned());
+            live.ingest(batch);
+            if read == 0 && i != last {
+                continue;
+            }
+            let grown = Corpus::from_posts(posts.clone());
+            let cold = LiveEngine::new(grown.clone());
+            for config in &configs {
+                let sai = live.sai_list(&db, config);
+                prop_assert_eq!(&sai, &cold.sai_list(&db, config));
+                prop_assert_eq!(&sai, &SaiList::compute_naive(&grown, &db, config));
+            }
+            let swept = live.sai_windows(&db, &configs[0], &axis);
+            prop_assert_eq!(&swept, &cold.sai_windows(&db, &configs[0], &axis));
+            for (window, list) in axis.as_options().iter().zip(&swept) {
+                let mut config = configs[0].clone();
+                config.window = *window;
+                prop_assert_eq!(list, &SaiList::compute_naive(&grown, &db, &config));
+            }
+            let cells = live.sai_matrix(&spec);
+            prop_assert_eq!(&cells, &cold.sai_matrix(&spec));
+            for (id, list) in cells.iter() {
+                let mut config = configs[id.config].clone();
+                config.window = axis.as_options()[id.window];
+                prop_assert_eq!(list, &SaiList::compute_naive(&grown, &db, &config));
+            }
+            prop_assert_eq!(live.plan_builds(), builds);
         }
     }
 

@@ -6,6 +6,7 @@ use psp_suite::psp::config::PspConfig;
 use psp_suite::psp::engine::{LiveEngine, SaiScorer, WindowAxis};
 use psp_suite::psp::keyword_db::KeywordDatabase;
 use psp_suite::psp::monitoring::{LiveMonitor, MonitoringSeries};
+use psp_suite::psp::sai::SaiList;
 use psp_suite::psp::timewindow::compare_windows;
 use psp_suite::psp::weights::WeightGenerator;
 use psp_suite::socialsim::corpus::Corpus;
@@ -119,6 +120,7 @@ fn a_batch_with_unseen_vocabulary_reaches_the_scores() {
         after,
         LiveEngine::new(live.corpus().clone()).sai_list(&db, &config)
     );
+    assert_eq!(after, SaiList::compute_naive(live.corpus(), &db, &config));
 }
 
 #[test]
@@ -143,7 +145,13 @@ fn a_batch_from_a_new_region_is_filtered_like_a_rebuild() {
     let mut anywhere = europe.clone();
     anywhere.region = Region::SouthAmerica;
     let cold = LiveEngine::new(live.corpus().clone());
-    assert_eq!(live.sai_list(&db, &anywhere), cold.sai_list(&db, &anywhere));
+    for config in [&europe, &anywhere] {
+        assert_eq!(live.sai_list(&db, config), cold.sai_list(&db, config));
+        assert_eq!(
+            live.sai_list(&db, config),
+            SaiList::compute_naive(live.corpus(), &db, config)
+        );
+    }
 }
 
 #[test]
@@ -177,8 +185,13 @@ fn out_of_order_dates_across_the_append_boundary_window_correctly() {
     assert_eq!(egr_posts(&early), 1);
     assert_eq!(egr_posts(&late), 1);
     let cold = LiveEngine::new(live.corpus().clone());
-    assert_eq!(live.sai_list(&db, &early), cold.sai_list(&db, &early));
-    assert_eq!(live.sai_list(&db, &late), cold.sai_list(&db, &late));
+    for config in [&early, &late] {
+        assert_eq!(live.sai_list(&db, config), cold.sai_list(&db, config));
+        assert_eq!(
+            live.sai_list(&db, config),
+            SaiList::compute_naive(live.corpus(), &db, config)
+        );
+    }
 }
 
 #[test]

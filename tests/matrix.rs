@@ -1,7 +1,8 @@
 //! Integration and property suite for the batch plane (`sai_matrix`): a
 //! (scenario × configuration × window) cross-product resolved through the
 //! matrix scheduler must be **bit-identical** to hand-nested loops of
-//! one `sai_list` call per cell — on built and incrementally ingested
+//! one `sai_list` call per cell and to the naive `SaiList::compute_naive`
+//! oracle — on built and incrementally ingested
 //! engines, over random corpora, weight sets and window grids, and (behind
 //! the `shim-rayon` feature) forced thread counts.
 //!
@@ -37,14 +38,14 @@ fn spec_of(
     spec.window_axis(&WindowAxis::spans(grid))
 }
 
-/// The hand-nested reference: one `sai_list` call per cell, in cell order.
-/// An empty grid means each configuration's own window applies.
-fn nested_cells<E: SaiScorer>(
-    engine: &E,
-    dbs: &[KeywordDatabase],
+/// The hand-nested cell configurations: one (database, windowed
+/// configuration) pair per cell, in cell order.  An empty grid means each
+/// configuration's own window applies.
+fn nested_configs<'a>(
+    dbs: &'a [KeywordDatabase],
     configs: &[PspConfig],
     grid: &[Option<DateWindow>],
-) -> Vec<SaiList> {
+) -> Vec<(&'a KeywordDatabase, PspConfig)> {
     let mut cells = Vec::new();
     for db in dbs {
         for config in configs {
@@ -56,17 +57,19 @@ fn nested_cells<E: SaiScorer>(
             for window in effective {
                 let mut cell_config = config.clone();
                 cell_config.window = window;
-                cells.push(engine.sai_list(db, &cell_config));
+                cells.push((db, cell_config));
             }
         }
     }
     cells
 }
 
-/// Asserts the matrix over these axes matches the hand-nested loops bit for
-/// bit, cell by cell, and streams in the spec's deterministic cell order.
+/// Asserts the matrix over these axes matches the hand-nested `sai_list`
+/// loops and the naive oracle over `corpus` bit for bit, cell by cell, and
+/// streams in the spec's deterministic cell order.
 fn assert_matrix_exact<E: SaiScorer>(
     engine: &E,
+    corpus: &Corpus,
     dbs: &[KeywordDatabase],
     configs: &[PspConfig],
     grid: &[Option<DateWindow>],
@@ -77,12 +80,18 @@ fn assert_matrix_exact<E: SaiScorer>(
     let cells = results.into_cells();
     let ids: Vec<_> = cells.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, spec.cell_ids(), "cells must stream in CellId order");
-    let lists: Vec<SaiList> = cells.into_iter().map(|(_, sai)| sai).collect();
-    assert_eq!(
-        lists,
-        nested_cells(engine, dbs, configs, grid),
-        "matrix vs hand-nested sai_list loops"
-    );
+    for ((id, sai), (db, config)) in cells.iter().zip(nested_configs(dbs, configs, grid)) {
+        assert_eq!(
+            *sai,
+            engine.sai_list(db, &config),
+            "cell {id:?} vs sai_list"
+        );
+        assert_eq!(
+            *sai,
+            SaiList::compute_naive(corpus, db, &config),
+            "cell {id:?} vs naive oracle"
+        );
+    }
 }
 
 #[test]
@@ -110,24 +119,13 @@ fn matrix_is_exact_on_the_reference_scenes_built_and_ingested() {
     ];
 
     let single = LiveEngine::new(corpus.clone());
-    assert_matrix_exact(&single, &dbs, &configs, &grid);
-    // Against the naive oracle, too: every cell equals a from-scratch scan.
-    let spec = spec_of(&dbs, &configs, &grid);
-    for (id, sai) in single.sai_matrix(&spec).iter() {
-        let mut config = configs[id.config].clone();
-        config.window = grid[id.window];
-        assert_eq!(
-            *sai,
-            SaiList::compute_naive(&corpus, &dbs[id.scenario], &config),
-            "cell {id:?} vs naive oracle"
-        );
-    }
+    assert_matrix_exact(&single, &corpus, &dbs, &configs, &grid);
 
     let mut live = LiveEngine::new(Corpus::new());
     for chunk in corpus.posts().to_vec().chunks(97) {
         live.ingest(chunk.to_vec());
     }
-    assert_matrix_exact(&live, &dbs, &configs, &grid);
+    assert_matrix_exact(&live, &corpus, &dbs, &configs, &grid);
 }
 
 #[test]
@@ -146,15 +144,24 @@ fn single_cell_matrix_equals_a_direct_sai_list_call() {
         let results = engine.sai_matrix(&spec);
         assert_eq!(results.len(), 1);
         assert_eq!(results.get(0, 0, 0), Some(&engine.sai_list(&db, config)));
+        assert_eq!(
+            results.get(0, 0, 0),
+            Some(&SaiList::compute_naive(&corpus, &db, config))
+        );
     }
     // One-entry grid: the grid window replaces the configuration's own.
     let spec = MatrixSpec::new()
         .scenario("excavator", db.clone())
         .config("only", windowed)
         .window_axis(&WindowAxis::each(&[DateWindow::years(2018, 2019)]));
+    let windowed = base.with_window(DateWindow::years(2018, 2019));
     assert_eq!(
         engine.sai_matrix(&spec).get(0, 0, 0),
-        Some(&engine.sai_list(&db, &base.with_window(DateWindow::years(2018, 2019))))
+        Some(&engine.sai_list(&db, &windowed))
+    );
+    assert_eq!(
+        engine.sai_matrix(&spec).get(0, 0, 0),
+        Some(&SaiList::compute_naive(&corpus, &db, &windowed))
     );
 }
 
@@ -168,7 +175,13 @@ fn empty_window_grid_uses_each_configs_own_window() {
         base.clone().with_window(DateWindow::years(2021, 2023)),
         base.clone().with_window(DateWindow::years(2015, 2019)),
     ];
-    assert_matrix_exact(&LiveEngine::new(corpus.clone()), &[db], &configs, &[]);
+    assert_matrix_exact(
+        &LiveEngine::new(corpus.clone()),
+        &corpus,
+        &[db],
+        &configs,
+        &[],
+    );
 }
 
 #[test]
@@ -191,11 +204,17 @@ fn duplicate_windows_in_one_grid_yield_identical_cells() {
     assert_eq!(results.len(), 4);
     assert_eq!(results.get(0, 0, 0), results.get(0, 0, 1));
     assert_eq!(results.get(0, 0, 2), results.get(0, 0, 3));
+    let windowed = base.clone().with_window(window);
+    assert_eq!(results.get(0, 0, 0), Some(&engine.sai_list(&db, &windowed)));
     assert_eq!(
         results.get(0, 0, 0),
-        Some(&engine.sai_list(&db, &base.clone().with_window(window)))
+        Some(&SaiList::compute_naive(&corpus, &db, &windowed))
     );
     assert_eq!(results.get(0, 0, 2), Some(&engine.sai_list(&db, &base)));
+    assert_eq!(
+        results.get(0, 0, 2),
+        Some(&SaiList::compute_naive(&corpus, &db, &base))
+    );
 }
 
 #[test]
@@ -264,13 +283,14 @@ proptest! {
                 }
             })
             .collect();
-        let single = LiveEngine::new(corpus);
-        assert_matrix_exact(&single, &dbs, &configs, &grid);
+        let single = LiveEngine::new(corpus.clone());
+        assert_matrix_exact(&single, &corpus, &dbs, &configs, &grid);
     }
 
     /// A live engine fed in arbitrary chunks — evaluating the matrix between
-    /// ingests so plans are genuinely built, invalidated and rebuilt —
-    /// resolves exactly like a cold engine over the finished corpus.
+    /// ingests so plans are genuinely built and then extended by each batch —
+    /// resolves exactly like a cold engine over the finished corpus and the
+    /// naive oracle.
     #[test]
     fn live_matrix_survives_ingest_invalidation(
         corpus in arb_corpus(),
@@ -287,14 +307,17 @@ proptest! {
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(chunk) {
             // Evaluate *before* ingesting the next batch: caches plans the
-            // ingest must invalidate.
+            // next read must extend with the batch.
             let _ = live.sai_matrix(&spec);
             live.ingest(batch.to_vec());
         }
-        prop_assert_eq!(
-            live.sai_matrix(&spec),
-            LiveEngine::new(corpus.clone()).sai_matrix(&spec)
-        );
+        let cells = live.sai_matrix(&spec);
+        prop_assert_eq!(&cells, &LiveEngine::new(corpus.clone()).sai_matrix(&spec));
+        for (id, sai) in cells.iter() {
+            let mut config = configs[id.config].clone();
+            config.window = grid[id.window];
+            prop_assert_eq!(sai, &SaiList::compute_naive(&corpus, &dbs[0], &config));
+        }
     }
 }
 

@@ -804,3 +804,112 @@ fn a_job_added_during_a_slow_scheduled_run_is_not_slept_past() {
         let _ = service.handle(ServiceRequest::Unschedule { id });
     }
 }
+
+/// An engine whose ingest signals `started` and then blocks until `release`
+/// answers (or 60 s pass) before appending — the injected slow ingest for
+/// the snapshot-isolation test.  Scoring delegates to a real [`LiveEngine`].
+#[derive(Debug, Clone)]
+struct GatedIngestEngine {
+    inner: LiveEngine,
+    started: mpsc::Sender<()>,
+    release: std::sync::Arc<std::sync::Mutex<mpsc::Receiver<()>>>,
+}
+
+impl SaiScorer for GatedIngestEngine {
+    fn sai_list(&self, db: &KeywordDatabase, config: &PspConfig) -> SaiList {
+        self.inner.sai_list(db, config)
+    }
+}
+
+impl StreamingScorer for GatedIngestEngine {
+    fn ingest_batch(&mut self, batch: Vec<Post>) -> IngestReceipt {
+        let _ = self.started.send(());
+        let _ = self
+            .release
+            .lock()
+            .expect("one ingest at a time")
+            .recv_timeout(Duration::from_secs(60));
+        self.inner.ingest_batch(batch)
+    }
+
+    fn post_count(&self) -> usize {
+        self.inner.post_count()
+    }
+
+    fn generation(&self) -> u64 {
+        self.inner.generation()
+    }
+
+    fn export_signal_cache(&self) -> SignalCacheFile {
+        self.inner.export_signal_cache()
+    }
+
+    fn corpus(&self) -> &Corpus {
+        self.inner.corpus()
+    }
+
+    fn restore_generation(&mut self, generation: u64) {
+        self.inner.restore_generation(generation);
+    }
+}
+
+/// Snapshot isolation, deterministically: while an ingest is blocked inside
+/// the engine, a `Score` answers at the published generation (0) instead of
+/// waiting for the ingest; once released, the ingest answers generation 1
+/// and a later `Score` reads it.
+#[test]
+fn a_read_never_waits_for_an_ingest() {
+    let db = KeywordDatabase::excavator_seed();
+    let config = PspConfig::excavator_europe();
+    let (started, starts) = mpsc::channel();
+    let (release, gate) = mpsc::channel();
+    let registry = ServiceRegistry::new()
+        .database("excavator", db.clone())
+        .config("excavator", config.clone());
+    let service = TaraService::with_workers(
+        GatedIngestEngine {
+            inner: LiveEngine::new(scenario::excavator_europe(7)),
+            started,
+            release: std::sync::Arc::new(std::sync::Mutex::new(gate)),
+        },
+        registry,
+        1,
+    );
+    let score = || {
+        service
+            .submit(ServiceRequest::Score {
+                db: "excavator".into(),
+                config: "excavator".into(),
+            })
+            .wait_timeout(Duration::from_secs(10))
+    };
+    let batch = scenario::excavator_europe(8).posts().to_vec();
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| service.handle(ServiceRequest::Ingest { posts: batch }));
+        starts
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the ingest reached the engine");
+        let during = score();
+        release.send(()).expect("the ingest waits on the gate");
+        match during {
+            Ok(ServiceResponse::Score { generation, sai }) => {
+                assert_eq!(generation, 0);
+                assert_eq!(
+                    sai,
+                    SaiList::compute_naive(&scenario::excavator_europe(7), &db, &config)
+                );
+            }
+            Ok(other) => panic!("unexpected response: {other:?}"),
+            Err(_) => panic!("a Score waited 10 s behind a blocked ingest"),
+        }
+        match ingest.join().expect("the ingest thread finishes") {
+            ServiceResponse::Ingested { generation, .. } => assert_eq!(generation, 1),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    });
+    match score() {
+        Ok(ServiceResponse::Score { generation, .. }) => assert_eq!(generation, 1),
+        Ok(other) => panic!("unexpected response: {other:?}"),
+        Err(_) => panic!("a Score after the ingest did not answer"),
+    }
+}

@@ -259,6 +259,8 @@ mod thread_count_independence {
         };
 
         let reference = rayon::with_thread_count(1, score);
+        assert_eq!(reference.0, SaiList::compute_naive(&corpus, &db, &config));
+        assert_eq!(reference.1, SaiList::compute_naive(&corpus, &db, &windowed));
         for threads in [1, 2, 3, 8] {
             let (full, windowed, sharded) = rayon::with_thread_count(threads, score);
             assert_eq!(full, reference.0, "full pass at {threads} threads");
@@ -273,13 +275,10 @@ mod thread_count_independence {
         let db = KeywordDatabase::excavator_seed();
         let base = PspConfig::excavator_europe();
         let windows = yearly(2018, 2023);
-        let reference: Vec<SaiList> = rayon::with_thread_count(1, || {
-            let engine = LiveEngine::new(corpus.clone());
-            windows
-                .iter()
-                .map(|w| engine.sai_list(&db, &base.clone().with_window(*w)))
-                .collect()
-        });
+        let reference: Vec<SaiList> = windows
+            .iter()
+            .map(|w| SaiList::compute_naive(&corpus, &db, &base.clone().with_window(*w)))
+            .collect();
         for threads in [2, 5, 16] {
             let swept = rayon::with_thread_count(threads, || {
                 LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))

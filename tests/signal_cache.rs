@@ -124,6 +124,10 @@ fn live_engine_cache_survives_ingest_cycles() {
     let cold = LiveEngine::new(live.corpus().clone());
     assert_eq!(cold.load_signal_cache(&cache).unwrap(), cold.post_count());
     assert_eq!(cold.sai_list(&db, &config), expected);
+    assert_eq!(
+        expected,
+        SaiList::compute_naive(cold.corpus(), &db, &config)
+    );
 
     // After further ingestion the old cache no longer matches.
     let mut grown = cold;

@@ -216,14 +216,14 @@ fn full_history_entries_ride_the_same_plan_as_windows() {
     let db = KeywordDatabase::passenger_car_seed();
     let base = PspConfig::passenger_car_europe();
     let recent = DateWindow::years(2021, 2023);
-    let engine = LiveEngine::new(corpus);
+    let engine = LiveEngine::new(corpus.clone());
     let swept = engine.sai_windows(&db, &base, &WindowAxis::spans(&[None, Some(recent), None]));
     assert_eq!(swept[0], engine.sai_list(&db, &base));
+    assert_eq!(swept[0], SaiList::compute_naive(&corpus, &db, &base));
     assert_eq!(swept[2], swept[0]);
-    assert_eq!(
-        swept[1],
-        engine.sai_list(&db, &base.clone().with_window(recent))
-    );
+    let windowed = base.clone().with_window(recent);
+    assert_eq!(swept[1], engine.sai_list(&db, &windowed));
+    assert_eq!(swept[1], SaiList::compute_naive(&corpus, &db, &windowed));
 }
 
 proptest! {
@@ -250,8 +250,9 @@ proptest! {
     }
 
     /// A live engine fed in arbitrary chunks — sweeping between ingests so
-    /// plans are genuinely built, invalidated and rebuilt — sweeps exactly
-    /// like a cold engine over the finished corpus.
+    /// a plan is genuinely built and then extended by each batch — sweeps
+    /// exactly like a cold engine over the finished corpus and the naive
+    /// oracle.
     #[test]
     fn live_sweep_survives_ingest_invalidation(
         corpus in arb_corpus(),
@@ -265,14 +266,19 @@ proptest! {
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(chunk) {
             // Sweep *before* ingesting the next batch: caches a plan that the
-            // ingest must invalidate.
+            // next sweep must extend with the batch.
             let _ = live.sai_windows(&db, &base, &WindowAxis::each(&windows));
             live.ingest(batch.to_vec());
         }
+        let swept = live.sai_windows(&db, &base, &WindowAxis::each(&windows));
         prop_assert_eq!(
-            live.sai_windows(&db, &base, &WindowAxis::each(&windows)),
-            LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
+            &swept,
+            &LiveEngine::new(corpus.clone()).sai_windows(&db, &base, &WindowAxis::each(&windows))
         );
+        for (window, list) in windows.iter().zip(&swept) {
+            let config = base.clone().with_window(*window);
+            prop_assert_eq!(list, &SaiList::compute_naive(&corpus, &db, &config));
+        }
     }
 
     /// Sweeping with the poisoning filter on random corpora stays exact (the
