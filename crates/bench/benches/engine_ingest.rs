@@ -13,10 +13,12 @@
 //! * `rebuild_then_score` — clone the base corpus, append the batch, move it
 //!   into a fresh `LiveEngine`, score.  The pre-ingestion state of the art.
 //! * `append_then_score` — clone a *warm* `LiveEngine` (signals memoised),
-//!   ingest the batch in place, score.  The clone is an artefact of repeatable
-//!   measurement (a real serving loop mutates one engine); its cost is
-//!   measured separately so the report can also state the net append cost.
-//! * `clone_warm_engine` — just the clone, for that correction.
+//!   ingest the batch into the clone, score: what a daemon's publish does
+//!   (`SnapshotPublisher::ingest_logged` clones the published engine and
+//!   appends into the clone), plus the first read after it.
+//! * `clone_warm_engine` — just the clone: what a publish copies.  The
+//!   corpus and the signal cells are shared in sealed chunks, so this is the
+//!   inverted index plus under 1,024 posts, not O(corpus).
 //!
 //! A fourth row, `checkpoint_parse/<size>`, times what dominates a restart:
 //! `serde_json::from_str::<Corpus>` over the base corpus's checkpoint JSON
@@ -54,7 +56,7 @@ const BATCH: usize = 1_000;
 /// whole topic/year cells, then truncated to exactly [`BATCH`] posts.
 fn arriving_batch() -> Vec<Post> {
     let stream = scaled_excavator_corpus(BATCH * 6 / 5, 7);
-    let batch: Vec<Post> = stream.posts().iter().take(BATCH).cloned().collect();
+    let batch: Vec<Post> = stream.iter().take(BATCH).cloned().collect();
     assert_eq!(batch.len(), BATCH, "batch generation came up short");
     batch
 }

@@ -207,9 +207,7 @@ fn main() {
         let corpus = scaled_excavator_corpus(size, 42);
         // The writer replays a disjoint stream so every published generation
         // genuinely changes the corpus.
-        let extra = scaled_excavator_corpus(size.min(20_000), 7)
-            .posts()
-            .to_vec();
+        let extra = scaled_excavator_corpus(size.min(20_000), 7).into_posts();
 
         // The warm serving state: indexed, every text signal memoised.
         let engine = LiveEngine::new(corpus.clone());

@@ -85,7 +85,7 @@ fn bench(c: &mut Criterion) {
 
     for &size in &sizes {
         let corpus = scaled_excavator_corpus(size, 42);
-        let texts: Vec<&str> = corpus.posts().iter().map(|p| p.text()).collect();
+        let texts: Vec<&str> = corpus.iter().map(|p| p.text()).collect();
 
         // Sanity: the two pipelines must agree bit-for-bit before being timed,
         // and a JSON-round-tripped signal cache must restore exact scores.

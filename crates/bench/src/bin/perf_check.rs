@@ -6,8 +6,9 @@
 //! `target/perf/<bench>.json` (written by `cargo bench --bench <bench>`), and
 //! fails when any row present in both regressed by more than the allowed
 //! factor (default 2x; override with `--max-regression <factor>` or the
-//! `PSP_PERF_MAX_REGRESSION` environment variable), or when a baseline ratio
-//! row is missing at a size the fresh run covered.  With `--ratios-only`,
+//! `PSP_PERF_MAX_REGRESSION` environment variable), when a baseline ratio
+//! row is missing at a size the fresh run covered, or when a ratio reads more
+//! than 4x its baseline ("baseline stale: re-bless").  With `--ratios-only`,
 //! the absolute nanosecond rows are skipped and only the machine-portable
 //! speedup ratios are enforced — what CI does, since its hardware differs
 //! from the machine that blessed the baseline.
@@ -95,20 +96,18 @@ fn main() {
         }
         if outcome.passed() {
             println!(
-                "{bench}: OK — {} rows within {max_regression}x of the committed baseline",
+                "{bench}: OK — {} rows within {max_regression}x of the committed baseline, \
+                 none stale",
                 outcome.checked
             );
         } else {
             eprintln!(
-                "{bench}: {} of {} rows regressed beyond {max_regression}x:",
-                outcome.regressions.len(),
+                "{bench}: failed against the committed baseline ({} rows checked, \
+                 {max_regression}x tolerance):",
                 outcome.checked
             );
-            for regression in &outcome.regressions {
-                eprintln!("  {regression}");
-            }
-            for name in &outcome.missing {
-                eprintln!("  {name}: missing from the fresh run, which covered its size");
+            for failure in outcome.failures() {
+                eprintln!("  {failure}");
             }
             failed = true;
         }

@@ -28,6 +28,10 @@
 //! which is what lets CI run the benches at reduced sizes against a baseline
 //! recorded at full scale.
 //!
+//! A ratio floor only guards a speedup while it sits near what the code
+//! does, so a ratio more than 4x its baseline fails too ("baseline stale:
+//! re-bless"): a speedup lands together with the floor that protects it.
+//!
 //! To bless a new baseline after an intentional perf change:
 //!
 //! ```text
@@ -284,6 +288,11 @@ impl fmt::Display for Regression {
     }
 }
 
+/// How far above its baseline a fresh ratio may read before the baseline
+/// counts as stale.  At 4x the floor (half the baseline at the default 2x
+/// tolerance) would pass a run 8x slower than the fresh one.
+const STALE_FACTOR: f64 = 4.0;
+
 /// One row present in both the baseline and the fresh report — recorded for
 /// every checked row (not only regressions), so a passing perf-smoke run
 /// still logs the measured-vs-baseline trend.
@@ -351,14 +360,36 @@ pub struct Comparison {
     /// (it has another row ending in the same `/<size>`): a bench that
     /// stopped emitting a gated row.
     pub missing: Vec<String>,
+    /// Ratio rows that read more than 4x their baseline: the floor no
+    /// longer guards what the code does.
+    pub stale: Vec<CheckedRow>,
 }
 
 impl Comparison {
-    /// Whether every checked row stayed within the allowed regression and no
-    /// gated ratio row of a size the fresh run covered went missing.
+    /// Whether every checked row stayed within the allowed regression, no
+    /// gated ratio row of a size the fresh run covered went missing, and no
+    /// ratio outran its baseline.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.regressions.is_empty() && self.missing.is_empty() && self.stale.is_empty()
+    }
+
+    /// One line per failure: regressions, missing rows, stale baselines.
+    #[must_use]
+    pub fn failures(&self) -> Vec<String> {
+        let regressed = self.regressions.iter().map(ToString::to_string);
+        let missing = self
+            .missing
+            .iter()
+            .map(|name| format!("{name}: missing from the fresh run, which covered its size"));
+        let stale = self.stale.iter().map(|row| {
+            format!(
+                "{}: speedup {:.2}x is more than {STALE_FACTOR}x its baseline {:.2}x: \
+                 baseline stale: re-bless",
+                row.name, row.fresh, row.baseline
+            )
+        });
+        regressed.chain(missing).chain(stale).collect()
     }
 }
 
@@ -377,7 +408,8 @@ impl Comparison {
 /// * speedup ratios regress when `fresh < baseline / max_regression` — both
 ///   sides of a ratio run on the same machine in the same process, so these
 ///   transfer across hardware (CI passes `include_metrics = false` via
-///   `perf_check --ratios-only`).
+///   `perf_check --ratios-only`) — and are stale when
+///   `fresh > baseline * STALE_FACTOR`.
 #[must_use]
 pub fn compare_with(
     baseline: &PerfReport,
@@ -410,6 +442,7 @@ pub fn compare_with(
         }
     }
     let mut missing = Vec::new();
+    let mut stale = Vec::new();
     for (name, base) in &baseline.ratios {
         let Some(measured) = fresh.ratio(name) else {
             if fresh.ran_size_of(name) {
@@ -417,12 +450,16 @@ pub fn compare_with(
             }
             continue;
         };
-        rows.push(CheckedRow {
+        let row = CheckedRow {
             name: name.clone(),
             baseline: *base,
             fresh: measured,
             is_ratio: true,
-        });
+        };
+        if measured > base * STALE_FACTOR {
+            stale.push(row.clone());
+        }
+        rows.push(row);
         let limit = base / max_regression;
         if measured < limit {
             regressions.push(Regression {
@@ -439,6 +476,7 @@ pub fn compare_with(
         rows,
         regressions,
         missing,
+        stale,
     }
 }
 
@@ -488,6 +526,22 @@ mod tests {
         assert!(regression.is_ratio);
         assert_eq!(regression.limit, 5.0);
         assert!(regression.to_string().contains("fell below"));
+    }
+
+    #[test]
+    fn a_ratio_far_above_its_baseline_is_a_stale_baseline() {
+        let baseline = report(&[], &[("speed/100", 10.0)]);
+        let near = report(&[], &[("speed/100", 39.0)]);
+        assert!(compare_with(&baseline, &near, 2.0, false).passed());
+        let outran = report(&[], &[("speed/100", 41.0)]);
+        let outcome = compare_with(&baseline, &outran, 2.0, false);
+        assert!(!outcome.passed());
+        assert!(outcome.regressions.is_empty());
+        assert_eq!(outcome.stale.len(), 1);
+        let failures = outcome.failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("speed/100"));
+        assert!(failures[0].contains("baseline stale: re-bless"));
     }
 
     #[test]

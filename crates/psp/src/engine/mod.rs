@@ -51,7 +51,7 @@ use crate::keyword_db::{KeywordDatabase, KeywordProfile};
 use crate::sai::{SaiEntry, SaiList};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use socialsim::corpus::Corpus;
+use socialsim::corpus::{Chunks, Corpus};
 use socialsim::index::CorpusIndex;
 use socialsim::post::Post;
 use socialsim::query::Query;
@@ -339,13 +339,20 @@ struct EngineCore {
     pipeline: TextPipeline,
     /// Lazily initialised per-post signals: a post pays for the text-mining
     /// pipeline at most once, and only if some query actually reaches it.
-    signals: Vec<OnceLock<PostSignals>>,
+    /// A clone shares the sealed chunks of cells, so a signal mined through
+    /// either copy is there for both (a post's signals depend only on the
+    /// post and the pipeline, which the copies share).
+    signals: Chunks<OnceLock<PostSignals>>,
     /// Number of ingest batches absorbed since construction (0 for one-shot
     /// cores).  Observers use this to detect that re-evaluation is due.
     generation: u64,
     /// The cached sweep plans (see [`sweep`]), one per (database, scene);
     /// each extends itself with the posts ingested since it was last used.
     plans: PlanCache,
+    /// The only windows a one-shot core is asked for (`None`: any window, as
+    /// on every [`LiveEngine`]).  Its plans skip candidates dated outside
+    /// them before mining their signals.
+    scope: Option<Vec<DateWindow>>,
 }
 
 impl EngineCore {
@@ -353,16 +360,24 @@ impl EngineCore {
     /// lexica (and the frozen reference pipeline, for baseline measurements)
     /// flow into an engine.
     fn with_pipeline(corpus: &Corpus, pipeline: TextPipeline) -> Self {
-        let index = CorpusIndex::build(corpus);
-        let mut signals = Vec::new();
-        signals.resize_with(corpus.posts().len(), OnceLock::new);
+        let mut signals = Chunks::default();
+        signals.extend(std::iter::repeat_with(OnceLock::new).take(corpus.len()));
         Self {
-            index,
+            index: CorpusIndex::build(corpus),
             pipeline,
             signals,
             generation: 0,
             plans: PlanCache::default(),
+            scope: None,
         }
+    }
+
+    /// Whether post `id` is dated inside the core's [`scope`](Self::scope).
+    fn in_scope(&self, id: u32) -> bool {
+        self.scope.as_ref().is_none_or(|windows| {
+            let date = self.index.date_of(id);
+            windows.iter().any(|window| window.contains(date))
+        })
     }
 
     /// Absorbs `new_posts` trailing posts of `corpus`: the index is extended in
@@ -372,7 +387,7 @@ impl EngineCore {
     fn append(&mut self, corpus: &Corpus, new_posts: usize) {
         self.index.append(corpus, new_posts);
         self.signals
-            .resize_with(corpus.posts().len(), OnceLock::new);
+            .extend(std::iter::repeat_with(OnceLock::new).take(new_posts));
         if new_posts > 0 {
             self.generation += 1;
         }
@@ -383,7 +398,7 @@ impl EngineCore {
     /// with no token or hashtag strings materialised.
     fn signal(&self, corpus: &Corpus, id: u32) -> &PostSignals {
         self.signals[id as usize].get_or_init(|| {
-            let post = &corpus.posts()[id as usize];
+            let post = corpus.post(id as usize);
             let mined = self.pipeline.signals(post.text());
             PostSignals::from_post(post, mined.intent.score, mined.prices)
         })
@@ -394,7 +409,7 @@ impl EngineCore {
     fn export_cache(&self, corpus: &Corpus) -> SignalCacheFile {
         self.precompute_signals(corpus);
         let mut file = SignalCacheFile::empty(*self.pipeline.lexicon(), corpus.len());
-        for (post, signal) in corpus.posts().iter().zip(&self.signals) {
+        for (post, signal) in corpus.iter().zip(self.signals.iter()) {
             let signal = signal.get().expect("signals precomputed before export");
             file.push_row(post.id(), signal.intent, &signal.prices);
         }
@@ -411,7 +426,7 @@ impl EngineCore {
         cache: &SignalCacheFile,
     ) -> Result<usize, SignalCacheError> {
         cache.check_shape(corpus.len(), self.pipeline.lexicon())?;
-        for (index, post) in corpus.posts().iter().enumerate() {
+        for (index, post) in corpus.iter().enumerate() {
             if cache.post_ids[index] != post.id() {
                 return Err(SignalCacheError::PostIdMismatch {
                     index,
@@ -424,7 +439,7 @@ impl EngineCore {
         // post; the mined evidence comes from the cache.
         let offsets = cache.price_offsets();
         let mut installed = 0_usize;
-        for (id, post) in corpus.posts().iter().enumerate() {
+        for (id, post) in corpus.iter().enumerate() {
             let prices = cache.prices[offsets[id]..offsets[id + 1]].to_vec();
             let signals = PostSignals::from_post(post, cache.intents[id], prices);
             if self.signals[id].set(signals).is_ok() {
@@ -520,9 +535,12 @@ fn transpose_to_lists(per_profile: Vec<Vec<SaiEntry>>, lists: usize) -> Vec<SaiL
 
 /// Sweeps a borrowed corpus once: builds a throwaway core over `corpus` (no
 /// corpus copy), resolves every window of `axis` on one sweep plan and drops
-/// the core — the engine behind the one-shot conveniences
-/// [`SaiList::compute`] and [`crate::workflow::PspWorkflow::run`] (one
-/// window), [`crate::monitoring::MonitoringSeries::run`] and
+/// the core.  The core is scoped to the axis, so when every entry is a
+/// concrete window its plan never mines a post dated outside all of them: no
+/// window of the axis could count it.  It is the engine behind the one-shot
+/// conveniences [`SaiList::compute`] and
+/// [`crate::workflow::PspWorkflow::run`] (one window),
+/// [`crate::monitoring::MonitoringSeries::run`] and
 /// [`crate::timewindow::compare_windows`].  Bit-identical to
 /// [`SaiScorer::sai_windows`] on a [`LiveEngine`] over the same corpus.
 pub(crate) fn sai_windows_once(
@@ -531,8 +549,9 @@ pub(crate) fn sai_windows_once(
     base_config: &PspConfig,
     axis: &WindowAxis,
 ) -> Vec<SaiList> {
-    EngineCore::with_pipeline(corpus, TextPipeline::new())
-        .sai_sweep(corpus, db, base_config, axis.as_options(), &|| false)
+    let mut core = EngineCore::with_pipeline(corpus, TextPipeline::new());
+    core.scope = axis.as_options().iter().copied().collect();
+    core.sai_sweep(corpus, db, base_config, axis.as_options(), &|| false)
         .expect("a sweep that never stops finishes")
 }
 
@@ -573,7 +592,7 @@ pub(crate) fn sai_list_once(corpus: &Corpus, db: &KeywordDatabase, config: &PspC
 /// let (db, config) = (KeywordDatabase::excavator_seed(), PspConfig::excavator_europe());
 /// let mut engine = LiveEngine::new(seed);
 /// let before = engine.sai_list(&db, &config);
-/// let receipt = engine.ingest(scenario::excavator_europe(8).posts().to_vec());
+/// let receipt = engine.ingest(scenario::excavator_europe(8).into_posts());
 /// assert!(receipt.appended > 0 && receipt.generation == 1);
 /// let after = engine.sai_list(&db, &config);
 /// assert!(after.top().unwrap().posts >= before.top().unwrap().posts);
@@ -788,6 +807,42 @@ mod tests {
     }
 
     #[test]
+    fn a_windowed_one_shot_mines_only_its_windows_and_answers_unchanged() {
+        let corpus = scenario::passenger_car_europe(42);
+        let db = KeywordDatabase::passenger_car_seed();
+        let base = PspConfig::passenger_car_europe().with_poisoning_filter(0.25);
+        let engine = LiveEngine::new(corpus.clone());
+        let recent = DateWindow::years(2021, 2023);
+        let inverted = DateWindow {
+            from: recent.to,
+            to: recent.from,
+        };
+        for axis in [
+            WindowAxis::each(&[recent]),
+            WindowAxis::each(&[DateWindow::years(2016, 2017), DateWindow::years(2016, 2019)]),
+            WindowAxis::each(&[inverted]),
+            WindowAxis::new().window(recent).full_history(),
+        ] {
+            assert_eq!(
+                sai_windows_once(&corpus, &db, &base, &axis),
+                engine.sai_windows(&db, &base, &axis),
+                "{axis:?}"
+            );
+        }
+        // The scoped core mined some posts, every one inside the window.
+        let mut core = EngineCore::with_pipeline(&corpus, TextPipeline::new());
+        core.scope = Some(vec![recent]);
+        core.sai_sweep(&corpus, &db, &base, &[Some(recent)], &|| false);
+        let mined: Vec<usize> = (0..corpus.len())
+            .filter(|id| core.signals[*id].get().is_some())
+            .collect();
+        assert!(!mined.is_empty());
+        assert!(mined
+            .iter()
+            .all(|id| recent.contains(corpus.post(*id).date())));
+    }
+
+    #[test]
     fn empty_corpus_and_empty_db_degrade_gracefully() {
         let corpus = Corpus::new();
         let engine = LiveEngine::new(corpus.clone());
@@ -813,7 +868,7 @@ mod tests {
     #[test]
     fn live_engine_ingest_matches_a_cold_rebuild_bit_for_bit() {
         let full = scenario::excavator_europe(7);
-        let posts = full.posts().to_vec();
+        let posts = full.clone().into_posts();
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
 
@@ -821,7 +876,7 @@ mod tests {
         for chunk in posts.chunks(23) {
             live.ingest(chunk.to_vec());
         }
-        assert_eq!(live.post_count(), full.posts().len());
+        assert_eq!(live.post_count(), full.len());
         // Append-then-score is bit-identical to rebuild-then-score and to the
         // naive oracle (same corpus order, same fold order).
         assert_eq!(
@@ -837,7 +892,7 @@ mod tests {
     #[test]
     fn live_engine_scores_between_ingests_without_losing_warmth() {
         let seed = scenario::excavator_europe(7);
-        let extra = scenario::excavator_europe(8).posts().to_vec();
+        let extra = scenario::excavator_europe(8).into_posts();
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
 
@@ -872,7 +927,7 @@ mod tests {
             }
         );
         assert_eq!(live.generation(), 0);
-        let receipt = live.ingest(scenario::excavator_europe(9).posts().to_vec());
+        let receipt = live.ingest(scenario::excavator_europe(9).into_posts());
         assert!(receipt.appended > 0);
         assert_eq!(receipt.generation, 1);
         assert_eq!(live.generation(), 1);
@@ -1021,7 +1076,7 @@ mod tests {
         // ...a real batch extends it on its next use (no cold build), and a
         // copy pinned before the batch keeps the plan it had.
         let pinned = live.clone();
-        live.ingest(scenario::excavator_europe(8).posts().to_vec());
+        live.ingest(scenario::excavator_europe(8).into_posts());
         let after = live.core.sweep_plan(live.corpus(), &db, &base);
         assert!(!std::sync::Arc::ptr_eq(&before, &after));
         assert_eq!(live.plan_builds(), 1);
@@ -1208,7 +1263,7 @@ mod tests {
         // A real ingest: both plans extend with the batch instead of
         // re-planning, and the result matches a cold engine over the grown
         // corpus and the naive oracle.
-        live.ingest(scenario::excavator_europe(8).posts().to_vec());
+        live.ingest(scenario::excavator_europe(8).into_posts());
         let after = live.sai_matrix(&spec);
         assert_eq!(live.plan_builds(), 2);
         let cold = LiveEngine::new(live.corpus().clone());
@@ -1252,7 +1307,7 @@ mod tests {
     #[test]
     fn live_engine_windows_match_snapshot_windows_after_ingest() {
         let seed = scenario::passenger_car_europe(42);
-        let posts = seed.posts().to_vec();
+        let posts = seed.clone().into_posts();
         let (old, new) = posts.split_at(posts.len() / 2);
         let db = KeywordDatabase::passenger_car_seed();
         let base = PspConfig::passenger_car_europe();

@@ -48,8 +48,10 @@
 //! `MatrixSpec` evaluating many scenarios over one warm engine, or two
 //! alternating monitoring scenes — each keep their plan instead of thrashing
 //! one slot.  Cloning an engine (the service's copy-on-publish) shares the
-//! plans, so a reader pinned to an older generation keeps its plan while the
-//! published one extends a copy.
+//! plans, as it shares the sealed chunks of posts and signal cells, so a
+//! reader pinned to an older generation keeps its plan while the published
+//! one extends a copy.  An extension still copies the base columns: O(rows)
+//! per plan and publish.
 
 use super::{profile_query, EngineCore};
 use crate::config::{PspConfig, SaiWeights};
@@ -155,9 +157,10 @@ impl ProfileColumns {
     /// Extends `base` — this profile's columns over the posts below `from` —
     /// with the candidates from post `from` on, under the window-invariant
     /// filters of the base configuration (content, region, application,
-    /// credibility — everything but the window).  A cold build extends the
-    /// empty columns from post 0.  Forces the text signals of every new
-    /// surviving candidate — paid once per post and plan, not per window.
+    /// credibility — everything but the window) and the core's scope (every
+    /// date, except on a one-shot core).  A cold build extends the empty
+    /// columns from post 0.  Forces the text signals of every new surviving
+    /// candidate — paid once per post and plan, not per window.
     ///
     /// New ids are above every base id, so the new rows append to the
     /// id-order columns.  The date view starts from the base `perm` followed
@@ -188,7 +191,7 @@ impl ProfileColumns {
         }
         // Candidates arrive ascending, and the filters preserve order.
         for id in candidates {
-            if !core.index.matches_scene(id, &query) {
+            if !core.index.matches_scene(id, &query) || !core.in_scope(id) {
                 continue;
             }
             let signal = core.signal(corpus, id);

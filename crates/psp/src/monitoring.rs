@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn live_monitor_series_matches_a_cold_run_after_chunked_ingestion() {
         let corpus = scenario::passenger_car_europe(42);
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut monitor = LiveMonitor::new(
             Corpus::new(),
             KeywordDatabase::passenger_car_seed(),
@@ -419,7 +419,7 @@ mod tests {
         let corpus = scenario::passenger_car_europe(42);
         let mut by_year: std::collections::BTreeMap<i32, Vec<_>> =
             std::collections::BTreeMap::new();
-        for post in corpus.posts() {
+        for post in corpus.iter() {
             by_year
                 .entry(post.date().year())
                 .or_default()
@@ -618,7 +618,7 @@ mod tests {
 
     #[test]
     fn live_alerts_match_cold_series_alerts_after_ingest() {
-        let posts = burst_corpus().posts().to_vec();
+        let posts = burst_corpus().into_posts();
         let mut monitor = LiveMonitor::new(
             Corpus::new(),
             KeywordDatabase::excavator_seed(),

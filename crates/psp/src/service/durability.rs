@@ -481,8 +481,8 @@ mod tests {
     #[test]
     fn logged_ingests_replay_after_a_simulated_crash() {
         let dir = temp_dir("replay");
-        let batch8 = scenario::excavator_europe(8).posts().to_vec();
-        let batch9 = scenario::excavator_europe(9).posts().to_vec();
+        let batch8 = scenario::excavator_europe(8).into_posts();
+        let batch9 = scenario::excavator_europe(9).into_posts();
 
         let (store, mut engine, _) =
             DurableStore::recover(&dir, FaultFs::none(), seed_engine, build_engine).unwrap();
@@ -513,7 +513,7 @@ mod tests {
         let dir = temp_dir("compacting");
         let (store, mut engine, _) =
             DurableStore::recover(&dir, FaultFs::none(), seed_engine, build_engine).unwrap();
-        let batch = scenario::excavator_europe(8).posts().to_vec();
+        let batch = scenario::excavator_europe(8).into_posts();
         store.log_ingest(&batch, 1).unwrap();
         engine.ingest(batch);
         assert_eq!(store.stats().wal_records, 1);
@@ -554,7 +554,7 @@ mod tests {
         let faults = FaultFs::none();
         let (store, mut engine, _) =
             DurableStore::recover(&dir, faults.clone(), seed_engine, build_engine).unwrap();
-        let batch = scenario::excavator_europe(8).posts().to_vec();
+        let batch = scenario::excavator_europe(8).into_posts();
         store.log_ingest(&batch, 1).unwrap();
         engine.ingest(batch);
 
@@ -582,7 +582,7 @@ mod tests {
         let dir = temp_dir("ckpt_fallback");
         let (store, mut engine, _) =
             DurableStore::recover(&dir, FaultFs::none(), seed_engine, build_engine).unwrap();
-        let batch = scenario::excavator_europe(8).posts().to_vec();
+        let batch = scenario::excavator_europe(8).into_posts();
         store.log_ingest(&batch, 1).unwrap();
         engine.ingest(batch.clone());
         store.checkpoint(&engine).unwrap();
@@ -618,7 +618,7 @@ mod tests {
         let (store, mut engine, _) =
             DurableStore::recover(&dir, FaultFs::none(), seed_engine, build_engine).unwrap();
         for seed in 8..12 {
-            let batch = scenario::excavator_europe(seed).posts().to_vec();
+            let batch = scenario::excavator_europe(seed).into_posts();
             let generation = engine.generation() + 1;
             store.log_ingest(&batch, generation).unwrap();
             engine.ingest(batch);

@@ -1241,7 +1241,7 @@ mod tests {
     #[test]
     fn ingest_advances_the_generation_seen_by_later_requests() {
         let service = service();
-        let batch = scenario::excavator_europe(8).posts().to_vec();
+        let batch = scenario::excavator_europe(8).into_posts();
         let appended = batch.len();
         match service.handle(ServiceRequest::Ingest { posts: batch }) {
             ServiceResponse::Ingested {
@@ -1386,7 +1386,7 @@ mod tests {
         let subscription = service.subscribe(monitor_spec()).expect("names resolve");
         assert_eq!(subscription.generation(), 0);
         assert_eq!(subscription.try_recv(), None, "no ingest yet");
-        let posts = scenario::excavator_europe(9).posts().to_vec();
+        let posts = scenario::excavator_europe(9).into_posts();
         let _ = service.handle(ServiceRequest::Ingest { posts });
         match subscription.try_recv() {
             Some(ServiceEvent::MonitorDelta {

@@ -6,8 +6,8 @@
 //! published engine lives behind an `Arc` inside an `RwLock`, readers take an
 //! [`EngineSnapshot`] (an `Arc` clone — O(1), no data copied) and score
 //! against that immutable generation for as long as they like, while the
-//! writer builds the *next* generation on a private deep copy and publishes
-//! it with a single pointer swap.
+//! writer builds the *next* generation on a private copy and publishes it
+//! with a single pointer swap.
 //!
 //! Guarantees:
 //!
@@ -19,16 +19,22 @@
 //! * **writer serialization** — a dedicated ingest mutex orders concurrent
 //!   writers, so generations advance one batch at a time.
 //!
-//! The cost model is copy-on-publish: each non-empty batch deep-clones the
-//! published engine (O(corpus), off the reader path) before appending.  The
-//! clone starts from the *published* engine, so per-post signals that readers
-//! have lazily warmed carry into the next generation instead of being
-//! re-mined — as copies, not shared cells: the engine derives `Clone`, so
-//! every publish copies the corpus, the inverted index and each memoised
-//! per-post signal (its mined `prices` vector included).  Only the sweep
-//! plans are shared (`Arc`): the new generation's first read extends its own
-//! copy with the batch, while readers pinned to the old generation keep the
-//! old plan.
+//! The cost model is copy-on-publish over shared chunks: each non-empty
+//! batch clones the published engine (off the reader path) before appending,
+//! and the clone shares everything that cannot change.  Posts are immutable
+//! and ids append-only, so the corpus and the per-post signal cells live in
+//! sealed 1,024-post chunks ([`socialsim::corpus::Chunks`]) that every
+//! generation holds by `Arc`.  A publish copies the chunk tables, the last
+//! partial chunk of posts and of signal cells, and the inverted index (about
+//! 1.3 ms at 100k posts, of which the index is about 1 ms), then appends the
+//! batch.  Dropping a replaced generation frees only what it owned: its
+//! tail, its index and its chunk tables (about 0.2 ms at 100k posts).
+//! Signals are shared cells, not copies: a post's signals depend only on the
+//! post and the text pipeline, which all generations share, so a signal a
+//! reader mines on an old generation is already warm on the new one.  The
+//! sweep plans are shared (`Arc`) as well: the new generation's first read
+//! extends its own copy with the batch, while readers pinned to the old
+//! generation keep the old plan.
 
 use crate::engine::{IngestReceipt, StreamingScorer};
 use crate::error::PspError;
@@ -103,9 +109,13 @@ impl<E: StreamingScorer + Clone> SnapshotPublisher<E> {
     }
 
     /// Ingests a batch by building and publishing the next generation:
-    /// deep-clone the published engine, append the batch into the clone, swap
-    /// the published pointer.  Readers keep scoring the old generation
-    /// throughout; the new one becomes visible atomically.
+    /// clone the published engine, append the batch into the clone, swap the
+    /// published pointer.  Readers keep scoring the old generation
+    /// throughout; the new one becomes visible atomically.  The clone shares
+    /// the sealed chunks of posts and signal cells, so its cost is the
+    /// inverted index plus under 1,024 posts, not the corpus; the replaced
+    /// generation is dropped by its last holder (this call, or the last
+    /// reader pinned to it) and frees only what it did not share.
     ///
     /// An empty batch publishes nothing (no clone, no swap) and returns a
     /// receipt at the current generation, mirroring the engines' own
@@ -153,9 +163,11 @@ impl<E: StreamingScorer + Clone> SnapshotPublisher<E> {
 mod tests {
     use super::*;
     use crate::config::PspConfig;
-    use crate::engine::LiveEngine;
+    use crate::engine::{LiveEngine, SaiScorer, WindowAxis};
     use crate::keyword_db::KeywordDatabase;
+    use socialsim::corpus::Corpus;
     use socialsim::scenario;
+    use socialsim::time::DateWindow;
 
     fn ingest(publisher: &SnapshotPublisher<LiveEngine>, batch: Vec<Post>) -> IngestReceipt {
         publisher
@@ -166,7 +178,7 @@ mod tests {
     #[test]
     fn snapshots_pin_their_generation_across_ingest() {
         let seed = scenario::excavator_europe(7);
-        let extra = scenario::excavator_europe(8).posts().to_vec();
+        let extra = scenario::excavator_europe(8).into_posts();
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
 
@@ -188,6 +200,49 @@ mod tests {
         let mut grown = LiveEngine::new(seed);
         grown.ingest(extra);
         assert_eq!(new.sai_list(&db, &config), grown.sai_list(&db, &config));
+    }
+
+    #[test]
+    fn pinned_generations_stay_bit_identical_across_chunk_boundaries() {
+        // 1,000 seed posts and 20-post batches: the second publish seals the
+        // corpus's first 1,024-post chunk.  Generations before it own their
+        // tails, and every generation after it shares that chunk.
+        let mut posts = scenario::excavator_europe(7).into_posts();
+        posts.extend(scenario::excavator_europe(8).into_posts());
+        let (seed, batch, last) = (1_000, 20, 1_160);
+        assert!(posts.len() >= last);
+        let db = KeywordDatabase::excavator_seed();
+        let config = PspConfig::excavator_europe();
+        let axis =
+            WindowAxis::each(&[DateWindow::years(2019, 2020), DateWindow::years(2021, 2023)]);
+
+        let publisher =
+            SnapshotPublisher::new(LiveEngine::new(Corpus::from_posts(posts[..seed].to_vec())));
+        let mut pinned = vec![publisher.snapshot()];
+        for from in (seed..last).step_by(batch) {
+            // A reader warms the generation it pins before the next publish.
+            let _ = pinned.last().unwrap().sai_list(&db, &config);
+            ingest(&publisher, posts[from..from + batch].to_vec());
+            pinned.push(publisher.snapshot());
+        }
+        for (generation, snapshot) in pinned.iter().enumerate() {
+            let len = seed + generation * batch;
+            let standalone = LiveEngine::new(Corpus::from_posts(posts[..len].to_vec()));
+            assert_eq!(snapshot.generation(), generation as u64);
+            assert_eq!(snapshot.corpus(), standalone.corpus());
+            assert_eq!(
+                snapshot.sai_list(&db, &config),
+                standalone.sai_list(&db, &config)
+            );
+            assert_eq!(
+                snapshot.sai_windows(&db, &config, &axis),
+                standalone.sai_windows(&db, &config, &axis)
+            );
+            assert_eq!(
+                snapshot.export_signal_cache(),
+                standalone.export_signal_cache()
+            );
+        }
     }
 
     #[test]

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn live_comparison_matches_the_snapshot_comparison() {
         let corpus = scenario::passenger_car_europe(42);
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut engine = LiveEngine::new(socialsim::corpus::Corpus::new());
         for chunk in posts.chunks(113) {
             engine.ingest(chunk.to_vec());

@@ -66,11 +66,12 @@ impl IdBitSet {
 
 /// An inverted index over a [`Corpus`] snapshot.
 ///
-/// The index holds post *ids* (positions in [`Corpus::posts`]), not post data,
-/// so it stays valid as long as the corpus it was built from is only ever
-/// *appended to*.  Build it once, answer any number of queries against it, and
-/// extend it in place with [`CorpusIndex::append`] as new posts stream in —
-/// appending is amortised O(new posts) and never rescans the existing corpus.
+/// The index holds post *ids* (positions in the corpus, see [`Corpus::post`]),
+/// not post data, so it stays valid as long as the corpus it was built from is
+/// only ever *appended to*.  Build it once, answer any number of queries
+/// against it, and extend it in place with [`CorpusIndex::append`] as new
+/// posts stream in — appending is amortised O(new posts) and never rescans
+/// the existing corpus.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusIndex {
     /// Mention term → ascending ids of posts whose text/hashtags contain it.
@@ -94,7 +95,7 @@ impl CorpusIndex {
             by_hashtag: HashMap::new(),
             by_region: HashMap::new(),
             by_application: HashMap::new(),
-            dates: Vec::with_capacity(corpus.posts().len()),
+            dates: Vec::with_capacity(corpus.len()),
         };
         index.index_from(corpus, 0);
         index
@@ -121,30 +122,29 @@ impl CorpusIndex {
     ///
     /// # Panics
     ///
-    /// Panics when `corpus.posts().len() != self.post_count() + new_posts` —
+    /// Panics when `corpus.len() != self.post_count() + new_posts` —
     /// the corpus diverged from the indexed snapshot (posts were removed,
     /// reordered, or the count is simply wrong).
     pub fn append(&mut self, corpus: &Corpus, new_posts: usize) {
         let indexed = self.post_count();
         assert_eq!(
-            corpus.posts().len(),
+            corpus.len(),
             indexed + new_posts,
             "CorpusIndex::append: index covers {indexed} posts and {new_posts} are claimed new, \
              but the corpus holds {} posts",
-            corpus.posts().len()
+            corpus.len()
         );
         self.index_from(corpus, indexed);
     }
 
-    /// Indexes `corpus.posts()[from..]`, the shared core of [`build`](Self::build)
-    /// and [`append`](Self::append).  Ids are assigned by corpus position, so
-    /// indexing a suffix later is indistinguishable from having indexed it in
-    /// the original pass.
+    /// Indexes the posts of `corpus` from position `from` on, the shared core
+    /// of [`build`](Self::build) and [`append`](Self::append).  Ids are
+    /// assigned by corpus position, so indexing a suffix later is
+    /// indistinguishable from having indexed it in the original pass.
     fn index_from(&mut self, corpus: &Corpus, from: usize) {
-        let posts = corpus.posts();
-        let capacity = posts.len();
+        let capacity = corpus.len();
         self.dates.reserve(capacity - from);
-        for (id, post) in posts.iter().enumerate().skip(from) {
+        for (id, post) in (from..).zip(corpus.iter_from(from)) {
             let id = id as u32;
             self.dates.push(post.date());
             self.by_region
@@ -204,9 +204,9 @@ impl CorpusIndex {
         if needle.chars().any(char::is_whitespace) {
             // A whitespace-bearing keyword can span token boundaries; the
             // vocabulary cannot answer it, so fall back to the exact scan.
-            for (id, post) in corpus.posts().iter().enumerate().skip(from as usize) {
+            for (id, post) in (from..).zip(corpus.iter_from(from as usize)) {
                 if post.mentions(keyword) {
-                    out.push(id as u32);
+                    out.push(id);
                 }
             }
             return;
@@ -383,7 +383,7 @@ mod tests {
         index
             .query(corpus, query)
             .into_iter()
-            .map(|id| corpus.posts()[id as usize].id())
+            .map(|id| corpus.post(id as usize).id())
             .collect()
     }
 
@@ -433,7 +433,6 @@ mod tests {
         let corpus = sample();
         let index = CorpusIndex::build(&corpus);
         let naive: Vec<u32> = corpus
-            .posts()
             .iter()
             .enumerate()
             .filter(|(_, p)| p.mentions("machine is"))
@@ -489,7 +488,7 @@ mod tests {
     fn date_column_mirrors_the_posts() {
         let corpus = sample();
         let index = CorpusIndex::build(&corpus);
-        for (id, post) in corpus.posts().iter().enumerate() {
+        for (id, post) in corpus.iter().enumerate() {
             assert_eq!(index.date_of(id as u32), post.date());
         }
         // A missing window constraint admits every date.
@@ -639,7 +638,7 @@ mod tests {
     #[test]
     fn repeated_small_appends_equal_one_build() {
         let full = scenario::excavator_europe(11);
-        let posts: Vec<Post> = full.posts().to_vec();
+        let posts: Vec<Post> = full.clone().into_posts();
         let mut corpus = Corpus::new();
         let mut index = CorpusIndex::build(&corpus);
         for chunk in posts.chunks(7) {
@@ -648,7 +647,7 @@ mod tests {
             }
             index.append(&corpus, chunk.len());
         }
-        assert_eq!(index.post_count(), full.posts().len());
+        assert_eq!(index.post_count(), full.len());
         assert_answers_like_rebuild(&index, &corpus);
     }
 

@@ -239,7 +239,7 @@ mod tests {
             .targeting(Region::NorthAmerica, TargetApplication::PassengerCar);
         let mut corpus = Corpus::new();
         campaign.inject(&mut corpus, 5);
-        let post = &corpus.posts()[0];
+        let post = corpus.post(0);
         assert_eq!(post.region(), Region::NorthAmerica);
         assert_eq!(post.application(), TargetApplication::PassengerCar);
     }

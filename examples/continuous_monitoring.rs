@@ -35,7 +35,7 @@ fn main() {
     // The generated scene is replayed as a stream: one ingest batch per year.
     let full = scenario::passenger_car_europe(42);
     let mut by_year: BTreeMap<i32, Vec<Post>> = BTreeMap::new();
-    for post in full.posts() {
+    for post in full.iter() {
         by_year
             .entry(post.date().year())
             .or_default()

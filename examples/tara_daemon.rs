@@ -185,7 +185,7 @@ fn gen_batch(seed: &str) {
         encode_request(&WireRequest {
             id: seed,
             request: ServiceRequest::Ingest {
-                posts: scenario::excavator_europe(seed).posts().to_vec(),
+                posts: scenario::excavator_europe(seed).into_posts(),
             },
         })
     );
@@ -286,7 +286,7 @@ fn demo() {
         (
             "ingest next batch",
             ServiceRequest::Ingest {
-                posts: scenario::excavator_europe(8).posts().to_vec(),
+                posts: scenario::excavator_europe(8).into_posts(),
             },
         ),
         (
@@ -356,7 +356,7 @@ fn demo() {
         subscription.generation()
     );
     let response = service.handle(ServiceRequest::Ingest {
-        posts: scenario::excavator_europe(9).posts().to_vec(),
+        posts: scenario::excavator_europe(9).into_posts(),
     });
     println!("  ingest third batch       -> {}", describe(&response));
     while let Some(event) = subscription.try_recv() {
@@ -400,13 +400,13 @@ fn demo() {
     let _ = std::fs::remove_dir_all(&dir);
     let (durable, _) = build_durable_service(&dir).expect("demo data dir usable");
     let response = durable.handle(ServiceRequest::Ingest {
-        posts: scenario::excavator_europe(8).posts().to_vec(),
+        posts: scenario::excavator_europe(8).into_posts(),
     });
     println!("  durable ingest           -> {}", describe(&response));
     let response = durable.handle(ServiceRequest::Checkpoint);
     println!("  checkpoint               -> {}", describe(&response));
     let response = durable.handle(ServiceRequest::Ingest {
-        posts: scenario::excavator_europe(9).posts().to_vec(),
+        posts: scenario::excavator_europe(9).into_posts(),
     });
     println!("  durable ingest again     -> {}", describe(&response));
     let score = ServiceRequest::Score {

@@ -102,7 +102,7 @@ fn durable_service(dir: &Path, faults: FaultFs) -> (TaraService, RecoveryReport)
 }
 
 fn batch(seed: u64) -> Vec<Post> {
-    scenario::excavator_europe(seed).posts().to_vec()
+    scenario::excavator_europe(seed).into_posts()
 }
 
 fn score_request() -> ServiceRequest {
@@ -244,7 +244,7 @@ proptest! {
         threads in 1usize..4,
     ) {
         let batches: Vec<Vec<Post>> =
-            corpus.posts().chunks(chunk).map(<[Post]>::to_vec).collect();
+            corpus.clone().into_posts().chunks(chunk).map(<[Post]>::to_vec).collect();
         with_threads(threads, || {
             assert_crash_recovery_bit_identical(&temp_dir("live_prop"), &batches, cut_permille);
         });
@@ -487,7 +487,7 @@ fn write_fixture_history(dir: &Path, posts: &[Post]) {
 
 #[test]
 fn a_data_dir_from_the_previous_corpus_layout_recovers_and_rewrites_byte_identically() {
-    let posts = scenario::excavator_europe(7).posts().to_vec();
+    let posts = scenario::excavator_europe(7).into_posts();
 
     // Today's writer reproduces every byte of the committed directory.
     let rewritten = temp_dir("fixture_rewrite");
@@ -526,7 +526,7 @@ fn a_data_dir_from_the_previous_corpus_layout_recovers_and_rewrites_byte_identic
     assert_eq!(report.replayed_records, 1);
     assert_eq!(installed, Some(Ok(12)));
     assert_eq!(engine.generation(), 2);
-    assert_eq!(engine.corpus().posts(), &posts[..15]);
+    assert_eq!(engine.corpus().clone().into_posts(), &posts[..15]);
     let (db, config) = db_and_config();
     assert_eq!(
         engine.sai_list(&db, &config),

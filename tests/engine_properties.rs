@@ -252,7 +252,6 @@ fn matrix_until(
 
 fn naive_ids(corpus: &Corpus, query: &Query) -> Vec<u64> {
     corpus
-        .posts()
         .iter()
         .filter(|p| query.matches(p))
         .map(Post::id)
@@ -263,7 +262,7 @@ fn indexed_ids(corpus: &Corpus, query: &Query) -> Vec<u64> {
     CorpusIndex::build(corpus)
         .query(corpus, query)
         .into_iter()
-        .map(|id| corpus.posts()[id as usize].id())
+        .map(|id| corpus.post(id as usize).id())
         .collect()
 }
 
@@ -331,7 +330,7 @@ proptest! {
         split_percent in 0usize..=100,
         query in arb_query(),
     ) {
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let split = posts.len() * split_percent / 100;
         let mut grown = Corpus::from_posts(posts[..split].to_vec());
         let mut index = CorpusIndex::build(&grown);
@@ -339,7 +338,7 @@ proptest! {
             grown.push(post.clone());
         }
         index.append(&grown, posts.len() - split);
-        prop_assert_eq!(index.post_count(), corpus.posts().len());
+        prop_assert_eq!(index.post_count(), corpus.len());
         prop_assert_eq!(
             index.query(&grown, &query),
             CorpusIndex::build(&corpus).query(&corpus, &query)
@@ -357,7 +356,7 @@ proptest! {
     ) {
         let db = KeywordDatabase::excavator_seed();
         let config = PspConfig::excavator_europe();
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(chunk) {
             live.ingest(batch.to_vec());
@@ -460,7 +459,7 @@ proptest! {
         let _ = live.sai_list(&db, &configs[0]);
         let _ = live.sai_matrix(&spec);
         let builds = live.plan_builds();
-        let mut posts = corpus.posts().to_vec();
+        let mut posts = corpus.clone().into_posts();
         let last = batches.len() - 1;
         for (i, (batch, read)) in batches.into_iter().enumerate() {
             let batch: Vec<Post> = batch
@@ -509,7 +508,7 @@ proptest! {
         let windows: Vec<DateWindow> =
             (from..from + 3).map(|y| DateWindow::years(y, y + 1)).collect();
         let axis = WindowAxis::each(&windows);
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(5) {
             live.ingest(batch.to_vec());

@@ -34,7 +34,7 @@ fn post(id: u64, text: &str, year: i32, region: Region, app: TargetApplication) 
 fn year_by_year_ingestion_reproduces_the_cold_monitoring_series() {
     let full = scenario::passenger_car_europe(42);
     let mut by_year: BTreeMap<i32, Vec<Post>> = BTreeMap::new();
-    for post in full.posts() {
+    for post in full.iter() {
         by_year
             .entry(post.date().year())
             .or_default()
@@ -202,7 +202,7 @@ fn live_window_comparison_equals_the_snapshot_comparison() {
     let recent = DateWindow::years(2021, 2023);
 
     let mut live = LiveEngine::new(Corpus::new());
-    for chunk in corpus.posts().to_vec().chunks(250) {
+    for chunk in corpus.clone().into_posts().chunks(250) {
         live.ingest(chunk.to_vec());
     }
     // The ingested engine's two windows fold into exactly the comparison a

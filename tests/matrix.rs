@@ -122,7 +122,7 @@ fn matrix_is_exact_on_the_reference_scenes_built_and_ingested() {
     assert_matrix_exact(&single, &corpus, &dbs, &configs, &grid);
 
     let mut live = LiveEngine::new(Corpus::new());
-    for chunk in corpus.posts().to_vec().chunks(97) {
+    for chunk in corpus.clone().into_posts().chunks(97) {
         live.ingest(chunk.to_vec());
     }
     assert_matrix_exact(&live, &corpus, &dbs, &configs, &grid);
@@ -303,7 +303,7 @@ proptest! {
             .map(|y| Some(DateWindow::years(y, y + 1)))
             .collect();
         let spec = spec_of(&dbs, &configs, &grid);
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(chunk) {
             // Evaluate *before* ingesting the next batch: caches plans the

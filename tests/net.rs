@@ -570,7 +570,7 @@ fn subscribed_connections_get_deltas_and_a_final_draining_event() {
     ingester.send_line(&encode_request(&WireRequest {
         id: 71,
         request: ServiceRequest::Ingest {
-            posts: scenario::excavator_europe(8).posts()[..40].to_vec(),
+            posts: scenario::excavator_europe(8).into_posts()[..40].to_vec(),
         },
     }));
     let line = ingester.read_line().expect("ingest acknowledged");
@@ -673,7 +673,7 @@ fn stdin_shape_and_tcp_answer_one_transcript_byte_identically() {
         encode_request(&WireRequest {
             id: 3,
             request: ServiceRequest::Ingest {
-                posts: scenario::excavator_europe(8).posts()[..40].to_vec(),
+                posts: scenario::excavator_europe(8).into_posts()[..40].to_vec(),
             },
         }),
         r#"{"id": 4, "request": {"Score": "#.to_string(),
@@ -764,7 +764,7 @@ fn every_line_leaves_in_one_write_call() {
         encode_request(&WireRequest {
             id: 3,
             request: ServiceRequest::Ingest {
-                posts: scenario::excavator_europe(8).posts()[..10].to_vec(),
+                posts: scenario::excavator_europe(8).into_posts()[..10].to_vec(),
             },
         }),
         "{not json".to_string(),
@@ -923,7 +923,7 @@ fn event_generation(line: &str) -> u64 {
 #[test]
 fn pipelined_ingests_push_one_delta_each_in_generation_order() {
     const INGESTS: usize = 6;
-    let posts = scenario::excavator_europe(8).posts().to_vec();
+    let posts = scenario::excavator_europe(8).into_posts();
     let mut input = encode_request(&WireRequest {
         id: 0,
         request: ServiceRequest::Subscribe { spec: dpf_spec() },

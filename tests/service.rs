@@ -90,7 +90,7 @@ fn references(chunks: &[Vec<Post>], db: &KeywordDatabase, config: &PspConfig) ->
 /// generation.
 #[test]
 fn concurrent_responses_are_bit_exact_on_the_live_engine() {
-    let posts = scenario::excavator_europe(42).posts().to_vec();
+    let posts = scenario::excavator_europe(42).into_posts();
     let chunks: Vec<Vec<Post>> = posts.chunks(520).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
@@ -233,7 +233,7 @@ fn a_snapshot_taken_before_ingest_keeps_answering_its_generation() {
     let pinned = service.snapshot();
     let before = pinned.sai_list(&db, &config);
     match service.handle(ServiceRequest::Ingest {
-        posts: scenario::excavator_europe(8).posts().to_vec(),
+        posts: scenario::excavator_europe(8).into_posts(),
     }) {
         ServiceResponse::Ingested { generation, .. } => assert_eq!(generation, 1),
         other => panic!("unexpected response: {other:?}"),
@@ -282,7 +282,7 @@ fn the_wire_layer_round_trips_every_request_shape() {
             windows: axis(),
         },
         ServiceRequest::Ingest {
-            posts: scenario::excavator_europe(8).posts()[..3].to_vec(),
+            posts: scenario::excavator_europe(8).into_posts()[..3].to_vec(),
         },
     ];
     let registry = ServiceRegistry::new()
@@ -608,7 +608,7 @@ fn dpf_spec() -> MonitorSpec {
 /// standalone engine stopped at the delta's stamped generation.
 #[test]
 fn subscription_deltas_are_bit_exact_on_the_live_engine() {
-    let posts = scenario::excavator_europe(42).posts().to_vec();
+    let posts = scenario::excavator_europe(42).into_posts();
     let chunks: Vec<Vec<Post>> = posts.chunks(700).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
@@ -686,7 +686,7 @@ fn empty_ingests_push_no_deltas() {
 /// published generation and carry exactly that generation's bits.
 #[test]
 fn scheduler_ticks_stay_bit_exact_under_concurrent_ingest() {
-    let posts = scenario::excavator_europe(42).posts().to_vec();
+    let posts = scenario::excavator_europe(42).into_posts();
     let chunks: Vec<Vec<Post>> = posts.chunks(700).map(<[Post]>::to_vec).collect();
     let db = KeywordDatabase::excavator_seed();
     let config = PspConfig::excavator_europe();
@@ -883,7 +883,7 @@ fn a_read_never_waits_for_an_ingest() {
             })
             .wait_timeout(Duration::from_secs(10))
     };
-    let batch = scenario::excavator_europe(8).posts().to_vec();
+    let batch = scenario::excavator_europe(8).into_posts();
     std::thread::scope(|scope| {
         let ingest = scope.spawn(|| service.handle(ServiceRequest::Ingest { posts: batch }));
         starts

@@ -76,7 +76,7 @@ fn cold_restart_from_disk_skips_text_mining() {
         |corpus, _| LiveEngine::new(corpus),
     )
     .unwrap();
-    engine.ingest(corpus.posts().to_vec());
+    engine.ingest(corpus.clone().into_posts());
     let expected = engine.sai_list(&db, &config);
     let (generation, posts, _) = store.checkpoint(&engine).unwrap();
     assert_eq!((generation, posts), (1, corpus.len()));
@@ -112,7 +112,7 @@ fn cold_restart_from_disk_skips_text_mining() {
 #[test]
 fn live_engine_cache_survives_ingest_cycles() {
     let seed = scenario::excavator_europe(7);
-    let extra = scenario::excavator_europe(8).posts().to_vec();
+    let extra = scenario::excavator_europe(8).into_posts();
     let (db, config) = db_and_config();
 
     let mut live = LiveEngine::new(seed);
@@ -131,7 +131,7 @@ fn live_engine_cache_survives_ingest_cycles() {
 
     // After further ingestion the old cache no longer matches.
     let mut grown = cold;
-    grown.ingest(scenario::excavator_europe(10).posts().to_vec());
+    grown.ingest(scenario::excavator_europe(10).into_posts());
     assert!(matches!(
         grown.load_signal_cache(&cache),
         Err(SignalCacheError::LengthMismatch { .. })
@@ -165,7 +165,7 @@ fn stale_and_mismatched_caches_are_rejected() {
     ));
 
     // Wrong corpus length (a truncated copy of the same corpus).
-    let truncated_corpus = Corpus::from_posts(corpus.posts()[..corpus.len() - 1].to_vec());
+    let truncated_corpus = Corpus::from_posts(corpus.iter().take(corpus.len() - 1).cloned());
     let truncated_engine = LiveEngine::new(truncated_corpus.clone());
     assert!(matches!(
         truncated_engine.load_signal_cache(&cache),
@@ -181,7 +181,7 @@ fn stale_and_mismatched_caches_are_rejected() {
         Err(SignalCacheError::PostIdMismatch {
             index: 3,
             cached: forged.post_ids[3],
-            found: corpus.posts()[3].id(),
+            found: corpus.post(3).id(),
         })
     );
 

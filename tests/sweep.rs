@@ -79,7 +79,7 @@ fn sweep_is_exact_on_the_reference_scenes_built_and_ingested() {
     assert_sweep_exact(&single, &corpus, &db, &base, &windows);
 
     let mut live = LiveEngine::new(Corpus::new());
-    for chunk in corpus.posts().to_vec().chunks(97) {
+    for chunk in corpus.clone().into_posts().chunks(97) {
         live.ingest(chunk.to_vec());
     }
     assert_sweep_exact(&live, &corpus, &db, &base, &windows);
@@ -262,7 +262,7 @@ proptest! {
         let windows: Vec<DateWindow> = (2016..2023)
             .map(|y| DateWindow::years(y, y))
             .collect();
-        let posts = corpus.posts().to_vec();
+        let posts = corpus.clone().into_posts();
         let mut live = LiveEngine::new(Corpus::new());
         for batch in posts.chunks(chunk) {
             // Sweep *before* ingesting the next batch: caches a plan that the

@@ -122,7 +122,7 @@ fn golden_lines() -> Vec<String> {
         })
         .expect("subscribe");
     let ingested = service.handle(ServiceRequest::Ingest {
-        posts: scenario::excavator_europe(8).posts()[..5].to_vec(),
+        posts: scenario::excavator_europe(8).into_posts()[..5].to_vec(),
     });
     assert!(
         matches!(ingested, ServiceResponse::Ingested { .. }),
