@@ -119,7 +119,7 @@ fn batch_ns<R>(routine: &mut impl FnMut() -> R, iters: u64) -> f64 {
 }
 
 /// One bench run's machine-readable results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct PerfReport {
     /// The bench that produced the report (`engine_scaling`, `engine_ingest`).
     pub bench: String,
@@ -255,7 +255,7 @@ pub fn parse_sizes(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
 }
 
 /// One comparison row that exceeded the allowed regression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Regression {
     /// The metric/ratio name.
     pub name: String,
@@ -296,7 +296,7 @@ const STALE_FACTOR: f64 = 4.0;
 /// One row present in both the baseline and the fresh report — recorded for
 /// every checked row (not only regressions), so a passing perf-smoke run
 /// still logs the measured-vs-baseline trend.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CheckedRow {
     /// The metric/ratio name.
     pub name: String,
@@ -348,7 +348,7 @@ impl fmt::Display for CheckedRow {
 }
 
 /// The outcome of comparing a fresh report against a committed baseline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Comparison {
     /// Number of rows present in both reports and therefore checked.
     pub checked: usize,
@@ -621,7 +621,8 @@ mod tests {
     fn reports_round_trip_through_json() {
         let original = report(&[("a/10", 1.5)], &[("s/10", 3.25)]);
         let json = serde_json::to_string(&original).unwrap();
-        assert_eq!(serde_json::from_str::<PerfReport>(&json).unwrap(), original);
+        let back = serde_json::from_str::<PerfReport>(&json).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{original:?}"));
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! is enumerated together with the cybersecurity properties (confidentiality,
 //! integrity, availability, …) that must hold for it.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// A cybersecurity property that an asset carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum CybersecurityProperty {
     /// Information is not disclosed to unauthorised parties.
@@ -26,22 +23,8 @@ pub enum CybersecurityProperty {
     NonRepudiation,
 }
 
-impl fmt::Display for CybersecurityProperty {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CybersecurityProperty::Confidentiality => "Confidentiality",
-            CybersecurityProperty::Integrity => "Integrity",
-            CybersecurityProperty::Availability => "Availability",
-            CybersecurityProperty::Authenticity => "Authenticity",
-            CybersecurityProperty::Authorization => "Authorization",
-            CybersecurityProperty::NonRepudiation => "Non-repudiation",
-        };
-        f.write_str(s)
-    }
-}
-
 /// An asset under analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Asset {
     name: String,
     /// The ECU (by short name) that hosts the asset, if any.
@@ -134,15 +117,8 @@ mod tests {
             CybersecurityProperty::NonRepudiation,
         ]
         .iter()
-        .map(ToString::to_string)
+        .map(|property| format!("{property:?}"))
         .collect();
         assert_eq!(set.len(), 6);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let asset = firmware_asset();
-        let json = serde_json::to_string(&asset).unwrap();
-        assert_eq!(asset, serde_json::from_str(&json).unwrap());
     }
 }

@@ -1,42 +1,18 @@
 //! Attack paths and attack steps (ISO/SAE-21434 Clause 15.6).
 //!
 //! An attack path is the ordered sequence of steps an attacker performs to realise
-//! a threat scenario.  Each step carries the attack vector it uses; the path as a
+//! a threat scenario.  A path records the attack vector each step uses; the path as a
 //! whole is characterised by its *limiting* vector (the most local access any step
 //! requires) because that is what the attack-vector-based feasibility model rates.
 
-use serde::{Deserialize, Serialize};
 use vehicle::attack_surface::AttackVector;
 
-/// One step of an attack path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttackStep {
-    description: String,
-    vector: AttackVector,
-}
-
-impl AttackStep {
-    /// Creates a step.
-    #[must_use]
-    pub fn new(description: impl Into<String>, vector: AttackVector) -> Self {
-        Self {
-            description: description.into(),
-            vector,
-        }
-    }
-
-    /// The attack vector used by the step.
-    #[must_use]
-    pub fn vector(&self) -> AttackVector {
-        self.vector
-    }
-}
-
-/// An ordered attack path realising a threat scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// An ordered attack path realising a threat scenario: the attack vector
+/// each of its steps uses.
+#[derive(Debug)]
 pub struct AttackPath {
     name: String,
-    steps: Vec<AttackStep>,
+    steps: Vec<AttackVector>,
 }
 
 impl AttackPath {
@@ -49,17 +25,11 @@ impl AttackPath {
         }
     }
 
-    /// Appends a step.
+    /// Appends a step that uses `vector`.
     #[must_use]
-    pub fn then(mut self, step: AttackStep) -> Self {
-        self.steps.push(step);
+    pub fn step(mut self, vector: AttackVector) -> Self {
+        self.steps.push(vector);
         self
-    }
-
-    /// Convenience: appends a step built from its parts.
-    #[must_use]
-    pub fn step(self, description: impl Into<String>, vector: AttackVector) -> Self {
-        self.then(AttackStep::new(description, vector))
     }
 
     /// The path name.
@@ -73,7 +43,7 @@ impl AttackPath {
     /// model rates, because the attacker must satisfy every step's access need.
     #[must_use]
     pub fn limiting_vector(&self) -> Option<AttackVector> {
-        self.steps.iter().map(AttackStep::vector).max()
+        self.steps.iter().copied().max()
     }
 }
 
@@ -83,28 +53,16 @@ mod tests {
 
     fn obd_reflash_path() -> AttackPath {
         AttackPath::new("OBD reflash")
-            .step(
-                "connect J2534 pass-thru tool to OBD port",
-                AttackVector::Local,
-            )
-            .step(
-                "unlock programming session via seed-key brute force",
-                AttackVector::Local,
-            )
-            .step("flash modified calibration", AttackVector::Local)
+            .step(AttackVector::Local) // connect a J2534 pass-thru tool to the OBD port
+            .step(AttackVector::Local) // unlock the programming session (seed-key brute force)
+            .step(AttackVector::Local) // flash the modified calibration
     }
 
     fn remote_then_physical_path() -> AttackPath {
         AttackPath::new("remote foothold, physical finish")
-            .step(
-                "compromise telematics unit over cellular",
-                AttackVector::Network,
-            )
-            .step("pivot to powertrain CAN via gateway", AttackVector::Network)
-            .step(
-                "solder bypass wire on the ECM board",
-                AttackVector::Physical,
-            )
+            .step(AttackVector::Network) // compromise the telematics unit over cellular
+            .step(AttackVector::Network) // pivot to the powertrain CAN via the gateway
+            .step(AttackVector::Physical) // solder a bypass wire on the ECM board
     }
 
     #[test]
@@ -124,12 +82,5 @@ mod tests {
             remote_then_physical_path().limiting_vector(),
             Some(AttackVector::Physical)
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = obd_reflash_path();
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(p, serde_json::from_str(&json).unwrap());
     }
 }

@@ -8,12 +8,12 @@
 //! medium-low assurance emphasis.
 
 use crate::impact::ImpactRating;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use vehicle::attack_surface::AttackVector;
 
 /// A Cybersecurity Assurance Level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Cal {
     /// CAL1 — lowest assurance rigour.
     Cal1,
@@ -45,7 +45,7 @@ impl fmt::Display for Cal {
 }
 
 /// The CAL determination matrix of Annex E (paper Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CalMatrix;
 
 impl CalMatrix {

@@ -11,12 +11,11 @@
 //! resistance meets a required investment bound.
 
 use crate::feasibility::AttackFeasibilityRating;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vehicle::attack_surface::AttackVector;
 
 /// A cybersecurity control (technical or organisational).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Control {
     /// Control name (e.g. "authenticated diagnostics / UDS 0x29").
     pub name: String,
@@ -118,7 +117,7 @@ pub fn anti_tampering_catalogue() -> Vec<Control> {
 }
 
 /// A selected set of controls for one cybersecurity goal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct ControlPlan {
     controls: Vec<Control>,
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors produced while assembling or evaluating a TARA.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum Iso21434Error {
     /// A threat scenario references an asset that was not registered.

@@ -7,10 +7,9 @@
 //! attack is *harder*, hence *lower* feasibility).
 
 use super::AttackFeasibilityRating;
-use serde::{Deserialize, Serialize};
 
 /// Elapsed time needed to identify and exploit the vulnerability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum ElapsedTime {
     /// Up to one day.
     OneDay,
@@ -48,7 +47,7 @@ impl ElapsedTime {
 }
 
 /// Specialist expertise required of the attacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Expertise {
     /// No particular expertise (layman).
     Layman,
@@ -82,7 +81,7 @@ impl Expertise {
 }
 
 /// Knowledge of the item or component required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Knowledge {
     /// Public information only.
     Public,
@@ -116,7 +115,7 @@ impl Knowledge {
 }
 
 /// Window of opportunity available to the attacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum WindowOfOpportunity {
     /// Unlimited access (no time or access constraint) — the insider case the paper
     /// highlights for powertrain attackers.
@@ -151,7 +150,7 @@ impl WindowOfOpportunity {
 }
 
 /// Equipment required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Equipment {
     /// Standard equipment readily available (laptop, OBD dongle).
     Standard,
@@ -185,7 +184,7 @@ impl Equipment {
 }
 
 /// A complete attack-potential assessment of one attack path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AttackPotential {
     /// Elapsed time parameter.
     pub elapsed_time: ElapsedTime,
@@ -327,18 +326,5 @@ mod tests {
         );
         assert_eq!(low.total(), 22);
         assert_eq!(low.rating(), AttackFeasibilityRating::Low);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let ap = AttackPotential::new(
-            ElapsedTime::OneMonth,
-            Expertise::Expert,
-            Knowledge::Restricted,
-            WindowOfOpportunity::Easy,
-            Equipment::Specialized,
-        );
-        let json = serde_json::to_string(&ap).unwrap();
-        assert_eq!(ap, serde_json::from_str(&json).unwrap());
     }
 }

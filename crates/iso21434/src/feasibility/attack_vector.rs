@@ -19,7 +19,7 @@ use std::fmt;
 use vehicle::attack_surface::AttackVector;
 
 /// A vector → rating table (the G.9 table or a PSP-tuned replacement).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttackVectorTable {
     name: String,
     ratings: BTreeMap<AttackVector, AttackFeasibilityRating>,
@@ -116,7 +116,7 @@ impl fmt::Display for AttackVectorTable {
 
 /// The feasibility model a [`Tara`](crate::tara::Tara) evaluates with: it rates
 /// an attack path by looking up its limiting vector in an [`AttackVectorTable`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct AttackVectorModel {
     table: AttackVectorTable,
 }
@@ -210,9 +210,8 @@ mod tests {
     #[test]
     fn model_rates_by_limiting_vector() {
         let model = AttackVectorModel::standard();
-        let remote = AttackPath::new("remote").step("cellular exploit", AttackVector::Network);
-        let physical =
-            AttackPath::new("bench").step("reflash on the bench", AttackVector::Physical);
+        let remote = AttackPath::new("remote").step(AttackVector::Network); // cellular exploit
+        let physical = AttackPath::new("bench").step(AttackVector::Physical); // reflash on the bench
         assert_eq!(model.rate(&remote), AttackFeasibilityRating::High);
         assert_eq!(model.rate(&physical), AttackFeasibilityRating::VeryLow);
     }

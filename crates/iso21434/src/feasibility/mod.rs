@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The attack-feasibility rating scale shared by both models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum AttackFeasibilityRating {
     /// The attack is practically out of reach.
     VeryLow,

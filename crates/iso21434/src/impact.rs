@@ -5,12 +5,12 @@
 //! major, moderate, negligible — to each of the four impact categories: safety,
 //! financial, operational and privacy (S/F/O/P).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The four impact categories of ISO/SAE-21434.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ImpactCategory {
     /// Harm to life and limb of road users.
     Safety,
@@ -22,18 +22,8 @@ pub enum ImpactCategory {
     Privacy,
 }
 
-impl ImpactCategory {
-    /// All categories, in the standard's S/F/O/P order.
-    pub const ALL: [ImpactCategory; 4] = [
-        ImpactCategory::Safety,
-        ImpactCategory::Financial,
-        ImpactCategory::Operational,
-        ImpactCategory::Privacy,
-    ];
-}
-
 /// The impact level assigned to one impact category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum ImpactRating {
     /// No noticeable harm.
     Negligible,
@@ -72,10 +62,10 @@ impl fmt::Display for ImpactRating {
     }
 }
 
-/// A damage scenario with its per-category impact rating.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A damage scenario: the impact rating of each category it affects (a
+/// category it does not rate is negligible).
+#[derive(Debug, Default)]
 pub struct DamageScenario {
-    title: String,
     ratings: BTreeMap<ImpactCategory, ImpactRating>,
 }
 
@@ -86,21 +76,15 @@ impl DamageScenario {
     ///
     /// ```
     /// use iso21434::{DamageScenario, ImpactCategory, ImpactRating};
-    /// let ds = DamageScenario::new("Engine stall while driving")
+    /// // Engine stall while driving.
+    /// let ds = DamageScenario::new()
     ///     .rate(ImpactCategory::Safety, ImpactRating::Severe)
     ///     .rate(ImpactCategory::Operational, ImpactRating::Major);
     /// assert_eq!(ds.overall(), ImpactRating::Severe);
     /// ```
     #[must_use]
-    pub fn new(title: impl Into<String>) -> Self {
-        let ratings = ImpactCategory::ALL
-            .iter()
-            .map(|c| (*c, ImpactRating::Negligible))
-            .collect();
-        Self {
-            title: title.into(),
-            ratings,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Sets the rating of one impact category.
@@ -127,7 +111,7 @@ mod tests {
     use super::*;
 
     fn stall_scenario() -> DamageScenario {
-        DamageScenario::new("Engine stall while driving")
+        DamageScenario::new() // engine stall while driving
             .rate(ImpactCategory::Safety, ImpactRating::Severe)
             .rate(ImpactCategory::Operational, ImpactRating::Major)
             .rate(ImpactCategory::Financial, ImpactRating::Moderate)
@@ -135,11 +119,10 @@ mod tests {
 
     #[test]
     fn ratings_default_to_negligible() {
-        let ds = DamageScenario::new("nothing");
-        for c in ImpactCategory::ALL {
-            assert_eq!(ds.ratings[&c], ImpactRating::Negligible);
-        }
-        assert_eq!(ds.overall(), ImpactRating::Negligible);
+        assert_eq!(DamageScenario::new().overall(), ImpactRating::Negligible);
+        let privacy_only =
+            DamageScenario::new().rate(ImpactCategory::Privacy, ImpactRating::Moderate);
+        assert_eq!(privacy_only.overall(), ImpactRating::Moderate);
     }
 
     #[test]
@@ -151,13 +134,6 @@ mod tests {
     fn rating_values_are_monotone() {
         let values: Vec<_> = ImpactRating::ALL.iter().map(|r| r.value()).collect();
         assert_eq!(values, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let ds = stall_scenario();
-        let json = serde_json::to_string(&ds).unwrap();
-        assert_eq!(ds, serde_json::from_str(&json).unwrap());
     }
 
     #[test]

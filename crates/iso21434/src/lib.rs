@@ -6,8 +6,8 @@
 //! * [`asset`] — assets and the cybersecurity properties they carry,
 //! * [`impact`] — damage scenarios and impact rating over the four impact
 //!   categories (safety, financial, operational, privacy),
-//! * [`threat`] — threat scenarios, STRIDE categories and attacker profiles,
-//! * [`attack_path`] — attack paths made of concrete steps,
+//! * [`threat`] — threat scenarios,
+//! * [`attack_path`] — attack paths and the vector of each step,
 //! * [`feasibility`] — two of the standard's three attack-feasibility models
 //!   (attack-potential-based and attack-vector-based; paper Figures 3 and 5),
 //! * [`risk`] — risk-value determination from impact and feasibility,
@@ -55,5 +55,5 @@ pub use feasibility::AttackFeasibilityRating;
 pub use impact::{DamageScenario, ImpactCategory, ImpactRating};
 pub use risk::{RiskMatrix, RiskValue};
 pub use tara::{Tara, TaraEntry, TaraReport};
-pub use threat::{AttackerProfile, StrideCategory, ThreatScenario};
-pub use treatment::{CybersecurityGoal, RiskTreatment};
+pub use threat::ThreatScenario;
+pub use treatment::RiskTreatment;

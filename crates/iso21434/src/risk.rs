@@ -8,11 +8,11 @@
 
 use crate::feasibility::AttackFeasibilityRating;
 use crate::impact::ImpactRating;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A risk value from 1 (minimal) to 5 (critical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct RiskValue(u8);
 
 impl RiskValue {
@@ -48,7 +48,7 @@ impl fmt::Display for RiskValue {
 }
 
 /// The informative risk matrix combining impact and feasibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RiskMatrix;
 
 impl RiskMatrix {

@@ -11,7 +11,7 @@ use crate::feasibility::attack_potential::{
 use crate::feasibility::AttackFeasibilityRating;
 
 /// One row of the attack-potential parameter table (paper Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PotentialRow {
     /// The parameter group (e.g. "Elapsed time").
     pub parameter: &'static str,

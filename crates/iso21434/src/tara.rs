@@ -2,8 +2,8 @@
 //!
 //! A [`Tara`] collects assets, damage scenarios, threat scenarios and attack paths,
 //! then evaluates them against an [`AttackVectorModel`] to produce a
-//! [`TaraReport`] with per-threat risk values, CALs, treatment decisions and
-//! cybersecurity goals.
+//! [`TaraReport`] with per-threat risk values, CALs and treatment decisions, and
+//! the number of cybersecurity goals they call for.
 //!
 //! The engine is deliberately table-agnostic: running the same TARA against the
 //! standard attack-vector table and against a PSP-tuned table is how the workspace
@@ -18,12 +18,12 @@ use crate::feasibility::AttackFeasibilityRating;
 use crate::impact::{DamageScenario, ImpactRating};
 use crate::risk::{RiskMatrix, RiskValue};
 use crate::threat::ThreatScenario;
-use crate::treatment::{CybersecurityGoal, RiskTreatment};
-use serde::{Deserialize, Serialize};
+use crate::treatment::RiskTreatment;
+use serde::Serialize;
 use std::fmt;
 
 /// One threat scenario bundled with its damage scenario and candidate attack paths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TaraEntry {
     threat: ThreatScenario,
     damage: DamageScenario,
@@ -68,7 +68,7 @@ impl TaraEntry {
 }
 
 /// The assessment of one TARA entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct TaraAssessment {
     /// The threat scenario title.
     pub threat_title: String,
@@ -87,12 +87,11 @@ pub struct TaraAssessment {
 }
 
 /// The full TARA report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct TaraReport {
     item_name: String,
     model_name: String,
     assessments: Vec<TaraAssessment>,
-    goals: Vec<CybersecurityGoal>,
 }
 
 impl TaraReport {
@@ -108,10 +107,14 @@ impl TaraReport {
         &self.assessments
     }
 
-    /// Cybersecurity goals generated for reduced risks.
+    /// The number of cybersecurity goals (Clause 9.4) the report calls for:
+    /// one per threat whose risk is reduced or avoided.
     #[must_use]
-    pub fn goals(&self) -> &[CybersecurityGoal] {
-        &self.goals
+    pub fn goal_count(&self) -> usize {
+        self.assessments
+            .iter()
+            .filter(|a| matches!(a.treatment, RiskTreatment::Reduce | RiskTreatment::Avoid))
+            .count()
     }
 
     /// The assessment of a named threat scenario.
@@ -147,7 +150,7 @@ impl fmt::Display for TaraReport {
 }
 
 /// The TARA under construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Tara {
     item_name: String,
     assets: Vec<Asset>,
@@ -202,7 +205,6 @@ impl Tara {
         let risk_matrix = RiskMatrix::new();
         let cal_matrix = CalMatrix::new();
         let mut assessments = Vec::with_capacity(self.entries.len());
-        let mut goals = Vec::new();
 
         for entry in &self.entries {
             let threat = entry.threat();
@@ -233,19 +235,6 @@ impl Tara {
             let cal = cal_matrix.cal(impact, vector);
             let treatment = RiskTreatment::default_for(risk);
 
-            if treatment == RiskTreatment::Reduce || treatment == RiskTreatment::Avoid {
-                goals.push(CybersecurityGoal::new(
-                    format!(
-                        "The item shall prevent \"{}\" from violating {} of {}",
-                        threat.title(),
-                        threat.violated_property(),
-                        threat.asset_name()
-                    ),
-                    threat.title(),
-                    risk,
-                ));
-            }
-
             assessments.push(TaraAssessment {
                 threat_title: threat.title().to_string(),
                 impact,
@@ -261,7 +250,6 @@ impl Tara {
             item_name: self.item_name.clone(),
             model_name: model.name().to_string(),
             assessments,
-            goals,
         })
     }
 }
@@ -271,7 +259,6 @@ mod tests {
     use super::*;
     use crate::asset::CybersecurityProperty;
     use crate::impact::ImpactCategory;
-    use crate::threat::{AttackerProfile, StrideCategory};
     use vehicle::attack_surface::AttackVector;
 
     fn ecm_tara() -> Tara {
@@ -283,52 +270,31 @@ mod tests {
             .with_property(CybersecurityProperty::Availability);
 
         let reprogramming = TaraEntry::new(
-            ThreatScenario::new(
-                "ECM reprogramming",
-                "ECM firmware",
-                StrideCategory::Tampering,
-            )
-            .by(AttackerProfile::Rational)
-            .via(AttackVector::Physical),
-            DamageScenario::new("Emission defeat / warranty fraud")
+            ThreatScenario::new("ECM reprogramming", "ECM firmware"),
+            DamageScenario::new() // emission defeat / warranty fraud
                 .rate(ImpactCategory::Financial, ImpactRating::Major)
                 .rate(ImpactCategory::Operational, ImpactRating::Moderate),
         )
         .with_path(
             AttackPath::new("bench flash")
-                .step("remove ECM from vehicle", AttackVector::Physical)
-                .step(
-                    "flash modified calibration on the bench",
-                    AttackVector::Physical,
-                ),
+                .step(AttackVector::Physical) // remove ECM from vehicle
+                .step(AttackVector::Physical), // flash modified calibration on the bench
         )
         .with_path(
             AttackPath::new("OBD reflash")
-                .step("connect tool to OBD port", AttackVector::Local)
-                .step("flash modified calibration", AttackVector::Local),
+                .step(AttackVector::Local) // connect tool to OBD port
+                .step(AttackVector::Local), // flash modified calibration
         );
 
         let dos = TaraEntry::new(
-            ThreatScenario::new(
-                "CAN DoS on powertrain",
-                "Torque control",
-                StrideCategory::DenialOfService,
-            )
-            .by(AttackerProfile::Outsider)
-            .via(AttackVector::Physical),
-            DamageScenario::new("Loss of propulsion while driving")
+            ThreatScenario::new("CAN DoS on powertrain", "Torque control"),
+            DamageScenario::new() // loss of propulsion while driving
                 .rate(ImpactCategory::Safety, ImpactRating::Severe),
         )
         .with_path(
             AttackPath::new("bus flood")
-                .step(
-                    "splice into the powertrain CAN harness",
-                    AttackVector::Physical,
-                )
-                .step(
-                    "flood bus with high-priority frames",
-                    AttackVector::Physical,
-                ),
+                .step(AttackVector::Physical) // splice into the powertrain CAN harness
+                .step(AttackVector::Physical), // flood bus with high-priority frames
         );
 
         Tara::new("ECM")
@@ -367,8 +333,8 @@ mod tests {
     #[test]
     fn unknown_asset_is_rejected() {
         let tara = Tara::new("X").entry(TaraEntry::new(
-            ThreatScenario::new("t", "missing asset", StrideCategory::Tampering),
-            DamageScenario::new("d"),
+            ThreatScenario::new("t", "missing asset"),
+            DamageScenario::new(),
         ));
         let err = tara.evaluate(&AttackVectorModel::standard()).unwrap_err();
         assert!(matches!(err, Iso21434Error::UnknownAsset { .. }));
@@ -377,8 +343,8 @@ mod tests {
     #[test]
     fn missing_attack_path_is_rejected() {
         let tara = Tara::new("X").asset(Asset::new("a")).entry(TaraEntry::new(
-            ThreatScenario::new("t", "a", StrideCategory::Tampering),
-            DamageScenario::new("d"),
+            ThreatScenario::new("t", "a"),
+            DamageScenario::new(),
         ));
         let err = tara.evaluate(&AttackVectorModel::standard()).unwrap_err();
         assert!(matches!(err, Iso21434Error::MissingAttackPath { .. }));
@@ -392,13 +358,8 @@ mod tests {
             .iter()
             .filter(|a| matches!(a.treatment, RiskTreatment::Reduce | RiskTreatment::Avoid))
             .collect();
-        assert_eq!(report.goals().len(), treated.len());
-        for (goal, assessment) in report.goals().iter().zip(treated) {
-            assert!(assessment.risk.get() >= 3);
-            let shown = format!("{goal:?}");
-            assert!(shown.contains(&format!("threat_title: {:?}", assessment.threat_title)));
-            assert!(shown.contains(&format!("risk: {:?}", assessment.risk)));
-        }
+        assert_eq!(report.goal_count(), treated.len());
+        assert!(treated.iter().all(|a| a.risk.get() >= 3));
     }
 
     #[test]

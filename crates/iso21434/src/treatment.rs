@@ -5,11 +5,11 @@
 //! cybersecurity goals, which later become cybersecurity requirements.
 
 use crate::risk::RiskValue;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The four risk-treatment options of Clause 15.9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub enum RiskTreatment {
     /// Remove the risk source (e.g. drop the feature or interface).
     Avoid,
@@ -42,67 +42,16 @@ impl fmt::Display for RiskTreatment {
     }
 }
 
-/// A cybersecurity goal derived from a reduced risk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CybersecurityGoal {
-    statement: String,
-    threat_title: String,
-    risk: RiskValue,
-}
-
-impl CybersecurityGoal {
-    /// Creates a goal for the named threat scenario.
-    #[must_use]
-    pub fn new(
-        statement: impl Into<String>,
-        threat_title: impl Into<String>,
-        risk: RiskValue,
-    ) -> Self {
-        Self {
-            statement: statement.into(),
-            threat_title: threat_title.into(),
-            risk,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_policy_escalates_with_risk() {
-        assert_eq!(
-            RiskTreatment::default_for(RiskValue::new(1)),
-            RiskTreatment::Retain
-        );
-        assert_eq!(
-            RiskTreatment::default_for(RiskValue::new(2)),
-            RiskTreatment::Share
-        );
-        assert_eq!(
-            RiskTreatment::default_for(RiskValue::new(3)),
-            RiskTreatment::Reduce
-        );
-        assert_eq!(
-            RiskTreatment::default_for(RiskValue::new(4)),
-            RiskTreatment::Reduce
-        );
-        assert_eq!(
-            RiskTreatment::default_for(RiskValue::new(5)),
-            RiskTreatment::Avoid
-        );
-    }
-
-    #[test]
-    fn goal_accessors() {
-        let g = CybersecurityGoal::new(
-            "The ECM shall only accept authenticated firmware",
-            "ECM reprogramming",
-            RiskValue::new(4),
-        );
-        assert_eq!(g.threat_title, "ECM reprogramming");
-        assert_eq!(g.risk.get(), 4);
+        let policy: Vec<_> = (1..=5)
+            .map(|risk| RiskTreatment::default_for(RiskValue::new(risk)).to_string())
+            .collect();
+        assert_eq!(policy, ["Retain", "Share", "Reduce", "Reduce", "Avoid"]);
     }
 
     #[test]
@@ -117,12 +66,5 @@ mod tests {
         .map(ToString::to_string)
         .collect();
         assert_eq!(set.len(), 4);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = CybersecurityGoal::new("s", "t", RiskValue::new(3));
-        let json = serde_json::to_string(&g).unwrap();
-        assert_eq!(g, serde_json::from_str(&json).unwrap());
     }
 }

@@ -12,10 +12,8 @@
 //! Figure 11 plots the revenue and total-cost lines whose intersection is the BEP;
 //! [`BreakEvenAnalysis::curve`] produces exactly those series.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of the revenue/cost curves of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostRevenuePoint {
     /// Units sold.
     pub units: f64,
@@ -35,7 +33,7 @@ impl CostRevenuePoint {
 }
 
 /// The parameters of a break-even analysis for one insider attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BreakEvenAnalysis {
     /// Fixed cost `FC` of developing the attack (EUR).
     pub fixed_cost: f64,

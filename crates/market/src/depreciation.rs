@@ -6,13 +6,9 @@
 //! laboratory instrumentation such as Analyzers, Tracers, Debuggers, and
 //! Oscilloscopes."
 
-use serde::{Deserialize, Serialize};
-
 /// A capital-expenditure item owned by the adversary's "lab".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct CapexItem {
-    /// Item description (e.g. "CAN analyzer").
-    pub name: String,
     /// Acquisition cost in EUR.
     pub acquisition_cost_eur: f64,
     /// Useful life in years over which the cost is spread.
@@ -24,9 +20,8 @@ pub struct CapexItem {
 impl CapexItem {
     /// Creates an item with zero residual value.
     #[must_use]
-    pub fn new(name: impl Into<String>, acquisition_cost_eur: f64, useful_life_years: u32) -> Self {
+    pub fn new(acquisition_cost_eur: f64, useful_life_years: u32) -> Self {
         Self {
-            name: name.into(),
             acquisition_cost_eur,
             useful_life_years,
             residual_value_eur: 0.0,
@@ -54,12 +49,12 @@ pub fn straight_line_depreciation(items: &[CapexItem]) -> f64 {
 #[must_use]
 pub fn typical_adversary_lab() -> Vec<CapexItem> {
     vec![
-        CapexItem::new("CAN/LIN bus analyzer", 8_000.0, 5),
-        CapexItem::new("Protocol tracer", 6_000.0, 5),
-        CapexItem::new("JTAG/SWD debugger", 4_000.0, 4),
-        CapexItem::new("Mixed-signal oscilloscope", 12_000.0, 6),
-        CapexItem::new("ECU bench harness and power supplies", 3_000.0, 5),
-        CapexItem::new("Commercial flashing suite licence", 5_000.0, 3),
+        CapexItem::new(8_000.0, 5),  // CAN/LIN bus analyzer
+        CapexItem::new(6_000.0, 5),  // protocol tracer
+        CapexItem::new(4_000.0, 4),  // JTAG/SWD debugger
+        CapexItem::new(12_000.0, 6), // mixed-signal oscilloscope
+        CapexItem::new(3_000.0, 5),  // ECU bench harness and power supplies
+        CapexItem::new(5_000.0, 3),  // commercial flashing suite licence
     ]
 }
 
@@ -69,7 +64,7 @@ mod tests {
 
     #[test]
     fn annual_depreciation_spreads_cost() {
-        let scope = CapexItem::new("oscilloscope", 12_000.0, 6);
+        let scope = CapexItem::new(12_000.0, 6); // oscilloscope
         assert!((scope.annual_depreciation() - 2_000.0).abs() < 1e-9);
     }
 
@@ -77,23 +72,20 @@ mod tests {
     fn residual_value_reduces_the_charge() {
         let item = CapexItem {
             residual_value_eur: 400.0,
-            ..CapexItem::new("debugger", 4_000.0, 4)
+            ..CapexItem::new(4_000.0, 4)
         };
         assert!((item.annual_depreciation() - 900.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_life_charges_everything_at_once() {
-        let item = CapexItem::new("disposable", 100.0, 0);
+        let item = CapexItem::new(100.0, 0);
         assert_eq!(item.annual_depreciation(), 100.0);
     }
 
     #[test]
     fn sld_sums_over_items() {
-        let items = vec![
-            CapexItem::new("a", 1_000.0, 2),
-            CapexItem::new("b", 3_000.0, 3),
-        ];
+        let items = vec![CapexItem::new(1_000.0, 2), CapexItem::new(3_000.0, 3)];
         assert!((straight_line_depreciation(&items) - 1_500.0).abs() < 1e-9);
     }
 

@@ -6,10 +6,8 @@
 //! module aggregates price observations (typically produced by
 //! `textmine::price::extract_prices` over a social corpus) into those two numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// A single observed price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct PriceObservation {
     /// The price in EUR.
     pub eur: f64,
@@ -31,7 +29,7 @@ impl PriceObservation {
 }
 
 /// An aggregated pricing study for one insider attack.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct PricingStudy {
     observations: Vec<PriceObservation>,
 }
@@ -133,7 +131,7 @@ mod tests {
 
     #[test]
     fn empty_study_yields_none() {
-        let study = PricingStudy::default();
+        let study = PricingStudy::from_observations(std::iter::empty());
         assert_eq!(study.ppia(), None);
         assert_eq!(study.vcu(), None);
     }

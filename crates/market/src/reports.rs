@@ -6,10 +6,8 @@
 //! per attack category and year, the share of the fleet whose owners engage in the
 //! corresponding insider attack.
 
-use serde::{Deserialize, Serialize};
-
 /// One line of an annual report: incident prevalence for an attack category.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct IncidentStatistic {
     /// Attack category (e.g. "emission tampering", "ECU reprogramming").
     pub category: String,
@@ -33,7 +31,7 @@ impl IncidentStatistic {
 
 /// A cybersecurity annual report (a bag of incident statistics); start from
 /// `default()`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct CyberSecurityReport {
     statistics: Vec<IncidentStatistic>,
 }

@@ -1,9 +1,7 @@
 //! Vehicle sales records (the `VS` term of Equation 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Sales of one vehicle application in one region and year.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct SalesRecord {
     /// Free-text application name (e.g. "excavator").
     pub application: String,
@@ -34,7 +32,7 @@ impl SalesRecord {
 }
 
 /// A small sales ledger with the filters the PSP financial workflow needs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct SalesLedger {
     records: Vec<SalesRecord>,
 }
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn empty_ledger() {
-        let l = SalesLedger::default();
+        let l: SalesLedger = std::iter::empty().collect();
         assert!(l.records.is_empty());
         assert_eq!(l.previous_year_sales("x", "y"), None);
     }

@@ -4,11 +4,9 @@
 //! sales `VS`) from non-monopolistic ones (use the manufacturer's market share
 //! `MS`, i.e. the slice of the fleet actually exposed to the attack in question).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether the market for the application under analysis is effectively served by a
 /// single manufacturer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum MarketStructure {
     /// One manufacturer dominates: the potential-attacker base is the whole market
     /// (`PAE = VS · PEA`).
@@ -63,13 +61,5 @@ mod tests {
     fn share_is_clamped() {
         assert_eq!(MarketStructure::with_share(1.7).exposed_units(100), 100.0);
         assert_eq!(MarketStructure::with_share(-0.3).exposed_units(100), 0.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = MarketStructure::with_share(0.42);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: MarketStructure = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an attack topic belongs to the insider or outsider super-category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AttackOrigin {
     /// Owner-approved attacks (tuning, defeat devices, reprogramming).
     Insider,

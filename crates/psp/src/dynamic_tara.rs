@@ -11,11 +11,11 @@ use iso21434::feasibility::AttackFeasibilityRating;
 use iso21434::risk::RiskValue;
 use iso21434::tara::{Tara, TaraReport};
 use iso21434::Iso21434Error;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The per-threat difference between the static and the dynamic evaluation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ThreatDelta {
     /// The threat scenario title.
     pub threat_title: String,
@@ -45,7 +45,7 @@ impl ThreatDelta {
 }
 
 /// The result of a static-vs-dynamic comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct DynamicTaraComparison {
     /// The report produced with the standard table.
     pub static_report: TaraReport,
@@ -128,7 +128,7 @@ pub fn ecm_reference_tara(item_name: &str) -> Tara {
     use iso21434::attack_path::AttackPath;
     use iso21434::impact::{DamageScenario, ImpactCategory, ImpactRating};
     use iso21434::tara::TaraEntry;
-    use iso21434::threat::{AttackerProfile, StrideCategory, ThreatScenario};
+    use iso21434::threat::ThreatScenario;
     use vehicle::attack_surface::AttackVector;
 
     let firmware = Asset::new("ECM firmware")
@@ -143,74 +143,46 @@ pub fn ecm_reference_tara(item_name: &str) -> Tara {
         .with_property(CybersecurityProperty::Availability);
 
     let reprogramming = TaraEntry::new(
-        ThreatScenario::new(
-            "ECM reprogramming",
-            "ECM firmware",
-            StrideCategory::Tampering,
-        )
-        .by(AttackerProfile::Rational)
-        .via(AttackVector::Physical),
-        DamageScenario::new("Emission limits exceeded, warranty and type-approval fraud")
+        ThreatScenario::new("ECM reprogramming", "ECM firmware"), // STRIDE: tampering
+        DamageScenario::new() // emission limits exceeded, warranty and type-approval fraud
             .rate(ImpactCategory::Financial, ImpactRating::Major)
             .rate(ImpactCategory::Operational, ImpactRating::Moderate),
     )
     .with_path(
         AttackPath::new("bench flash")
-            .step("remove the ECM from the vehicle", AttackVector::Physical)
-            .step(
-                "open the case and flash via boot mode",
-                AttackVector::Physical,
-            ),
+            .step(AttackVector::Physical) // remove the ECM from the vehicle
+            .step(AttackVector::Physical), // open the case and flash via boot mode
     )
     .with_path(
         AttackPath::new("OBD reflash")
-            .step(
-                "connect a pass-thru tool to the OBD port",
-                AttackVector::Local,
-            )
-            .step("unlock the programming session", AttackVector::Local)
-            .step("flash the modified calibration", AttackVector::Local),
+            .step(AttackVector::Local) // connect a pass-thru tool to the OBD port
+            .step(AttackVector::Local) // unlock the programming session
+            .step(AttackVector::Local), // flash the modified calibration
     );
 
     let calibration_tamper = TaraEntry::new(
-        ThreatScenario::new(
-            "Calibration parameter tampering",
-            "ECM calibration",
-            StrideCategory::Tampering,
-        )
-        .by(AttackerProfile::Insider)
-        .via(AttackVector::Local),
-        DamageScenario::new("Torque and emission maps outside homologated range")
+        ThreatScenario::new("Calibration parameter tampering", "ECM calibration"), // STRIDE: tampering
+        DamageScenario::new() // torque and emission maps outside homologated range
             .rate(ImpactCategory::Financial, ImpactRating::Major)
             .rate(ImpactCategory::Safety, ImpactRating::Moderate),
     )
     .with_path(
-        AttackPath::new("OBD calibration write")
-            .step("write calibration blocks over OBD", AttackVector::Local),
+        AttackPath::new("OBD calibration write").step(AttackVector::Local), // write calibration blocks over OBD
     );
 
     let dos = TaraEntry::new(
         ThreatScenario::new(
             "Powertrain CAN denial of service",
             "Torque control function",
-            StrideCategory::DenialOfService,
-        )
-        .by(AttackerProfile::Outsider)
-        .via(AttackVector::Physical),
-        DamageScenario::new("Loss of propulsion while driving")
+        ), // STRIDE: denial of service
+        DamageScenario::new() // loss of propulsion while driving
             .rate(ImpactCategory::Safety, ImpactRating::Severe)
             .rate(ImpactCategory::Operational, ImpactRating::Major),
     )
     .with_path(
         AttackPath::new("bus flood via spliced harness")
-            .step(
-                "splice into the powertrain CAN harness",
-                AttackVector::Physical,
-            )
-            .step(
-                "flood the bus with highest-priority frames",
-                AttackVector::Physical,
-            ),
+            .step(AttackVector::Physical) // splice into the powertrain CAN harness
+            .step(AttackVector::Physical), // flood the bus with highest-priority frames
     );
 
     Tara::new(item_name)

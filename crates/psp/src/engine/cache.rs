@@ -50,7 +50,7 @@ pub struct SignalCacheFile {
 }
 
 /// Why a cache was rejected.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum SignalCacheError {
     /// The layout version does not match [`SIGNAL_CACHE_VERSION`].
     Version {

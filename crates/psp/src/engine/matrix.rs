@@ -41,7 +41,7 @@ use super::{SaiScorer, WindowAxis};
 /// The derived ordering (scenario-major, then configuration, then window) is
 /// exactly the order cells stream out of
 /// [`SaiScorer::sai_matrix_stream_until`](super::SaiScorer::sai_matrix_stream_until).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellId {
     /// Index into the spec's scenarios (keyword databases).
     pub scenario: usize,
@@ -87,7 +87,7 @@ pub struct CellId {
 /// let results = engine.sai_matrix(&spec);
 /// assert_eq!(results.len(), 4); // 1 scenario × 2 configs × 2 windows
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MatrixSpec {
     scenarios: Vec<(String, KeywordDatabase)>,
     configs: Vec<(String, PspConfig)>,
@@ -183,7 +183,7 @@ impl MatrixSpec {
 }
 
 /// The resolved cells of one matrix run, addressable by [`CellId`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct MatrixResults {
     scenario_count: usize,
     config_count: usize,

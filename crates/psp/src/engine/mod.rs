@@ -78,7 +78,7 @@ use sweep::PlanCache;
 /// [`window`](WindowAxis::window) / [`full_history`](WindowAxis::full_history)
 /// builders.  The axis serialises as a plain JSON array, so service requests
 /// carry it directly.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WindowAxis(Vec<Option<DateWindow>>);
 
 impl WindowAxis {
@@ -144,7 +144,7 @@ impl From<Vec<Option<DateWindow>>> for WindowAxis {
 /// generation the engine publishes them under.  Returned by
 /// [`StreamingScorer::ingest_batch`] so callers (and daemon responses) can
 /// stamp results with the exact engine version that includes the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IngestReceipt {
     /// Number of posts appended by this batch.
     pub appended: usize,
@@ -919,13 +919,7 @@ mod tests {
         let mut live = LiveEngine::new(scenario::excavator_europe(7));
         assert_eq!(live.generation(), 0);
         let empty = live.ingest(Vec::new());
-        assert_eq!(
-            empty,
-            IngestReceipt {
-                appended: 0,
-                generation: 0
-            }
-        );
+        assert_eq!((empty.appended, empty.generation), (0, 0));
         assert_eq!(live.generation(), 0);
         let receipt = live.ingest(scenario::excavator_europe(9).into_posts());
         assert!(receipt.appended > 0);

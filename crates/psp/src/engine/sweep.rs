@@ -68,7 +68,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// (region, application) and the credibility rule.  Windows are resolved per
 /// sweep and SAI weights per entry, so configurations differing only in those
 /// share one plan — a weight-ablation sweep re-uses the cached columns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct PlanKey {
     region: Region,
     application: TargetApplication,
@@ -99,7 +99,7 @@ impl PlanKey {
 /// order-sensitive evidence re-folds over the window's own rows only, picking
 /// the cheapest id-ordering strategy per window (see
 /// [`in_order_rows`](Self::in_order_rows)).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 #[cfg_attr(test, derive(PartialEq))]
 pub(super) struct ProfileColumns {
     /// Per-row intent scores, id order (one row per surviving candidate).
@@ -461,7 +461,7 @@ fn grown<T: Copy>(base: &[T], extra: usize) -> Vec<T> {
 
 /// A full sweep plan: one [`ProfileColumns`] per keyword profile, plus the
 /// key it was built for and the corpus prefix it covers.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(super) struct SweepPlan {
     /// How many posts (ids `0..posts`) the plan covers; a corpus holding
     /// more has grown by ingest since, and the plan extends to it.

@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Errors produced by the PSP workflows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum PspError {
     /// A financial input was missing or non-positive.

@@ -23,12 +23,12 @@ use market::pricing::PricingStudy;
 use market::reports::CyberSecurityReport;
 use market::sales::SalesLedger;
 use market::share::MarketStructure;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use textmine::cluster::{dominant_cluster, kmeans_1d};
 use textmine::price::representative_price;
 
 /// The inputs of a financial assessment for one insider-attack scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FinancialInputs {
     /// Free-text application name matching the sales ledger (e.g. "excavator").
     pub application: String,
@@ -73,7 +73,7 @@ impl FinancialInputs {
 }
 
 /// The outcome of the financial workflow for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct FinancialAssessment {
     /// The scenario assessed.
     pub scenario: String,

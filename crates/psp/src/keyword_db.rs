@@ -8,13 +8,13 @@
 //! attack is an insider or outsider one.
 
 use crate::classify::AttackOrigin;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use socialsim::hashtag::Hashtag;
 use std::collections::BTreeMap;
 use vehicle::attack_surface::AttackVector;
 
 /// The profile attached to one keyword / hashtag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KeywordProfile {
     /// The normalised keyword (hashtag without `#`).
     pub keyword: String,
@@ -63,7 +63,7 @@ impl KeywordProfile {
 }
 
 /// The keyword database.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KeywordDatabase {
     entries: BTreeMap<String, KeywordProfile>,
 }
@@ -267,12 +267,5 @@ mod tests {
         ));
         assert_eq!(db.len(), 2, "re-insert replaces");
         assert_eq!(db.profile("a").unwrap().scenario, "s2");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let db = KeywordDatabase::excavator_seed();
-        let json = serde_json::to_string(&db).unwrap();
-        assert_eq!(db, serde_json::from_str::<KeywordDatabase>(&json).unwrap());
     }
 }

@@ -15,7 +15,7 @@ use socialsim::corpus::Corpus;
 use textmine::cooccurrence::CooccurrenceMatrix;
 
 /// The result of one learning pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct LearningOutcome {
     /// The keywords that were added, with the seed keyword they were learned from.
     pub learned: Vec<(String, String)>,

@@ -31,7 +31,7 @@ use socialsim::time::DateWindow;
 use vehicle::attack_surface::AttackVector;
 
 /// The observation produced for one analysis window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WindowObservation {
     /// First year of the window (inclusive).
     pub from_year: i32,
@@ -50,7 +50,7 @@ pub struct WindowObservation {
 }
 
 /// Which way the scenario's SAI mass moved between two consecutive windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AlertDirection {
     /// The SAI mass grew beyond the alert threshold — attacker attention is
     /// rising and a TARA re-evaluation is due.
@@ -62,7 +62,7 @@ pub enum AlertDirection {
 /// An alert raised when the scenario's SAI mass moves sharply between two
 /// consecutive observation windows — the monitoring loop's "re-assess now"
 /// signal, cheaper to act on than diffing whole tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct SaiAlert {
     /// Start year of the window that triggered the alert (the later window).
     pub from_year: i32,
@@ -75,7 +75,7 @@ pub struct SaiAlert {
 }
 
 /// The monitoring time series for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct MonitoringSeries {
     /// The scenario monitored.
     pub scenario: String,
@@ -248,7 +248,7 @@ impl MonitoringSeries {
 /// The produced series is bit-identical to a cold [`MonitoringSeries::run`]
 /// over the same grown corpus (property-tested), without the full-rebuild
 /// cost.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LiveMonitor {
     engine: LiveEngine,
     db: KeywordDatabase,

@@ -44,7 +44,7 @@ pub struct SaiEntry {
 }
 
 /// The sorted SAI list.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaiList {
     entries: Vec<SaiEntry>,
 }
@@ -228,11 +228,12 @@ impl SaiList {
         AttackVector::ALL
             .iter()
             .map(|vector| {
-                let mass: f64 = entries
+                // Folded from +0.0: an empty f64 `sum` is -0.0, and the sign
+                // would survive the division below.
+                let mass = entries
                     .iter()
                     .filter(|e| e.vector == *vector)
-                    .map(|e| e.sai)
-                    .sum();
+                    .fold(0.0, |mass, e| mass + e.sai);
                 let share = if total > 0.0 { mass / total } else { 0.0 };
                 (*vector, share)
             })
@@ -351,6 +352,16 @@ mod tests {
         let sai = excavator_sai();
         let shares = sai.vector_shares("does-not-exist");
         assert!(shares.iter().all(|(_, s)| *s == 0.0));
+    }
+
+    #[test]
+    fn shares_without_evidence_are_positive_zero() {
+        let shares = excavator_sai().vector_shares("dpf-tampering");
+        assert!(shares.iter().any(|(_, s)| *s == 0.0), "{shares:?}");
+        assert!(
+            shares.iter().all(|(_, s)| s.is_sign_positive()),
+            "{shares:?}"
+        );
     }
 
     #[test]

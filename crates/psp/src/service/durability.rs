@@ -60,7 +60,7 @@ const NO_CHECKPOINT: u64 = u64::MAX;
 
 /// The self-describing half of a checkpoint: what the data files must hash
 /// and count to, so recovery validates before parsing a byte of payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct CheckpointManifest {
     /// Engine generation the checkpoint captures.
     generation: u64,
@@ -78,7 +78,7 @@ struct CheckpointManifest {
 
 /// What startup recovery found and did — surfaced by the daemon's
 /// `--recover` logging and asserted by the fault-injection tests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct RecoveryReport {
     /// Generation of the checkpoint that was loaded (`None` = fresh start,
     /// no valid checkpoint existed).
@@ -94,7 +94,7 @@ pub struct RecoveryReport {
 }
 
 /// Durability counters for `Status` responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DurabilityStats {
     /// Records currently in the journal (since the last compaction).
     pub wal_records: u64,

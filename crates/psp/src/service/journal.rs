@@ -47,7 +47,7 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 /// One journaled ingest batch: the posts plus the generation their
 /// publication stamps.  Replay applies records whose generation lies beyond
 /// the checkpoint floor, in file order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WalRecord {
     /// The engine generation this batch publishes (checkpoint floor filter).
     pub generation: u64,

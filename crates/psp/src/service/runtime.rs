@@ -51,7 +51,7 @@ pub(super) struct PoolMetrics {
 }
 
 /// A point-in-time snapshot of a pool's internal metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoolStats {
     /// Jobs accepted but not yet picked up by a worker.
     pub queued: usize,
@@ -219,7 +219,7 @@ impl Drop for WorkerPool {
 /// stop predicate, checked inside the engine between profile jobs and plan
 /// rows; a token without a deadline (the plain request path) never stops the
 /// execution.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CancelToken {
     deadline: Option<Instant>,
     started: Instant,

@@ -10,20 +10,13 @@ use crate::engine::WindowAxis;
 use crate::keyword_db::KeywordDatabase;
 use crate::weights::WeightGenerator;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
-use serde::{Deserialize, Serialize};
 use socialsim::corpus::Corpus;
 use socialsim::time::DateWindow;
 use vehicle::attack_surface::AttackVector;
 
 /// The comparison of one scenario across two analysis windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct WindowComparison {
-    /// The scenario analysed.
-    pub scenario: String,
-    /// The window used for the "historical" run (None = full history).
-    pub baseline_window: Option<DateWindow>,
-    /// The window used for the "recent" run.
-    pub recent_window: DateWindow,
     /// Vector shares in the baseline run.
     pub baseline_shares: Vec<(AttackVector, f64)>,
     /// Vector shares in the recent run.
@@ -87,9 +80,6 @@ pub fn compare_windows(
     let recent_sai = lists.next().expect("recent window scored");
 
     WindowComparison {
-        scenario: scenario.to_string(),
-        baseline_window: base_config.window,
-        recent_window,
         baseline_shares: baseline_sai.vector_shares(scenario),
         recent_shares: recent_sai.vector_shares(scenario),
         baseline_table: generator.insider_table(&baseline_sai, scenario),
@@ -160,16 +150,6 @@ mod tests {
         assert_eq!(cmp.recent_shares.len(), 4);
         let recent_total: f64 = cmp.recent_shares.iter().map(|(_, s)| s).sum();
         assert!((recent_total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let cmp = comparison();
-        let json = serde_json::to_string(&cmp).unwrap();
-        assert_eq!(
-            cmp,
-            serde_json::from_str::<WindowComparison>(&json).unwrap()
-        );
     }
 
     #[test]

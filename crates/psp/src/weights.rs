@@ -17,12 +17,11 @@
 use crate::sai::SaiList;
 use iso21434::feasibility::attack_vector::AttackVectorTable;
 use iso21434::feasibility::AttackFeasibilityRating;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vehicle::attack_surface::AttackVector;
 
 /// How SAI shares are mapped onto feasibility ratings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum WeightMapping {
     /// Sort vectors by SAI share and assign High, Medium, Low, Very Low by rank.
     #[default]
@@ -32,7 +31,7 @@ pub enum WeightMapping {
 }
 
 /// The weight-table generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WeightGenerator {
     mapping: WeightMapping,
 }
@@ -239,10 +238,13 @@ mod tests {
 
     #[test]
     fn mapping_accessor() {
-        assert_eq!(WeightGenerator::new().mapping, WeightMapping::RankBased);
-        assert_eq!(
+        assert!(matches!(
+            WeightGenerator::new().mapping,
+            WeightMapping::RankBased
+        ));
+        assert!(matches!(
             WeightGenerator::with_mapping(WeightMapping::Proportional).mapping,
             WeightMapping::Proportional
-        );
+        ));
     }
 }

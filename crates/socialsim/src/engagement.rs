@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Engagement counters of one post.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Engagement {
     /// Number of views / impressions.
     pub views: u64,
@@ -63,12 +63,5 @@ mod tests {
         assert_eq!(Engagement::new(0, 5, 5, 5).interaction_rate(), 0.0);
         let e = Engagement::new(200, 10, 0, 0);
         assert!((e.interaction_rate() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_is_all_zero() {
-        let e = Engagement::default();
-        assert_eq!(e.views, 0);
-        assert_eq!(e.interactions(), 0);
     }
 }

@@ -30,7 +30,7 @@ const TEMPLATES: [&str; 8] = [
 ];
 
 /// A deterministic corpus generator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CorpusGenerator {
     seed: u64,
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A normalised hashtag (lowercase, no leading `#`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Hashtag(String);
 
 impl Hashtag {

@@ -35,7 +35,7 @@ use crate::time::{DateWindow, SimDate};
 use std::collections::HashMap;
 
 /// A fixed-capacity bitset over post ids.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct IdBitSet {
     bits: Vec<u64>,
 }
@@ -72,7 +72,7 @@ impl IdBitSet {
 /// against it, and extend it in place with [`CorpusIndex::append`] as new
 /// posts stream in — appending is amortised O(new posts) and never rescans
 /// the existing corpus.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CorpusIndex {
     /// Mention term → ascending ids of posts whose text/hashtags contain it.
     vocab: HashMap<String, Vec<u32>>,

@@ -15,10 +15,9 @@ use crate::time::SimDate;
 use crate::user::User;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A coordinated campaign of low-credibility accounts pushing one hashtag.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct BotCampaign {
     /// The hashtag the campaign amplifies.
     pub hashtag: String,
@@ -84,7 +83,7 @@ impl BotCampaign {
 }
 
 /// Outcome of applying the credibility filter to a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FilterOutcome {
     /// Posts kept by the filter.
     pub kept: usize,

@@ -7,7 +7,7 @@ use crate::user::User;
 use serde::{Deserialize, Serialize};
 
 /// Geographic region of a post (the PSP query "excavator, Europe" filters on this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Region {
     /// Europe.
@@ -23,7 +23,7 @@ pub enum Region {
 }
 
 /// The target application a post talks about (PSP input block 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum TargetApplication {
     /// Passenger cars.
@@ -192,7 +192,7 @@ mod tests {
             SimDate::new(2021, 1, 1),
             Region::Europe,
             TargetApplication::PassengerCar,
-            Engagement::default(),
+            Engagement::new(0, 0, 0, 0),
         );
         assert_eq!(p.hashtags().len(), 1);
     }

@@ -7,11 +7,10 @@
 use crate::hashtag::Hashtag;
 use crate::post::{Post, Region, TargetApplication};
 use crate::time::DateWindow;
-use serde::{Deserialize, Serialize};
 
 /// A corpus search query.  All constraints are conjunctive; keyword and hashtag
 /// lists are disjunctive within themselves ("any of these keywords").
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Query {
     keywords: Vec<String>,
     hashtags: Vec<Hashtag>,
@@ -144,7 +143,7 @@ mod tests {
             SimDate::new(year, 6, 1),
             region,
             app,
-            Engagement::default(),
+            Engagement::new(0, 0, 0, 0),
         )
     }
 

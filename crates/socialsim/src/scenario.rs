@@ -212,17 +212,14 @@ mod tests {
     #[test]
     fn passenger_corpus_shows_inversion_through_the_query_api() {
         let corpus = passenger_car_europe(42);
-        let all_time = Query::new();
-        let recent = Query::new().within(DateWindow::years(2021, 2023));
+        let all_time = |tag| corpus.search(&Query::new().with_hashtag(tag)).len();
+        let recent = |tag| {
+            let window = Query::new().within(DateWindow::years(2021, 2023));
+            corpus.search(&window.with_hashtag(tag)).len()
+        };
 
-        let bench_all = corpus
-            .search(&all_time.clone().with_hashtag("#benchflash"))
-            .len();
-        let obd_all = corpus.search(&all_time.with_hashtag("#chiptuning")).len();
-        let bench_recent = corpus
-            .search(&recent.clone().with_hashtag("#benchflash"))
-            .len();
-        let obd_recent = corpus.search(&recent.with_hashtag("#chiptuning")).len();
+        let (bench_all, obd_all) = (all_time("#benchflash"), all_time("#chiptuning"));
+        let (bench_recent, obd_recent) = (recent("#benchflash"), recent("#chiptuning"));
 
         assert!(bench_all > obd_all, "{bench_all} vs {obd_all}");
         assert!(obd_recent > bench_recent, "{obd_recent} vs {bench_recent}");

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A calendar date with day precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SimDate {
     year: i32,
     month: u8,
@@ -47,7 +47,7 @@ impl SimDate {
 }
 
 /// An inclusive date window used by queries ("only posts since 2021").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DateWindow {
     /// Inclusive lower bound.
     pub from: SimDate,

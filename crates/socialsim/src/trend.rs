@@ -8,11 +8,10 @@
 //! analysis (Figure 9-B vs 9-C).
 
 use crate::post::{Region, TargetApplication};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The yearly posting profile of one attack topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TopicTrend {
     topic: String,
     hashtags: Vec<String>,
@@ -127,7 +126,7 @@ impl TopicTrend {
 }
 
 /// A full trend model: the topics of one (application, region) scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TrendModel {
     application: TargetApplication,
     region: Region,

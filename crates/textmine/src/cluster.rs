@@ -4,10 +4,8 @@
 //! centre is the purchase price per insider attack (PPIA), while a clearly separated
 //! lower cluster usually corresponds to the bare component cost (VCU).
 
-use serde::{Deserialize, Serialize};
-
 /// A cluster of one-dimensional observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Cluster {
     /// The cluster centre.
     pub center: f64,

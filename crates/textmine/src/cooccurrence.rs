@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A symmetric co-occurrence matrix over terms observed per document.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CooccurrenceMatrix {
     counts: BTreeMap<(String, String), usize>,
 }

@@ -235,7 +235,7 @@ impl Default for IntentLexicon {
 }
 
 /// The scored breakdown of one text.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntentScore {
     /// Number of engagement-word hits.
     pub engagement_hits: usize,

@@ -2,38 +2,13 @@
 //!
 //! The paper's powertrain argument rests on the properties of the CAN bus: no
 //! native authentication, broadcast medium, physically accessible through the OBD
-//! connector.  This module models the common in-vehicle network technologies and
-//! the segments built from them, each serving one functional domain.
-
-use crate::domain::FunctionalDomain;
-use serde::{Deserialize, Serialize};
-
-/// The kind of an in-vehicle network segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum BusKind {
-    /// Classical high-speed CAN (up to 1 Mbit/s).
-    CanHighSpeed,
-    /// Classical low-speed / fault-tolerant CAN (body electronics).
-    CanLowSpeed,
-    /// CAN-FD with flexible data rate (up to 8 Mbit/s payload phase).
-    CanFd,
-    /// LIN sub-bus for low-cost actuators and sensors.
-    Lin,
-    /// FlexRay time-triggered bus (chassis, x-by-wire).
-    FlexRay,
-    /// Automotive Ethernet (100BASE-T1 / 1000BASE-T1).
-    Ethernet,
-    /// MOST multimedia ring (legacy infotainment).
-    Most,
-}
+//! connector.  A topology names its network segments so that ECUs can attach to
+//! them; the reference architectures note each segment's technology and domain.
 
 /// A concrete network segment in a vehicle architecture.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bus {
     name: String,
-    kind: BusKind,
-    domain: FunctionalDomain,
 }
 
 impl Bus {
@@ -42,34 +17,17 @@ impl Bus {
     /// # Examples
     ///
     /// ```
-    /// use vehicle::{Bus, BusKind, FunctionalDomain};
-    /// let bus = Bus::new("PT-CAN", BusKind::CanHighSpeed, FunctionalDomain::Powertrain);
+    /// use vehicle::Bus;
+    /// let bus = Bus::new("PT-CAN");
     /// assert_eq!(bus.name(), "PT-CAN");
     /// ```
-    pub fn new(name: impl Into<String>, kind: BusKind, domain: FunctionalDomain) -> Self {
-        Self {
-            name: name.into(),
-            kind,
-            domain,
-        }
+    pub fn new(name: impl Into<String>) -> Self {
+        Self { name: name.into() }
     }
 
     /// The segment name, unique within a topology.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serde_round_trip() {
-        let bus = Bus::new("PT-CAN", BusKind::CanFd, FunctionalDomain::Powertrain);
-        let json = serde_json::to_string(&bus).unwrap();
-        let back: Bus = serde_json::from_str(&json).unwrap();
-        assert_eq!(bus, back);
     }
 }

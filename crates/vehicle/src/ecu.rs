@@ -6,10 +6,9 @@
 
 use crate::attack_surface::ExternalInterface;
 use crate::domain::FunctionalDomain;
-use serde::{Deserialize, Serialize};
 
 /// An electronic control unit in the vehicle architecture.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ecu {
     name: String,
     full_name: String,
@@ -78,7 +77,7 @@ impl Ecu {
 ///     .build();
 /// assert!(ecm.buses().contains(&"PT-CAN".to_string()));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EcuBuilder {
     name: String,
     full_name: Option<String>,
@@ -173,7 +172,7 @@ mod tests {
         let ecu = Ecu::builder("LCM").build();
         assert_eq!(ecu.name(), "LCM");
         assert_eq!(ecu.full_name(), "LCM");
-        assert_eq!(ecu.domain(), FunctionalDomain::Body);
+        assert!(matches!(ecu.domain(), FunctionalDomain::Body));
         assert!(ecu.buses().is_empty());
         assert!(!ecu.is_gateway());
         assert!(ecu.interfaces().is_empty());
@@ -183,19 +182,10 @@ mod tests {
     fn builder_sets_all_fields() {
         let tcu = sample_tcu();
         assert_eq!(tcu.full_name(), "Telematics Control Unit");
-        assert_eq!(tcu.domain(), FunctionalDomain::Communication);
+        assert!(matches!(tcu.domain(), FunctionalDomain::Communication));
         assert_eq!(tcu.buses(), &["BACKBONE".to_string()]);
         assert_eq!(tcu.interfaces().len(), 2);
     }
-
-    #[test]
-    fn serde_round_trip() {
-        let tcu = sample_tcu();
-        let json = serde_json::to_string(&tcu).unwrap();
-        let back: Ecu = serde_json::from_str(&json).unwrap();
-        assert_eq!(tcu, back);
-    }
-
     #[test]
     fn multiple_buses_accumulate() {
         let gw = Ecu::builder("GW")

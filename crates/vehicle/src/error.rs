@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors produced while building or querying a vehicle architecture model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum VehicleError {
     /// An ECU, bus or interface name was referenced before being declared.

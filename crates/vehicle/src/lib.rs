@@ -7,7 +7,7 @@
 //! provides the structural model that the rest of the workspace reasons over:
 //!
 //! * [`domain`] — functional domains (powertrain, chassis, body, infotainment, …),
-//! * [`bus`] — in-vehicle networks (CAN, CAN-FD, LIN, FlexRay, Ethernet),
+//! * [`bus`] — named in-vehicle network segments (CAN, CAN-FD, LIN, ...),
 //! * [`attack_surface`] — external interfaces and their attack range
 //!   (long-range / short-range / physical, following the Upstream taxonomy cited by
 //!   the paper),
@@ -49,7 +49,7 @@ pub mod standards_graph;
 pub mod topology;
 
 pub use attack_surface::{AttackRange, ExternalInterface};
-pub use bus::{Bus, BusKind};
+pub use bus::Bus;
 pub use domain::FunctionalDomain;
 pub use ecu::{Ecu, EcuBuilder};
 pub use error::VehicleError;

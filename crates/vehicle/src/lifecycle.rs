@@ -5,10 +5,8 @@
 //! *dynamic* model makes these re-processing passes cheap and data-driven instead of
 //! a manual re-evaluation, so the lifecycle model is exercised by several examples.
 
-use serde::{Deserialize, Serialize};
-
 /// A phase of the ISO/SAE-21434 development life cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum LifecyclePhase {
     /// Item definition (Clause 9.3).
@@ -99,7 +97,7 @@ impl LifecyclePhase {
 
 /// A development life cycle instance that tracks which phase the project is in and
 /// how many TARA (re)processing passes have been performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct DevelopmentLifecycle {
     current: usize,
     tara_passes: u32,
@@ -156,7 +154,10 @@ mod tests {
 
     #[test]
     fn phases_are_in_order_and_unique() {
-        let set: std::collections::HashSet<_> = LifecyclePhase::ALL.iter().collect();
+        let set: std::collections::HashSet<_> = LifecyclePhase::ALL
+            .iter()
+            .map(|p| format!("{p:?}"))
+            .collect();
         assert_eq!(set.len(), LifecyclePhase::ALL.len());
         assert_eq!(LifecyclePhase::ALL[0], LifecyclePhase::ItemDefinition);
         assert_eq!(LifecyclePhase::ALL[9], LifecyclePhase::ProductionReadiness);
@@ -206,6 +207,9 @@ mod tests {
 
     #[test]
     fn default_equals_new() {
-        assert_eq!(DevelopmentLifecycle::default(), DevelopmentLifecycle::new());
+        assert_eq!(
+            format!("{:?}", DevelopmentLifecycle::default()),
+            format!("{:?}", DevelopmentLifecycle::new())
+        );
     }
 }

@@ -15,11 +15,10 @@
 use crate::attack_surface::{AttackRange, AttackVector};
 use crate::topology::{NodeKind, VehicleTopology};
 use petgraph::graph::NodeIndex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// How an ECU can be reached from a given attack range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exposure {
     /// The attack range of the entry interface.
     pub range: AttackRange,
@@ -33,7 +32,7 @@ pub struct Exposure {
 }
 
 /// The classification of a single ECU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct EcuClassification {
     name: String,
     exposures: Vec<Exposure>,
@@ -81,7 +80,7 @@ impl EcuClassification {
 }
 
 /// Result of analysing a whole topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ReachabilityAnalysis {
     classifications: BTreeMap<String, EcuClassification>,
 }
@@ -227,22 +226,14 @@ fn bfs_from_interface(topology: &VehicleTopology, start: NodeIndex) -> Vec<(Stri
 mod tests {
     use super::*;
     use crate::attack_surface::ExternalInterface;
-    use crate::bus::{Bus, BusKind};
+    use crate::bus::Bus;
     use crate::domain::FunctionalDomain;
     use crate::ecu::Ecu;
 
     fn topology() -> VehicleTopology {
         VehicleTopology::builder("test-car")
-            .bus(Bus::new(
-                "PT-CAN",
-                BusKind::CanHighSpeed,
-                FunctionalDomain::Powertrain,
-            ))
-            .bus(Bus::new(
-                "INFO-CAN",
-                BusKind::CanFd,
-                FunctionalDomain::Infotainment,
-            ))
+            .bus(Bus::new("PT-CAN")) // high-speed CAN, powertrain
+            .bus(Bus::new("INFO-CAN")) // CAN-FD, infotainment
             .ecu(
                 Ecu::builder("TCU")
                     .domain(FunctionalDomain::Communication)
@@ -355,11 +346,7 @@ mod tests {
     #[test]
     fn physical_only_for_isolated_ecu() {
         let topo = VehicleTopology::builder("isolated")
-            .bus(Bus::new(
-                "LOCAL-CAN",
-                BusKind::CanHighSpeed,
-                FunctionalDomain::Powertrain,
-            ))
+            .bus(Bus::new("LOCAL-CAN")) // high-speed CAN, powertrain
             .ecu(
                 Ecu::builder("ECM")
                     .on_bus("LOCAL-CAN")

@@ -7,7 +7,7 @@
 //! Section III uses (DPF tampering on European excavators).
 
 use crate::attack_surface::ExternalInterface;
-use crate::bus::{Bus, BusKind};
+use crate::bus::Bus;
 use crate::domain::FunctionalDomain;
 use crate::ecu::Ecu;
 use crate::topology::VehicleTopology;
@@ -21,32 +21,12 @@ use crate::topology::VehicleTopology;
 pub fn passenger_car() -> VehicleTopology {
     VehicleTopology::builder("passenger-car")
         // Network segments.
-        .bus(Bus::new(
-            "PT-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Powertrain,
-        ))
-        .bus(Bus::new(
-            "CHASSIS-CAN",
-            BusKind::CanFd,
-            FunctionalDomain::Chassis,
-        ))
-        .bus(Bus::new(
-            "BODY-CAN",
-            BusKind::CanLowSpeed,
-            FunctionalDomain::Body,
-        ))
-        .bus(Bus::new("BODY-LIN", BusKind::Lin, FunctionalDomain::Body))
-        .bus(Bus::new(
-            "INFO-CAN",
-            BusKind::CanFd,
-            FunctionalDomain::Infotainment,
-        ))
-        .bus(Bus::new(
-            "DIAG-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Diagnostics,
-        ))
+        .bus(Bus::new("PT-CAN")) // high-speed CAN, powertrain
+        .bus(Bus::new("CHASSIS-CAN")) // CAN-FD, chassis
+        .bus(Bus::new("BODY-CAN")) // low-speed CAN, body
+        .bus(Bus::new("BODY-LIN")) // LIN, body
+        .bus(Bus::new("INFO-CAN")) // CAN-FD, infotainment
+        .bus(Bus::new("DIAG-CAN")) // high-speed CAN, diagnostics
         // Central gateway.
         .ecu(
             Ecu::builder("GATEWAY")
@@ -185,21 +165,9 @@ pub fn passenger_car() -> VehicleTopology {
 #[must_use]
 pub fn excavator() -> VehicleTopology {
     VehicleTopology::builder("excavator")
-        .bus(Bus::new(
-            "ENG-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Powertrain,
-        ))
-        .bus(Bus::new(
-            "IMPL-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Chassis,
-        ))
-        .bus(Bus::new(
-            "CAB-CAN",
-            BusKind::CanLowSpeed,
-            FunctionalDomain::Body,
-        ))
+        .bus(Bus::new("ENG-CAN")) // high-speed CAN, powertrain
+        .bus(Bus::new("IMPL-CAN")) // high-speed CAN, chassis
+        .bus(Bus::new("CAB-CAN")) // low-speed CAN, body
         .ecu(
             Ecu::builder("ECM")
                 .full_name("Engine Control Module")
@@ -249,21 +217,9 @@ pub fn excavator() -> VehicleTopology {
 #[must_use]
 pub fn light_truck() -> VehicleTopology {
     VehicleTopology::builder("light-truck")
-        .bus(Bus::new(
-            "PT-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Powertrain,
-        ))
-        .bus(Bus::new(
-            "BODY-CAN",
-            BusKind::CanLowSpeed,
-            FunctionalDomain::Body,
-        ))
-        .bus(Bus::new(
-            "DIAG-CAN",
-            BusKind::CanHighSpeed,
-            FunctionalDomain::Diagnostics,
-        ))
+        .bus(Bus::new("PT-CAN")) // high-speed CAN, powertrain
+        .bus(Bus::new("BODY-CAN")) // low-speed CAN, body
+        .bus(Bus::new("DIAG-CAN")) // high-speed CAN, diagnostics
         .ecu(
             Ecu::builder("GATEWAY")
                 .full_name("Central Gateway")
@@ -399,7 +355,8 @@ mod tests {
         for topo in [passenger_car(), excavator(), light_truck()] {
             let has_obd = topo
                 .ecus()
-                .any(|e| e.interfaces().contains(&ExternalInterface::ObdPort));
+                .flat_map(|e| e.interfaces())
+                .any(|i| matches!(i, ExternalInterface::ObdPort));
             assert!(has_obd, "{} lacks an OBD/service port", topo.name());
         }
     }

@@ -6,11 +6,10 @@
 //! the `fig1` experiment of the bench harness.
 
 use petgraph::graph::{DiGraph, NodeIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Strength of a contribution relationship between two standards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RelationshipStrength {
     /// A medium relationship (dashed edge in the paper's figure).
     Medium,
@@ -28,7 +27,7 @@ impl fmt::Display for RelationshipStrength {
 }
 
 /// A standard referenced by the graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Standard {
     /// The designation, e.g. `"ISO 26262:2018"`.
     pub designation: String,
@@ -51,7 +50,7 @@ impl Standard {
 
 /// The standards-contribution graph: edges point from a contributing standard to
 /// ISO/SAE-21434 (or to another intermediate standard).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StandardsGraph {
     graph: DiGraph<Standard, RelationshipStrength>,
     target: NodeIndex,
@@ -159,7 +158,7 @@ fn is_automotive(name: &str) -> bool {
 }
 
 /// Builder for [`StandardsGraph`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StandardsGraphBuilder {
     target: Standard,
     contributors: Vec<(Standard, RelationshipStrength)>,

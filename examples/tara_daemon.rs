@@ -71,16 +71,30 @@ fn build_registry() -> ServiceRegistry {
         .config("passenger-car", PspConfig::passenger_car_europe())
 }
 
-fn build_service() -> TaraService {
-    TaraService::new(
+/// The demo's pool size, fixed so that its transcript is the same on every
+/// host.
+const DEMO_WORKERS: usize = 2;
+
+/// A service on `workers` pool threads.
+fn build_service(workers: usize) -> TaraService {
+    TaraService::with_workers(
         LiveEngine::new(scenario::excavator_europe(7)),
         build_registry(),
+        workers,
     )
+}
+
+/// One worker per core: the pool size of a serving daemon.
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Recovers (or seeds) a durable service from `dir`: newest valid checkpoint,
 /// journal tail replayed, signal cache warmed when the checkpoint carried one.
-fn build_durable_service(dir: &Path) -> Result<(TaraService, RecoveryReport), String> {
+fn build_durable_service(
+    dir: &Path,
+    workers: usize,
+) -> Result<(TaraService, RecoveryReport), String> {
     let (store, engine, report) = DurableStore::recover(
         dir,
         FaultFs::none(),
@@ -96,7 +110,6 @@ fn build_durable_service(dir: &Path) -> Result<(TaraService, RecoveryReport), St
         },
     )
     .map_err(|error| error.to_string())?;
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let service = TaraService::with_durability(engine, build_registry(), workers, store);
     Ok((service, report))
 }
@@ -150,7 +163,7 @@ fn main() {
             &PathBuf::from(dir),
             args.iter().any(|arg| arg == "--recover"),
         ),
-        None => build_service(),
+        None => build_service(host_workers()),
     });
     match flag_value(&args, "--listen") {
         Some(addr) => serve_socket(&service, &addr, config),
@@ -195,7 +208,7 @@ fn gen_batch(seed: &str) {
 /// `strict` set, a fresh start (no prior state on disk) is an error — used
 /// after a restart to assert that recovery actually happened.
 fn recover_durable(dir: &Path, strict: bool) -> TaraService {
-    let (service, report) = build_durable_service(dir).unwrap_or_else(|error| {
+    let (service, report) = build_durable_service(dir, host_workers()).unwrap_or_else(|error| {
         eprintln!(
             "tara_daemon: recovery from {} failed: {error}",
             dir.display()
@@ -268,7 +281,7 @@ fn serve_socket(service: &Arc<TaraService>, addr: &str, config: NetConfig) {
 /// A deterministic scripted transcript — what the daemon does, without
 /// needing a driver on stdin.  Used as the CI smoke test.
 fn demo() {
-    let service = build_service();
+    let service = build_service(DEMO_WORKERS);
     println!(
         "tara_daemon demo: excavator scene, {} workers",
         service.workers()
@@ -321,20 +334,31 @@ fn demo() {
     }
 
     // The same requests ride the worker pool: submit a burst, then wait the
-    // tickets in order.
+    // tickets in order.  Their queue counters depend on how far the pool
+    // got, so only the snapshot each one read is shown.
     let tickets: Vec<_> = (0..4)
         .map(|_| service.submit(ServiceRequest::Status))
         .collect();
     for (n, ticket) in tickets.into_iter().enumerate() {
-        println!("  pooled status #{n:<13} -> {}", describe(&ticket.wait()));
+        let shown = match ticket.wait() {
+            ServiceResponse::Status {
+                generation, posts, ..
+            } => format!("gen {generation}: {posts} posts"),
+            other => describe(&other),
+        };
+        println!("  pooled status #{n:<13} -> {shown}");
     }
 
     // A request whose deadline already passed answers Expired instead of
-    // burning a worker on it.
-    let expired = service
+    // burning a worker on it.  How long it waited depends on the host.
+    let shown = match service
         .submit_with_deadline(ServiceRequest::Status, Duration::ZERO)
-        .wait();
-    println!("  zero deadline            -> {}", describe(&expired));
+        .wait()
+    {
+        ServiceResponse::Expired { .. } => "expired after a zero deadline".to_string(),
+        other => describe(&other),
+    };
+    println!("  zero deadline            -> {shown}");
 
     // Monitor subscription: every ingest publication pushes a re-evaluated
     // monitoring series (plus alert firings) down the subscription's own
@@ -378,12 +402,17 @@ fn demo() {
         )
         .expect("a sweep is schedulable");
     println!("  schedule 25ms sweep      -> job #{} every 25ms", job.id());
-    std::thread::sleep(Duration::from_millis(90));
-    let ticks: Vec<ServiceEvent> = std::iter::from_fn(|| job.try_recv()).collect();
+    // Exactly two ticks; a scheduler that stalls fails the demo.
+    let ticks: Vec<ServiceEvent> = (0..2)
+        .map(|_| {
+            job.recv_timeout(Duration::from_secs(10))
+                .expect("the scheduler ticks within 10 s")
+        })
+        .collect();
     println!(
         "  scheduler ticks          -> {} scheduled run(s), first: {}",
         ticks.len(),
-        ticks.first().map_or("none".to_string(), describe_event),
+        describe_event(&ticks[0]),
     );
     let response = service.handle(ServiceRequest::Unschedule { id: job.id() });
     println!("  unschedule sweep         -> {}", describe(&response));
@@ -398,7 +427,7 @@ fn demo() {
     // incarnation recovered from the same dir scores bit-identically.
     let dir = std::env::temp_dir().join(format!("tara-demo-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (durable, _) = build_durable_service(&dir).expect("demo data dir usable");
+    let (durable, _) = build_durable_service(&dir, DEMO_WORKERS).expect("demo data dir usable");
     let response = durable.handle(ServiceRequest::Ingest {
         posts: scenario::excavator_europe(8).into_posts(),
     });
@@ -420,7 +449,8 @@ fn demo() {
         describe(&durable.handle(ServiceRequest::Status))
     );
     drop(durable); // the first incarnation dies here; only the disk survives
-    let (revived, report) = build_durable_service(&dir).expect("demo data dir recoverable");
+    let (revived, report) =
+        build_durable_service(&dir, DEMO_WORKERS).expect("demo data dir recoverable");
     println!(
         "  restart                  -> checkpoint gen {}, replayed {} record(s) / {} post(s)",
         report

@@ -36,7 +36,7 @@ fn full_pipeline_passenger_car_static_vs_dynamic() {
 
     // The dynamic report generates at least one cybersecurity goal that the static
     // report missed.
-    assert!(comparison.dynamic_report.goals().len() > comparison.static_report.goals().len());
+    assert!(comparison.dynamic_report.goal_count() > comparison.static_report.goal_count());
 }
 
 #[test]
